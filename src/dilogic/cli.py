@@ -16,7 +16,7 @@ from . import family, integral as di, jsonio, mba, structure as st
 from . import formula as fm
 from . import transform as tr
 from . import typei
-from .errors import BudgetError, DilogicError
+from .errors import BudgetError, DilogicError, InputError
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -136,8 +136,12 @@ def cmd_mba_monotone(args):
 def cmd_mba_dist(args):
     alg = jsonio.algebra_from_doc(_load_json(args.algebra))
     doc = _load_json(args.input)
-    chain = [jsonio.subset_from_doc(u, alg) for u in doc["chain"]]
-    xs = [jsonio.subset_from_doc(x, alg) for x in doc["tuple"]]
+    try:
+        chain_doc, tuple_doc = doc["chain"], doc["tuple"]
+    except (TypeError, KeyError) as exc:
+        raise InputError(f"bad dist input document: {exc}") from None
+    chain = [jsonio.subset_from_doc(u, alg) for u in chain_doc]
+    xs = [jsonio.subset_from_doc(x, alg) for x in tuple_doc]
     formula = mba.phi_chain(chain)
     assign = {mba.chain_var("X", m, len(chain)): x for m, x in enumerate(xs)}
     bound = mba.eval_mba(formula, assign, alg)
@@ -324,7 +328,7 @@ def main(argv=None):
         print(json.dumps({"error": "budget", "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return EXIT_INPUT
-    except (DilogicError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (DilogicError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": "input", "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return EXIT_INPUT

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, SignatureError
+from .tree import Shape
 
 RESERVED_WORDS = frozenset({"half", "sub", "sup", "inf"})
 
@@ -114,7 +115,7 @@ class Const:
 
 @dataclass(frozen=True)
 class Half:
-    body: "MetricFormula"
+    body: object
 
     def __str__(self):
         return to_text(self)
@@ -122,8 +123,8 @@ class Half:
 
 @dataclass(frozen=True)
 class TruncSub:
-    left: "MetricFormula"
-    right: "MetricFormula"
+    left: object
+    right: object
 
     def __str__(self):
         return to_text(self)
@@ -132,7 +133,7 @@ class TruncSub:
 @dataclass(frozen=True)
 class Sup:
     var: str
-    body: "MetricFormula"
+    body: object
 
     def __str__(self):
         return to_text(self)
@@ -141,52 +142,37 @@ class Sup:
 @dataclass(frozen=True)
 class Inf:
     var: str
-    body: "MetricFormula"
+    body: object
 
     def __str__(self):
         return to_text(self)
 
 
-MetricFormula = (Atomic, Const, Half, TruncSub, Sup, Inf)
-
-
-def term_vars(term):
-    if isinstance(term, Var):
-        return {term.name}
-    out = set()
-    for a in term.args:
-        out |= term_vars(a)
-    return out
+# Child fields of every term and formula class, in traversal order.
+_CHILDREN = Shape({
+    **dict.fromkeys((Var, Const), ()),
+    **dict.fromkeys((Apply, Atomic), ("args",)),
+    **dict.fromkeys((Half, Sup, Inf), ("body",)),
+    TruncSub: ("left", "right"),
+}, "a formula or term")
+nodes = _CHILDREN.nodes
+rebuild = _CHILDREN.rebuild
 
 
 def free_vars(phi):
-    """Free variables of a formula; Sup/Inf bind their variable."""
-    if isinstance(phi, Atomic):
-        out = set()
-        for t in phi.args:
-            out |= term_vars(t)
-        return out
-    if isinstance(phi, Const):
-        return set()
-    if isinstance(phi, Half):
-        return free_vars(phi.body)
-    if isinstance(phi, TruncSub):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Sup, Inf)):
-        return free_vars(phi.body) - {phi.var}
-    raise TypeError(f"not a formula: {phi!r}")
+    """Free variables of a formula or term; Sup/Inf bind their variable."""
+    if type(phi) is Var:
+        return {phi.name}
+    out = set()
+    for child in _CHILDREN.children(phi):
+        out |= free_vars(child)
+    if type(phi) in (Sup, Inf):
+        out.discard(phi.var)
+    return out
 
 
 def contains_inf(phi):
-    if isinstance(phi, Inf):
-        return True
-    if isinstance(phi, (Atomic, Const)):
-        return False
-    if isinstance(phi, Half):
-        return contains_inf(phi.body)
-    if isinstance(phi, TruncSub):
-        return contains_inf(phi.left) or contains_inf(phi.right)
-    return contains_inf(phi.body)
+    return any(type(node) is Inf for node in nodes(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -236,29 +222,22 @@ def canonicalize(phi):
             if name not in taken:
                 return name
 
-    def rename_term(term, env):
-        if isinstance(term, Var):
-            return Var(env.get(term.name, term.name))
-        return Apply(term.func, tuple(rename_term(a, env) for a in term.args))
+    def renamer(env):
+        def walk(node):
+            if type(node) is Var:
+                name = env.get(node.name, node.name)
+                return node if name == node.name else Var(name)
+            if type(node) in (Sup, Inf):
+                name = fresh()
+                body = renamer({**env, node.var: name})(node.body)
+                if name == node.var and body is node.body:
+                    return node
+                return type(node)(name, body)
+            return rebuild(node, walk)
 
-    def walk(node, env):
-        if isinstance(node, Atomic):
-            return Atomic(node.pred, tuple(rename_term(t, env) for t in node.args))
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Half):
-            return Half(walk(node.body, env))
-        if isinstance(node, TruncSub):
-            return TruncSub(walk(node.left, env), walk(node.right, env))
-        if isinstance(node, (Sup, Inf)):
-            name = fresh()
-            inner = dict(env)
-            inner[node.var] = name
-            body = walk(node.body, inner)
-            return type(node)(name, body)
-        raise TypeError(f"not a formula: {node!r}")
+        return walk
 
-    return walk(phi, {})
+    return renamer({})(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -270,18 +249,12 @@ def rewrite_inf(phi):
 
     Value-preserving on every structure since all ranges lie in [0,1].
     """
-    if isinstance(phi, (Atomic, Const)):
-        return phi
-    if isinstance(phi, Half):
-        return Half(rewrite_inf(phi.body))
-    if isinstance(phi, TruncSub):
-        return TruncSub(rewrite_inf(phi.left), rewrite_inf(phi.right))
-    if isinstance(phi, Sup):
-        return Sup(phi.var, rewrite_inf(phi.body))
-    if isinstance(phi, Inf):
-        body = rewrite_inf(phi.body)
-        return TruncSub(Const(1), Sup(phi.var, TruncSub(Const(1), body)))
-    raise TypeError(f"not a formula: {phi!r}")
+    if type(phi) is Atomic:
+        return phi  # terms hold no Inf
+    phi = rebuild(phi, rewrite_inf)
+    if type(phi) is Inf:
+        return TruncSub(Const(1), Sup(phi.var, TruncSub(Const(1), phi.body)))
+    return phi
 
 
 def normalize_range(phi, r, t):

@@ -40,7 +40,14 @@ def signature_to_doc(sig):
     }
 
 
+def _object(doc, what):
+    if not isinstance(doc, dict):
+        raise InputError(f"bad {what} document: expected a JSON object")
+    return doc
+
+
 def signature_from_doc(doc):
+    _object(doc, "signature")
     try:
         preds = tuple((e["name"], e["arity"]) for e in doc.get("predicates", []))
         funcs = tuple((e["name"], e["arity"]) for e in doc.get("functions", []))
@@ -72,7 +79,10 @@ def algebra_from_doc(doc):
 
 
 def subset_from_doc(doc, alg):
-    subset = frozenset(doc)
+    try:
+        subset = frozenset(doc)
+    except TypeError as exc:
+        raise InputError(f"bad subset {doc!r}: {exc}") from None
     for a in subset:
         if a not in alg.weights:
             raise InputError(f"unknown atom {a!r} in subset")
@@ -186,8 +196,8 @@ def field_from_doc(doc):
 
 def assignment_from_doc(doc, field_):
     out = {}
-    for var, choice in (doc or {}).items():
-        out[var] = di.element_of(field_, choice)
+    for var, choice in _object(doc or {}, "assignment").items():
+        out[var] = di.element_of(field_, _object(choice, f"assignment entry {var!r}"))
     return out
 
 
@@ -241,36 +251,11 @@ def _formula_table(result):
             index[tag] = len(seen)
             seen.append(tag)
 
-    def walk_term(t):
-        if isinstance(t, mba.SetVar):
-            note(t.index.tag)
-        elif isinstance(t, mba.ChainVar):
-            note(t.tag)
-        elif isinstance(t, (mba.Union, mba.Inter, mba.Diff, mba.SymDiff)):
-            walk_term(t.left)
-            walk_term(t.right)
-        elif isinstance(t, mba.Compl):
-            walk_term(t.body)
-
-    def walk(node):
-        if isinstance(node, mba.Measure):
-            walk_term(node.term)
-        elif isinstance(node, (mba.Scale,)):
-            walk(node.body)
-        elif isinstance(node, (mba.Add, mba.TruncSub)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (mba.Max, mba.Min)):
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, mba.SupChain):
-            for spec in node.chains:
-                note(spec.tag)
-                for b in spec.bounds:
-                    walk_term(b)
-            walk(node.inner)
-
-    walk(result.g)
+    for node in mba.nodes(result.g):
+        if type(node) is mba.SetVar:
+            note(node.index.tag)
+        elif type(node) in (mba.ChainVar, mba.ChainSpec):
+            note(node.tag)
     for v in sorted(result.variables, key=mba.var_sort_key):
         note(v.tag)
     return seen, index
@@ -326,6 +311,11 @@ def _mba_to_doc(g, index):
                 for spec in g.chains
             ],
             "inner": _mba_to_doc(g.inner, index),
+            "profiles": [
+                {"slots": [[index[tag], slot] for tag, slot in prof.slots],
+                 "bound": _set_to_doc(prof.bound, index)}
+                for prof in g.profiles
+            ],
         }
     raise TypeError(f"not an mba formula: {g!r}")
 
@@ -392,6 +382,14 @@ def pretty_mba(g):
             + ", ".join(_pretty_set(b) for b in spec.bounds)
             for spec in g.chains
         )
+        profiles = "; ".join(
+            " & ".join(_pretty_set(mba.ChainVar(g.binder, tag, slot))
+                       for tag, slot in prof.slots)
+            + f" <= {_pretty_set(prof.bound)}"
+            for prof in g.profiles
+        )
+        if profiles:
+            chains += f" | {profiles}"
         return f"sup[Y{g.binder} | {chains}]({pretty_mba(g.inner)})"
     raise TypeError(f"not an mba formula: {g!r}")
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ChainError, EvaluationError, ValidationError
+from .tree import Shape
 
 ENUMERATE = "enumerate"
 MAXIMAL = "maximal"
@@ -65,7 +66,7 @@ class FiniteMeasureAlgebra:
 # Set variables and set terms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetVarIndex:
     """Index of a set variable: a formula tag, a threshold level, and the
     comparison mode the intended level set uses (strict '>' vs '>=')."""
@@ -75,7 +76,8 @@ class SetVarIndex:
     strict: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "level", Fraction(self.level))
+        if type(self.level) is not Fraction:
+            object.__setattr__(self, "level", Fraction(self.level))
 
 
 def var_sort_key(index):
@@ -267,58 +269,28 @@ class SupChain:
 MbaFormula = (Measure, Const, Scale, Add, TruncSub, Max, Min, SupChain)
 
 
+# Child fields of every set-term and formula class, in traversal order.
+_CHILDREN = Shape({
+    **dict.fromkeys((SetVar, ChainVar, SetLit, Empty, Full, Const), ()),
+    **dict.fromkeys((Union, Inter, Diff, SymDiff, Add, TruncSub), ("left", "right")),
+    **dict.fromkeys((Compl, Scale), ("body",)),
+    **dict.fromkeys((Max, Min), ("items",)),
+    Measure: ("term",),
+    ChainSpec: ("bounds",),
+    ProfileSpec: ("bound",),
+    SupChain: ("chains", "inner", "profiles"),
+}, "an mba formula or set term")
+nodes = _CHILDREN.nodes
+rebuild = _CHILDREN.rebuild
+
+
 def free_set_vars(g):
     """Free SetVarIndex occurrences of a formula (chain variables are bound)."""
-    out = set()
-
-    def walk_term(t):
-        if isinstance(t, SetVar):
-            out.add(t.index)
-        elif isinstance(t, (Union, Inter, Diff, SymDiff)):
-            walk_term(t.left)
-            walk_term(t.right)
-        elif isinstance(t, Compl):
-            walk_term(t.body)
-
-    def walk(node):
-        if isinstance(node, Measure):
-            walk_term(node.term)
-        elif isinstance(node, Const):
-            pass
-        elif isinstance(node, Scale):
-            walk(node.body)
-        elif isinstance(node, (Add, TruncSub)):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, (Max, Min)):
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, SupChain):
-            for spec in node.chains:
-                for b in spec.bounds:
-                    walk_term(b)
-            for prof in node.profiles:
-                walk_term(prof.bound)
-            walk(node.inner)
-        else:
-            raise TypeError(f"not an mba formula: {node!r}")
-
-    walk(g)
-    return out
+    return {node.index for node in nodes(g) if type(node) is SetVar}
 
 
 def contains_supchain(g):
-    if isinstance(g, SupChain):
-        return True
-    if isinstance(g, (Measure, Const)):
-        return False
-    if isinstance(g, Scale):
-        return contains_supchain(g.body)
-    if isinstance(g, (Add, TruncSub)):
-        return contains_supchain(g.left) or contains_supchain(g.right)
-    if isinstance(g, (Max, Min)):
-        return any(contains_supchain(i) for i in g.items)
-    raise TypeError(f"not an mba formula: {g!r}")
+    return any(type(node) is SupChain for node in nodes(g))
 
 
 def value_bound(g):
@@ -546,37 +518,10 @@ def _eval_supchain_maximal(g, assign, alg, env, bounds, tag_pos, profile_values)
 def substitute_set_vars(g, mapping):
     """Replace free set variables by set terms (chain variables untouched)."""
 
-    def sub_term(t):
-        if isinstance(t, SetVar):
-            return mapping.get(t.index, t)
-        if isinstance(t, (Union, Inter, Diff, SymDiff)):
-            return type(t)(sub_term(t.left), sub_term(t.right))
-        if isinstance(t, Compl):
-            return Compl(sub_term(t.body))
-        return t
-
     def sub(node):
-        if isinstance(node, Measure):
-            return Measure(sub_term(node.term))
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Scale):
-            return Scale(node.factor, sub(node.body))
-        if isinstance(node, (Add, TruncSub)):
-            return type(node)(sub(node.left), sub(node.right))
-        if isinstance(node, (Max, Min)):
-            return type(node)(tuple(sub(item) for item in node.items))
-        if isinstance(node, SupChain):
-            chains = tuple(
-                ChainSpec(spec.tag, tuple(sub_term(b) for b in spec.bounds))
-                for spec in node.chains
-            )
-            profiles = tuple(
-                ProfileSpec(prof.slots, sub_term(prof.bound))
-                for prof in node.profiles
-            )
-            return SupChain(node.binder, chains, sub(node.inner), profiles)
-        raise TypeError(f"not an mba formula: {node!r}")
+        if type(node) is SetVar:
+            return mapping.get(node.index, node)
+        return rebuild(node, sub)
 
     return sub(g)
 

@@ -57,18 +57,9 @@ class TransformResult:
     g: object              # MbaFormula over SetVarIndex variables
     variables: frozenset   # declared SetVarIndex set (g may ignore some)
 
-    def level_of(self, zeta):
-        return self.levels[zeta]
-
 
 def _formula_key(zeta):
     return fm.to_text(zeta)
-
-
-def _strict_grid(zeta, level):
-    return {
-        mba.SetVarIndex(zeta, Fraction(i, level), True) for i in range(level)
-    }
 
 
 class _Builder:
@@ -77,6 +68,9 @@ class _Builder:
         self.budget_vars = budget_vars
         self.memo = {}
         self.next_binder = 0
+        # One threshold grid per level, shared by the tens of thousands of
+        # variables a large compile declares.
+        self.grids = {}
 
     def fresh_binder(self):
         b = self.next_binder
@@ -110,13 +104,18 @@ class _Builder:
         formulas = tuple(sorted(levels, key=_formula_key))
         variables = set(mba.free_set_vars(g))
         for zeta in formulas:
-            variables |= _strict_grid(zeta, levels[zeta])
+            variables |= self._strict_grid(zeta, levels[zeta])
         if len(variables) > self.budget_vars:
             raise BudgetError(
                 f"declared set-variable count {len(variables)} exceeds budget "
                 f"{self.budget_vars}"
             )
         return TransformResult(k, formulas, dict(levels), g, frozenset(variables))
+
+    def _strict_grid(self, zeta, level):
+        if level not in self.grids:
+            self.grids[level] = [Fraction(i, level) for i in range(level)]
+        return {mba.SetVarIndex(zeta, t, True) for t in self.grids[level]}
 
     def _atomic(self, phi, k):
         levels = {phi: k}
@@ -281,9 +280,7 @@ def transform(phi, k, budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS
         raise InputError(f"k must be >= 2, got {k}")
     if fm.contains_inf(phi):
         raise InputError("Inf nodes must be removed with rewrite_inf first")
-    builder = _Builder(budget_c, budget_vars)
-    result = builder.build(phi, k)
-    return result
+    return _Builder(budget_c, budget_vars).build(phi, k)
 
 
 def build_level_assignment(result, field_, assignment=None):

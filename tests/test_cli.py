@@ -1,11 +1,13 @@
 """Command-line front end: exit codes, JSON determinism, error bodies."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
-from dilogic import cli, jsonio
+from dilogic import cli, family, jsonio
+from dilogic import formula as fm
 
 from helpers import atomic_example_field, joint_witness_field, sup_example_field
 
@@ -25,6 +27,7 @@ def paths(tmp_path):
     write("sig.json", {"predicates": [{"name": "P", "arity": 1},
                                       {"name": "Q", "arity": 1}]})
     write("sig_p.json", {"predicates": [{"name": "P", "arity": 1}]})
+    write("sig_default.json", jsonio.signature_to_doc(family.default_signature()))
     write("atomic_field.json", jsonio.field_to_doc(atomic_example_field()))
     write("sup_field.json", jsonio.field_to_doc(sup_example_field()))
     write("joint_field.json", jsonio.field_to_doc(joint_witness_field()))
@@ -119,6 +122,130 @@ def test_transform_budget_error_exit_2(paths, capsys):
     assert json.loads(err)["error"] == "budget"
 
 
+def test_transform_serializes_supchain_profiles(paths, capsys):
+    code, out, _ = run(capsys, [
+        "transform", "--formula", "sup y . sub(P(y), Q(y))",
+        "--signature", paths["sig.json"], "--k", "2",
+    ])
+    assert code == cli.EXIT_PASS
+    g = json.loads(out)["g"]
+    assert g["op"] == "supchain"
+    assert len(g["profiles"]) == 121
+    slots_per_tag = {c["tag"]: len(c["bounds"]) for c in g["chains"]}
+    for prof in g["profiles"]:
+        assert len(prof["slots"]) >= 2
+        for tag, slot in prof["slots"]:
+            assert 0 <= slot < slots_per_tag[tag]
+
+
+# The 17 templates and the three compile-frontier formulas at k = 2.
+GOLDEN_CORPUS = [(name, fm.to_text(phi))
+                 for name, phi, _small in family.formula_templates()] + [
+    ("frontier-sup-sub", "sup y . sub(P(y), Q(y))"),
+    ("frontier-sup-sup", "sup x . sup y . R(x,y)"),
+    ("frontier-inf", "inf y . P(y)"),
+]
+
+# SHA-256 of the JSON and of the pretty stdout of `dilogic transform`.
+GOLDEN_SHA256 = {
+    "atomic-unary": (
+        "e39ab05a06249639068e2904ce1bf485bda49655198bd554e9d41cb6c34c0b57",
+        "797c9ebc4864ecb5484a3f6015ee8545a7f7f1dae34537437d1aa1808f1713a5",
+    ),
+    "atomic-unary-2": (
+        "b5eac4a4c172bc1128cdc86acfeef531cc16212fb76e6f372cc05d1a35ebcad3",
+        "bb09234f58946d4bf92a41a2d92dde4e74693b024b3fae829c51f813b85ec71f",
+    ),
+    "atomic-binary": (
+        "f1554777b1dbaed9034101a963ead163d89b63cdf8eade5ef458fc7cafe026b7",
+        "f5cce050a190f5de4ef51fcdfdaee51f22f2184e84967299004968913645bc7c",
+    ),
+    "const": (
+        "82547460e1cf053ebe0ac0ed41d3dedac04bee3d85c375638fba66b4243dca91",
+        "5b16f924a64502d73c123de02d3a6f0018b4febb91c6b7d78d918ce5a24a9176",
+    ),
+    "half-atomic": (
+        "001c5ca90c321e2b985fdcf9bb4d612e817c8cc0d55d2fe1874099ac8a001788",
+        "e8575c5d1710fc460e19fe2b03b7a3d86ae07f24e03ada49d80977e4d4806b84",
+    ),
+    "half-half": (
+        "aea899b8ee7f69779f68fbc5939fb2a98136ace6f228a71890e56246bf1ecd0c",
+        "65f85d0b8e09c0494cef24cd4f283c1e88cab6dae3353f3e58b3d9eb40f41415",
+    ),
+    "sub-atomic": (
+        "79a325331d3048f58a61a9ccfb848d651b92451a41ad8bd4cd06b8e6040dcc55",
+        "259e954532d91b1658cf1ab83a4d3463adda90d3cd24294bcdc853db32978a68",
+    ),
+    "sub-mixed": (
+        "0055963113bbd957288ca1f490b8844244219cfc01fb20243fcae4e5f64feafd",
+        "0d2c1c3651a654f6b63af8f16dc404966da1e90552b867927966b361f6fd238b",
+    ),
+    "sub-const-left": (
+        "4788c74b387b13652008b63b888d149edfb682243edf33a3e316ab78efc9e12a",
+        "a66d41e835c8a70b54d520e553b31a97278fbdfa731fd1056e59f4d5392be492",
+    ),
+    "half-sub": (
+        "0fc639de7ae5a10639e3bb7b189965d9cc327be2401eca4c5f22fa63d0dc87e5",
+        "e9d732044638deb5b49d46dfa2e5bdf40a0c4b13f6e4b67f5102d0d76e845239",
+    ),
+    "sub-sub": (
+        "18d98eae198eee2cb8a6761738aac2622e826766c08f2983ef6c8933c0e73bfa",
+        "89a920df1e91feb60a5b31531284d26cdf601992f2624dd8fca61c8815c2a4e4",
+    ),
+    "sup-atomic": (
+        "3209bafc0eee22e73792207f2f2d6a304e5bfd602027f3e4cf5db7af134dc951",
+        "75f9e4f728445a2dff11c6a7ae75625ade9b81dc253cfb6b4e1327923f9681fb",
+    ),
+    "sup-binary": (
+        "1e8868d9d20185d0587a9874b82d689c11a3c93af74cf8234104c7489b8bb826",
+        "e47be98f55537067936df1041a871b26e5a66f80d7684d2bbca0da1e7ceebf23",
+    ),
+    "half-sup": (
+        "54a7a4fb7d27cf9d48859f1b5f2d8bd340000d93cafd7466ecfb4ba567108ec6",
+        "b2fb6873b98582bf6a76bf881a31962710446fae29ec6aa89a91f42c134aec03",
+    ),
+    "sup-sub": (
+        "44d11967d2b4e709df67993d31e93ee89f9af29e76f49c3856fb799128e85410",
+        "c457213fb9dbad5754789187a08d660e5b5e74fd262aa177b1587282a7aa4a77",
+    ),
+    "sup-sub-const": (
+        "de245444c3eeef4b65db87e2ab12effd7cf88158a69b355da8a6a3b6a47919b3",
+        "d854bd6e36fe92bbf085911daee66f352967e1b2a1e88242f6f3f73ed51da6b1",
+    ),
+    "sub-sup": (
+        "6c0ee53be7bd869d901b981b0abfe1c089192c5752a83a363381b3a66db8d88f",
+        "b2da703febfe3ef6fc843600a9234bcdb257656a25a6db6ada139b155eadf1fd",
+    ),
+    "frontier-sup-sub": (
+        "44d11967d2b4e709df67993d31e93ee89f9af29e76f49c3856fb799128e85410",
+        "c457213fb9dbad5754789187a08d660e5b5e74fd262aa177b1587282a7aa4a77",
+    ),
+    "frontier-sup-sup": (
+        "29ef52918c91f845416fac36cf11a7efc29f458988c837a79dd81a39b5698cf6",
+        "4ecca3cfd8a5aa3d0f74e4510dad0277a58f01ff9592d8491b6a115836415865",
+    ),
+    "frontier-inf": (
+        "865c01765e15ec7624fafd495ada26c6fc3cc018b87fcc838c5f44a8537e71eb",
+        "8b577e49dbd9ac7606cf2e26c69c63d9b383b5fb996b9f522ed2a02ccd8bde46",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, text", GOLDEN_CORPUS,
+                         ids=[name for name, _text in GOLDEN_CORPUS])
+def test_transform_golden_bytes(paths, capsys, name, text):
+    digests = []
+    for fmt in ("json", "pretty"):
+        code, out, _ = run(capsys, [
+            "transform", "--formula", text, "--signature", paths["sig_default.json"],
+            "--k", "2", "--budget-c", "65536", "--budget-vars", "65536",
+            "--format", fmt,
+        ])
+        assert code == cli.EXIT_PASS
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == GOLDEN_SHA256[name]
+
+
 def test_bad_input_exit_2(paths, capsys):
     code, _, err = run(capsys, [
         "eval", "--formula", "R(x)", "--field", paths["sup_field.json"],
@@ -129,6 +256,31 @@ def test_bad_input_exit_2(paths, capsys):
         "eval", "--formula", "P(x)", "--field", "/does/not/exist.json",
     ])
     assert code == cli.EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["transform", "--formula", "P(x)", "--signature", "DOC"],
+     [{"name": "P", "arity": 1}]),
+    (["eval", "--formula", "P(x)", "--field", "atomic_field.json",
+      "--assignment", "DOC"], [{"w1": "p", "w2": "p"}]),
+    (["eval", "--formula", "P(x)", "--field", "atomic_field.json",
+      "--assignment", "DOC"], "x"),
+    (["check", "--formula", "P(x)", "--field", "atomic_field.json",
+      "--assignment", "DOC"], {"x": "p"}),
+    (["mba", "dist", "--algebra", "alg.json", "--input", "DOC"],
+     {"chain": [["w1"]]}),
+    (["mba", "dist", "--algebra", "alg.json", "--input", "DOC"],
+     {"chain": [5], "tuple": [["w1"]]}),
+], ids=["signature-list", "assignment-list", "assignment-string",
+        "assignment-entry-string", "dist-missing-tuple", "dist-subset-number"])
+def test_malformed_document_exit_2(paths, tmp_path, capsys, argv, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(path) if a == "DOC" else paths.get(a, a) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,9 @@ def test_free_vars():
     assert fm.free_vars(fm.Atomic("R", (fm.Var("x"), fm.Var("y")))) == {"x", "y"}
     assert fm.free_vars(fm.Sup("y", fm.Atomic("R", (fm.Var("x"), fm.Var("y"))))) == {"x"}
     assert fm.free_vars(fm.Const(F(1, 2))) == set()
+    term = fm.Apply("g", (fm.Var("x"), fm.Apply("f", (fm.Var("y"),))))
+    assert fm.free_vars(term) == {"x", "y"}
+    assert fm.free_vars(fm.Sup("y", fm.Atomic("P", (term,)))) == {"x"}
 
 
 def test_canonicalize_alpha_equivalence():
@@ -108,6 +111,14 @@ def test_canonicalize_avoids_capture():
     out = fm.canonicalize(phi)
     assert out.var != "y0"
     assert fm.free_vars(out) == {"y0"}
+
+
+def test_canonicalize_renames_inside_function_terms():
+    sig = fm.Signature(predicates=(("P", 1),), functions=(("g", 2),))
+    a = fm.parse_formula("sup u . P(g(u, y0))", sig)
+    b = fm.parse_formula("sup v . P(g(v, y0))", sig)
+    assert a == b == fm.Sup("y1", fm.Atomic(
+        "P", (fm.Apply("g", (fm.Var("y1"), fm.Var("y0"))),)))
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +165,7 @@ def test_rewrite_inf_no_op_without_inf():
     phi = fm.TruncSub(p_of("x"), fm.Half(q_of("x")))
     assert fm.rewrite_inf(phi) is not None
     assert fm.rewrite_inf(phi) == phi
+    assert fm.rewrite_inf(phi) is phi
 
 
 @given(_formulas())

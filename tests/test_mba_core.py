@@ -238,6 +238,7 @@ def test_free_set_vars_sees_profile_bounds():
         profiles=(mba.ProfileSpec((("A", 0),), mba.SetVar(w)),),
     )
     assert mba.free_set_vars(g) == {w}
+    assert mba.substitute_set_vars(g, {}) is g
     substituted = mba.substitute_set_vars(g, {w: mba.Empty()})
     assert mba.free_set_vars(substituted) == set()
 
