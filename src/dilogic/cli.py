@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
-from . import family, integral as di, jsonio, mba, structure as st
+from . import checks, family, integral as di, jsonio, mba
 from . import formula as fm
 from . import transform as tr
 from . import typei
@@ -32,7 +31,8 @@ def _emit(doc, fmt, pretty_text=None):
     if fmt == "pretty" and pretty_text is not None:
         print(pretty_text)
     else:
-        print(json.dumps(doc, sort_keys=True, indent=2))
+        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
+        print()
 
 
 def _parse_with_sig(args):
@@ -173,59 +173,27 @@ def cmd_typei(args):
 
 
 def cmd_selftest(args):
-    checks = {}
     instances = family.determination_instances(args.seed, args.count)
-    det_fail = layer_fail = mono_fail = collapse_fail = compl_fail = 0
+    names = ("determination", "layer_cake", "monotone", "sup_collapse",
+             "complement_identity")
+    failures = dict.fromkeys(names, 0)
     for inst in instances:
-        phi = fm.rewrite_inf(inst.formula)
-        result = tr.transform(phi, inst.k, args.budget_c, args.budget_vars)
-        report = tr.determination_check(
-            phi, inst.k, inst.field, inst.assignment, result=result)
-        if not report.ok:
-            det_fail += 1
-        if isinstance(phi, (fm.Atomic, fm.Const)):
-            low = sum(
-                (inst.field.space.measure(
-                    di.level_set(phi, inst.field, inst.assignment,
-                                 Fraction(i, inst.k)))
-                 for i in range(1, inst.k)), Fraction(0)) / inst.k
-            if not low <= report.integral_value <= low + Fraction(1, inst.k):
-                layer_fail += 1
-        if mba.check_monotone(result.g, inst.field.space, trials=10,
-                              seed=args.seed, exhaustive_limit=2000) is not None:
-            mono_fail += 1
-        if mba.contains_supchain(result.g):
-            assign = tr.build_level_assignment(result, inst.field, inst.assignment)
-            a = mba.eval_mba(result.g, assign, inst.field.space, mba.ENUMERATE)
-            b = mba.eval_mba(result.g, assign, inst.field.space, mba.MAXIMAL)
-            if a != b:
-                collapse_fail += 1
-        for zeta in result.formulas:
-            if not tr.complement_identity_holds(
-                    zeta, result.levels[zeta], inst.field, inst.assignment):
-                compl_fail += 1
-                break
-    checks["determination"] = det_fail
-    checks["layer_cake"] = layer_fail
-    checks["monotone"] = mono_fail
-    checks["sup_collapse"] = collapse_fail
-    checks["complement_identity"] = compl_fail
-    relabel_fail = 0
-    for field_a, field_b, _bij in family.relabel_pairs(args.seed, 10):
-        if tr.corollary_equivalence_check(field_a, field_b, family.sentence_suite()):
-            relabel_fail += 1
-    checks["relabel_agreement"] = relabel_fail
-    tensor_fail = 0
-    for d1, d1p, d2, d2p in family.description_quadruples(args.seed, 25):
-        t = typei.tensor(d1, d2)
-        if not (typei.equiv(d1, d1p) and typei.equiv(d2, d2p)
-                and typei.equiv(t, typei.tensor(d1p, d2p))
-                and typei.equiv(t, typei.tensor(d2, d1))
-                and t.total_mass() == 1):
-            tensor_fail += 1
-    checks["typei_congruence"] = tensor_fail
-    ok = not any(checks.values())
-    doc = {"ok": ok, "failures": checks, "instances": len(instances),
+        phi, result, report = checks.certify(inst, args.budget_c,
+                                             args.budget_vars)
+        verdicts = (report.ok, checks.layer_cake(inst, phi, report),
+                    checks.monotone(inst, result, args.seed),
+                    checks.sup_collapse(inst, result),
+                    checks.complement_identity(inst, result))
+        for name, verdict in zip(names, verdicts):
+            failures[name] += verdict is False
+    failures["relabel_agreement"] = sum(
+        bool(tr.corollary_equivalence_check(a, b, family.sentence_suite()))
+        for a, b, _bij in family.relabel_pairs(args.seed, 10))
+    failures["typei_congruence"] = sum(
+        not checks.typei_congruence(*quad)
+        for quad in family.description_quadruples(args.seed, 25))
+    ok = not any(failures.values())
+    doc = {"ok": ok, "failures": failures, "instances": len(instances),
            "seed": args.seed}
     _emit(doc, args.format,
           ("pass" if ok else "FAIL") + f" ({len(instances)} instances)")

@@ -40,8 +40,11 @@ class Signature:
     functions: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "predicates", tuple((str(n), int(a)) for n, a in self.predicates))
-        object.__setattr__(self, "functions", tuple((str(n), int(a)) for n, a in self.functions))
+        object.__setattr__(self, "predicates", tuple((str(n), a) for n, a in self.predicates))
+        object.__setattr__(self, "functions", tuple((str(n), a) for n, a in self.functions))
+        for name, arity in self.predicates + self.functions:
+            if isinstance(arity, bool) or not isinstance(arity, int):
+                raise SignatureError(f"symbol {name!r} has arity {arity!r}, not an integer")
         seen = set()
         for name, arity in self.predicates:
             _check_symbol_name(name)

@@ -85,6 +85,9 @@ class IntegralElement:
 
 def element_of(field_, mapping):
     e = IntegralElement(mapping)
+    for a in e.choice:
+        if a not in field_.space.weights:
+            raise ValidationError(f"element names atom {a!r} outside the space")
     for a in field_.space.atoms:
         if a not in e.choice:
             raise ValidationError(f"element missing a point at atom {a!r}")

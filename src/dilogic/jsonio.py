@@ -75,6 +75,9 @@ def algebra_from_doc(doc):
         raise InputError(f"bad algebra document: {exc}") from None
     if len(atoms) != len(weights):
         raise InputError("atoms and weights differ in length")
+    for a in atoms:
+        if isinstance(a, (list, dict)):
+            raise InputError(f"algebra atom {a!r} is not a string or number")
     return mba.FiniteMeasureAlgebra(atoms, dict(zip(atoms, weights)))
 
 
@@ -152,20 +155,24 @@ def structure_from_doc(doc, sig=None):
         matrix = doc["dist"]
     except (TypeError, KeyError) as exc:
         raise InputError(f"bad structure document: {exc}") from None
-    if len(matrix) != len(points) or any(len(row) != len(points) for row in matrix):
+    if (not isinstance(matrix, list) or len(matrix) != len(points)
+            or any(not isinstance(row, list) or len(row) != len(points)
+                   for row in matrix)):
         raise InputError("dist matrix shape does not match the point list")
+    pred_docs = _object(doc.get("preds", {}), "structure preds")
+    func_docs = _object(doc.get("funcs", {}), "structure funcs")
     dist = {
         (p, q): parse_fraction(matrix[i][j])
         for i, p in enumerate(points)
         for j, q in enumerate(points)
     }
     preds = {
-        name: _table_from_doc(points, arity, doc.get("preds", {}).get(name),
+        name: _table_from_doc(points, arity, pred_docs.get(name),
                               parse_fraction, f"predicate {name!r}")
         for name, arity in sig.predicates
     }
     funcs = {
-        name: _table_from_doc(points, arity, doc.get("funcs", {}).get(name),
+        name: _table_from_doc(points, arity, func_docs.get(name),
                               str, f"function {name!r}")
         for name, arity in sig.functions
     }
@@ -183,7 +190,7 @@ def field_to_doc(field_):
 def field_from_doc(doc):
     try:
         space = algebra_from_doc(doc["space"])
-        fiber_docs = doc["fibers"]
+        fiber_docs = _object(doc["fibers"], "fibers")
     except (TypeError, KeyError) as exc:
         raise InputError(f"bad field document: {exc}") from None
     fibers = {}
@@ -229,6 +236,9 @@ def description_from_doc(doc):
         remainder = parse_fraction(doc.get("remainder", 0))
     except (TypeError, KeyError) as exc:
         raise InputError(f"bad description document: {exc}") from None
+    for m, _atoms, _diffuse in components:
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise InputError(f"matrix size {m!r} is not an integer")
     return typei.TypeIDescription(components, remainder)
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from dilogic import family
+from dilogic import checks, family
 from dilogic import formula as fm
 from dilogic import integral as di
 from dilogic import mba
@@ -30,22 +30,15 @@ def _report(number, name, ok, detail=""):
 
 
 def get_suite():
-    """(instance, inf-free formula, transform, level assignment, report)
-    for every suite instance; built once and reused across criteria."""
+    """(instance, inf-free formula, transform, report) for every suite
+    instance; built once and reused across criteria."""
     if "suite" not in _CACHE:
         start = time.monotonic()
-        entries = []
-        for inst in family.determination_instances(SEED, SUITE_SIZE):
-            phi = fm.rewrite_inf(inst.formula)
-            result = tr.transform(
-                phi, inst.k, budget_vars=family.FAMILY_BUDGET_VARS
-            )
-            assign = tr.build_level_assignment(result, inst.field, inst.assignment)
-            report = tr.determination_check(
-                phi, inst.k, inst.field, inst.assignment, result=result
-            )
-            entries.append((inst, phi, result, assign, report))
-        _CACHE["suite"] = entries
+        _CACHE["suite"] = [
+            (inst, *checks.certify(inst, tr.DEFAULT_BUDGET_C,
+                                   family.FAMILY_BUDGET_VARS))
+            for inst in family.determination_instances(SEED, SUITE_SIZE)
+        ]
         _CACHE["suite_seconds"] = time.monotonic() - start
     return _CACHE["suite"]
 
@@ -59,10 +52,10 @@ def test_criterion_1_determination():
     elapsed = _CACHE["suite_seconds"]
     bad = [
         (inst.name, report.failures)
-        for inst, _phi, _result, _assign, report in suite
+        for inst, _phi, _result, report in suite
         if not report.ok
     ]
-    for _inst, _phi, _result, _assign, report in suite:
+    for _inst, _phi, _result, report in suite:
         assert abs(report.integral_value - report.mba_value) <= F(2, report.k)
     ok = not bad and len(suite) >= 200 and elapsed < 300
     _report(
@@ -78,22 +71,9 @@ def test_criterion_1_determination():
 
 
 def test_criterion_2_layer_cake():
-    checked = 0
-    bad = []
-    for inst, phi, _result, _assign, report in get_suite():
-        if not isinstance(phi, (fm.Atomic, fm.Const)):
-            continue
-        checked += 1
-        k = inst.k
-        low = sum(
-            (inst.field.space.measure(
-                di.level_set(phi, inst.field, inst.assignment, F(i, k)))
-             for i in range(1, k)),
-            F(0),
-        ) / k
-        v = report.integral_value
-        if not low <= v <= low + F(1, k):
-            bad.append(inst.name)
+    verdicts = [checks.layer_cake(inst, phi, report)
+                for inst, phi, _result, report in get_suite()]
+    checked, bad = len(verdicts) - verdicts.count(None), verdicts.count(False)
     ok = checked > 0 and not bad
     _report(2, "layer cake", ok, f" [{checked} atomic instances]")
 
@@ -103,14 +83,8 @@ def test_criterion_2_layer_cake():
 
 
 def test_criterion_3_monotonicity():
-    bad = []
-    for inst, _phi, result, _assign, _report_ in get_suite():
-        ce = mba.check_monotone(
-            result.g, inst.field.space, trials=10, seed=SEED,
-            exhaustive_limit=2000,
-        )
-        if ce is not None:
-            bad.append(inst.name)
+    bad = [inst.name for inst, _phi, result, _report_ in get_suite()
+           if not checks.monotone(inst, result, SEED)]
     _report(3, "monotonicity", not bad, f" [{len(get_suite())} outputs]")
 
 
@@ -346,16 +320,9 @@ def test_criterion_4_definability_oracle():
 
 
 def test_criterion_5_sup_collapse():
-    checked = 0
-    bad = []
-    for inst, _phi, result, assign, _report_ in get_suite():
-        if not mba.contains_supchain(result.g):
-            continue
-        checked += 1
-        a = mba.eval_mba(result.g, assign, inst.field.space, mba.ENUMERATE)
-        b = mba.eval_mba(result.g, assign, inst.field.space, mba.MAXIMAL)
-        if a != b:
-            bad.append((inst.name, a, b))
+    verdicts = [checks.sup_collapse(inst, result)
+                for inst, _phi, result, _report_ in get_suite()]
+    checked, bad = len(verdicts) - verdicts.count(None), verdicts.count(False)
     ok = checked > 0 and not bad
     _report(5, "sup collapse", ok, f" [{checked} suprema]")
 
@@ -365,14 +332,11 @@ def test_criterion_5_sup_collapse():
 
 
 def test_criterion_6_complement_identity():
-    checked = 0
-    bad = []
-    for inst, _phi, result, _assign, _report_ in get_suite():
-        for zeta in result.formulas:
-            checked += 1
-            if not tr.complement_identity_holds(
-                    zeta, result.levels[zeta], inst.field, inst.assignment):
-                bad.append(inst.name)
+    suite = get_suite()
+    checked = sum(len(result.formulas)
+                  for _inst, _phi, result, _report_ in suite)
+    bad = [inst.name for inst, _phi, result, _report_ in suite
+           if not checks.complement_identity(inst, result)]
     ok = checked > 0 and not bad
     _report(6, "complement identity", ok, f" [{checked} formulas]")
 
@@ -400,16 +364,7 @@ def test_criterion_7_relabel_agreement():
 def test_criterion_8_typei_congruence():
     start = time.monotonic()
     quadruples = family.description_quadruples(SEED, 100)
-    bad = []
-    for i, (d1, d1p, d2, d2p) in enumerate(quadruples):
-        from dilogic import typei
-
-        t = typei.tensor(d1, d2)
-        if not (typei.equiv(d1, d1p) and typei.equiv(d2, d2p)
-                and typei.equiv(t, typei.tensor(d1p, d2p))
-                and typei.equiv(t, typei.tensor(d2, d1))
-                and t.total_mass() == 1):
-            bad.append(i)
+    bad = [quad for quad in quadruples if not checks.typei_congruence(*quad)]
     elapsed = time.monotonic() - start
     ok = len(quadruples) >= 100 and not bad and elapsed < 30
     _report(8, "type-I congruence", ok,

@@ -258,6 +258,17 @@ def test_bad_input_exit_2(paths, capsys):
     assert code == cli.EXIT_INPUT
 
 
+def _field_doc(**fiber_w1):
+    """The atomic example field document with keys of fiber w1 replaced."""
+    doc = jsonio.field_to_doc(atomic_example_field())
+    doc["fibers"]["w1"].update(fiber_w1)
+    return doc
+
+
+def _signature_doc(arity):
+    return {"predicates": [{"name": "P", "arity": arity}]}
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["transform", "--formula", "P(x)", "--signature", "DOC"],
      [{"name": "P", "arity": 1}]),
@@ -271,8 +282,29 @@ def test_bad_input_exit_2(paths, capsys):
      {"chain": [["w1"]]}),
     (["mba", "dist", "--algebra", "alg.json", "--input", "DOC"],
      {"chain": [5], "tuple": [["w1"]]}),
+    (["eval", "--formula", "P(x)", "--field", "sup_field.json",
+      "--assignment", "DOC"], {"x": {"zz": "p", "w1": "p", "w2": "r"}}),
+    (["transform", "--formula", "P(x)", "--signature", "DOC"],
+     _signature_doc("x")),
+    (["transform", "--formula", "P(x)", "--signature", "DOC"],
+     _signature_doc(None)),
+    (["transform", "--formula", "P(x)", "--signature", "DOC"],
+     _signature_doc(1.5)),
+    (["eval", "--formula", "P(x)", "--field", "DOC"],
+     {**_field_doc(), "fibers": ["w1", "w2"]}),
+    (["eval", "--formula", "P(x)", "--field", "DOC"], _field_doc(preds=[1])),
+    (["eval", "--formula", "P(x)", "--field", "DOC"], _field_doc(dist=0)),
+    (["mba", "defin", "--algebra", "DOC"],
+     {"atoms": [["a"], ["b"]], "weights": ["1/2", "1/2"]}),
+    (["typei", "rho", "--desc", "DOC"],
+     {"components": [{"m": "two", "atoms": ["1"]}]}),
+    (["typei", "rho", "--desc", "DOC"],
+     {"components": [{"m": 2.7, "atoms": ["1"]}]}),
 ], ids=["signature-list", "assignment-list", "assignment-string",
-        "assignment-entry-string", "dist-missing-tuple", "dist-subset-number"])
+        "assignment-entry-string", "dist-missing-tuple", "dist-subset-number",
+        "assignment-unknown-atom", "arity-string", "arity-null",
+        "arity-fraction", "fibers-list", "preds-list", "dist-number",
+        "atoms-lists", "m-string", "m-fraction"])
 def test_malformed_document_exit_2(paths, tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -350,3 +382,21 @@ def test_selftest_small_run(capsys):
     doc = json.loads(out)
     assert doc["ok"] is True
     assert doc["instances"] == 6
+
+
+# SHA-256 of the JSON and of the pretty stdout of
+# `dilogic selftest --seed 0 --count 6`.
+SELFTEST_SHA256 = (
+    "42ac4639738a6c66ec3ae4138098d9b4cdcdd289f30007a29a968c03cdd18c2f",
+    "1d641d396b7ec9e665a2635fa4516a50be9fea0a2c975aa78de4ed0447d7d010",
+)
+
+
+def test_selftest_golden_bytes(capsys):
+    digests = []
+    for fmt in ("json", "pretty"):
+        code, out, _ = run(capsys, ["selftest", "--seed", "0", "--count", "6",
+                                    "--format", fmt])
+        assert code == cli.EXIT_PASS
+        digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
+    assert tuple(digests) == SELFTEST_SHA256

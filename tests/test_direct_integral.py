@@ -48,6 +48,8 @@ def test_element_of_validation():
         di.element_of(field_, {"w1": "p"})
     with pytest.raises(ValidationError):
         di.element_of(field_, {"w1": "p", "w2": "nope"})
+    with pytest.raises(ValidationError):
+        di.element_of(field_, {"zz": "p", "w1": "p", "w2": "r"})
 
 
 def test_elements_enumeration_and_limit():

@@ -28,6 +28,9 @@ def test_signature_rejects_duplicates_and_bad_arities():
         fm.Signature(functions=(("f", 0),))
     with pytest.raises(SignatureError):
         fm.Signature(predicates=(("sup", 1),))
+    for arity in (1.5, "1", None, True):
+        with pytest.raises(SignatureError):
+            fm.Signature(predicates=(("P", arity),))
 
 
 def test_signature_allows_nullary_predicates():
