@@ -17,11 +17,14 @@ MONOTONE_EXHAUSTIVE_LIMIT = 2000
 
 
 def certify(inst, budget_c, budget_vars):
-    """(inf-free formula, transform, determination report) of an instance."""
+    """(inf-free formula, transform, determination report, level
+    assignment) of an instance."""
     phi = fm.rewrite_inf(inst.formula)
     result = tr.transform(phi, inst.k, budget_c, budget_vars)
+    assign = tr.build_level_assignment(result, inst.field, inst.assignment)
     return phi, result, tr.determination_check(
-        phi, inst.k, inst.field, inst.assignment, result=result)
+        phi, inst.k, inst.field, inst.assignment, result=result,
+        assign=assign), assign
 
 
 def layer_cake(inst, phi, report):
@@ -29,9 +32,10 @@ def layer_cake(inst, phi, report):
     if not isinstance(phi, (fm.Atomic, fm.Const)):
         return None
     k = inst.k
+    values = di.fiber_values(phi, inst.field, inst.assignment)
     low = sum(
         (inst.field.space.measure(
-            di.level_set(phi, inst.field, inst.assignment, Fraction(i, k)))
+            di.threshold(values, inst.field, Fraction(i, k)))
          for i in range(1, k)), Fraction(0)) / k
     return low <= report.integral_value <= low + Fraction(1, k)
 
@@ -43,11 +47,11 @@ def monotone(inst, result, seed):
         exhaustive_limit=MONOTONE_EXHAUSTIVE_LIMIT) is None
 
 
-def sup_collapse(inst, result):
-    """Enumerate and maximal evaluation of G agree on the level sets."""
+def sup_collapse(inst, result, assign):
+    """Enumerate and maximal evaluation of G agree on the level sets of
+    assign, the instance's build_level_assignment."""
     if not mba.contains_supchain(result.g):
         return None
-    assign = tr.build_level_assignment(result, inst.field, inst.assignment)
     return (mba.eval_mba(result.g, assign, inst.field.space, mba.ENUMERATE)
             == mba.eval_mba(result.g, assign, inst.field.space, mba.MAXIMAL))
 

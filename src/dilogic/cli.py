@@ -178,11 +178,11 @@ def cmd_selftest(args):
              "complement_identity")
     failures = dict.fromkeys(names, 0)
     for inst in instances:
-        phi, result, report = checks.certify(inst, args.budget_c,
-                                             args.budget_vars)
+        phi, result, report, assign = checks.certify(inst, args.budget_c,
+                                                     args.budget_vars)
         verdicts = (report.ok, checks.layer_cake(inst, phi, report),
                     checks.monotone(inst, result, args.seed),
-                    checks.sup_collapse(inst, result),
+                    checks.sup_collapse(inst, result, assign),
                     checks.complement_identity(inst, result))
         for name, verdict in zip(names, verdicts):
             failures[name] += verdict is False

@@ -75,16 +75,45 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
+# The node base shared by terms and formulas
+
+
+class _Node:
+    """Base of the term and formula classes: one slot that caches the
+    dataclass-generated hash, so a deep AST is hashed once, not on every
+    dict or set lookup."""
+
+    __slots__ = ("_hash",)
+
+
+def _node(cls):
+    """A frozen, slotted dataclass whose field hash is cached in _hash."""
+    cls = dataclass(frozen=True, slots=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
-class Var:
+@_node
+class Var(_Node):
     name: str
 
 
-@dataclass(frozen=True)
-class Apply:
+@_node
+class Apply(_Node):
     func: str
     args: tuple
 
@@ -93,8 +122,8 @@ class Apply:
 # Formulas
 
 
-@dataclass(frozen=True)
-class Atomic:
+@_node
+class Atomic(_Node):
     pred: str
     args: tuple = ()
 
@@ -102,8 +131,8 @@ class Atomic:
         return to_text(self)
 
 
-@dataclass(frozen=True)
-class Const:
+@_node
+class Const(_Node):
     value: Fraction
 
     def __post_init__(self):
@@ -116,16 +145,16 @@ class Const:
         return to_text(self)
 
 
-@dataclass(frozen=True)
-class Half:
+@_node
+class Half(_Node):
     body: object
 
     def __str__(self):
         return to_text(self)
 
 
-@dataclass(frozen=True)
-class TruncSub:
+@_node
+class TruncSub(_Node):
     left: object
     right: object
 
@@ -133,8 +162,8 @@ class TruncSub:
         return to_text(self)
 
 
-@dataclass(frozen=True)
-class Sup:
+@_node
+class Sup(_Node):
     var: str
     body: object
 
@@ -142,8 +171,8 @@ class Sup:
         return to_text(self)
 
 
-@dataclass(frozen=True)
-class Inf:
+@_node
+class Inf(_Node):
     var: str
     body: object
 

@@ -155,22 +155,37 @@ def _eval_integral(phi, field_, assignment, limit):
     raise TypeError(f"not an inf-free formula: {phi!r}")
 
 
-def level_set(zeta, field_, assignment, t, strictness=STRICT):
-    """Atoms where the fiberwise value of zeta exceeds t.
+def fiber_values(zeta, field_, assignment=None):
+    """The fiberwise value of zeta at each atom, in atom order.
 
     zeta is evaluated fiberwise: its quantifiers range within each fiber,
-    not over choice functions.  Strict compares with >, nonstrict with >=.
+    not over choice functions.  Every level set of zeta under this
+    assignment is a threshold of this one table.
     """
-    if strictness not in (STRICT, NONSTRICT):
-        raise InputError(f"unknown strictness {strictness!r}")
-    t = Fraction(t)
-    out = set()
-    for w in field_.space.atoms:
-        local = _fiber_assignment(assignment or {}, w)
-        v = st.eval_formula(zeta, field_.fibers[w], local)
-        if v > t or (strictness == NONSTRICT and v == t):
-            out.add(w)
-    return frozenset(out)
+    assignment = assignment or {}
+    return tuple(
+        st.eval_formula(zeta, field_.fibers[w], _fiber_assignment(assignment, w))
+        for w in field_.space.atoms
+    )
+
+
+def threshold(values, field_, t, strictness=STRICT):
+    """Atoms whose entry of a fiber_values table exceeds the rational t.
+
+    Strict compares with >, nonstrict with >=.
+    """
+    if strictness == STRICT:
+        return frozenset(w for w, v in zip(field_.space.atoms, values) if v > t)
+    if strictness == NONSTRICT:
+        return frozenset(w for w, v in zip(field_.space.atoms, values) if v >= t)
+    raise InputError(f"unknown strictness {strictness!r}")
+
+
+def level_set(zeta, field_, assignment, t, strictness=STRICT):
+    """Atoms where the fiberwise value of zeta exceeds t: the threshold at
+    t of zeta's fiber_values table."""
+    return threshold(fiber_values(zeta, field_, assignment), field_,
+                     Fraction(t), strictness)
 
 
 def theory_distribution(field_, sentences, thresholds):

@@ -236,9 +236,6 @@ def description_from_doc(doc):
         remainder = parse_fraction(doc.get("remainder", 0))
     except (TypeError, KeyError) as exc:
         raise InputError(f"bad description document: {exc}") from None
-    for m, _atoms, _diffuse in components:
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise InputError(f"matrix size {m!r} is not an integer")
     return typei.TypeIDescription(components, remainder)
 
 

@@ -285,11 +285,21 @@ def transform(phi, k, budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS
 
 def build_level_assignment(result, field_, assignment=None):
     """Intended value of every declared variable: the level set of its tag
-    formula at its threshold, in its comparison mode."""
+    formula at its threshold, in its comparison mode.
+
+    Each distinct tag is evaluated once per atom, and its level sets are
+    thresholds of that one value table.  Variables come in var_sort_key
+    order, with each tag rendered as text once.
+    """
+    by_tag = {}
+    for v in result.variables | mba.free_set_vars(result.g):
+        by_tag.setdefault(v.tag, []).append(v)
     out = {}
-    for v in sorted(result.variables | mba.free_set_vars(result.g), key=mba.var_sort_key):
-        mode = di.STRICT if v.strict else di.NONSTRICT
-        out[v] = di.level_set(v.tag, field_, assignment or {}, v.level, mode)
+    for tag in sorted(by_tag, key=str):
+        values = di.fiber_values(tag, field_, assignment)
+        for v in sorted(by_tag[tag], key=lambda v: (v.level, v.strict)):
+            mode = di.STRICT if v.strict else di.NONSTRICT
+            out[v] = di.threshold(values, field_, v.level, mode)
     return out
 
 
@@ -307,18 +317,20 @@ class DeterminationReport:
 
 def determination_check(phi, k, field_, assignment=None, mode=mba.MAXIMAL,
                         budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS,
-                        limit=di.DEFAULT_CHOICE_LIMIT, result=None):
+                        limit=di.DEFAULT_CHOICE_LIMIT, result=None, assign=None):
     """Certify the two determination implications for one instance.
 
     For every integer l: value > l/k implies G > (l-1)/k, and G > l/k
     implies value > (l-1)/k; together these force |value - G| <= 2/k,
-    which is asserted as well.
+    which is asserted as well.  result and assign, when given, are the
+    transform of phi and its build_level_assignment on this field.
     """
     phi = fm.rewrite_inf(phi)
     if result is None:
         result = transform(phi, k, budget_c, budget_vars)
     v = di.eval_on_integral(phi, field_, assignment, limit)
-    assign = build_level_assignment(result, field_, assignment)
+    if assign is None:
+        assign = build_level_assignment(result, field_, assignment)
     g = mba.eval_mba(result.g, assign, field_.space, mode)
     failures = []
     for l in range(k + 1):
@@ -334,12 +346,17 @@ def determination_check(phi, k, field_, assignment=None, mode=mba.MAXIMAL,
 
 
 def complement_identity_holds(zeta, level, field_, assignment=None):
-    """{zeta > i/l} = complement of {1 - zeta >= (l-i)/l}, for 0 <= i <= l."""
-    neg = one_minus(zeta)
+    """{zeta > i/l} = complement of {1 - zeta >= (l-i)/l}, for 0 <= i <= l.
+
+    zeta and 1 -. zeta are each evaluated once per atom, independently of
+    each other; all l+1 thresholds compare those two value tables.
+    """
+    values = di.fiber_values(zeta, field_, assignment)
+    neg_values = di.fiber_values(one_minus(zeta), field_, assignment)
     for i in range(level + 1):
         t = Fraction(i, level)
-        strict = di.level_set(zeta, field_, assignment or {}, t, di.STRICT)
-        nonstrict = di.level_set(neg, field_, assignment or {}, 1 - t, di.NONSTRICT)
+        strict = di.threshold(values, field_, t, di.STRICT)
+        nonstrict = di.threshold(neg_values, field_, 1 - t, di.NONSTRICT)
         if strict != field_.space.full - nonstrict:
             return False
     return True

@@ -7,6 +7,7 @@ node or a tuple of nodes; every other field is data.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 
 
@@ -50,4 +51,4 @@ class Shape(dict):
                     changes[name] = new
             elif (new := fn(value)) is not value:
                 changes[name] = new
-        return type(node)(**{**vars(node), **changes}) if changes else node
+        return dataclasses.replace(node, **changes) if changes else node

@@ -23,7 +23,8 @@ class TypeIDescription:
     def __post_init__(self):
         merged = {}
         for m, atoms, diffuse in self.components:
-            m = int(m)
+            if isinstance(m, bool) or not isinstance(m, int):
+                raise ValidationError(f"matrix size {m!r} is not an integer")
             if m < 1:
                 raise ValidationError(f"matrix size {m} must be >= 1")
             atoms = tuple(Fraction(a) for a in atoms)
@@ -109,6 +110,8 @@ def matrix_point_mass(j):
 
 def matrix_tensor(desc, j):
     """Tensor with a size-j matrix factor: sizes multiply by j, masses kept."""
+    if isinstance(j, bool) or not isinstance(j, int):
+        raise InputError(f"matrix size {j!r} is not an integer")
     if j < 1:
         raise InputError(f"matrix size {j} must be >= 1")
     return tensor(desc, matrix_point_mass(j))

@@ -45,6 +45,13 @@ def test_constructor_rejections():
         desc([(2, (F(1),), F(0))], remainder=-1)
 
 
+@pytest.mark.parametrize("m", [2.7, True, F(2), "2", None],
+                         ids=["float", "bool", "fraction", "string", "none"])
+def test_constructor_rejects_non_integer_sizes(m):
+    with pytest.raises(ValidationError):
+        typei.TypeIDescription(((m, (1,), 0),))
+
+
 def test_type_dichotomy():
     assert M2.is_type_one()
     mixed = desc([(1, (F(1, 2),), F(0))], remainder=F(1, 2))
@@ -134,6 +141,9 @@ def test_matrix_tensor():
     assert typei.rho(typei.matrix_tensor(M2, 3)) == {(6, 1): F(1)}
     with pytest.raises(InputError):
         typei.matrix_tensor(M2, 0)
+    for j in (1.5, 2.0, True, F(2)):
+        with pytest.raises(InputError):
+            typei.matrix_tensor(M2, j)
 
 
 @given(hs.integers(0, 10_000))
