@@ -104,55 +104,48 @@ def integral_dist(field_, a, b):
     )
 
 
-def integral_dist_tuple(field_, xs, ys):
-    return max(
-        (integral_dist(field_, x, y) for x, y in zip(xs, ys)), default=Fraction(0)
-    )
-
-
 def _fiber_assignment(assignment, atom):
     return {name: e(atom) for name, e in assignment.items()}
+
+
+class _Integral:
+    """The direct integral of a field as a structure for
+    structure.eval_formula: its points are the choice functions (at most
+    limit of them), predicates integrate the fiber values against the
+    atom weights, and functions act fiberwise."""
+
+    def __init__(self, field_, limit):
+        self.field = field_
+        self.limit = limit
+
+    @property
+    def points(self):
+        return self.field.elements(self.limit)
+
+    def pred(self, name, args):
+        weights, fibers = self.field.space.weights, self.field.fibers
+        return sum(
+            (weights[w] * fibers[w].preds[name][tuple(e(w) for e in args)]
+             for w in self.field.space.atoms),
+            Fraction(0),
+        )
+
+    def func(self, name, args):
+        fibers = self.field.fibers
+        return IntegralElement({
+            w: fibers[w].funcs[name][tuple(e(w) for e in args)]
+            for w in self.field.space.atoms
+        })
 
 
 def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
     """Exact value of phi on the direct integral of the field.
 
-    Sup/Inf range over all choice functions of the field; Atomic
-    integrates the fiberwise table values.  Inf nodes are rewritten away
-    first, which preserves the value.
+    This is structure.eval_formula on the integral seen as a structure:
+    Sup/Inf range over all choice functions of the field, Atomic
+    integrates the fiberwise table values.
     """
-    phi = fm.rewrite_inf(phi)
-    assignment = assignment or {}
-    return _eval_integral(phi, field_, assignment, limit)
-
-
-def _eval_integral(phi, field_, assignment, limit):
-    if isinstance(phi, fm.Atomic):
-        total = Fraction(0)
-        for w in field_.space.atoms:
-            M = field_.fibers[w]
-            local = _fiber_assignment(assignment, w)
-            args = tuple(st.eval_term(t, M, local) for t in phi.args)
-            total += field_.space.weights[w] * M.preds[phi.pred][args]
-        return total
-    if isinstance(phi, fm.Const):
-        return phi.value
-    if isinstance(phi, fm.Half):
-        return _eval_integral(phi.body, field_, assignment, limit) / 2
-    if isinstance(phi, fm.TruncSub):
-        v = (_eval_integral(phi.left, field_, assignment, limit)
-             - _eval_integral(phi.right, field_, assignment, limit))
-        return max(Fraction(0), v)
-    if isinstance(phi, fm.Sup):
-        best = None
-        for e in field_.elements(limit):
-            inner = dict(assignment)
-            inner[phi.var] = e
-            v = _eval_integral(phi.body, field_, inner, limit)
-            if best is None or v > best:
-                best = v
-        return best
-    raise TypeError(f"not an inf-free formula: {phi!r}")
+    return st.eval_formula(phi, _Integral(field_, limit), assignment)
 
 
 def fiber_values(zeta, field_, assignment=None):
@@ -198,11 +191,9 @@ def theory_distribution(field_, sentences, thresholds):
     for phi in sentences:
         if fm.free_vars(phi):
             raise InputError(f"sentence has free variables: {fm.to_text(phi)}")
-    out = set()
-    for w in field_.space.atoms:
-        M = field_.fibers[w]
-        if all(st.eval_formula(phi, M) > r for phi, r in zip(sentences, thresholds)):
-            out.add(w)
+    out = frozenset(field_.space.atoms)
+    for phi, r in zip(sentences, thresholds):
+        out &= threshold(fiber_values(phi, field_), field_, r)
     return field_.space.measure(out)
 
 

@@ -10,15 +10,20 @@ search or by substituting the maximal feasible element.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ChainError, EvaluationError, ValidationError
+from .errors import BudgetError, ChainError, EvaluationError, ValidationError
 from .tree import Shape
 
 ENUMERATE = "enumerate"
 MAXIMAL = "maximal"
+
+# Enumerate mode refuses a SupChain whose feasible chain tuples, counted
+# in closed form, exceed this; the 204-instance suite needs at most 13,068.
+ENUMERATE_TUPLE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -293,25 +298,6 @@ def contains_supchain(g):
     return any(type(node) is SupChain for node in nodes(g))
 
 
-def value_bound(g):
-    """Syntactic upper bound on the value of g under any assignment."""
-    if isinstance(g, Measure):
-        return Fraction(1)
-    if isinstance(g, Const):
-        return g.value
-    if isinstance(g, Scale):
-        return g.factor * value_bound(g.body)
-    if isinstance(g, Add):
-        return value_bound(g.left) + value_bound(g.right)
-    if isinstance(g, TruncSub):
-        return value_bound(g.left)
-    if isinstance(g, (Max, Min)):
-        return max(value_bound(item) for item in g.items)
-    if isinstance(g, SupChain):
-        return value_bound(g.inner)
-    raise TypeError(f"not an mba formula: {g!r}")
-
-
 def _feasible_chain_tuples(bounds_values, alg):
     """All nested tuples (Y_0,...,Y_{l-1}) with Y_j within U_j and all
     previous Y's, in deterministic bitmask order."""
@@ -415,6 +401,12 @@ def _eval_supchain(g, assign, alg, mode, env):
                     )
                 prev = u
         return _eval_supchain_maximal(g, assign, alg, env, bounds, tag_pos, profile_values)
+    count = math.prod(chain_enumeration_count(values, alg) for values in bounds)
+    if count > ENUMERATE_TUPLE_BUDGET:
+        raise BudgetError(
+            f"SupChain feasible tuple count {count} exceeds budget "
+            f"{ENUMERATE_TUPLE_BUDGET}"
+        )
     best = None
     for combo in itertools.product(
         *[_feasible_chain_tuples(values, alg) for values in bounds]
@@ -547,9 +539,10 @@ def _comparable_pairs(alg):
         yield low, high
 
 
-def check_monotone(g, alg, trials=200, seed=0, mode=MAXIMAL, exhaustive=None,
+def check_monotone(g, alg, trials=200, seed=0, exhaustive=None,
                    exhaustive_limit=100_000):
-    """Verify g is coordinatewise increasing on alg.
+    """Verify g is coordinatewise increasing on alg, evaluating in
+    MAXIMAL mode.
 
     Returns None on pass, or the first MonotoneCounterexample found.
     Exhaustive over all comparable assignment pairs when the search space
@@ -565,8 +558,8 @@ def check_monotone(g, alg, trials=200, seed=0, mode=MAXIMAL, exhaustive=None,
     def test(pairs):
         low = {v: p[0] for v, p in zip(variables, pairs)}
         high = {v: p[1] for v, p in zip(variables, pairs)}
-        lv = eval_mba(g, low, alg, mode)
-        hv = eval_mba(g, high, alg, mode)
+        lv = eval_mba(g, low, alg)
+        hv = eval_mba(g, high, alg)
         if lv > hv:
             return MonotoneCounterexample(low, high, lv, hv)
         return None

@@ -3,6 +3,10 @@
 Points are named; the metric, predicate tables, and function tables are
 given extensionally with rational values.  Quantifiers range over the
 point set exactly, so sup/inf are max/min.
+
+The evaluator reads a structure only through `points` (the quantifier
+domain), `pred(name, args)` and `func(name, args)`, so it also evaluates
+formulas on the direct integral of a field (see integral.eval_on_integral).
 """
 
 from __future__ import annotations
@@ -28,6 +32,12 @@ class FiniteMetricStructure:
 
     def d(self, p, q):
         return self.dist[(p, q)]
+
+    def pred(self, name, args):
+        return self.preds[name][args]
+
+    def func(self, name, args):
+        return self.funcs[name][args]
 
 
 def _tuples(points, arity):
@@ -125,16 +135,14 @@ def eval_term(term, M, assignment):
             return assignment[term.name]
         except KeyError:
             raise EvaluationError(f"variable {term.name!r} has no assignment") from None
-    args = tuple(eval_term(a, M, assignment) for a in term.args)
-    return M.funcs[term.func][args]
+    return M.func(term.func, tuple(eval_term(a, M, assignment) for a in term.args))
 
 
 def eval_formula(phi, M, assignment=None):
     """Exact rational value of phi in M under the assignment."""
     assignment = assignment or {}
     if isinstance(phi, fm.Atomic):
-        args = tuple(eval_term(t, M, assignment) for t in phi.args)
-        return M.preds[phi.pred][args]
+        return M.pred(phi.pred, tuple(eval_term(t, M, assignment) for t in phi.args))
     if isinstance(phi, fm.Const):
         return phi.value
     if isinstance(phi, fm.Half):
@@ -143,13 +151,11 @@ def eval_formula(phi, M, assignment=None):
         v = eval_formula(phi.left, M, assignment) - eval_formula(phi.right, M, assignment)
         return max(Fraction(0), v)
     if isinstance(phi, (fm.Sup, fm.Inf)):
+        # Over a generator, not a list: the domain of a direct integral
+        # can hold up to integral.DEFAULT_CHOICE_LIMIT choice functions.
         pick = max if isinstance(phi, fm.Sup) else min
-        values = []
-        for p in M.points:
-            inner = dict(assignment)
-            inner[phi.var] = p
-            values.append(eval_formula(phi.body, M, inner))
-        return pick(values)
+        return pick(eval_formula(phi.body, M, {**assignment, phi.var: p})
+                    for p in M.points)
     raise TypeError(f"not a formula: {phi!r}")
 
 

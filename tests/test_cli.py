@@ -8,8 +8,16 @@ import pytest
 
 from dilogic import cli, family, jsonio
 from dilogic import formula as fm
+from dilogic import integral as di
 
-from helpers import atomic_example_field, joint_witness_field, sup_example_field
+from helpers import (
+    SIG_P,
+    atomic_example_field,
+    joint_witness_field,
+    make_structure,
+    sup_example_field,
+    uniform_space,
+)
 
 F = Fraction
 
@@ -74,6 +82,24 @@ def test_check_joint_witness(paths, capsys):
     doc = json.loads(out)
     assert doc["integral_value"] == "5/8"
     assert doc["mba_value"] == "2/3"
+
+
+def test_check_enumerate_budget_exit_2(tmp_path, capsys):
+    # P = 1 everywhere, so every level set is full and the compiled
+    # SupChain has 3**20 feasible tuples at k = 3: refused, not searched.
+    atoms = [f"w{i}" for i in range(20)]
+    fiber = make_structure(SIG_P, {"P": {"p": F(1)}})
+    field_ = di.MeasurableField(uniform_space(atoms), {a: fiber for a in atoms})
+    field_path = tmp_path / "wide_field.json"
+    field_path.write_text(json.dumps(jsonio.field_to_doc(field_)),
+                          encoding="utf-8")
+    code, out, err = run(capsys, [
+        "check", "--formula", "sup y . P(y)", "--field", str(field_path),
+        "--k", "3", "--mode", "enumerate",
+    ])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == "budget"
 
 
 def test_eval_sup(paths, capsys):

@@ -66,7 +66,6 @@ def test_integral_dist():
     b = di.element_of(field_, {"w1": "q", "w2": "r"})
     assert di.integral_dist(field_, a, b) == F(1, 2)
     assert di.integral_dist(field_, a, a) == 0
-    assert di.integral_dist_tuple(field_, (a, a), (a, b)) == F(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +96,7 @@ def test_sup_with_joint_witness_instance():
     assert di.eval_on_integral(phi, field_) == F(5, 8)
 
 
-def test_inf_rewritten_before_evaluation():
+def test_inf_over_choice_functions():
     field_ = sup_example_field()
     phi = fm.Inf("y", p_of("y"))
     # Worst choice picks q at w1: (0 + 1/4) / 2.
@@ -275,6 +274,44 @@ def test_materialize_matches_integral_evaluation():
         assert di.eval_on_integral(phi_free, field_, {"x": e}) == st.eval_formula(
             phi_free, M, {"x": name}
         )
+
+
+def _cycle_fiber(sig, points, p_values, r_values):
+    """Discrete metric on points; f cycles them (an isometry, so 1-Lipschitz
+    and not constant)."""
+    dist = {(p, q): F(int(p != q)) for p in points for q in points}
+    cycle = dict(zip(points, points[1:] + points[:1]))
+    return st.ensure_valid(st.FiniteMetricStructure(
+        sig, points, dist,
+        {"P": {(p,): v for p, v in zip(points, p_values)},
+         "R": {(p, q): r_values[i * len(points) + j]
+               for i, p in enumerate(points) for j, q in enumerate(points)}},
+        {"f": {(p,): cycle[p] for p in points}},
+    ))
+
+
+def test_function_terms_on_the_integral_match_materialize():
+    sig = fm.Signature(predicates=(("P", 1), ("R", 2)), functions=(("f", 1),))
+    space = di.FiniteProbabilitySpace(("w1", "w2"), {"w1": F(1, 3), "w2": F(2, 3)})
+    field_ = di.MeasurableField(space, {
+        "w1": _cycle_fiber(sig, ("a", "b"), (F(1, 4), F(3, 4)),
+                          (F(0), F(1, 2), F(1), F(1, 4))),
+        "w2": _cycle_fiber(sig, ("c", "d", "e"), (F(0), F(1, 2), F(1)),
+                          tuple(F(i, 8) for i in range(9))),
+    })
+    M = di.materialize(field_)
+    atoms = field_.space.atoms
+    texts = ["P(f(x))", "sup y . P(f(y))", "inf y . R(f(y), x)",
+             "sub(R(f(f(x)), x), P(f(x)))"]
+    seen = set()
+    for text in texts:
+        phi = fm.parse_formula(text, sig)
+        for e in field_.elements():
+            v = di.eval_on_integral(phi, field_, {"x": e})
+            assert v == st.eval_formula(phi, M, {"x": tuple(e(a) for a in atoms)})
+            seen.add(v)
+    # f is not constant, so the values depend on the assignment.
+    assert len(seen) > len(texts)
 
 
 def test_materialize_metric_is_integrated():

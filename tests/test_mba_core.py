@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from dilogic import mba
-from dilogic.errors import ChainError, EvaluationError, ValidationError
+from dilogic.errors import BudgetError, ChainError, EvaluationError, ValidationError
 
 F = Fraction
 
@@ -162,6 +162,21 @@ def test_supchain_maximal_requires_decreasing_bounds():
     assert mba.eval_mba(g, assign, UNIFORM2, mba.ENUMERATE) == 0
 
 
+def test_enumerate_refuses_an_oversized_supchain():
+    # 6 depths per atom over 20 atoms: 6**20 feasible tuples, refused
+    # from the closed-form count before any is visited.
+    atoms = tuple(f"w{i}" for i in range(20))
+    alg = mba.FiniteMeasureAlgebra(atoms, {a: F(1, 20) for a in atoms})
+    g = mba.SupChain(
+        binder=0,
+        chains=(mba.ChainSpec("T", (mba.Full(),) * 5),),
+        inner=mba.Measure(mba.ChainVar(0, "T", 4)),
+    )
+    with pytest.raises(BudgetError, match=str(6**20)):
+        mba.eval_mba(g, {}, alg, mba.ENUMERATE)
+    assert mba.eval_mba(g, {}, alg, mba.MAXIMAL) == 1
+
+
 def test_supchain_profile_constraint():
     # Two independent slots, but the profile forbids them from jointly
     # containing any atom; the sum of measures then caps at 1.
@@ -241,11 +256,6 @@ def test_free_set_vars_sees_profile_bounds():
     assert mba.substitute_set_vars(g, {}) is g
     substituted = mba.substitute_set_vars(g, {w: mba.Empty()})
     assert mba.free_set_vars(substituted) == set()
-
-
-def test_value_bound():
-    g = mba.Add(mba.Measure(mba.Full()), mba.Scale(F(1, 2), mba.Const(F(1, 2))))
-    assert mba.value_bound(g) == F(5, 4)
 
 
 # ---------------------------------------------------------------------------
