@@ -17,14 +17,12 @@ MONOTONE_EXHAUSTIVE_LIMIT = 2000
 
 
 def certify(inst, budget_c, budget_vars):
-    """(inf-free formula, transform, determination report, level
-    assignment) of an instance."""
+    """(inf-free formula, transform, determination report) of an
+    instance."""
     phi = fm.rewrite_inf(inst.formula)
     result = tr.transform(phi, inst.k, budget_c, budget_vars)
-    assign = tr.build_level_assignment(result, inst.field, inst.assignment)
     return phi, result, tr.determination_check(
-        phi, inst.k, inst.field, inst.assignment, result=result,
-        assign=assign), assign
+        phi, inst.k, inst.field, inst.assignment, result=result)
 
 
 def layer_cake(inst, phi, report):
@@ -47,11 +45,12 @@ def monotone(inst, result, seed):
         exhaustive_limit=MONOTONE_EXHAUSTIVE_LIMIT) is None
 
 
-def sup_collapse(inst, result, assign):
-    """Enumerate and maximal evaluation of G agree on the level sets of
-    assign, the instance's build_level_assignment."""
+def sup_collapse(inst, result):
+    """Enumerate and maximal evaluation of G agree on the instance's level
+    sets of the variables G reads."""
     if not mba.contains_supchain(result.g):
         return None
+    assign = tr.build_level_assignment(result, inst.field, inst.assignment)
     return (mba.eval_mba(result.g, assign, inst.field.space, mba.ENUMERATE)
             == mba.eval_mba(result.g, assign, inst.field.space, mba.MAXIMAL))
 

@@ -140,6 +140,8 @@ def cmd_mba_dist(args):
         chain_doc, tuple_doc = doc["chain"], doc["tuple"]
     except (TypeError, KeyError) as exc:
         raise InputError(f"bad dist input document: {exc}") from None
+    if not isinstance(chain_doc, list) or not isinstance(tuple_doc, list):
+        raise InputError("dist input chain and tuple must be lists")
     chain = [jsonio.subset_from_doc(u, alg) for u in chain_doc]
     xs = [jsonio.subset_from_doc(x, alg) for x in tuple_doc]
     formula = mba.phi_chain(chain)
@@ -178,11 +180,11 @@ def cmd_selftest(args):
              "complement_identity")
     failures = dict.fromkeys(names, 0)
     for inst in instances:
-        phi, result, report, assign = checks.certify(inst, args.budget_c,
-                                                     args.budget_vars)
+        phi, result, report = checks.certify(inst, args.budget_c,
+                                             args.budget_vars)
         verdicts = (report.ok, checks.layer_cake(inst, phi, report),
                     checks.monotone(inst, result, args.seed),
-                    checks.sup_collapse(inst, result, assign),
+                    checks.sup_collapse(inst, result),
                     checks.complement_identity(inst, result))
         for name, verdict in zip(names, verdicts):
             failures[name] += verdict is False

@@ -122,17 +122,23 @@ class Apply(_Node):
 # Formulas
 
 
-@_node
-class Atomic(_Node):
-    pred: str
-    args: tuple = ()
+class _Formula(_Node):
+    """Base of the formula classes: str renders the formula as text."""
+
+    __slots__ = ()
 
     def __str__(self):
         return to_text(self)
 
 
 @_node
-class Const(_Node):
+class Atomic(_Formula):
+    pred: str
+    args: tuple = ()
+
+
+@_node
+class Const(_Formula):
     value: Fraction
 
     def __post_init__(self):
@@ -141,43 +147,28 @@ class Const(_Node):
             raise SignatureError(f"constant {v} outside [0,1]")
         object.__setattr__(self, "value", v)
 
-    def __str__(self):
-        return to_text(self)
-
 
 @_node
-class Half(_Node):
+class Half(_Formula):
     body: object
 
-    def __str__(self):
-        return to_text(self)
-
 
 @_node
-class TruncSub(_Node):
+class TruncSub(_Formula):
     left: object
     right: object
 
-    def __str__(self):
-        return to_text(self)
-
 
 @_node
-class Sup(_Node):
+class Sup(_Formula):
     var: str
     body: object
 
-    def __str__(self):
-        return to_text(self)
-
 
 @_node
-class Inf(_Node):
+class Inf(_Formula):
     var: str
     body: object
-
-    def __str__(self):
-        return to_text(self)
 
 
 # Child fields of every term and formula class, in traversal order.

@@ -151,10 +151,13 @@ def structure_to_doc(M):
 def structure_from_doc(doc, sig=None):
     try:
         sig = sig or signature_from_doc(doc["signature"])
-        points = tuple(doc["points"])
+        points = doc["points"]
         matrix = doc["dist"]
     except (TypeError, KeyError) as exc:
         raise InputError(f"bad structure document: {exc}") from None
+    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
+        raise InputError("structure points must be a list of strings")
+    points = tuple(points)
     if (not isinstance(matrix, list) or len(matrix) != len(points)
             or any(not isinstance(row, list) or len(row) != len(points)
                    for row in matrix)):
@@ -263,8 +266,6 @@ def _formula_table(result):
             note(node.index.tag)
         elif type(node) in (mba.ChainVar, mba.ChainSpec):
             note(node.tag)
-    for v in sorted(result.variables, key=mba.var_sort_key):
-        note(v.tag)
     return seen, index
 
 

@@ -23,6 +23,8 @@ MAXIMAL = "maximal"
 
 # Enumerate mode refuses a SupChain whose feasible chain tuples, counted
 # in closed form, exceed this; the 204-instance suite needs at most 13,068.
+# The same budget caps maximal mode's product of per-atom maximal vectors
+# and the chain-set walk of dist_to_chain_set.
 ENUMERATE_TUPLE_BUDGET = 10**6
 
 
@@ -401,12 +403,9 @@ def _eval_supchain(g, assign, alg, mode, env):
                     )
                 prev = u
         return _eval_supchain_maximal(g, assign, alg, env, bounds, tag_pos, profile_values)
-    count = math.prod(chain_enumeration_count(values, alg) for values in bounds)
-    if count > ENUMERATE_TUPLE_BUDGET:
-        raise BudgetError(
-            f"SupChain feasible tuple count {count} exceeds budget "
-            f"{ENUMERATE_TUPLE_BUDGET}"
-        )
+    _refuse_over_budget(
+        math.prod(chain_enumeration_count(values, alg) for values in bounds),
+        "SupChain feasible tuple")
     best = None
     for combo in itertools.product(
         *[_feasible_chain_tuples(values, alg) for values in bounds]
@@ -431,6 +430,12 @@ def _eval_supchain(g, assign, alg, mode, env):
     if best is None:
         raise EvaluationError("SupChain has an empty feasible region")
     return best
+
+
+def _refuse_over_budget(count, what):
+    if count > ENUMERATE_TUPLE_BUDGET:
+        raise BudgetError(
+            f"{what} count {count} exceeds budget {ENUMERATE_TUPLE_BUDGET}")
 
 
 def _maximal_depth_vectors(caps, forbidden):
@@ -493,6 +498,8 @@ def _eval_supchain_maximal(g, assign, alg, env, bounds, tag_pos, profile_values)
             if a not in w:
                 forbidden.append(tuple((tag_pos[tag], slot) for tag, slot in slots))
         per_atom.append(_maximal_depth_vectors(caps, forbidden))
+    _refuse_over_budget(math.prod(map(len, per_atom)),
+                        "maximal depth vector combination")
     best = None
     for combo in itertools.product(*per_atom):
         inner_env = dict(env)
@@ -632,6 +639,8 @@ def dist_to_chain_set(xs, bounds, alg):
     xs = [frozenset(x) for x in xs]
     if len(xs) != len(bounds):
         raise ChainError("tuple length does not match chain length")
+    _refuse_over_budget(chain_enumeration_count(bounds, alg),
+                        "chain set tuple")
     best = None
     witness = None
     for ys in _feasible_chain_tuples(bounds, alg):

@@ -10,6 +10,7 @@ certifies that G's value pins down the integral value of phi to 2/k.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -51,15 +52,34 @@ def xi_formula(var, alpha):
 
 @dataclass(frozen=True)
 class TransformResult:
+    """F[phi], its levels and G.  The declared set `variables` is derived
+    on demand: G's variables plus the strict grid (zeta, i/l, >), 0 <= i < l,
+    of each formula zeta of level l.  Only G's variables get level sets."""
+
     k: int
     formulas: tuple        # ordered F[phi]
     levels: dict           # formula -> integer level l >= 1
     g: object              # MbaFormula over SetVarIndex variables
-    variables: frozenset   # declared SetVarIndex set (g may ignore some)
+
+    @functools.cached_property
+    def variables(self):
+        variables = set(mba.free_set_vars(self.g))
+        grids = {}  # one threshold grid per level, shared by its variables
+        for zeta in self.formulas:
+            level = self.levels[zeta]
+            if level not in grids:
+                grids[level] = [Fraction(i, level) for i in range(level)]
+            variables |= {mba.SetVarIndex(zeta, t, True) for t in grids[level]}
+        return frozenset(variables)
 
 
-def _formula_key(zeta):
-    return fm.to_text(zeta)
+def declared_count(levels, g):
+    """len(variables) in closed form: every grid, plus G's variables off
+    the grids (nonstrict, or at a threshold no grid of their tag holds)."""
+    return sum(levels.values()) + sum(
+        not (v.strict and v.tag in levels and 0 <= v.level < 1
+             and levels[v.tag] % v.level.denominator == 0)
+        for v in mba.free_set_vars(g))
 
 
 class _Builder:
@@ -68,9 +88,6 @@ class _Builder:
         self.budget_vars = budget_vars
         self.memo = {}
         self.next_binder = 0
-        # One threshold grid per level, shared by the tens of thousands of
-        # variables a large compile declares.
-        self.grids = {}
 
     def fresh_binder(self):
         b = self.next_binder
@@ -97,25 +114,18 @@ class _Builder:
             raise InputError("Inf nodes must be removed with rewrite_inf first")
         raise TypeError(f"not a formula: {phi!r}")
 
-    # Each case returns a finished TransformResult; helpers below assemble
-    # the shared (formulas, variables) bookkeeping.
+    # Each case returns a finished TransformResult, checked against the
+    # variable budget without building its declared set.
 
     def _finish(self, k, levels, g):
-        formulas = tuple(sorted(levels, key=_formula_key))
-        variables = set(mba.free_set_vars(g))
-        for zeta in formulas:
-            variables |= self._strict_grid(zeta, levels[zeta])
-        if len(variables) > self.budget_vars:
+        count = declared_count(levels, g)
+        if count > self.budget_vars:
             raise BudgetError(
-                f"declared set-variable count {len(variables)} exceeds budget "
+                f"declared set-variable count {count} exceeds budget "
                 f"{self.budget_vars}"
             )
-        return TransformResult(k, formulas, dict(levels), g, frozenset(variables))
-
-    def _strict_grid(self, zeta, level):
-        if level not in self.grids:
-            self.grids[level] = [Fraction(i, level) for i in range(level)]
-        return {mba.SetVarIndex(zeta, t, True) for t in self.grids[level]}
+        formulas = tuple(sorted(levels, key=fm.to_text))
+        return TransformResult(k, formulas, dict(levels), g)
 
     def _atomic(self, phi, k):
         levels = {phi: k}
@@ -166,15 +176,14 @@ class _Builder:
             inner = self.build(phi.body, 2 * k)
         tags = inner.formulas
         grid_sizes = [inner.levels[z] for z in tags]
-        inner_vars = sorted(mba.free_set_vars(inner.g), key=mba.var_sort_key)
-        mentioned_by_tag = {}
-        for zeta in tags:
-            # Bound slots: the variables of this tag the inner formula
-            # actually reads, ordered so intended level sets decrease
-            # (higher threshold later; >= before > at equal threshold).
-            mentioned = [v for v in inner_vars if v.tag == zeta]
+        # Bound slots: the variables of each tag the inner formula actually
+        # reads, ordered so intended level sets decrease (higher threshold
+        # later; >= before > at equal threshold).  Every tag is in F.
+        mentioned_by_tag = {zeta: [] for zeta in tags}
+        for v in mba.free_set_vars(inner.g):
+            mentioned_by_tag[v.tag].append(v)
+        for mentioned in mentioned_by_tag.values():
             mentioned.sort(key=lambda v: (v.level, v.strict))
-            mentioned_by_tag[zeta] = mentioned
         c_size = 1
         for lev in grid_sizes:
             c_size *= lev + 1
@@ -284,15 +293,16 @@ def transform(phi, k, budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS
 
 
 def build_level_assignment(result, field_, assignment=None):
-    """Intended value of every declared variable: the level set of its tag
-    formula at its threshold, in its comparison mode.
+    """Intended value of every variable G reads: the level set of its tag
+    formula at its threshold, in its comparison mode.  Declared variables
+    G does not read are not assigned.
 
     Each distinct tag is evaluated once per atom, and its level sets are
     thresholds of that one value table.  Variables come in var_sort_key
     order, with each tag rendered as text once.
     """
     by_tag = {}
-    for v in result.variables | mba.free_set_vars(result.g):
+    for v in mba.free_set_vars(result.g):
         by_tag.setdefault(v.tag, []).append(v)
     out = {}
     for tag in sorted(by_tag, key=str):
@@ -317,20 +327,19 @@ class DeterminationReport:
 
 def determination_check(phi, k, field_, assignment=None, mode=mba.MAXIMAL,
                         budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS,
-                        limit=di.DEFAULT_CHOICE_LIMIT, result=None, assign=None):
+                        limit=di.DEFAULT_CHOICE_LIMIT, result=None):
     """Certify the two determination implications for one instance.
 
     For every integer l: value > l/k implies G > (l-1)/k, and G > l/k
     implies value > (l-1)/k; together these force |value - G| <= 2/k,
-    which is asserted as well.  result and assign, when given, are the
-    transform of phi and its build_level_assignment on this field.
+    which is asserted as well.  result, when given, is the transform of
+    phi; G is evaluated on the level sets of the variables it reads.
     """
     phi = fm.rewrite_inf(phi)
     if result is None:
         result = transform(phi, k, budget_c, budget_vars)
     v = di.eval_on_integral(phi, field_, assignment, limit)
-    if assign is None:
-        assign = build_level_assignment(result, field_, assignment)
+    assign = build_level_assignment(result, field_, assignment)
     g = mba.eval_mba(result.g, assign, field_.space, mode)
     failures = []
     for l in range(k + 1):

@@ -291,6 +291,16 @@ def _field_doc(**fiber_w1):
     return doc
 
 
+def _one_atom_pq_field_doc(points):
+    """A one-atom field whose fiber has points p, q, with its point list
+    replaced by `points`."""
+    fiber = make_structure(SIG_P, {"P": {"p": F(3, 4), "q": F(1, 4)}})
+    doc = jsonio.field_to_doc(di.MeasurableField(uniform_space(("w1",)),
+                                                 {"w1": fiber}))
+    doc["fibers"]["w1"]["points"] = points
+    return doc
+
+
 def _signature_doc(arity):
     return {"predicates": [{"name": "P", "arity": arity}]}
 
@@ -308,6 +318,12 @@ def _signature_doc(arity):
      {"chain": [["w1"]]}),
     (["mba", "dist", "--algebra", "alg.json", "--input", "DOC"],
      {"chain": [5], "tuple": [["w1"]]}),
+    (["mba", "dist", "--algebra", "alg.json", "--input", "DOC"],
+     {"chain": 5, "tuple": [["w1"]]}),
+    (["eval", "--formula", "sup y . P(y)", "--field", "DOC"],
+     _one_atom_pq_field_doc("pq")),
+    (["eval", "--formula", "P(x)", "--field", "DOC"],
+     _field_doc(points=[["p"]])),
     (["eval", "--formula", "P(x)", "--field", "sup_field.json",
       "--assignment", "DOC"], {"x": {"zz": "p", "w1": "p", "w2": "r"}}),
     (["transform", "--formula", "P(x)", "--signature", "DOC"],
@@ -328,6 +344,7 @@ def _signature_doc(arity):
      {"components": [{"m": 2.7, "atoms": ["1"]}]}),
 ], ids=["signature-list", "assignment-list", "assignment-string",
         "assignment-entry-string", "dist-missing-tuple", "dist-subset-number",
+        "dist-chain-number", "points-string", "points-nested",
         "assignment-unknown-atom", "arity-string", "arity-null",
         "arity-fraction", "fibers-list", "preds-list", "dist-number",
         "atoms-lists", "m-string", "m-fraction"])
@@ -359,6 +376,26 @@ def test_mba_monotone(paths, capsys):
     ])
     assert code == cli.EXIT_PASS
     assert json.loads(out) == {"ok": True}
+
+
+def test_mba_dist_budget_exit_2(tmp_path, capsys):
+    # A full chain of length 3 over 20 atoms has 4**20 tuples in its chain
+    # set: refused from the closed-form count, not walked.
+    atoms = [f"w{i}" for i in range(20)]
+    alg_path = tmp_path / "wide_alg.json"
+    alg_path.write_text(json.dumps(jsonio.algebra_to_doc(
+        uniform_space(atoms))), encoding="utf-8")
+    input_path = tmp_path / "wide_dist.json"
+    input_path.write_text(json.dumps({"chain": [atoms] * 3,
+                                      "tuple": [[], [], []]}),
+                          encoding="utf-8")
+    code, out, err = run(capsys, [
+        "mba", "dist", "--algebra", str(alg_path), "--input", str(input_path),
+    ])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == "budget"
+    assert str(4**20) in json.loads(err)["message"]
 
 
 def test_mba_dist(paths, capsys):

@@ -199,8 +199,11 @@ def test_build_level_assignment_values():
     phi = p_of("x")
     result = tr.transform(phi, 2)
     assign = tr.build_level_assignment(result, field_, assignment)
-    assert assign[mba.SetVarIndex(phi, F(1, 2), True)] == frozenset({"w1"})
-    assert assign[mba.SetVarIndex(phi, F(0), True)] == frozenset({"w1", "w2"})
+    assert assign == {mba.SetVarIndex(phi, F(1, 2), True): frozenset({"w1"})}
+    # The level-0 variable is declared but G does not read it.
+    unread = mba.SetVarIndex(phi, F(0), True)
+    assert unread in result.variables and unread not in assign
+    assert di.level_set(phi, field_, assignment, F(0)) == frozenset({"w1", "w2"})
 
 
 def test_complement_identity_on_examples():

@@ -2,7 +2,8 @@
 
 The reference evaluates every variable's tag on every atom with
 structure.eval_formula.  The value tables must give the same level sets in
-the same order, while evaluating each tag only once per atom.
+the same order, while evaluating each tag only once per atom.  Only the
+variables G reads are assigned.
 """
 
 from fractions import Fraction
@@ -23,11 +24,10 @@ F = Fraction
 INSTANCES = family.determination_instances(0, 17)
 
 
-def reference_assignment(result, field_, assignment):
-    """Level set of every variable, one eval_formula call per atom."""
+def reference_assignment(variables, field_, assignment):
+    """Level set of each variable, one eval_formula call per atom."""
     out = {}
-    for v in sorted(result.variables | mba.free_set_vars(result.g),
-                    key=mba.var_sort_key):
+    for v in sorted(variables, key=mba.var_sort_key):
         atoms = set()
         for w in field_.space.atoms:
             local = {name: e(w) for name, e in assignment.items()}
@@ -47,8 +47,24 @@ def compile_instance(inst):
 def test_level_assignment_matches_per_atom_reference(inst):
     result = compile_instance(inst)
     assign = tr.build_level_assignment(result, inst.field, inst.assignment)
-    expected = reference_assignment(result, inst.field, inst.assignment)
+    expected = reference_assignment(mba.free_set_vars(result.g), inst.field,
+                                    inst.assignment)
     assert list(assign.items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("inst", INSTANCES, ids=lambda inst: inst.name)
+def test_read_variables_determine_g(inst):
+    # G takes the same value on its own level sets as on the level sets of
+    # the whole declared set, in both evaluation modes.
+    result = compile_instance(inst)
+    assign = tr.build_level_assignment(result, inst.field, inst.assignment)
+    assert set(assign) == mba.free_set_vars(result.g) <= result.variables
+    declared = reference_assignment(result.variables, inst.field,
+                                    inst.assignment)
+    space = inst.field.space
+    for mode in (mba.MAXIMAL, mba.ENUMERATE):
+        assert (mba.eval_mba(result.g, assign, space, mode)
+                == mba.eval_mba(result.g, declared, space, mode))
 
 
 def test_threshold_at_a_fiber_value():
@@ -85,7 +101,8 @@ def test_nonstrict_variables_at_fiber_values():
             w = field_.space.atoms[values.index(v.level)]
             assert w in assign[v]
     assert {v.level for v in edge} == {F(1, 4), F(3, 4)}
-    expected = reference_assignment(result, field_, assignment)
+    expected = reference_assignment(mba.free_set_vars(result.g), field_,
+                                    assignment)
     assert list(assign.items()) == list(expected.items())
 
 
@@ -112,7 +129,7 @@ def top_level_evals(monkeypatch):
 def test_each_tag_is_evaluated_once_per_atom(inst, top_level_evals):
     result = compile_instance(inst)
     atoms = len(inst.field.space.atoms)
-    tags = {v.tag for v in result.variables | mba.free_set_vars(result.g)}
+    tags = {v.tag for v in mba.free_set_vars(result.g)}
     top_level_evals[0] = 0
     tr.build_level_assignment(result, inst.field, inst.assignment)
     assert top_level_evals[0] == len(tags) * atoms

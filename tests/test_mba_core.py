@@ -177,6 +177,23 @@ def test_enumerate_refuses_an_oversized_supchain():
     assert mba.eval_mba(g, {}, alg, mba.MAXIMAL) == 1
 
 
+def test_maximal_refuses_an_oversized_atom_product():
+    # Two length-1 chains whose slots the profile keeps disjoint: each atom
+    # has the 2 maximal depth vectors (1, 0) and (0, 1), so 21 atoms give
+    # 2**21 combinations, refused before any is evaluated.
+    atoms = tuple(f"w{i}" for i in range(21))
+    alg = mba.FiniteMeasureAlgebra(atoms, {a: F(1, 21) for a in atoms})
+    g = mba.SupChain(
+        binder=0,
+        chains=(mba.ChainSpec("A", (mba.Full(),)),
+                mba.ChainSpec("B", (mba.Full(),))),
+        inner=mba.Measure(mba.ChainVar(0, "A", 0)),
+        profiles=(mba.ProfileSpec((("A", 0), ("B", 0)), mba.Empty()),),
+    )
+    with pytest.raises(BudgetError, match=str(2**21)):
+        mba.eval_mba(g, {}, alg, mba.MAXIMAL)
+
+
 def test_supchain_profile_constraint():
     # Two independent slots, but the profile forbids them from jointly
     # containing any atom; the sum of measures then caps at 1.
