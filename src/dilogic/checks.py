@@ -17,16 +17,16 @@ MONOTONE_EXHAUSTIVE_LIMIT = 2000
 
 
 def certify(inst, budget_c, budget_vars):
-    """(inf-free formula, transform, determination report) of an
-    instance."""
-    phi = fm.rewrite_inf(inst.formula)
-    result = tr.transform(phi, inst.k, budget_c, budget_vars)
-    return phi, result, tr.determination_check(
-        phi, inst.k, inst.field, inst.assignment, result=result)
+    """(transform, determination report) of an instance."""
+    result = tr.transform(inst.formula, inst.k, budget_c, budget_vars)
+    return result, tr.determination_check(
+        inst.formula, inst.k, inst.field, inst.assignment, result=result)
 
 
-def layer_cake(inst, phi, report):
-    """Layer-cake bounds on the integral of an atomic or constant phi."""
+def layer_cake(inst, report):
+    """Layer-cake bounds on the integral of an atomic or constant
+    instance formula."""
+    phi = inst.formula
     if not isinstance(phi, (fm.Atomic, fm.Const)):
         return None
     k = inst.k

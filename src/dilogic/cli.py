@@ -46,7 +46,6 @@ def _load_field(args):
 
 def cmd_transform(args):
     phi, _sig = _parse_with_sig(args)
-    phi = fm.rewrite_inf(phi)
     result = tr.transform(phi, args.k, args.budget_c, args.budget_vars)
     _emit(jsonio.transform_result_to_doc(result), args.format,
           jsonio.pretty_transform_result(result))
@@ -118,7 +117,6 @@ def cmd_mba_defin(args):
 def cmd_mba_monotone(args):
     alg = jsonio.algebra_from_doc(_load_json(args.algebra))
     phi, _sig = _parse_with_sig(args)
-    phi = fm.rewrite_inf(phi)
     result = tr.transform(phi, args.k, args.budget_c, args.budget_vars)
     ce = mba.check_monotone(result.g, alg, trials=args.trials, seed=args.seed)
     if ce is None:
@@ -180,9 +178,9 @@ def cmd_selftest(args):
              "complement_identity")
     failures = dict.fromkeys(names, 0)
     for inst in instances:
-        phi, result, report = checks.certify(inst, args.budget_c,
-                                             args.budget_vars)
-        verdicts = (report.ok, checks.layer_cake(inst, phi, report),
+        result, report = checks.certify(inst, args.budget_c,
+                                        args.budget_vars)
+        verdicts = (report.ok, checks.layer_cake(inst, report),
                     checks.monotone(inst, result, args.seed),
                     checks.sup_collapse(inst, result),
                     checks.complement_identity(inst, result))

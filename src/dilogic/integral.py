@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import formula as fm
 from . import structure as st
-from .errors import EvaluationError, InputError, ValidationError
+from .errors import BudgetError, InputError, ValidationError
 from .mba import FiniteMeasureAlgebra
 
 # A finite probability space is exactly a finite measure algebra: ordered
@@ -58,7 +58,7 @@ class MeasurableField:
     def elements(self, limit=DEFAULT_CHOICE_LIMIT):
         """All choice functions, in fiber point order; guarded by limit."""
         if limit is not None and self.element_count() > limit:
-            raise EvaluationError(
+            raise BudgetError(
                 f"choice-function count {self.element_count()} exceeds limit {limit}"
             )
         atoms = self.space.atoms

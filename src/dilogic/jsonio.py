@@ -69,16 +69,16 @@ def algebra_to_doc(alg):
 
 def algebra_from_doc(doc):
     try:
-        atoms = tuple(doc["atoms"])
+        atoms = doc["atoms"]
         weights = [parse_fraction(w) for w in doc["weights"]]
     except (TypeError, KeyError) as exc:
         raise InputError(f"bad algebra document: {exc}") from None
+    if not isinstance(atoms, list) or not all(
+            isinstance(a, (str, int, float)) for a in atoms):
+        raise InputError("algebra atoms must be a list of strings or numbers")
     if len(atoms) != len(weights):
         raise InputError("atoms and weights differ in length")
-    for a in atoms:
-        if isinstance(a, (list, dict)):
-            raise InputError(f"algebra atom {a!r} is not a string or number")
-    return mba.FiniteMeasureAlgebra(atoms, dict(zip(atoms, weights)))
+    return mba.FiniteMeasureAlgebra(tuple(atoms), dict(zip(atoms, weights)))
 
 
 def subset_from_doc(doc, alg):
@@ -251,21 +251,15 @@ def rho_to_doc(table):
 
 
 def _formula_table(result):
-    """F[phi] followed by any auxiliary tag formulas (inner SupChain tags),
-    in deterministic order."""
+    """F[phi], then the ChainSpec tags outside it in pre-order: F tags
+    every free SetVar of G, and a ChainSpec of each ChainVar's tag comes
+    before it in pre-order."""
     seen = list(result.formulas)
     index = {z: i for i, z in enumerate(seen)}
-
-    def note(tag):
-        if tag not in index:
-            index[tag] = len(seen)
-            seen.append(tag)
-
     for node in mba.nodes(result.g):
-        if type(node) is mba.SetVar:
-            note(node.index.tag)
-        elif type(node) in (mba.ChainVar, mba.ChainSpec):
-            note(node.tag)
+        if type(node) is mba.ChainSpec and node.tag not in index:
+            index[node.tag] = len(seen)
+            seen.append(node.tag)
     return seen, index
 
 
@@ -338,8 +332,8 @@ def transform_result_to_doc(result):
         ],
         "levels": {str(i): result.levels[z]
                    for i, z in enumerate(result.formulas)},
-        "variables": [var_name(index, v)
-                      for v in sorted(result.variables, key=mba.var_sort_key)],
+        "variables": [var_name(index, v) for v in sorted(
+            result.variables, key=lambda v: (index[v.tag], v.level, v.strict))],
         "g": _mba_to_doc(result.g, index),
     }
 

@@ -9,6 +9,7 @@ search or by substituting the maximal feasible element.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -47,7 +48,7 @@ class FiniteMeasureAlgebra:
         if sum(w.values()) != 1:
             raise ValidationError("weights must sum to exactly 1")
 
-    @property
+    @functools.cached_property
     def full(self):
         return frozenset(self.atoms)
 
@@ -546,21 +547,19 @@ def _comparable_pairs(alg):
         yield low, high
 
 
-def check_monotone(g, alg, trials=200, seed=0, exhaustive=None,
-                   exhaustive_limit=100_000):
+def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     """Verify g is coordinatewise increasing on alg, evaluating in
     MAXIMAL mode.
 
     Returns None on pass, or the first MonotoneCounterexample found.
-    Exhaustive over all comparable assignment pairs when the search space
-    is small enough (or forced via `exhaustive`); otherwise samples
+    Exhaustive over all comparable assignment pairs when their count,
+    3^(atoms * variables), is within exhaustive_limit; otherwise samples
     `trials` seeded random pairs.
     """
     variables = sorted(free_set_vars(g), key=var_sort_key)
     if not variables:
         return None
-    if exhaustive is None:
-        exhaustive = 3 ** (len(alg.atoms) * len(variables)) <= exhaustive_limit
+    exhaustive = 3 ** (len(alg.atoms) * len(variables)) <= exhaustive_limit
 
     def test(pairs):
         low = {v: p[0] for v, p in zip(variables, pairs)}

@@ -52,14 +52,18 @@ def xi_formula(var, alpha):
 
 @dataclass(frozen=True)
 class TransformResult:
-    """F[phi], its levels and G.  The declared set `variables` is derived
-    on demand: G's variables plus the strict grid (zeta, i/l, >), 0 <= i < l,
-    of each formula zeta of level l.  Only G's variables get level sets."""
+    """F[phi] (the keys of `levels`; `formulas` is their text order, the
+    one tag order), its levels and G.  The declared set `variables` is G's
+    variables plus the strict grid (zeta, i/l, >), 0 <= i < l, of each
+    formula zeta of level l.  Only G's variables get level sets."""
 
     k: int
-    formulas: tuple        # ordered F[phi]
     levels: dict           # formula -> integer level l >= 1
     g: object              # MbaFormula over SetVarIndex variables
+
+    @functools.cached_property
+    def formulas(self):
+        return tuple(sorted(self.levels, key=fm.to_text))
 
     @functools.cached_property
     def variables(self):
@@ -111,7 +115,7 @@ class _Builder:
         if isinstance(phi, fm.Sup):
             return self._sup(phi, k)
         if isinstance(phi, fm.Inf):
-            raise InputError("Inf nodes must be removed with rewrite_inf first")
+            return self.build(fm.rewrite_inf(phi), k)
         raise TypeError(f"not a formula: {phi!r}")
 
     # Each case returns a finished TransformResult, checked against the
@@ -124,8 +128,7 @@ class _Builder:
                 f"declared set-variable count {count} exceeds budget "
                 f"{self.budget_vars}"
             )
-        formulas = tuple(sorted(levels, key=fm.to_text))
-        return TransformResult(k, formulas, dict(levels), g)
+        return TransformResult(k, dict(levels), g)
 
     def _atomic(self, phi, k):
         levels = {phi: k}
@@ -140,8 +143,9 @@ class _Builder:
         return self._finish(k, levels, g)
 
     def _merge_levels(self, *level_maps):
-        # Levels are all k * 3^j for one base k, so colliding entries merge
-        # to the larger, whose threshold grid contains the smaller's.
+        # Levels are k * 2^i * 3^j for one base k (ratio 6 occurs), so two
+        # need not divide each other.  A collision merges to the larger;
+        # none occurs on the compile panel or the acceptance suite.
         out = {}
         for m in level_maps:
             for zeta, lev in m.items():
@@ -282,13 +286,11 @@ class _Builder:
 def transform(phi, k, budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS):
     """Compile phi at precision k; see the module docstring.
 
-    phi must be inf-free (apply rewrite_inf first); k >= 2.  Raises
+    Inf nodes compile as their rewrite_inf form; k >= 2.  Raises
     BudgetError when the index-set or variable blowup exceeds the budgets.
     """
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
-    if fm.contains_inf(phi):
-        raise InputError("Inf nodes must be removed with rewrite_inf first")
     return _Builder(budget_c, budget_vars).build(phi, k)
 
 
@@ -298,14 +300,16 @@ def build_level_assignment(result, field_, assignment=None):
     G does not read are not assigned.
 
     Each distinct tag is evaluated once per atom, and its level sets are
-    thresholds of that one value table.  Variables come in var_sort_key
-    order, with each tag rendered as text once.
+    thresholds of that one value table.  Tags come in result.formulas
+    order (F tags every variable of G), each by threshold and mode.
     """
     by_tag = {}
     for v in mba.free_set_vars(result.g):
         by_tag.setdefault(v.tag, []).append(v)
     out = {}
-    for tag in sorted(by_tag, key=str):
+    for tag in result.formulas:
+        if tag not in by_tag:
+            continue
         values = di.fiber_values(tag, field_, assignment)
         for v in sorted(by_tag[tag], key=lambda v: (v.level, v.strict)):
             mode = di.STRICT if v.strict else di.NONSTRICT
@@ -335,7 +339,6 @@ def determination_check(phi, k, field_, assignment=None, mode=mba.MAXIMAL,
     which is asserted as well.  result, when given, is the transform of
     phi; G is evaluated on the level sets of the variables it reads.
     """
-    phi = fm.rewrite_inf(phi)
     if result is None:
         result = transform(phi, k, budget_c, budget_vars)
     v = di.eval_on_integral(phi, field_, assignment, limit)

@@ -30,8 +30,8 @@ def _report(number, name, ok, detail=""):
 
 
 def get_suite():
-    """(instance, inf-free formula, transform, report) for every suite
-    instance; built once and reused across criteria."""
+    """(instance, transform, report) for every suite instance; built once
+    and reused across criteria."""
     if "suite" not in _CACHE:
         start = time.monotonic()
         _CACHE["suite"] = [
@@ -52,10 +52,10 @@ def test_criterion_1_determination():
     elapsed = _CACHE["suite_seconds"]
     bad = [
         (inst.name, report.failures)
-        for inst, _phi, _result, report in suite
+        for inst, _result, report in suite
         if not report.ok
     ]
-    for _inst, _phi, _result, report in suite:
+    for _inst, _result, report in suite:
         assert abs(report.integral_value - report.mba_value) <= F(2, report.k)
     ok = not bad and len(suite) >= 200 and elapsed < 300
     _report(
@@ -71,8 +71,8 @@ def test_criterion_1_determination():
 
 
 def test_criterion_2_layer_cake():
-    verdicts = [checks.layer_cake(inst, phi, report)
-                for inst, phi, _result, report in get_suite()]
+    verdicts = [checks.layer_cake(inst, report)
+                for inst, _result, report in get_suite()]
     checked, bad = len(verdicts) - verdicts.count(None), verdicts.count(False)
     ok = checked > 0 and not bad
     _report(2, "layer cake", ok, f" [{checked} atomic instances]")
@@ -83,7 +83,7 @@ def test_criterion_2_layer_cake():
 
 
 def test_criterion_3_monotonicity():
-    bad = [inst.name for inst, _phi, result, _report_ in get_suite()
+    bad = [inst.name for inst, result, _report_ in get_suite()
            if not checks.monotone(inst, result, SEED)]
     _report(3, "monotonicity", not bad, f" [{len(get_suite())} outputs]")
 
@@ -321,7 +321,7 @@ def test_criterion_4_definability_oracle():
 
 def test_criterion_5_sup_collapse():
     verdicts = [checks.sup_collapse(inst, result)
-                for inst, _phi, result, _report_ in get_suite()]
+                for inst, result, _report_ in get_suite()]
     checked, bad = len(verdicts) - verdicts.count(None), verdicts.count(False)
     ok = checked > 0 and not bad
     _report(5, "sup collapse", ok, f" [{checked} suprema]")
@@ -334,8 +334,8 @@ def test_criterion_5_sup_collapse():
 def test_criterion_6_complement_identity():
     suite = get_suite()
     checked = sum(len(result.formulas)
-                  for _inst, _phi, result, _report_ in suite)
-    bad = [inst.name for inst, _phi, result, _report_ in suite
+                  for _inst, result, _report_ in suite)
+    bad = [inst.name for inst, result, _report_ in suite
            if not checks.complement_identity(inst, result)]
     ok = checked > 0 and not bad
     _report(6, "complement identity", ok, f" [{checked} formulas]")

@@ -28,34 +28,32 @@ def decreasing(g):
 
 def test_certify_compiles_and_checks_a_family_instance():
     inst = family.determination_instances(0, 1)[0]
-    phi, result, report = checks.certify(inst, tr.DEFAULT_BUDGET_C,
-                                         family.FAMILY_BUDGET_VARS)
-    assert phi == fm.rewrite_inf(inst.formula)
+    result, report = checks.certify(inst, tr.DEFAULT_BUDGET_C,
+                                    family.FAMILY_BUDGET_VARS)
     assert result.k == report.k == inst.k
     assert report.ok
 
 
 def test_determination_fails_on_a_wrong_integral_value(monkeypatch):
     monkeypatch.setattr(di, "eval_on_integral", lambda *a, **kw: F(1))
-    _inst, (_phi, _result, report) = certify(fm.Const(0),
-                                             sup_example_field())
+    _inst, (_result, report) = certify(fm.Const(0), sup_example_field())
     assert not report.ok
 
 
 def test_layer_cake():
     field_ = atomic_example_field()
-    inst, (phi, _result, report) = certify(
+    inst, (_result, report) = certify(
         p_of("x"), field_, atomic_example_assignment(field_))
-    assert checks.layer_cake(inst, phi, report) is True
+    assert checks.layer_cake(inst, report) is True
     wrong = dataclasses.replace(report, integral_value=F(1))
-    assert checks.layer_cake(inst, phi, wrong) is False
-    inst, (phi, _result, report) = certify(
+    assert checks.layer_cake(inst, wrong) is False
+    inst, (_result, report) = certify(
         fm.Sup("y", p_of("y")), sup_example_field())
-    assert checks.layer_cake(inst, phi, report) is None
+    assert checks.layer_cake(inst, report) is None
 
 
 def test_monotone_fails_on_a_decreasing_g():
-    inst, (_phi, result, _report) = certify(
+    inst, (result, _report) = certify(
         fm.Sup("y", p_of("y")), sup_example_field())
     assert checks.monotone(inst, result, 0) is True
     bad = dataclasses.replace(result, g=decreasing(result.g))
@@ -63,20 +61,20 @@ def test_monotone_fails_on_a_decreasing_g():
 
 
 def test_sup_collapse_fails_on_a_decreasing_inner_formula():
-    inst, (_phi, result, _report) = certify(
+    inst, (result, _report) = certify(
         fm.Sup("y", p_of("y")), sup_example_field())
     assert checks.sup_collapse(inst, result) is True
     g = dataclasses.replace(result.g, inner=decreasing(result.g.inner))
     assert checks.sup_collapse(
         inst, dataclasses.replace(result, g=g)) is False
     field_ = atomic_example_field()
-    inst, (_phi, result, _report) = certify(
+    inst, (result, _report) = certify(
         p_of("x"), field_, atomic_example_assignment(field_))
     assert checks.sup_collapse(inst, result) is None
 
 
 def test_complement_identity_fails_on_a_wrong_complement(monkeypatch):
-    inst, (_phi, result, _report) = certify(
+    inst, (result, _report) = certify(
         fm.Sup("y", p_of("y")), sup_example_field())
     assert checks.complement_identity(inst, result) is True
     monkeypatch.setattr(tr, "one_minus", lambda zeta: zeta)

@@ -110,6 +110,16 @@ def test_eval_sup(paths, capsys):
     assert json.loads(out) == {"value": "5/8"}
 
 
+def test_eval_choice_limit_is_a_budget_error(paths, capsys):
+    code, out, err = run(capsys, [
+        "eval", "--formula", "sup y . P(y)", "--field", paths["sup_field.json"],
+        "--max-choice-functions", "1",
+    ])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == "budget"
+
+
 def test_eval_pretty_format(paths, capsys):
     code, out, _ = run(capsys, [
         "eval", "--formula", "sup y . P(y)", "--field", paths["sup_field.json"],
@@ -338,6 +348,8 @@ def _signature_doc(arity):
     (["eval", "--formula", "P(x)", "--field", "DOC"], _field_doc(dist=0)),
     (["mba", "defin", "--algebra", "DOC"],
      {"atoms": [["a"], ["b"]], "weights": ["1/2", "1/2"]}),
+    (["mba", "defin", "--algebra", "DOC"],
+     {"atoms": "ab", "weights": ["1/2", "1/2"]}),
     (["typei", "rho", "--desc", "DOC"],
      {"components": [{"m": "two", "atoms": ["1"]}]}),
     (["typei", "rho", "--desc", "DOC"],
@@ -347,7 +359,7 @@ def _signature_doc(arity):
         "dist-chain-number", "points-string", "points-nested",
         "assignment-unknown-atom", "arity-string", "arity-null",
         "arity-fraction", "fibers-list", "preds-list", "dist-number",
-        "atoms-lists", "m-string", "m-fraction"])
+        "atoms-lists", "atoms-string", "m-string", "m-fraction"])
 def test_malformed_document_exit_2(paths, tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

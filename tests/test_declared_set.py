@@ -5,6 +5,7 @@ The compile panel of perfbench/workloads.py and its recorded counts in
 perfbench/reference.json pin what transform declares and what G reads.
 """
 
+import hashlib
 import os
 import sys
 
@@ -40,6 +41,22 @@ def compile_recording_finish(jobs):
     return results, finished
 
 
+def assert_tags_in_table(result):
+    """The two facts that let F[phi] order every tag: each free SetVar of
+    G is tagged by a formula of F, and each ChainVar by the tag of a
+    ChainSpec of an enclosing SupChain with its binder."""
+    g = result.g
+    assert all(v.tag in result.levels for v in mba.free_set_vars(g))
+    chain_vars = {n for n in mba.nodes(g) if type(n) is mba.ChainVar}
+    covered = set()
+    for sup in mba.nodes(g):
+        if type(sup) is mba.SupChain:
+            tags = {spec.tag for spec in sup.chains}
+            covered |= {n for n in mba.nodes(sup) if type(n) is mba.ChainVar
+                        and n.binder == sup.binder and n.tag in tags}
+    assert chain_vars == covered
+
+
 @pytest.fixture(scope="module")
 def compile_panel():
     sig = family.default_signature()
@@ -61,6 +78,21 @@ def test_compile_panel_matches_reference_counts(compile_panel):
             "declared_vars": len(result.variables),
             "read_vars": len(mba.free_set_vars(result.g)),
         }, name
+        assert_tags_in_table(result)
+
+
+# SHA-256 over the `dilogic transform` JSON documents of the whole compile
+# panel, concatenated in workloads.compile_panel() order.
+COMPILE_PANEL_SHA256 = (
+    "b9ab8efa909c597282d7a313870e3082ec544aee7394f14519681cfad1bd5353")
+
+
+def test_compile_panel_document_bytes(compile_panel):
+    _names, results, _finished = compile_panel
+    digest = hashlib.sha256()
+    for result in results:
+        digest.update(workloads.emit_document(result).encode("utf-8"))
+    assert digest.hexdigest() == COMPILE_PANEL_SHA256
 
 
 def test_closed_form_count_matches_declared_set(compile_panel):
@@ -72,6 +104,7 @@ def test_closed_form_count_matches_declared_set(compile_panel):
     for result in finished:
         assert tr.declared_count(result.levels, result.g) == len(
             result.variables)
+        assert_tags_in_table(result)
 
 
 def test_budget_vars_boundary():

@@ -8,7 +8,7 @@ import pytest
 from dilogic import formula as fm
 from dilogic import integral as di
 from dilogic import structure as st
-from dilogic.errors import EvaluationError, InputError, ValidationError
+from dilogic.errors import BudgetError, InputError, ValidationError
 
 from helpers import (
     SIG_P,
@@ -56,7 +56,7 @@ def test_elements_enumeration_and_limit():
     field_ = sup_example_field()
     assert field_.element_count() == 2
     assert len(list(field_.elements())) == 2
-    with pytest.raises(EvaluationError):
+    with pytest.raises(BudgetError):
         list(field_.elements(limit=1))
 
 
@@ -106,7 +106,7 @@ def test_inf_over_choice_functions():
 def test_choice_limit_guard():
     field_ = sup_example_field()
     phi = fm.Sup("y", p_of("y"))
-    with pytest.raises(EvaluationError):
+    with pytest.raises(BudgetError):
         di.eval_on_integral(phi, field_, limit=1)
 
 

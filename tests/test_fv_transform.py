@@ -1,10 +1,11 @@
 """Formula compilation and the determination certificates."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
-from dilogic import family
+from dilogic import family, jsonio
 from dilogic import formula as fm
 from dilogic import integral as di
 from dilogic import mba
@@ -110,10 +111,20 @@ def test_transform_deterministic():
 
 
 def test_rejects_small_k_and_inf():
+    """k < 2 is rejected.  Inf is not: it compiles exactly as its
+    rewrite_inf form, down to the document bytes."""
     with pytest.raises(InputError):
         tr.transform(p_of("x"), 1)
-    with pytest.raises(InputError):
-        tr.transform(fm.Inf("y", p_of("y")), 2)
+    sig = family.default_signature()
+    for text in ("inf y . P(y)", "half(inf y . R(x, y))"):
+        phi = fm.parse_formula(text, sig)
+        assert fm.contains_inf(phi)
+        direct = tr.transform(phi, 2, 1 << 16, 1 << 16)
+        rewritten = tr.transform(fm.rewrite_inf(phi), 2, 1 << 16, 1 << 16)
+        assert direct.levels == rewritten.levels
+        assert direct.g == rewritten.g
+        assert (json.dumps(jsonio.transform_result_to_doc(direct)) ==
+                json.dumps(jsonio.transform_result_to_doc(rewritten)))
 
 
 def test_budget_c_exceeded():

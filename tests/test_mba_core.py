@@ -296,7 +296,7 @@ def test_monotone_complement_fails():
 def test_monotone_random_mode_finds_complement():
     v = mba.SetVarIndex("X", 0)
     g = mba.Measure(mba.Compl(mba.SetVar(v)))
-    ce = mba.check_monotone(g, UNIFORM3, trials=50, exhaustive=False)
+    ce = mba.check_monotone(g, UNIFORM3, trials=50, exhaustive_limit=0)
     assert ce is not None
 
 
