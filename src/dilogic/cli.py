@@ -93,6 +93,9 @@ def cmd_check(args):
 
 def cmd_mba_defin(args):
     alg = jsonio.algebra_from_doc(_load_json(args.algebra))
+    # Each of the 4^n subset pairs is compared with each of the 3^n
+    # inclusion pairs.
+    mba.refuse_over_budget(12 ** len(alg.atoms), "definability pair comparison")
     phi, psi = mba.simple_definables()
     x1, x2, x3 = (mba.SetVarIndex(n, 0) for n in ("X1", "X2", "X3"))
     bad = []

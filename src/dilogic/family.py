@@ -228,6 +228,14 @@ def relabel_pairs(seed, count, sig=None):
 # Type-I description families
 
 
+def _coin(rng):
+    """A fair coin in integers.  It reads the two 32-bit words that
+    rng.random() reads and is heads exactly when rng.random() < 1/2 (the
+    top bit of the first word is clear), so seeded families are the same
+    as with that float test."""
+    return not rng.getrandbits(64) >> 31 & 1
+
+
 def random_description(rng, denom=12):
     """Random type-I description with sizes in {1,..,4}."""
     sizes = rng.sample([1, 2, 3, 4], rng.randint(1, 3))
@@ -235,7 +243,7 @@ def random_description(rng, denom=12):
     for m in sizes:
         for _ in range(rng.randint(0, 2)):
             slots.append((m, "atom"))
-        if rng.random() < 0.5:
+        if _coin(rng):
             slots.append((m, "diffuse"))
     if not slots:
         slots.append((sizes[0], "atom"))
@@ -262,7 +270,7 @@ def represent(desc, rng):
     for m, atoms, diffuse in desc.components:
         atoms = list(atoms)
         rng.shuffle(atoms)
-        if len(atoms) >= 2 and rng.random() < 0.5:
+        if len(atoms) >= 2 and _coin(rng):
             cut = rng.randint(1, len(atoms) - 1)
             raw.append((m, tuple(atoms[:cut]), Fraction(0)))
             raw.append((m, tuple(atoms[cut:]), diffuse))

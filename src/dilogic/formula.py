@@ -194,10 +194,6 @@ def free_vars(phi):
     return out
 
 
-def contains_inf(phi):
-    return any(type(node) is Inf for node in nodes(phi))
-
-
 # ---------------------------------------------------------------------------
 # Pretty printing
 

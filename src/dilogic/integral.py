@@ -6,11 +6,18 @@ space).  The metric and predicates integrate fiberwise values against the
 atom weights; functions act fiberwise.  Quantifiers on the integral range
 over all choice functions, so evaluation here is the brute-force oracle
 against which the compiled measure-algebra formulas are checked.
+
+The oracle sums integers: each field builds, once, its weighted fiber
+predicate values as integer numerators over one common denominator
+(MeasurableField.weighted_preds), so an integrated predicate value is one
+integer sum and one Fraction.  A field is not changed once built.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,6 +55,27 @@ class MeasurableField:
     @property
     def signature(self):
         return next(iter(self.fibers.values())).signature
+
+    @functools.cached_property
+    def weighted_preds(self):
+        """(den, {name: [(atom, {args: numerator})]}): every weighted fiber
+        value weights[w] * preds[name][args] as an integer numerator over
+        den, the lcm of all their denominators."""
+        weights = self.space.weights
+        values = {
+            name: [(w, {args: weights[w] * v
+                        for args, v in self.fibers[w].preds[name].items()})
+                   for w in self.space.atoms]
+            for name, _arity in self.signature.predicates
+        }
+        den = math.lcm(*(v.denominator for rows in values.values()
+                         for _w, table in rows for v in table.values()))
+        return den, {
+            name: [(w, {args: v.numerator * (den // v.denominator)
+                        for args, v in table.items()})
+                   for w, table in rows]
+            for name, rows in values.items()
+        }
 
     def element_count(self):
         n = 1
@@ -117,18 +145,17 @@ class _Integral:
     def __init__(self, field_, limit):
         self.field = field_
         self.limit = limit
+        self.den, self.tables = field_.weighted_preds
 
     @property
     def points(self):
         return self.field.elements(self.limit)
 
     def pred(self, name, args):
-        weights, fibers = self.field.space.weights, self.field.fibers
-        return sum(
-            (weights[w] * fibers[w].preds[name][tuple(e(w) for e in args)]
-             for w in self.field.space.atoms),
-            Fraction(0),
-        )
+        return Fraction(
+            sum(table[tuple(e.choice[w] for e in args)]
+                for w, table in self.tables[name]),
+            self.den)
 
     def func(self, name, args):
         fibers = self.field.fibers
@@ -238,8 +265,17 @@ def materialize(field_, limit=DEFAULT_CHOICE_LIMIT):
     """The direct integral as an explicit FiniteMetricStructure.
 
     Point names are tuples of fiber points in atom order.  Intended for
-    tiny instances: the point count is the product of the fiber sizes.
+    tiny instances: the point count is the product of the fiber sizes,
+    and limit caps both it and the entry count of the metric, predicate
+    and function tables (points^arity each), counted before any is built.
     """
+    n = field_.element_count()
+    sig = field_.signature
+    entries = sum(n ** arity for arity in
+                  (2, *(arity for _name, arity in sig.predicates + sig.functions)))
+    if limit is not None and entries > limit:
+        raise BudgetError(
+            f"materialized table entry count {entries} exceeds limit {limit}")
     atoms = field_.space.atoms
     elements = list(field_.elements(limit))
     names = [tuple(e(a) for a in atoms) for e in elements]
@@ -248,7 +284,6 @@ def materialize(field_, limit=DEFAULT_CHOICE_LIMIT):
     for n1, e1 in by_name.items():
         for n2, e2 in by_name.items():
             dist[(n1, n2)] = integral_dist(field_, e1, e2)
-    sig = field_.signature
     preds = {}
     for pname, arity in sig.predicates:
         table = {}

@@ -8,6 +8,7 @@ identical inputs produce identical byte streams.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from . import formula as fm
@@ -74,8 +75,8 @@ def algebra_from_doc(doc):
     except (TypeError, KeyError) as exc:
         raise InputError(f"bad algebra document: {exc}") from None
     if not isinstance(atoms, list) or not all(
-            isinstance(a, (str, int, float)) for a in atoms):
-        raise InputError("algebra atoms must be a list of strings or numbers")
+            isinstance(a, (str, int)) for a in atoms):
+        raise InputError("algebra atoms must be a list of strings or integers")
     if len(atoms) != len(weights):
         raise InputError("atoms and weights differ in length")
     return mba.FiniteMeasureAlgebra(tuple(atoms), dict(zip(atoms, weights)))
@@ -324,6 +325,8 @@ def _mba_to_doc(g, index):
 
 def transform_result_to_doc(result):
     table, index = _formula_table(result)
+    # Levels compare as integer numerators over their lcm denominator.
+    lcm = math.lcm(*(v.level.denominator for v in result.variables))
     return {
         "k": result.k,
         "formulas": [fm.to_text(z) for z in result.formulas],
@@ -333,7 +336,10 @@ def transform_result_to_doc(result):
         "levels": {str(i): result.levels[z]
                    for i, z in enumerate(result.formulas)},
         "variables": [var_name(index, v) for v in sorted(
-            result.variables, key=lambda v: (index[v.tag], v.level, v.strict))],
+            result.variables,
+            key=lambda v: (index[v.tag],
+                           v.level.numerator * (lcm // v.level.denominator),
+                           v.strict))],
         "g": _mba_to_doc(result.g, index),
     }
 

@@ -5,6 +5,11 @@ rational weights summing to 1; d(A,B) = mu(A symmetric-difference B).
 Formulas are real-valued terms over indexed set variables, including a
 constrained-supremum node (SupChain) evaluated either by exhaustive
 search or by substituting the maximal feasible element.
+
+Inside this module a set is an int mask over the atom order (atom i is
+bit i), and the measure of a mask is an integer sum of the weights over
+their least common denominator, memoised per mask.  The public functions
+take and return frozensets and convert at the boundary.
 """
 
 from __future__ import annotations
@@ -52,11 +57,51 @@ class FiniteMeasureAlgebra:
     def full(self):
         return frozenset(self.atoms)
 
+    @functools.cached_property
+    def bit(self):
+        """atom -> its mask bit, 1 << (position in the atom order)."""
+        return {a: 1 << i for i, a in enumerate(self.atoms)}
+
+    @functools.cached_property
+    def full_mask(self):
+        return (1 << len(self.atoms)) - 1
+
+    def mask(self, subset):
+        """The mask of a set of atoms."""
+        bit = self.bit
+        out = 0
+        for a in subset:
+            out |= bit[a]
+        return out
+
+    def unmask(self, mask):
+        """The frozenset of atoms of a mask."""
+        return frozenset(a for a, b in self.bit.items() if mask & b)
+
+    @functools.cached_property
+    def _mask_measures(self):
+        """The memo of measure_mask, and the weights as integer numerators
+        over their least common denominator."""
+        den = math.lcm(*(w.denominator for w in self.weights.values()))
+        scaled = tuple(self.weights[a].numerator * (den // self.weights[a].denominator)
+                       for a in self.atoms)
+        return {}, scaled, den
+
+    def measure_mask(self, mask):
+        """mu of a mask: one integer sum and one Fraction per mask seen.
+        Only masks that occur are memoised; a 2^n table is never built."""
+        memo, scaled, den = self._mask_measures
+        value = memo.get(mask)
+        if value is None:
+            value = memo[mask] = Fraction(
+                sum(w for i, w in enumerate(scaled) if mask >> i & 1), den)
+        return value
+
     def measure(self, subset):
-        return sum((self.weights[a] for a in subset), Fraction(0))
+        return self.measure_mask(self.mask(subset))
 
     def d(self, a, b):
-        return self.measure(a ^ b)
+        return self.measure_mask(self.mask(a) ^ self.mask(b))
 
     def d_tuple(self, xs, ys):
         if len(xs) != len(ys):
@@ -65,9 +110,23 @@ class FiniteMeasureAlgebra:
 
     def subsets(self, within=None):
         """All subsets of `within` (default: all atoms), in bitmask order."""
-        base = [a for a in self.atoms if within is None or a in within]
-        for mask in range(1 << len(base)):
-            yield frozenset(a for i, a in enumerate(base) if mask >> i & 1)
+        cap = self.full_mask if within is None else self.mask(within)
+        return map(self.unmask, _submasks(cap))
+
+
+def _submasks(cap):
+    """Every submask of cap, ascending: the bitmask order of subsets."""
+    y = 0
+    while True:
+        yield y
+        if y == cap:
+            return
+        y = (y - cap) & cap
+
+
+def _masks(sets, alg):
+    """A dict of frozenset values with each value as a mask."""
+    return {key: alg.mask(s) for key, s in sets.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -151,33 +210,40 @@ class Compl:
 
 
 def eval_set(term, assign, alg, env=None):
-    env = env or {}
-    if isinstance(term, SetVar):
+    """The set a term denotes; assign and env hold frozensets."""
+    return alg.unmask(_eval_set(term, _masks(assign, alg), alg,
+                                _masks(env or {}, alg)))
+
+
+def _eval_set(term, assign, alg, env):
+    """eval_set on masks: assign and env hold masks."""
+    t = type(term)
+    if t is SetVar:
         try:
             return assign[term.index]
         except KeyError:
             raise EvaluationError(f"unbound set variable {term.index}") from None
-    if isinstance(term, ChainVar):
+    if t is ChainVar:
         try:
             return env[(term.binder, term.tag, term.slot)]
         except KeyError:
             raise EvaluationError(f"unbound chain variable {term}") from None
-    if isinstance(term, SetLit):
-        return term.atoms
-    if isinstance(term, Empty):
-        return frozenset()
-    if isinstance(term, Full):
-        return alg.full
-    if isinstance(term, Union):
-        return eval_set(term.left, assign, alg, env) | eval_set(term.right, assign, alg, env)
-    if isinstance(term, Inter):
-        return eval_set(term.left, assign, alg, env) & eval_set(term.right, assign, alg, env)
-    if isinstance(term, Diff):
-        return eval_set(term.left, assign, alg, env) - eval_set(term.right, assign, alg, env)
-    if isinstance(term, SymDiff):
-        return eval_set(term.left, assign, alg, env) ^ eval_set(term.right, assign, alg, env)
-    if isinstance(term, Compl):
-        return alg.full - eval_set(term.body, assign, alg, env)
+    if t is Inter:
+        return _eval_set(term.left, assign, alg, env) & _eval_set(term.right, assign, alg, env)
+    if t is Compl:
+        return alg.full_mask ^ _eval_set(term.body, assign, alg, env)
+    if t is Full:
+        return alg.full_mask
+    if t is Empty:
+        return 0
+    if t is SetLit:
+        return alg.mask(term.atoms)
+    if t is Union:
+        return _eval_set(term.left, assign, alg, env) | _eval_set(term.right, assign, alg, env)
+    if t is Diff:
+        return _eval_set(term.left, assign, alg, env) & ~_eval_set(term.right, assign, alg, env)
+    if t is SymDiff:
+        return _eval_set(term.left, assign, alg, env) ^ _eval_set(term.right, assign, alg, env)
     raise TypeError(f"not a set term: {term!r}")
 
 
@@ -301,45 +367,43 @@ def contains_supchain(g):
     return any(type(node) is SupChain for node in nodes(g))
 
 
-def _feasible_chain_tuples(bounds_values, alg):
-    """All nested tuples (Y_0,...,Y_{l-1}) with Y_j within U_j and all
+def _feasible_chain_tuples(bounds, alg):
+    """All nested mask tuples (Y_0,...,Y_{l-1}) with Y_j within U_j and all
     previous Y's, in deterministic bitmask order."""
 
     def rec(j, prefix, allowed):
-        if j == len(bounds_values):
-            yield tuple(prefix)
+        if j == len(bounds):
+            yield prefix
             return
-        cap = allowed & bounds_values[j]
-        for y in alg.subsets(cap):
-            yield from rec(j + 1, prefix + [y], cap & y)
+        for y in _submasks(allowed & bounds[j]):
+            yield from rec(j + 1, prefix + (y,), y)
 
-    yield from rec(0, [], alg.full)
+    yield from rec(0, (), alg.full_mask)
 
 
-def chain_enumeration_count(bounds_values, alg):
-    """Number of feasible tuples for one evaluated chain.
+def _depth(bounds, bit):
+    """How many leading masks of a bound chain contain the atom's bit."""
+    for j, u in enumerate(bounds):
+        if not u & bit:
+            return j
+    return len(bounds)
+
+
+def chain_enumeration_count(bounds, alg):
+    """Number of feasible tuples for one chain of evaluated bound masks.
 
     A nested tuple is determined by a per-atom depth bounded by the first
     bound set excluding the atom, so the count is a product over atoms.
     """
-    count = 1
-    for a in alg.atoms:
-        cap = len(bounds_values)
-        for j, u in enumerate(bounds_values):
-            if a not in u:
-                cap = j
-                break
-        count *= cap + 1
-    return count
+    return math.prod(_depth(bounds, bit) + 1 for bit in alg.bit.values())
 
 
 def supchain_search_size(g, assign, alg):
     """Total feasible-tuple count of the outermost SupChain under assign."""
-    total = 1
-    for spec in g.chains:
-        values = [eval_set(b, assign, alg) for b in spec.bounds]
-        total *= chain_enumeration_count(values, alg)
-    return total
+    masks = _masks(assign, alg)
+    return math.prod(
+        chain_enumeration_count([_eval_set(b, masks, alg, {}) for b in spec.bounds], alg)
+        for spec in g.chains)
 
 
 def eval_mba(g, assign, alg, mode=MAXIMAL):
@@ -356,26 +420,28 @@ def eval_mba(g, assign, alg, mode=MAXIMAL):
     """
     if mode not in (ENUMERATE, MAXIMAL):
         raise EvaluationError(f"unknown mode {mode!r}")
-    return _eval(g, assign, alg, mode, {})
+    return _eval(g, _masks(assign, alg), alg, mode, {})
 
 
 def _eval(g, assign, alg, mode, env):
-    if isinstance(g, Measure):
-        return alg.measure(eval_set(g.term, assign, alg, env))
-    if isinstance(g, Const):
+    """eval_mba on masks: assign and env hold masks."""
+    t = type(g)
+    if t is Measure:
+        return alg.measure_mask(_eval_set(g.term, assign, alg, env))
+    if t is Const:
         return g.value
-    if isinstance(g, Scale):
+    if t is Scale:
         return g.factor * _eval(g.body, assign, alg, mode, env)
-    if isinstance(g, Add):
+    if t is Add:
         return _eval(g.left, assign, alg, mode, env) + _eval(g.right, assign, alg, mode, env)
-    if isinstance(g, TruncSub):
+    if t is TruncSub:
         v = _eval(g.left, assign, alg, mode, env) - _eval(g.right, assign, alg, mode, env)
         return max(Fraction(0), v)
-    if isinstance(g, Max):
+    if t is Max:
         return max(_eval(item, assign, alg, mode, env) for item in g.items)
-    if isinstance(g, Min):
+    if t is Min:
         return min(_eval(item, assign, alg, mode, env) for item in g.items)
-    if isinstance(g, SupChain):
+    if t is SupChain:
         return _eval_supchain(g, assign, alg, mode, env)
     raise TypeError(f"not an mba formula: {g!r}")
 
@@ -383,7 +449,7 @@ def _eval(g, assign, alg, mode, env):
 def _eval_supchain(g, assign, alg, mode, env):
     bounds = []
     for spec in g.chains:
-        values = [eval_set(b, assign, alg, env) for b in spec.bounds]
+        values = [_eval_set(b, assign, alg, env) for b in spec.bounds]
         bounds.append(values)
     tag_pos = {spec.tag: i for i, spec in enumerate(g.chains)}
     profile_values = []
@@ -393,38 +459,42 @@ def _eval_supchain(g, assign, alg, mode, env):
                 raise EvaluationError(f"profile references unknown tag {tag!r}")
             if not 0 <= slot < len(bounds[tag_pos[tag]]):
                 raise EvaluationError(f"profile slot {slot} out of range for tag {tag!r}")
-        profile_values.append((prof.slots, eval_set(prof.bound, assign, alg, env)))
+        profile_values.append((prof.slots, _eval_set(prof.bound, assign, alg, env)))
     if mode == MAXIMAL:
         for spec, values in zip(g.chains, bounds):
-            prev = alg.full
+            prev = alg.full_mask
             for u in values:
-                if not u <= prev:
+                if u & ~prev:
                     raise ChainError(
                         f"evaluated bound chain for tag {spec.tag!r} is not decreasing"
                     )
                 prev = u
         return _eval_supchain_maximal(g, assign, alg, env, bounds, tag_pos, profile_values)
-    _refuse_over_budget(
+    refuse_over_budget(
         math.prod(chain_enumeration_count(values, alg) for values in bounds),
         "SupChain feasible tuple")
+    # Resolved once per search, not per tuple: each profile's (chain,
+    # slot) positions and the chain variables' env keys.
+    joint = [([(tag_pos[tag], slot) for tag, slot in slots], w)
+             for slots, w in profile_values]
+    keys = [(g.binder, spec.tag, slot)
+            for spec, values in zip(g.chains, bounds) for slot in range(len(values))]
     best = None
     for combo in itertools.product(
         *[_feasible_chain_tuples(values, alg) for values in bounds]
     ):
         ok = True
-        for slots, w in profile_values:
-            meet = alg.full
-            for tag, slot in slots:
-                meet = meet & combo[tag_pos[tag]][slot]
-            if not meet <= w:
+        for positions, w in joint:
+            meet = alg.full_mask
+            for i, slot in positions:
+                meet &= combo[i][slot]
+            if meet & ~w:
                 ok = False
                 break
         if not ok:
             continue
         inner_env = dict(env)
-        for spec, ys in zip(g.chains, combo):
-            for slot, y in enumerate(ys):
-                inner_env[(g.binder, spec.tag, slot)] = y
+        inner_env.update(zip(keys, itertools.chain.from_iterable(combo)))
         v = _eval(g.inner, assign, alg, mode, inner_env)
         if best is None or v > best:
             best = v
@@ -433,7 +503,7 @@ def _eval_supchain(g, assign, alg, mode, env):
     return best
 
 
-def _refuse_over_budget(count, what):
+def refuse_over_budget(count, what):
     if count > ENUMERATE_TUPLE_BUDGET:
         raise BudgetError(
             f"{what} count {count} exceeds budget {ENUMERATE_TUPLE_BUDGET}")
@@ -484,31 +554,22 @@ def _eval_supchain_maximal(g, assign, alg, env, bounds, tag_pos, profile_values)
     For an inner formula increasing in the chain variables the supremum
     is attained with every atom at one of its maximal feasible depth
     vectors, independently across atoms."""
+    bits = tuple(alg.bit.values())
     per_atom = []
-    for a in alg.atoms:
-        caps = []
-        for values in bounds:
-            depth = len(values)
-            for j, u in enumerate(values):
-                if a not in u:
-                    depth = j
-                    break
-            caps.append(depth)
-        forbidden = []
-        for slots, w in profile_values:
-            if a not in w:
-                forbidden.append(tuple((tag_pos[tag], slot) for tag, slot in slots))
+    for bit in bits:
+        caps = [_depth(values, bit) for values in bounds]
+        forbidden = [tuple((tag_pos[tag], slot) for tag, slot in slots)
+                     for slots, w in profile_values if not w & bit]
         per_atom.append(_maximal_depth_vectors(caps, forbidden))
-    _refuse_over_budget(math.prod(map(len, per_atom)),
-                        "maximal depth vector combination")
+    refuse_over_budget(math.prod(map(len, per_atom)),
+                       "maximal depth vector combination")
     best = None
     for combo in itertools.product(*per_atom):
         inner_env = dict(env)
         for i, spec in enumerate(g.chains):
             for slot in range(len(bounds[i])):
-                inner_env[(g.binder, spec.tag, slot)] = frozenset(
-                    a for a, vec in zip(alg.atoms, combo) if vec[i] > slot
-                )
+                inner_env[(g.binder, spec.tag, slot)] = sum(
+                    bit for bit, vec in zip(bits, combo) if vec[i] > slot)
         v = _eval(g.inner, assign, alg, MAXIMAL, inner_env)
         if best is None or v > best:
             best = v
@@ -538,15 +599,6 @@ class MonotoneCounterexample:
     high_value: Fraction
 
 
-def _comparable_pairs(alg):
-    """All (A, B) with A <= B: each atom is in neither, B only, or both."""
-    atoms = alg.atoms
-    for choice in itertools.product(range(3), repeat=len(atoms)):
-        low = frozenset(a for a, c in zip(atoms, choice) if c == 2)
-        high = frozenset(a for a, c in zip(atoms, choice) if c >= 1)
-        yield low, high
-
-
 def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     """Verify g is coordinatewise increasing on alg, evaluating in
     MAXIMAL mode.
@@ -560,18 +612,28 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     if not variables:
         return None
     exhaustive = 3 ** (len(alg.atoms) * len(variables)) <= exhaustive_limit
+    bits = tuple(alg.bit.values())
+
+    def comparable(choice):
+        """Masks A <= B: each atom is in neither (0), B only (1) or both (2)."""
+        low = sum(bit for bit, c in zip(bits, choice) if c == 2)
+        high = sum(bit for bit, c in zip(bits, choice) if c >= 1)
+        return low, high
 
     def test(pairs):
         low = {v: p[0] for v, p in zip(variables, pairs)}
         high = {v: p[1] for v, p in zip(variables, pairs)}
-        lv = eval_mba(g, low, alg)
-        hv = eval_mba(g, high, alg)
+        lv = _eval(g, low, alg, MAXIMAL, {})
+        hv = _eval(g, high, alg, MAXIMAL, {})
         if lv > hv:
-            return MonotoneCounterexample(low, high, lv, hv)
+            return MonotoneCounterexample(
+                {v: alg.unmask(m) for v, m in low.items()},
+                {v: alg.unmask(m) for v, m in high.items()}, lv, hv)
         return None
 
     if exhaustive:
-        all_pairs = list(_comparable_pairs(alg))
+        all_pairs = [comparable(choice)
+                     for choice in itertools.product(range(3), repeat=len(bits))]
         for combo in itertools.product(all_pairs, repeat=len(variables)):
             ce = test(combo)
             if ce is not None:
@@ -580,14 +642,9 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     if trials < 1:
         raise EvaluationError("trials must be >= 1")
     rng = random.Random(seed)
-    atoms = list(alg.atoms)
     for _ in range(trials):
-        pairs = []
-        for _v in variables:
-            choice = [rng.randrange(3) for _a in atoms]
-            low = frozenset(a for a, c in zip(atoms, choice) if c == 2)
-            high = frozenset(a for a, c in zip(atoms, choice) if c >= 1)
-            pairs.append((low, high))
+        pairs = [comparable([rng.randrange(3) for _bit in bits])
+                 for _v in variables]
         ce = test(pairs)
         if ce is not None:
             return ce
@@ -635,19 +692,20 @@ def dist_to_chain_set(xs, bounds, alg):
     bounds, with a nearest witness (first in enumeration order)."""
     bounds = [frozenset(u) for u in bounds]
     _require_decreasing(bounds)
-    xs = [frozenset(x) for x in xs]
+    xs = [alg.mask(x) for x in xs]
     if len(xs) != len(bounds):
         raise ChainError("tuple length does not match chain length")
-    _refuse_over_budget(chain_enumeration_count(bounds, alg),
-                        "chain set tuple")
+    bounds = [alg.mask(u) for u in bounds]
+    refuse_over_budget(chain_enumeration_count(bounds, alg),
+                       "chain set tuple")
     best = None
     witness = None
     for ys in _feasible_chain_tuples(bounds, alg):
-        d = alg.d_tuple(xs, ys)
+        d = max(alg.measure_mask(x ^ y) for x, y in zip(xs, ys))
         if best is None or d < best:
             best = d
             witness = ys
-    return best, witness
+    return best, tuple(map(alg.unmask, witness))
 
 
 def psi_multichain(chains):

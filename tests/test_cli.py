@@ -350,6 +350,8 @@ def _signature_doc(arity):
      {"atoms": [["a"], ["b"]], "weights": ["1/2", "1/2"]}),
     (["mba", "defin", "--algebra", "DOC"],
      {"atoms": "ab", "weights": ["1/2", "1/2"]}),
+    (["mba", "defin", "--algebra", "DOC"],
+     {"atoms": [0.5, 1.5], "weights": ["1/2", "1/2"]}),
     (["typei", "rho", "--desc", "DOC"],
      {"components": [{"m": "two", "atoms": ["1"]}]}),
     (["typei", "rho", "--desc", "DOC"],
@@ -359,7 +361,8 @@ def _signature_doc(arity):
         "dist-chain-number", "points-string", "points-nested",
         "assignment-unknown-atom", "arity-string", "arity-null",
         "arity-fraction", "fibers-list", "preds-list", "dist-number",
-        "atoms-lists", "atoms-string", "m-string", "m-fraction"])
+        "atoms-lists", "atoms-string", "atoms-float", "m-string",
+        "m-fraction"])
 def test_malformed_document_exit_2(paths, tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -388,6 +391,20 @@ def test_mba_monotone(paths, capsys):
     ])
     assert code == cli.EXIT_PASS
     assert json.loads(out) == {"ok": True}
+
+
+def test_mba_defin_budget_exit_2(tmp_path, capsys):
+    # 4**20 subset pairs against 3**20 inclusion pairs: 12**20 comparisons,
+    # refused from the closed-form count, not walked.
+    atoms = [f"w{i}" for i in range(20)]
+    alg_path = tmp_path / "wide_alg.json"
+    alg_path.write_text(json.dumps(jsonio.algebra_to_doc(
+        uniform_space(atoms))), encoding="utf-8")
+    code, out, err = run(capsys, ["mba", "defin", "--algebra", str(alg_path)])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == "budget"
+    assert str(12**20) in json.loads(err)["message"]
 
 
 def test_mba_dist_budget_exit_2(tmp_path, capsys):

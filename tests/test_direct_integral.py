@@ -1,6 +1,7 @@
 """Direct integrals: evaluation oracle, level sets, distributions,
 relabeling, and materialization."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -312,6 +313,22 @@ def test_function_terms_on_the_integral_match_materialize():
             seen.add(v)
     # f is not constant, so the values depend on the assignment.
     assert len(seen) > len(texts)
+
+
+def test_materialize_refuses_oversized_tables():
+    # Three atoms with two-point fibers give 8 choice functions, within
+    # the limit, but an 8-ary predicate table on them has 8**8 entries:
+    # refused from the closed-form count before any table is built.
+    sig = fm.Signature(predicates=(("S", 8),))
+    points = ("p", "q")
+    fiber = st.ensure_valid(st.FiniteMetricStructure(
+        sig, points, {(p, q): F(int(p != q)) for p in points for q in points},
+        {"S": {t: F(0) for t in itertools.product(points, repeat=8)}}))
+    field_ = di.MeasurableField(uniform_space(("w1", "w2", "w3")),
+                                {a: fiber for a in ("w1", "w2", "w3")})
+    assert field_.element_count() == 8
+    with pytest.raises(BudgetError, match=str(8**2 + 8**8)):
+        di.materialize(field_)
 
 
 def test_materialize_metric_is_integrated():

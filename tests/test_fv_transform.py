@@ -118,7 +118,7 @@ def test_rejects_small_k_and_inf():
     sig = family.default_signature()
     for text in ("inf y . P(y)", "half(inf y . R(x, y))"):
         phi = fm.parse_formula(text, sig)
-        assert fm.contains_inf(phi)
+        assert any(type(n) is fm.Inf for n in fm.nodes(phi))
         direct = tr.transform(phi, 2, 1 << 16, 1 << 16)
         rewritten = tr.transform(fm.rewrite_inf(phi), 2, 1 << 16, 1 << 16)
         assert direct.levels == rewritten.levels

@@ -1,0 +1,212 @@
+"""The integer core: the oracle's per-field integer tables and the
+measure algebra's masks, each against its Fraction and frozenset
+definition, on weights and table values with coprime denominators; and
+a guard that no float appears in the program."""
+
+import ast
+import itertools
+import pathlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from dilogic import family, mba
+from dilogic import formula as fm
+from dilogic import integral as di
+from dilogic import structure as st
+
+F = Fraction
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dilogic"
+
+# Weight lists of 1 to 3 atoms with pairwise coprime denominators: the
+# acceptance family only draws power-of-two denominators.
+COPRIME_WEIGHTS = (
+    (F(1),),
+    (F(1, 3), F(2, 3)),
+    (F(1, 5), F(2, 7), F(18, 35)),
+)
+
+
+def _algebra(weights):
+    atoms = tuple(f"w{i}" for i in range(len(weights)))
+    return mba.FiniteMeasureAlgebra(atoms, dict(zip(atoms, weights)))
+
+
+ALGEBRAS = [_algebra(w) for w in COPRIME_WEIGHTS]
+
+
+# ---------------------------------------------------------------------------
+# The integer oracle
+
+
+def _coprime_field():
+    """Weights 1/3 and 2/3; fiber metrics and tables over 5 and over 7."""
+    sig = family.default_signature()
+    rng = random.Random(0)
+    space = di.FiniteProbabilitySpace(("w1", "w2"), {"w1": F(1, 3), "w2": F(2, 3)})
+    return di.MeasurableField(space, {
+        "w1": family.random_structure(sig, rng, 2, prefix="a", denom=5),
+        "w2": family.random_structure(sig, rng, 3, prefix="b", denom=7),
+    })
+
+
+def test_weighted_preds_share_the_lcm_denominator():
+    field_ = _coprime_field()
+    den, tables = field_.weighted_preds
+    assert den == 105
+    weights = field_.space.weights
+    for name, _arity in field_.signature.predicates:
+        assert [w for w, _table in tables[name]] == list(field_.space.atoms)
+        for w, table in tables[name]:
+            fiber = field_.fibers[w].preds[name]
+            assert set(table) == set(fiber)
+            for args, numerator in table.items():
+                assert type(numerator) is int
+                assert F(numerator, den) == weights[w] * fiber[args]
+    # Built once per field.
+    assert field_.weighted_preds is field_.weighted_preds
+
+
+def test_oracle_matches_materialize_with_coprime_denominators():
+    field_ = _coprime_field()
+    M = di.materialize(field_)
+    atoms = field_.space.atoms
+    phis = family.sentence_suite() + [
+        phi for _name, phi, _small in family.formula_templates()]
+    checked = 0
+    for phi in phis:
+        free = sorted(fm.free_vars(phi))
+        for combo in itertools.product(field_.elements(), repeat=len(free)):
+            assignment = dict(zip(free, combo))
+            local = {v: tuple(e(a) for a in atoms) for v, e in assignment.items()}
+            assert di.eval_on_integral(phi, field_, assignment) == st.eval_formula(
+                phi, M, local)
+            checked += 1
+    assert checked > len(phis)
+
+
+# ---------------------------------------------------------------------------
+# Masks against their frozenset definitions
+
+
+def _measure(alg, subset):
+    return sum((alg.weights[a] for a in subset), F(0))
+
+
+def _set_terms():
+    """Every set term over X and Y of depth at most two: the leaves, their
+    complements, and each binary operation on two of those."""
+    x = mba.SetVar(mba.SetVarIndex("X", 0))
+    y = mba.SetVar(mba.SetVarIndex("Y", 0))
+    leaves = [x, y, mba.Empty(), mba.Full(), mba.SetLit(frozenset({"w0"}))]
+    unary = leaves + [mba.Compl(t) for t in leaves]
+    return unary + [op(a, b)
+                    for op in (mba.Union, mba.Inter, mba.Diff, mba.SymDiff)
+                    for a, b in itertools.product(unary, repeat=2)]
+
+
+def _eval_set_reference(term, assign, alg):
+    rec = lambda t: _eval_set_reference(t, assign, alg)  # noqa: E731
+    if type(term) is mba.SetVar:
+        return assign[term.index]
+    if type(term) is mba.SetLit:
+        return term.atoms
+    if type(term) is mba.Empty:
+        return frozenset()
+    if type(term) is mba.Full:
+        return frozenset(alg.atoms)
+    if type(term) is mba.Compl:
+        return frozenset(alg.atoms) - rec(term.body)
+    left, right = rec(term.left), rec(term.right)
+    return {mba.Union: left | right, mba.Inter: left & right,
+            mba.Diff: left - right, mba.SymDiff: left ^ right}[type(term)]
+
+
+def _subsets_reference(alg, within):
+    """The subsets of within in bitmask order over its own atoms."""
+    base = [a for a in alg.atoms if a in within]
+    for m in range(1 << len(base)):
+        yield frozenset(a for i, a in enumerate(base) if m >> i & 1)
+
+
+def _feasible_reference(bounds, alg):
+    """The frozenset definition: nested tuples in bitmask order."""
+
+    def rec(j, prefix, allowed):
+        if j == len(bounds):
+            yield tuple(prefix)
+            return
+        cap = allowed & bounds[j]
+        for y in _subsets_reference(alg, cap):
+            yield from rec(j + 1, prefix + [y], cap & y)
+
+    yield from rec(0, [], frozenset(alg.atoms))
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"{len(a.atoms)}atoms")
+def test_measure_and_d_equal_their_definitions(alg):
+    subsets = list(alg.subsets())
+    assert subsets == list(_subsets_reference(alg, alg.atoms))
+    for cap in subsets:
+        assert list(alg.subsets(cap)) == list(_subsets_reference(alg, cap))
+    for a in subsets:
+        assert alg.unmask(alg.mask(a)) == a
+        assert alg.measure(a) == _measure(alg, a)
+        for b in subsets:
+            assert alg.d(a, b) == _measure(alg, a ^ b)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"{len(a.atoms)}atoms")
+def test_eval_set_equals_its_definition(alg):
+    terms = _set_terms()
+    subsets = list(alg.subsets())
+    x, y = mba.SetVarIndex("X", 0), mba.SetVarIndex("Y", 0)
+    for sx, sy in itertools.product(subsets, repeat=2):
+        assign = {x: sx, y: sy}
+        for term in terms:
+            assert mba.eval_set(term, assign, alg) == _eval_set_reference(
+                term, assign, alg)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"{len(a.atoms)}atoms")
+def test_feasible_chain_tuples_follow_subsets_order(alg):
+    subsets = list(alg.subsets())
+    for length in (1, 2):
+        for bounds in itertools.product(subsets, repeat=length):
+            masks = [alg.mask(u) for u in bounds]
+            got = [tuple(map(alg.unmask, ys))
+                   for ys in mba._feasible_chain_tuples(masks, alg)]
+            assert got == list(_feasible_reference(list(bounds), alg))
+            assert len(got) == mba.chain_enumeration_count(masks, alg)
+
+
+@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"{len(a.atoms)}atoms")
+def test_dist_to_chain_set_equals_brute_force(alg):
+    subsets = list(alg.subsets())
+    chains = [(u0, u1) for u0 in subsets for u1 in subsets if u1 <= u0]
+    for bounds in chains:
+        members = list(_feasible_reference(list(bounds), alg))
+        for xs in itertools.product(subsets, repeat=2):
+            dist, witness = mba.dist_to_chain_set(xs, bounds, alg)
+            distances = [max(_measure(alg, x ^ y) for x, y in zip(xs, ys))
+                         for ys in members]
+            assert dist == min(distances)
+            assert witness == members[distances.index(dist)]
+
+
+# ---------------------------------------------------------------------------
+# No floats in the program
+
+
+def test_no_float_in_the_program():
+    offences = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                offences.append(f"{path.name}:{node.lineno} float literal")
+            if isinstance(node, ast.Name) and node.id == "float":
+                offences.append(f"{path.name}:{node.lineno} name float")
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert offences == []
