@@ -7,9 +7,16 @@ constrained-supremum node (SupChain) evaluated either by exhaustive
 search or by substituting the maximal feasible element.
 
 Inside this module a set is an int mask over the atom order (atom i is
-bit i), and the measure of a mask is an integer sum of the weights over
-their least common denominator, memoised per mask.  The public functions
-take and return frozensets and convert at the boundary.
+bit i).  eval_mba, check_monotone, eval_set and supchain_search_size
+compile their formula once per call into closures of no arguments over
+masks (_Compiler): each free set variable reads a slot of one list of
+masks, each chain variable a slot of one flat list that the SupChain
+searches write in place, and every value is an integer over one scale S,
+the weight denominator times the lcm of the Const denominators and the
+products of nested Scale denominators, so a result is one Fraction.
+Nothing is cached across calls: each call pays for its own O(|G|)
+compile.  The public functions take and return frozensets and convert at
+the boundary.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ MAXIMAL = "maximal"
 # Enumerate mode refuses a SupChain whose feasible chain tuples, counted
 # in closed form, exceed this; the 204-instance suite needs at most 13,068.
 # The same budget caps maximal mode's product of per-atom maximal vectors
-# and the chain-set walk of dist_to_chain_set.
+# and each atom's depth-vector search, the chain-set walk of
+# dist_to_chain_set, and structure's permutation and assignment searches.
 ENUMERATE_TUPLE_BUDGET = 10**6
 
 
@@ -124,11 +132,6 @@ def _submasks(cap):
         y = (y - cap) & cap
 
 
-def _masks(sets, alg):
-    """A dict of frozenset values with each value as a mask."""
-    return {key: alg.mask(s) for key, s in sets.items()}
-
-
 # ---------------------------------------------------------------------------
 # Set variables and set terms
 
@@ -210,41 +213,14 @@ class Compl:
 
 
 def eval_set(term, assign, alg, env=None):
-    """The set a term denotes; assign and env hold frozensets."""
-    return alg.unmask(_eval_set(term, _masks(assign, alg), alg,
-                                _masks(env or {}, alg)))
-
-
-def _eval_set(term, assign, alg, env):
-    """eval_set on masks: assign and env hold masks."""
-    t = type(term)
-    if t is SetVar:
-        try:
-            return assign[term.index]
-        except KeyError:
-            raise EvaluationError(f"unbound set variable {term.index}") from None
-    if t is ChainVar:
-        try:
-            return env[(term.binder, term.tag, term.slot)]
-        except KeyError:
-            raise EvaluationError(f"unbound chain variable {term}") from None
-    if t is Inter:
-        return _eval_set(term.left, assign, alg, env) & _eval_set(term.right, assign, alg, env)
-    if t is Compl:
-        return alg.full_mask ^ _eval_set(term.body, assign, alg, env)
-    if t is Full:
-        return alg.full_mask
-    if t is Empty:
-        return 0
-    if t is SetLit:
-        return alg.mask(term.atoms)
-    if t is Union:
-        return _eval_set(term.left, assign, alg, env) | _eval_set(term.right, assign, alg, env)
-    if t is Diff:
-        return _eval_set(term.left, assign, alg, env) & ~_eval_set(term.right, assign, alg, env)
-    if t is SymDiff:
-        return _eval_set(term.left, assign, alg, env) ^ _eval_set(term.right, assign, alg, env)
-    raise TypeError(f"not a set term: {term!r}")
+    """The set a term denotes; assign holds frozensets by SetVarIndex and
+    env frozensets by chain-variable key (binder, tag, slot)."""
+    env = env or {}
+    compiler = _Compiler(alg)
+    compiler.e.extend(map(alg.mask, env.values()))
+    term = compiler.set_term(term, {key: i for i, key in enumerate(env)})
+    compiler.bind(assign)
+    return alg.unmask(term())
 
 
 def inter_all(terms):
@@ -400,10 +376,10 @@ def chain_enumeration_count(bounds, alg):
 
 def supchain_search_size(g, assign, alg):
     """Total feasible-tuple count of the outermost SupChain under assign."""
-    masks = _masks(assign, alg)
-    return math.prod(
-        chain_enumeration_count([_eval_set(b, masks, alg, {}) for b in spec.bounds], alg)
-        for spec in g.chains)
+    compiler = _Compiler(alg)
+    bounds = [[compiler.set_term(b, {}) for b in spec.bounds] for spec in g.chains]
+    compiler.bind(assign)
+    return math.prod(chain_enumeration_count([b() for b in bs], alg) for bs in bounds)
 
 
 def eval_mba(g, assign, alg, mode=MAXIMAL):
@@ -420,87 +396,10 @@ def eval_mba(g, assign, alg, mode=MAXIMAL):
     """
     if mode not in (ENUMERATE, MAXIMAL):
         raise EvaluationError(f"unknown mode {mode!r}")
-    return _eval(g, _masks(assign, alg), alg, mode, {})
-
-
-def _eval(g, assign, alg, mode, env):
-    """eval_mba on masks: assign and env hold masks."""
-    t = type(g)
-    if t is Measure:
-        return alg.measure_mask(_eval_set(g.term, assign, alg, env))
-    if t is Const:
-        return g.value
-    if t is Scale:
-        return g.factor * _eval(g.body, assign, alg, mode, env)
-    if t is Add:
-        return _eval(g.left, assign, alg, mode, env) + _eval(g.right, assign, alg, mode, env)
-    if t is TruncSub:
-        v = _eval(g.left, assign, alg, mode, env) - _eval(g.right, assign, alg, mode, env)
-        return max(Fraction(0), v)
-    if t is Max:
-        return max(_eval(item, assign, alg, mode, env) for item in g.items)
-    if t is Min:
-        return min(_eval(item, assign, alg, mode, env) for item in g.items)
-    if t is SupChain:
-        return _eval_supchain(g, assign, alg, mode, env)
-    raise TypeError(f"not an mba formula: {g!r}")
-
-
-def _eval_supchain(g, assign, alg, mode, env):
-    bounds = []
-    for spec in g.chains:
-        values = [_eval_set(b, assign, alg, env) for b in spec.bounds]
-        bounds.append(values)
-    tag_pos = {spec.tag: i for i, spec in enumerate(g.chains)}
-    profile_values = []
-    for prof in g.profiles:
-        for tag, slot in prof.slots:
-            if tag not in tag_pos:
-                raise EvaluationError(f"profile references unknown tag {tag!r}")
-            if not 0 <= slot < len(bounds[tag_pos[tag]]):
-                raise EvaluationError(f"profile slot {slot} out of range for tag {tag!r}")
-        profile_values.append((prof.slots, _eval_set(prof.bound, assign, alg, env)))
-    if mode == MAXIMAL:
-        for spec, values in zip(g.chains, bounds):
-            prev = alg.full_mask
-            for u in values:
-                if u & ~prev:
-                    raise ChainError(
-                        f"evaluated bound chain for tag {spec.tag!r} is not decreasing"
-                    )
-                prev = u
-        return _eval_supchain_maximal(g, assign, alg, env, bounds, tag_pos, profile_values)
-    refuse_over_budget(
-        math.prod(chain_enumeration_count(values, alg) for values in bounds),
-        "SupChain feasible tuple")
-    # Resolved once per search, not per tuple: each profile's (chain,
-    # slot) positions and the chain variables' env keys.
-    joint = [([(tag_pos[tag], slot) for tag, slot in slots], w)
-             for slots, w in profile_values]
-    keys = [(g.binder, spec.tag, slot)
-            for spec, values in zip(g.chains, bounds) for slot in range(len(values))]
-    best = None
-    for combo in itertools.product(
-        *[_feasible_chain_tuples(values, alg) for values in bounds]
-    ):
-        ok = True
-        for positions, w in joint:
-            meet = alg.full_mask
-            for i, slot in positions:
-                meet &= combo[i][slot]
-            if meet & ~w:
-                ok = False
-                break
-        if not ok:
-            continue
-        inner_env = dict(env)
-        inner_env.update(zip(keys, itertools.chain.from_iterable(combo)))
-        v = _eval(g.inner, assign, alg, mode, inner_env)
-        if best is None or v > best:
-            best = v
-    if best is None:
-        raise EvaluationError("SupChain has an empty feasible region")
-    return best
+    compiler = _Compiler(alg, mode)
+    value, scale = compiler.formula(g)
+    compiler.bind(assign)
+    return Fraction(value(), scale)
 
 
 def refuse_over_budget(count, what):
@@ -513,7 +412,10 @@ def _maximal_depth_vectors(caps, forbidden):
     """Maximal vectors v with 0 <= v[i] <= caps[i] avoiding every forbidden
     pattern: v is infeasible when some pattern ((i, j), ...) has v[i] > j in
     all its coordinates.  The feasible set is downward closed, so its
-    maximal elements exist and are computed by branching on violations."""
+    maximal elements exist and are computed by branching on violations.
+    The branching visits each vector under caps at most once, so it is
+    refused when there are more of those than the budget allows."""
+    refuse_over_budget(math.prod(c + 1 for c in caps), "maximal depth vector search")
     memo = {}
 
     def violated(v):
@@ -545,35 +447,255 @@ def _maximal_depth_vectors(caps, forbidden):
     )
 
 
-def _eval_supchain_maximal(g, assign, alg, env, bounds, tag_pos, profile_values):
-    """Supremum via per-atom maximal feasible patterns.
+# ---------------------------------------------------------------------------
+# Compiling a formula
 
-    All constraints are pointwise: an atom's membership pattern is a
-    per-tag prefix depth capped by the first excluding bound, and a
-    profile forbids jointly exceeding its slots outside its bound set.
-    For an inner formula increasing in the chain variables the supremum
-    is attained with every atom at one of its maximal feasible depth
-    vectors, independently across atoms."""
-    bits = tuple(alg.bit.values())
-    per_atom = []
-    for bit in bits:
-        caps = [_depth(values, bit) for values in bounds]
-        forbidden = [tuple((tag_pos[tag], slot) for tag, slot in slots)
-                     for slots, w in profile_values if not w & bit]
-        per_atom.append(_maximal_depth_vectors(caps, forbidden))
-    refuse_over_budget(math.prod(map(len, per_atom)),
-                       "maximal depth vector combination")
-    best = None
-    for combo in itertools.product(*per_atom):
-        inner_env = dict(env)
-        for i, spec in enumerate(g.chains):
-            for slot in range(len(bounds[i])):
-                inner_env[(g.binder, spec.tag, slot)] = sum(
-                    bit for bit, vec in zip(bits, combo) if vec[i] > slot)
-        v = _eval(g.inner, assign, alg, MAXIMAL, inner_env)
-        if best is None or v > best:
-            best = v
-    return best
+
+def _leaf_denominator(g, above=1):
+    """The lcm, over the Measure and Const leaves of g, of the product of
+    the Scale denominators above the leaf times the leaf's own denominator
+    (1 for a Measure).  Times the weight denominator, it is the scale S
+    at which every subformula's value is an integer: the body of a
+    Scale(n/d) is then a multiple of d."""
+    t = type(g)
+    if t is Measure:
+        return above
+    if t is Const:
+        return above * g.value.denominator
+    if t is Scale:
+        return _leaf_denominator(g.body, above * g.factor.denominator)
+    if t is SupChain:
+        return _leaf_denominator(g.inner, above)
+    if t is Add or t is TruncSub:
+        children = (g.left, g.right)
+    elif t is Max or t is Min:
+        children = g.items
+    else:
+        raise TypeError(f"not an mba formula: {g!r}")
+    return math.lcm(*(_leaf_denominator(c, above) for c in children))
+
+
+class _Measures(dict):
+    """mask -> its measure times S, an integer computed on first use."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights):
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, mask):
+        value = self[mask] = sum(w for i, w in enumerate(self.weights) if mask >> i & 1)
+        return value
+
+
+class _Compiler:
+    """Compiles a formula or set term into closures of no arguments, once
+    per call of eval_mba, check_monotone, eval_set or supchain_search_size;
+    nothing outlives that call.
+
+    A free SetVar reads its slot of the list `a`, which bind fills from
+    an assignment or the caller writes in the order of the `variables` it
+    names; slots of other variables follow in order of first occurrence.
+    A ChainVar reads its slot of the list `e`, which the search of its
+    SupChain writes in place.  Set terms give masks and formulas give
+    their value times the scale S, an integer.  A chain variable no
+    enclosing SupChain binds and a profile naming no slot of its SupChain
+    are EvaluationErrors when compiled, an unassigned set variable when
+    bound.
+    """
+
+    def __init__(self, alg, mode=MAXIMAL, variables=()):
+        self.alg = alg
+        self.mode = mode
+        self.slots = {v: i for i, v in enumerate(variables)}
+        self.a = []
+        self.e = []
+
+    def formula(self, g):
+        """The closure of a formula and the scale S of its values."""
+        _memo, weights, den = self.alg._mask_measures
+        unit = _leaf_denominator(g)
+        self.scale = den * unit
+        self.measures = _Measures(tuple(w * unit for w in weights))
+        return self.value(g, {}), self.scale
+
+    def slot(self, index):
+        return self.slots.setdefault(index, len(self.slots))
+
+    def bind(self, assign):
+        """Fill a from assign (frozensets by SetVarIndex), one lookup per
+        variable the compiled closures read."""
+        a = self.a
+        a.clear()
+        for index in self.slots:
+            try:
+                subset = assign[index]
+            except KeyError:
+                raise EvaluationError(f"unbound set variable {index}") from None
+            a.append(self.alg.mask(subset))
+
+    def set_term(self, t, scope):
+        """The closure of a set term; scope maps each chain-variable key
+        (binder, tag, slot) in reach to its slot of e."""
+        k = type(t)
+        if k is SetVar:
+            a, i = self.a, self.slot(t.index)
+            return lambda: a[i]
+        if k is ChainVar:
+            i = scope.get((t.binder, t.tag, t.slot))
+            if i is None:
+                raise EvaluationError(f"unbound chain variable {t}")
+            e = self.e
+            return lambda: e[i]
+        if k is Inter or k is Union or k is Diff or k is SymDiff:
+            left, right = self.set_term(t.left, scope), self.set_term(t.right, scope)
+            if k is Inter:
+                return lambda: left() & right()
+            if k is Union:
+                return lambda: left() | right()
+            if k is Diff:
+                return lambda: left() & ~right()
+            return lambda: left() ^ right()
+        full = self.alg.full_mask
+        if k is Compl:
+            body = self.set_term(t.body, scope)
+            return lambda: full ^ body()
+        if k is Full or k is Empty or k is SetLit:
+            mask = full if k is Full else 0 if k is Empty else self.alg.mask(t.atoms)
+            return lambda: mask
+        raise TypeError(f"not a set term: {t!r}")
+
+    def value(self, g, scope):
+        """The closure of a formula: its value times S."""
+        t = type(g)
+        if t is Measure:
+            measures, term = self.measures, self.set_term(g.term, scope)
+            return lambda: measures[term()]
+        if t is Const:
+            c = g.value.numerator * (self.scale // g.value.denominator)
+            return lambda: c
+        if t is Scale:
+            n, d = g.factor.numerator, g.factor.denominator
+            body = self.value(g.body, scope)
+            return lambda: n * body() // d
+        if t is Add or t is TruncSub:
+            left, right = self.value(g.left, scope), self.value(g.right, scope)
+            if t is Add:
+                return lambda: left() + right()
+
+            def trunc_sub():
+                v = left() - right()
+                return v if v > 0 else 0
+            return trunc_sub
+        if t is Max or t is Min:
+            pick = max if t is Max else min
+            items = tuple(self.value(item, scope) for item in g.items)
+            return lambda: pick([f() for f in items])
+        if t is SupChain:
+            return self.supchain(g, scope)
+        raise TypeError(f"not an mba formula: {g!r}")
+
+    def supchain(self, g, scope):
+        """The bounds and profile bounds read the enclosing scope; the
+        chain variables get consecutive slots of e, chain after chain, in
+        the inner formula's scope."""
+        bounds = [[self.set_term(b, scope) for b in spec.bounds] for spec in g.chains]
+        tag_pos = {spec.tag: i for i, spec in enumerate(g.chains)}
+        profiles = []
+        for prof in g.profiles:
+            for tag, slot in prof.slots:
+                if tag not in tag_pos:
+                    raise EvaluationError(f"profile references unknown tag {tag!r}")
+                if not 0 <= slot < len(bounds[tag_pos[tag]]):
+                    raise EvaluationError(f"profile slot {slot} out of range for tag {tag!r}")
+            profiles.append((tuple((tag_pos[tag], slot) for tag, slot in prof.slots),
+                             self.set_term(prof.bound, scope)))
+        starts, inner_scope = [], dict(scope)
+        for spec, bs in zip(g.chains, bounds):
+            starts.append(len(self.e))
+            for slot in range(len(bs)):
+                inner_scope[(g.binder, spec.tag, slot)] = len(self.e)
+                self.e.append(0)
+        inner = self.value(g.inner, inner_scope)
+        if self.mode == ENUMERATE:
+            return self.enumerate_search(bounds, starts, profiles, inner)
+        tags = [spec.tag for spec in g.chains]
+        return self.maximal_search(tags, bounds, starts, profiles, inner)
+
+    def enumerate_search(self, bounds, starts, profiles, inner):
+        """Supremum over every feasible tuple, in bitmask order."""
+        alg, e, full = self.alg, self.e, self.alg.full_mask
+        lo = starts[0] if starts else 0
+        hi = lo + sum(map(len, bounds))
+        positions = [tuple(starts[i] + slot for i, slot in pairs) for pairs, _w in profiles]
+
+        def search():
+            us = [[b() for b in bs] for bs in bounds]
+            joint = [(ps, full & ~w()) for ps, (_pairs, w) in zip(positions, profiles)]
+            refuse_over_budget(math.prod(chain_enumeration_count(u, alg) for u in us),
+                               "SupChain feasible tuple")
+            best = None
+            for combo in itertools.product(*[_feasible_chain_tuples(u, alg) for u in us]):
+                e[lo:hi] = itertools.chain.from_iterable(combo)
+                for ps, outside in joint:
+                    for p in ps:
+                        outside &= e[p]
+                    if outside:
+                        break
+                else:
+                    v = inner()
+                    if best is None or v > best:
+                        best = v
+            if best is None:
+                raise EvaluationError("SupChain has an empty feasible region")
+            return best
+
+        return search
+
+    def maximal_search(self, tags, bounds, starts, profiles, inner):
+        """Supremum via per-atom maximal feasible patterns.
+
+        All constraints are pointwise: an atom's membership pattern is a
+        per-tag prefix depth capped by the first excluding bound, and a
+        profile forbids jointly exceeding its slots outside its bound set.
+        For an inner formula increasing in the chain variables the
+        supremum is attained with every atom at one of its maximal
+        feasible depth vectors, independently across atoms."""
+        alg, e = self.alg, self.e
+        bits = tuple(alg.bit.values())
+
+        def search():
+            us = [[b() for b in bs] for bs in bounds]
+            ws = [(pairs, w()) for pairs, w in profiles]
+            for tag, u in zip(tags, us):
+                prev = alg.full_mask
+                for m in u:
+                    if m & ~prev:
+                        raise ChainError(
+                            f"evaluated bound chain for tag {tag!r} is not decreasing")
+                    prev = m
+            per_atom = []
+            for bit in bits:
+                caps = [_depth(u, bit) for u in us]
+                forbidden = [pairs for pairs, w in ws if not w & bit]
+                per_atom.append(_maximal_depth_vectors(caps, forbidden))
+            refuse_over_budget(math.prod(map(len, per_atom)),
+                               "maximal depth vector combination")
+            best = None
+            for combo in itertools.product(*per_atom):
+                for i, (start, u) in enumerate(zip(starts, us)):
+                    for slot in range(len(u)):
+                        e[start + slot] = sum(
+                            bit for bit, vec in zip(bits, combo) if vec[i] > slot)
+                v = inner()
+                if best is None or v > best:
+                    best = v
+            if best is None:
+                raise EvaluationError("SupChain has an empty feasible region")
+            return best
+
+        return search
 
 
 def substitute_set_vars(g, mapping):
@@ -612,7 +734,12 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     if not variables:
         return None
     exhaustive = 3 ** (len(alg.atoms) * len(variables)) <= exhaustive_limit
+    if not exhaustive and trials < 1:
+        raise EvaluationError("trials must be >= 1")
     bits = tuple(alg.bit.values())
+    compiler = _Compiler(alg, variables=variables)
+    value, scale = compiler.formula(g)
+    a = compiler.a
 
     def comparable(choice):
         """Masks A <= B: each atom is in neither (0), B only (1) or both (2)."""
@@ -621,14 +748,16 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
         return low, high
 
     def test(pairs):
-        low = {v: p[0] for v, p in zip(variables, pairs)}
-        high = {v: p[1] for v, p in zip(variables, pairs)}
-        lv = _eval(g, low, alg, MAXIMAL, {})
-        hv = _eval(g, high, alg, MAXIMAL, {})
+        low, high = zip(*pairs)
+        a[:] = low
+        lv = value()
+        a[:] = high
+        hv = value()
         if lv > hv:
             return MonotoneCounterexample(
-                {v: alg.unmask(m) for v, m in low.items()},
-                {v: alg.unmask(m) for v, m in high.items()}, lv, hv)
+                {v: alg.unmask(m) for v, m in zip(variables, low)},
+                {v: alg.unmask(m) for v, m in zip(variables, high)},
+                Fraction(lv, scale), Fraction(hv, scale))
         return None
 
     if exhaustive:
@@ -639,8 +768,6 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
             if ce is not None:
                 return ce
         return None
-    if trials < 1:
-        raise EvaluationError("trials must be >= 1")
     rng = random.Random(seed)
     for _ in range(trials):
         pairs = [comparable([rng.randrange(3) for _bit in bits])

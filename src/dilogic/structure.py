@@ -12,11 +12,13 @@ formulas on the direct integral of a field (see integral.eval_on_integral).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formula as fm
 from .errors import EvaluationError, ValidationError
+from .mba import refuse_over_budget
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,7 @@ def eval_formula(phi, M, assignment=None):
 def theory_norm(phi, M):
     """Max of eval_formula over all assignments of phi's free variables."""
     names = sorted(fm.free_vars(phi))
+    refuse_over_budget(len(M.points) ** len(names), "theory_norm assignment")
     best = Fraction(0)
     for combo in itertools.product(M.points, repeat=len(names)):
         v = eval_formula(phi, M, dict(zip(names, combo)))
@@ -174,12 +177,14 @@ def is_isomorphic(M, N):
     """Search for a distance- and table-preserving bijection M -> N.
 
     Returns the bijection as a dict, or None.  Exhaustive over point
-    permutations, so intended for small structures only.
+    permutations, so intended for small structures only: n! permutations
+    over the budget are refused.
     """
     if M.signature != N.signature:
         return None
     if len(M.points) != len(N.points):
         return None
+    refuse_over_budget(math.factorial(len(M.points)), "point permutation")
     for perm in itertools.permutations(N.points):
         b = dict(zip(M.points, perm))
         if _is_iso(M, N, b):

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -482,6 +486,19 @@ SELFTEST_SHA256 = (
     "42ac4639738a6c66ec3ae4138098d9b4cdcdd289f30007a29a968c03cdd18c2f",
     "1d641d396b7ec9e665a2635fa4516a50be9fea0a2c975aa78de4ed0447d7d010",
 )
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    argv = ["selftest", "--seed", "0", "--count", "1"]
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "dilogic", *argv], env=env,
+                          capture_output=True, text=True, timeout=120, check=False)
+    code, out, _ = run(capsys, argv)
+    assert proc.returncode == code == cli.EXIT_PASS
+    assert proc.stdout == out
 
 
 def test_selftest_golden_bytes(capsys):

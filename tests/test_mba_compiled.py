@@ -1,0 +1,436 @@
+"""The compiled measure-algebra evaluator against its definition.
+
+eval_mba compiles G once per call into closures over int masks whose
+values are integers over one scale.  A Fraction and frozenset evaluator
+written here from the definitions checks it in both SupChain modes on
+random formulas over 1-3 atoms with non-uniform weights: nested
+Scale(1/2), Scale(1/3) and Scale(1/k), Const with denominators 5 and 7,
+TruncSub below zero, Max/Min, and SupChains with joint profiles.
+check_monotone must return the counterexample that the same search,
+run with the reference evaluator, finds first; the compile-time errors
+keep their EvaluationError type.
+"""
+
+import itertools
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from dilogic import checks, family, mba
+from dilogic import formula as fm
+from dilogic import transform as tr
+from dilogic.errors import ChainError, EvaluationError
+
+from helpers import p_of, sup_example_field
+
+F = Fraction
+
+
+def _algebra(weights):
+    atoms = tuple(f"w{i}" for i in range(len(weights)))
+    return mba.FiniteMeasureAlgebra(atoms, dict(zip(atoms, weights)))
+
+
+ALGEBRAS = [_algebra(w) for w in (
+    (F(1),),
+    (F(2, 7), F(5, 7)),
+    (F(1, 6), F(1, 3), F(1, 2)),
+)]
+
+X = mba.SetVarIndex("X", 0)
+Y = mba.SetVarIndex("Y", F(1, 2))
+LEAVES = (mba.SetVar(X), mba.SetVar(Y), mba.SetLit(frozenset({"w0"})),
+          mba.Full(), mba.Empty())
+
+
+# ---------------------------------------------------------------------------
+# The reference evaluator
+
+
+def _subsets(alg):
+    return [frozenset(c) for r in range(len(alg.atoms) + 1)
+            for c in itertools.combinations(alg.atoms, r)]
+
+
+def ref_set(t, assign, env, alg):
+    full = frozenset(alg.atoms)
+    rec = lambda u: ref_set(u, assign, env, alg)  # noqa: E731
+    k = type(t)
+    if k is mba.SetVar:
+        return assign[t.index]
+    if k is mba.ChainVar:
+        return env[(t.binder, t.tag, t.slot)]
+    if k is mba.SetLit:
+        return t.atoms
+    if k is mba.Empty:
+        return frozenset()
+    if k is mba.Full:
+        return full
+    if k is mba.Compl:
+        return full - rec(t.body)
+    left, right = rec(t.left), rec(t.right)
+    return {mba.Union: left | right, mba.Inter: left & right,
+            mba.Diff: left - right, mba.SymDiff: left ^ right}[k]
+
+
+def ref_value(g, assign, env, alg, mode, seen):
+    """The value of g by the definitions; seen counts what was exercised."""
+    rec = lambda h: ref_value(h, assign, env, alg, mode, seen)  # noqa: E731
+    k = type(g)
+    if k is mba.Measure:
+        return sum((alg.weights[a] for a in ref_set(g.term, assign, env, alg)), F(0))
+    if k is mba.Const:
+        return g.value
+    if k is mba.Scale:
+        return g.factor * rec(g.body)
+    if k is mba.Add:
+        return rec(g.left) + rec(g.right)
+    if k is mba.TruncSub:
+        v = rec(g.left) - rec(g.right)
+        seen["truncsub below zero"] += v < 0
+        return max(F(0), v)
+    if k is mba.Max:
+        return max(map(rec, g.items))
+    if k is mba.Min:
+        return min(map(rec, g.items))
+    return ref_sup(g, assign, env, alg, mode, seen)
+
+
+def _feasible(g, assign, env, alg):
+    """Every combination of bound tuples, one tuple of sets per chain,
+    that meets the chain and profile constraints: Y_j within U_j and
+    within Y_(j-1), and each profile's meet within its bound."""
+    per_chain = []
+    for spec in g.chains:
+        us = [ref_set(b, assign, env, alg) for b in spec.bounds]
+        per_chain.append([
+            ys for ys in itertools.product(_subsets(alg), repeat=len(us))
+            if all(y <= u for y, u in zip(ys, us))
+            and all(ys[j] <= ys[j - 1] for j in range(1, len(ys)))])
+    tag_pos = {spec.tag: i for i, spec in enumerate(g.chains)}
+    for combo in itertools.product(*per_chain):
+        if all(_meet([combo[tag_pos[tag]][slot] for tag, slot in prof.slots], alg)
+               <= ref_set(prof.bound, assign, env, alg) for prof in g.profiles):
+            yield combo
+
+
+def _meet(sets, alg):
+    out = frozenset(alg.atoms)
+    for s in sets:
+        out &= s
+    return out
+
+
+def _depths(combo, atom):
+    """The atom's membership pattern: per chain, how many sets hold it."""
+    return tuple(sum(atom in y for y in ys) for ys in combo)
+
+
+def ref_sup(g, assign, env, alg, mode, seen):
+    combos = list(_feasible(g, assign, env, alg))
+    if mode == mba.MAXIMAL:
+        for spec in g.chains:
+            us = [ref_set(b, assign, env, alg) for b in spec.bounds]
+            if not all(us[j] <= us[j - 1] for j in range(1, len(us))):
+                raise ChainError("bounds not decreasing")
+        # Keep the tuples whose every atom sits at a maximal feasible
+        # pattern: one no other feasible pattern of that atom dominates.
+        for atom in alg.atoms:
+            patterns = {_depths(c, atom) for c in combos}
+            maximal = {v for v in patterns
+                       if not any(w != v and all(a >= b for a, b in zip(w, v))
+                                  for w in patterns)}
+            combos = [c for c in combos if _depths(c, atom) in maximal]
+    seen["profiles"] += bool(g.profiles)
+    seen[f"supchain {mode}"] += 1
+
+    def inner(combo):
+        inner_env = dict(env)
+        for spec, ys in zip(g.chains, combo):
+            for slot, y in enumerate(ys):
+                inner_env[(g.binder, spec.tag, slot)] = y
+        return ref_value(g.inner, assign, inner_env, alg, mode, seen)
+
+    return max(map(inner, combos))
+
+
+# ---------------------------------------------------------------------------
+# Random formulas
+
+
+def random_set(rng, leaves, depth):
+    if depth == 0 or rng.randrange(3) == 0:
+        return rng.choice(leaves)
+    op = rng.randrange(5)
+    if op == 4:
+        return mba.Compl(random_set(rng, leaves, depth - 1))
+    cls = (mba.Union, mba.Inter, mba.Diff, mba.SymDiff)[op]
+    return cls(random_set(rng, leaves, depth - 1), random_set(rng, leaves, depth - 1))
+
+
+def random_formula(rng, leaves, depth, sup=False):
+    """A random formula; with sup, one SupChain somewhere inside it."""
+    if sup and (depth <= 1 or rng.randrange(3) == 0):
+        return random_supchain(rng, leaves, depth)
+    if depth <= 0:
+        kind = rng.randrange(2)
+    else:
+        kind = rng.randrange(7)
+    if kind == 0:
+        return mba.Measure(random_set(rng, leaves, 2))
+    if kind == 1:
+        if rng.randrange(2):
+            return mba.Const(F(rng.randrange(6), 5))
+        return mba.Const(F(rng.randrange(8), 7))
+    if kind == 2:
+        factor = rng.choice((F(1, 2), F(1, 3), F(1, rng.randrange(2, 8)), F(2, 3)))
+        return mba.Scale(factor, random_formula(rng, leaves, depth - 1, sup))
+    if kind in (3, 4):
+        cls = mba.Add if kind == 3 else mba.TruncSub
+        if sup and rng.randrange(2):
+            return cls(random_formula(rng, leaves, depth - 1),
+                       random_formula(rng, leaves, depth - 1, sup))
+        return cls(random_formula(rng, leaves, depth - 1, sup),
+                   random_formula(rng, leaves, depth - 1))
+    cls = mba.Max if kind == 5 else mba.Min
+    items = [random_formula(rng, leaves, depth - 1) for _ in range(rng.randrange(1, 4))]
+    if sup:
+        items[rng.randrange(len(items))] = random_formula(rng, leaves, depth - 1, sup)
+    return cls(tuple(items))
+
+
+def random_supchain(rng, leaves, depth):
+    """One or two chains of at most three slots in all, mostly decreasing
+    bounds (each bound meets the previous one three times in four), and
+    up to two profiles of one or two slots each."""
+    lengths = rng.choice(((1,), (2,), (3,), (1, 1), (2, 1), (1, 2)))
+    chains, slots = [], []
+    for tag, n in zip("AB", lengths):
+        bounds, prev = [], None
+        for j in range(n):
+            u = random_set(rng, leaves, 1)
+            if prev is not None and rng.randrange(4):
+                u = mba.Inter(prev, u)
+            bounds.append(u)
+            prev = u
+            slots.append((tag, j))
+        chains.append(mba.ChainSpec(tag, tuple(bounds)))
+    profiles = tuple(
+        mba.ProfileSpec(tuple(rng.sample(slots, min(len(slots), rng.randrange(1, 3)))),
+                        random_set(rng, leaves, 1))
+        for _ in range(rng.randrange(3)))
+    chain_leaves = leaves + tuple(mba.ChainVar(7, tag, j) for tag, j in slots)
+    inner = random_formula(rng, chain_leaves, max(depth - 1, 1))
+    return mba.SupChain(7, tuple(chains), inner, profiles)
+
+
+def _expect(g, assign, alg, mode, seen):
+    try:
+        return ref_value(g, assign, {}, alg, mode, seen)
+    except ChainError:
+        return ChainError
+
+
+def _actual(g, assign, alg, mode):
+    try:
+        return mba.eval_mba(g, assign, alg, mode)
+    except ChainError:
+        return ChainError
+
+
+def test_eval_mba_matches_the_definition_in_both_modes():
+    rng = random.Random(20230417)
+    seen = Counter()
+    for case in range(240):
+        alg = ALGEBRAS[case % len(ALGEBRAS)]
+        g = random_formula(rng, LEAVES, 3, sup=case % 2 == 0)
+        subsets = _subsets(alg)
+        for _ in range(3):
+            assign = {X: rng.choice(subsets), Y: rng.choice(subsets)}
+            for mode in (mba.ENUMERATE, mba.MAXIMAL):
+                expected = _expect(g, assign, alg, mode, seen)
+                assert _actual(g, assign, alg, mode) == expected, (g, assign, mode)
+                seen["chain error"] += expected is ChainError
+    # What the generator is meant to reach, it reached.
+    assert seen["supchain enumerate"] > 100
+    assert seen["supchain maximal"] > 100
+    assert seen["profiles"] > 50
+    assert seen["truncsub below zero"] > 50
+    assert seen["chain error"] > 10
+
+
+def test_scale_is_exact_over_nested_denominators():
+    # mu(w2) = 1/2 on the 3-atom algebra; 1/2 * 1/3 * 1/7 of it, plus
+    # consts over 5 and 7, needs a scale of 6 * 2 * 3 * 7 * 5.
+    alg = ALGEBRAS[2]
+    w2 = mba.SetLit(frozenset({"w2"}))
+    g = mba.Add(
+        mba.Scale(F(1, 2), mba.Scale(F(1, 3), mba.Scale(F(1, 7), mba.Measure(w2)))),
+        mba.TruncSub(mba.Const(F(2, 5)), mba.Scale(F(1, 3), mba.Const(F(3, 7)))))
+    expected = F(1, 2) * F(1, 3) * F(1, 7) * F(1, 2) + F(2, 5) - F(1, 7)
+    for mode in (mba.ENUMERATE, mba.MAXIMAL):
+        assert mba.eval_mba(g, {}, alg, mode) == expected
+    below = mba.TruncSub(mba.Const(F(1, 7)), mba.Scale(F(1, 5), mba.Measure(mba.Full())))
+    assert mba.eval_mba(below, {}, alg) == 0
+
+
+@pytest.mark.parametrize("inner_binder, inner_tag", [(8, "B"), (7, "A")],
+                         ids=["own-binder", "shadowing-the-outer-slot"])
+def test_nested_supchain_reads_the_enclosing_chain_variable(inner_binder, inner_tag):
+    outer_y = mba.ChainVar(7, "A", 0)
+    inner_y = mba.ChainVar(inner_binder, inner_tag, 0)
+    nested = mba.SupChain(
+        inner_binder, (mba.ChainSpec(inner_tag, (outer_y,)),),
+        mba.Add(mba.Measure(inner_y), mba.Measure(mba.Diff(mba.SetVar(Y), outer_y))),
+        (mba.ProfileSpec(((inner_tag, 0),), mba.SetVar(X)),))
+    g = mba.SupChain(7, (mba.ChainSpec("A", (mba.Compl(mba.SetVar(X)),)),),
+                     mba.Scale(F(1, 3), nested))
+    for alg in ALGEBRAS:
+        for sx, sy in itertools.product(_subsets(alg), repeat=2):
+            assign = {X: sx, Y: sy}
+            for mode in (mba.ENUMERATE, mba.MAXIMAL):
+                assert mba.eval_mba(g, assign, alg, mode) == ref_value(
+                    g, assign, {}, alg, mode, Counter())
+
+
+# ---------------------------------------------------------------------------
+# check_monotone: the first counterexample of the same search
+
+
+def ref_check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
+    """check_monotone's search, with the reference evaluator: comparable
+    pairs per atom are (neither, high only, both), exhaustive in product
+    order when 3^(atoms * variables) is within the limit, else drawn with
+    random.Random(seed), one randrange(3) per atom per variable."""
+    variables = sorted(mba.free_set_vars(g), key=mba.var_sort_key)
+    if not variables:
+        return None
+
+    def comparable(choice):
+        return (frozenset(a for a, c in zip(alg.atoms, choice) if c == 2),
+                frozenset(a for a, c in zip(alg.atoms, choice) if c >= 1))
+
+    def test(pairs):
+        low = {v: p[0] for v, p in zip(variables, pairs)}
+        high = {v: p[1] for v, p in zip(variables, pairs)}
+        lv = ref_value(g, low, {}, alg, mba.MAXIMAL, Counter())
+        hv = ref_value(g, high, {}, alg, mba.MAXIMAL, Counter())
+        return mba.MonotoneCounterexample(low, high, lv, hv) if lv > hv else None
+
+    if 3 ** (len(alg.atoms) * len(variables)) <= exhaustive_limit:
+        all_pairs = [comparable(c)
+                     for c in itertools.product(range(3), repeat=len(alg.atoms))]
+        draws = itertools.product(all_pairs, repeat=len(variables))
+    else:
+        rng = random.Random(seed)
+        draws = ([comparable([rng.randrange(3) for _a in alg.atoms])
+                  for _v in variables] for _ in range(trials))
+    for pairs in draws:
+        ce = test(pairs)
+        if ce is not None:
+            return ce
+    return None
+
+
+UNIFORM3 = mba.FiniteMeasureAlgebra(("w1", "w2", "w3"), {a: F(1, 3) for a in ("w1", "w2", "w3")})
+NOT_X = mba.Measure(mba.Compl(mba.SetVar(X)))
+
+
+def test_monotone_counterexamples_of_the_complement_are_pinned():
+    exhaustive = mba.check_monotone(NOT_X, UNIFORM3)
+    assert exhaustive == mba.MonotoneCounterexample(
+        {X: frozenset()}, {X: frozenset({"w3"})}, F(1), F(2, 3))
+    sampled = mba.check_monotone(NOT_X, UNIFORM3, trials=50, exhaustive_limit=0)
+    assert sampled == mba.MonotoneCounterexample(
+        {X: frozenset()}, {X: frozenset({"w1", "w2"})}, F(1), F(1, 3))
+    assert exhaustive == ref_check_monotone(NOT_X, UNIFORM3)
+    assert sampled == ref_check_monotone(NOT_X, UNIFORM3, trials=50, exhaustive_limit=0)
+
+
+def _decreasing_sup_g():
+    """1 - G for G of `sup y . P(y)` at k = 2, as tests/test_checks.py plants it."""
+    inst = family.Instance("t", fm.Sup("y", p_of("y")), sup_example_field(), {}, 2)
+    result, _report = checks.certify(inst, tr.DEFAULT_BUDGET_C, tr.DEFAULT_BUDGET_VARS)
+    return mba.TruncSub(mba.Const(1), result.g), inst.field.space
+
+
+@pytest.mark.parametrize("kwargs, low, high, values", [
+    ({"trials": checks.MONOTONE_TRIALS, "seed": 0,
+      "exhaustive_limit": checks.MONOTONE_EXHAUSTIVE_LIMIT},
+     ([], []), (["w2"], ["w2"]), (F(1), F(3, 4))),
+    ({"trials": 10, "seed": 0, "exhaustive_limit": 0},
+     ([], []), (["w1", "w2"], ["w2"]), (F(1), F(3, 4))),
+    ({"trials": 3, "seed": 5, "exhaustive_limit": 0},
+     (["w1"], ["w1"]), (["w1", "w2"], ["w1", "w2"]), (F(3, 4), F(1, 2))),
+], ids=["exhaustive", "sampled-seed0", "sampled-seed5"])
+def test_monotone_counterexample_of_a_decreasing_sup_is_pinned(kwargs, low, high, values):
+    g, alg = _decreasing_sup_g()
+    ce = mba.check_monotone(g, alg, **kwargs)
+    variables = sorted(ce.low, key=mba.var_sort_key)
+    assert [fm.to_text(v.tag) for v in variables] == [
+        "sup y0 . sub(P(y0), 0)", "sup y0 . sub(P(y0), 1/2)"]
+    assert tuple(sorted(ce.low[v]) for v in variables) == low
+    assert tuple(sorted(ce.high[v]) for v in variables) == high
+    assert (ce.low_value, ce.high_value) == values
+    assert ce == ref_check_monotone(g, alg, **kwargs)
+
+
+def test_monotone_matches_the_reference_search_on_random_formulas():
+    rng = random.Random(7)
+    found = Counter()
+    for case in range(60):
+        alg = ALGEBRAS[1 + case % 2]
+        g = random_formula(rng, LEAVES, 3, sup=case % 3 == 0)
+        for path, kwargs in (("exhaustive", {"exhaustive_limit": 10**4}),
+                             ("sampled", {"trials": 8, "seed": case, "exhaustive_limit": 0})):
+            try:
+                expected = ref_check_monotone(g, alg, **kwargs)
+            except ChainError:
+                with pytest.raises(ChainError):
+                    mba.check_monotone(g, alg, **kwargs)
+                continue
+            assert mba.check_monotone(g, alg, **kwargs) == expected, (g, kwargs)
+            found[path] += expected is not None
+    assert found["exhaustive"] >= 5 and found["sampled"] >= 5
+
+
+# ---------------------------------------------------------------------------
+# Errors keep their type
+
+
+def _chain(inner=None, bound=mba.Full(), profiles=()):
+    return mba.SupChain(
+        binder=0,
+        chains=(mba.ChainSpec("A", (bound, mba.Full())),),
+        inner=inner or mba.Measure(mba.ChainVar(0, "A", 1)),
+        profiles=profiles)
+
+
+UNBOUND = mba.SetVar(mba.SetVarIndex("missing", 0))
+
+
+@pytest.mark.parametrize("mode", [mba.ENUMERATE, mba.MAXIMAL])
+@pytest.mark.parametrize("g", [
+    _chain(inner=mba.Measure(mba.Inter(mba.ChainVar(0, "A", 0), UNBOUND))),
+    _chain(profiles=(mba.ProfileSpec((("A", 0),), UNBOUND),)),
+    _chain(inner=mba.Measure(mba.ChainVar(1, "A", 0))),
+    _chain(profiles=(mba.ProfileSpec((("B", 0),), mba.Full()),)),
+    _chain(profiles=(mba.ProfileSpec((("A", 2),), mba.Full()),)),
+], ids=["unbound-set-var-in-inner", "unbound-set-var-in-profile-bound",
+        "chain-var-of-a-foreign-binder", "profile-unknown-tag",
+        "profile-slot-out-of-range"])
+def test_malformed_supchain_is_an_evaluation_error(g, mode):
+    with pytest.raises(EvaluationError):
+        mba.eval_mba(g, {}, ALGEBRAS[1], mode)
+
+
+def test_chain_var_outside_its_supchain_is_an_evaluation_error():
+    g = mba.Add(_chain(), mba.Measure(mba.ChainVar(0, "A", 0)))
+    with pytest.raises(EvaluationError):
+        mba.eval_mba(g, {}, ALGEBRAS[1])
+    with pytest.raises(EvaluationError):
+        mba.check_monotone(mba.Add(g, mba.Measure(mba.SetVar(X))), ALGEBRAS[1])
+    with pytest.raises(EvaluationError):
+        mba.eval_set(mba.ChainVar(0, "A", 0), {}, ALGEBRAS[1])

@@ -194,6 +194,14 @@ def test_maximal_refuses_an_oversized_atom_product():
         mba.eval_mba(g, {}, alg, mba.MAXIMAL)
 
 
+def test_maximal_depth_vector_search_refuses_oversized_caps():
+    # Caps (1000, 1000, 1) bound the branching by 1001 * 1001 * 2 vectors,
+    # refused before any is visited.
+    with pytest.raises(BudgetError, match=str(1001 * 1001 * 2)):
+        mba._maximal_depth_vectors([1000, 1000, 1], [((0, 0), (1, 0))])
+    assert mba._maximal_depth_vectors([2, 1], [((0, 0), (1, 0))]) == [(0, 1), (2, 0)]
+
+
 def test_supchain_profile_constraint():
     # Two independent slots, but the profile forbids them from jointly
     # containing any atom; the sum of measures then caps at 1.

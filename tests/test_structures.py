@@ -6,7 +6,7 @@ import pytest
 
 from dilogic import formula as fm
 from dilogic import structure as st
-from dilogic.errors import EvaluationError, ValidationError
+from dilogic.errors import BudgetError, EvaluationError, ValidationError
 
 from helpers import SIG_P, SIG_PQ, make_structure, p_of
 
@@ -141,6 +141,20 @@ def test_theory_norm_two_variables():
     assert st.theory_norm(phi, M) == F(1, 2)
 
 
+def twelve_points(shift=F(0)):
+    return make_structure(SIG_P, {"P": {f"p{i}": F(i, 12) + shift for i in range(12)}})
+
+
+def test_theory_norm_refuses_an_oversized_assignment_count():
+    # 12^6 = 2,985,984 assignments of six free variables: refused before
+    # any is evaluated.
+    phi = p_of("x0")
+    for i in range(1, 6):
+        phi = fm.TruncSub(phi, p_of(f"x{i}"))
+    with pytest.raises(BudgetError, match=str(12**6)):
+        st.theory_norm(phi, twelve_points())
+
+
 def test_theory_norm_dominates_every_assignment():
     M = two_point(F(1, 4), F(3, 4), d=F(1, 2))
     phi = fm.TruncSub(p_of("x"), fm.Half(p_of("y")))
@@ -194,3 +208,12 @@ def test_isomorphism_preserves_evaluation():
             assert st.eval_formula(phi, M, {"x": p}) == st.eval_formula(
                 phi, N, {"x": b[p]}
             )
+
+
+def test_is_isomorphic_refuses_an_oversized_permutation_count():
+    # 12! = 479,001,600 permutations, refused before any is tried; the
+    # signature and size checks still answer first.
+    M = twelve_points()
+    with pytest.raises(BudgetError, match=str(479001600)):
+        st.is_isomorphic(M, twelve_points(F(0)))
+    assert st.is_isomorphic(M, two_point(F(0), F(1))) is None
