@@ -9,8 +9,11 @@ against which the compiled measure-algebra formulas are checked.
 
 The oracle sums integers: each field builds, once, its weighted fiber
 predicate values as integer numerators over one common denominator
-(MeasurableField.weighted_preds), so an integrated predicate value is one
-integer sum and one Fraction.  A field is not changed once built.
+(MeasurableField.weighted_preds).  That denominator is the integral's
+`den` in structure.eval_formula's model protocol, and `scaled_pred`, an
+integrated predicate value times den, is one integer sum, so evaluating a
+formula on the integral builds one Fraction in all.  A field is not
+changed once built.
 """
 
 from __future__ import annotations
@@ -137,10 +140,10 @@ def _fiber_assignment(assignment, atom):
 
 
 class _Integral:
-    """The direct integral of a field as a structure for
+    """The direct integral of a field as a model for
     structure.eval_formula: its points are the choice functions (at most
     limit of them), predicates integrate the fiber values against the
-    atom weights, and functions act fiberwise."""
+    atom weights, as integers over den, and functions act fiberwise."""
 
     def __init__(self, field_, limit):
         self.field = field_
@@ -151,11 +154,9 @@ class _Integral:
     def points(self):
         return self.field.elements(self.limit)
 
-    def pred(self, name, args):
-        return Fraction(
-            sum(table[tuple(e.choice[w] for e in args)]
-                for w, table in self.tables[name]),
-            self.den)
+    def scaled_pred(self, name, args):
+        return sum(table[tuple(e.choice[w] for e in args)]
+                   for w, table in self.tables[name])
 
     def func(self, name, args):
         fibers = self.field.fibers

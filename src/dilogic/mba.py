@@ -664,6 +664,9 @@ class _Compiler:
         feasible depth vectors, independently across atoms."""
         alg, e = self.alg, self.e
         bits = tuple(alg.bit.values())
+        # (caps, forbidden) -> its maximal depth vectors, for the evaluations
+        # of this compiled search only; a new key is still budget-checked.
+        vectors = {}
 
         def search():
             us = [[b() for b in bs] for bs in bounds]
@@ -677,9 +680,12 @@ class _Compiler:
                     prev = m
             per_atom = []
             for bit in bits:
-                caps = [_depth(u, bit) for u in us]
-                forbidden = [pairs for pairs, w in ws if not w & bit]
-                per_atom.append(_maximal_depth_vectors(caps, forbidden))
+                key = (tuple(_depth(u, bit) for u in us),
+                       tuple(pairs for pairs, w in ws if not w & bit))
+                found = vectors.get(key)
+                if found is None:
+                    found = vectors[key] = _maximal_depth_vectors(*key)
+                per_atom.append(found)
             refuse_over_budget(math.prod(map(len, per_atom)),
                                "maximal depth vector combination")
             best = None
@@ -730,7 +736,10 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     3^(atoms * variables), is within exhaustive_limit; otherwise samples
     `trials` seeded random pairs.
     """
-    variables = sorted(free_set_vars(g), key=var_sort_key)
+    free = free_set_vars(g)
+    texts = {tag: str(tag) for tag in {v.tag for v in free}}
+    # var_sort_key, with each distinct tag rendered once.
+    variables = sorted(free, key=lambda v: (texts[v.tag], v.level, v.strict))
     if not variables:
         return None
     exhaustive = 3 ** (len(alg.atoms) * len(variables)) <= exhaustive_limit

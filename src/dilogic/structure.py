@@ -4,13 +4,23 @@ Points are named; the metric, predicate tables, and function tables are
 given extensionally with rational values.  Quantifiers range over the
 point set exactly, so sup/inf are max/min.
 
-The evaluator reads a structure only through `points` (the quantifier
-domain), `pred(name, args)` and `func(name, args)`, so it also evaluates
-formulas on the direct integral of a field (see integral.eval_on_integral).
+The evaluator computes in integers.  It reads a model only through
+`points` (the quantifier domain), `den`, `scaled_pred(name, args)` (the
+predicate value times den, an int) and `func(name, args)`, so it also
+evaluates formulas on the direct integral of a field (see
+integral.eval_on_integral).  A structure's den is the lcm of its
+predicate-value denominators, and its integer tables are built once, on
+first use; a structure is not changed once built.  Each eval_formula call
+walks phi once for its unit, the lcm over the leaves of 2^(Half nodes
+above the leaf) times the leaf's Const denominator, and computes every
+subformula's value times the scale S = den * unit as an integer: Half is
+the exact // 2, truncated subtraction max(0, a - b), and the result is
+one Fraction over S.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,8 +45,22 @@ class FiniteMetricStructure:
     def d(self, p, q):
         return self.dist[(p, q)]
 
-    def pred(self, name, args):
-        return self.preds[name][args]
+    @functools.cached_property
+    def den(self):
+        """The lcm of the predicate-value denominators."""
+        return math.lcm(*(v.denominator for table in self.preds.values()
+                          for v in table.values()))
+
+    @functools.cached_property
+    def _scaled_preds(self):
+        den = self.den
+        return {name: {args: v.numerator * (den // v.denominator)
+                       for args, v in table.items()}
+                for name, table in self.preds.items()}
+
+    def scaled_pred(self, name, args):
+        """The predicate value at args times den, an int."""
+        return self._scaled_preds[name][args]
 
     def func(self, name, args):
         return self.funcs[name][args]
@@ -44,6 +68,10 @@ class FiniteMetricStructure:
 
 def _tuples(points, arity):
     return itertools.product(points, repeat=arity)
+
+
+# The exact value types; bool, float and every other type are rejected.
+_EXACT = (int, Fraction)
 
 
 def validate(M):
@@ -57,6 +85,8 @@ def validate(M):
         if (p, q) not in M.dist:
             return f"missing distance ({p},{q})"
         d = M.dist[(p, q)]
+        if type(d) not in _EXACT:
+            return f"distance d({p},{q})={d!r} is not an int or a Fraction"
         if not 0 <= d <= 1:
             return f"distance d({p},{q})={d} outside [0,1]"
         if (p == q) != (d == 0):
@@ -74,6 +104,9 @@ def validate(M):
             if tup not in table:
                 return f"predicate {name!r} undefined at {tup}"
             v = table[tup]
+            if type(v) not in _EXACT:
+                return (f"predicate {name!r} value {v!r} at {tup} is not an"
+                        " int or a Fraction")
             if not 0 <= v <= 1:
                 return f"predicate {name!r} value {v} outside [0,1] at {tup}"
         msg = _check_lipschitz_pred(M, name, arity, table)
@@ -132,7 +165,7 @@ def ensure_valid(M):
 
 
 def eval_term(term, M, assignment):
-    if isinstance(term, fm.Var):
+    if type(term) is fm.Var:
         try:
             return assignment[term.name]
         except KeyError:
@@ -140,25 +173,67 @@ def eval_term(term, M, assignment):
     return M.func(term.func, tuple(eval_term(a, M, assignment) for a in term.args))
 
 
-def eval_formula(phi, M, assignment=None):
-    """Exact rational value of phi in M under the assignment."""
-    assignment = assignment or {}
-    if isinstance(phi, fm.Atomic):
-        return M.pred(phi.pred, tuple(eval_term(t, M, assignment) for t in phi.args))
-    if isinstance(phi, fm.Const):
-        return phi.value
-    if isinstance(phi, fm.Half):
-        return eval_formula(phi.body, M, assignment) / 2
-    if isinstance(phi, fm.TruncSub):
-        v = eval_formula(phi.left, M, assignment) - eval_formula(phi.right, M, assignment)
-        return max(Fraction(0), v)
-    if isinstance(phi, (fm.Sup, fm.Inf)):
-        # Over a generator, not a list: the domain of a direct integral
-        # can hold up to integral.DEFAULT_CHOICE_LIMIT choice functions.
-        pick = max if isinstance(phi, fm.Sup) else min
-        return pick(eval_formula(phi.body, M, {**assignment, phi.var: p})
-                    for p in M.points)
+def _unit(phi, above=1):
+    """The lcm, over the Atomic and Const leaves of phi, of 2^(the Half
+    nodes above the leaf) times the leaf's own denominator (1 for an
+    Atomic).  Times a model's den, it is the scale S at which every
+    subformula's value is an integer: the body of a Half is then even."""
+    t = type(phi)
+    if t is fm.Atomic:
+        return above
+    if t is fm.Const:
+        return above * phi.value.denominator
+    if t is fm.Half:
+        return _unit(phi.body, 2 * above)
+    if t is fm.TruncSub:
+        return math.lcm(_unit(phi.left, above), _unit(phi.right, above))
+    if t is fm.Sup or t is fm.Inf:
+        return _unit(phi.body, above)
     raise TypeError(f"not a formula: {phi!r}")
+
+
+_UNBOUND = object()
+
+
+def eval_formula(phi, M, assignment=None):
+    """Exact rational value of phi in M under the assignment: an integer
+    over the scale S = M.den * unit (see the module docstring)."""
+    unit = _unit(phi)
+    scale = M.den * unit
+    scaled_pred = M.scaled_pred
+    env = dict(assignment) if assignment else {}
+
+    def over(var, body):
+        # Sup and Inf bind var in env point by point; over a generator,
+        # not a list: the domain of a direct integral can hold up to
+        # integral.DEFAULT_CHOICE_LIMIT choice functions.
+        for p in M.points:
+            env[var] = p
+            yield value(body)
+
+    def value(phi):
+        t = type(phi)
+        if t is fm.Atomic:
+            args = tuple([eval_term(a, M, env) for a in phi.args])
+            return scaled_pred(phi.pred, args) * unit
+        if t is fm.Const:
+            return phi.value.numerator * (scale // phi.value.denominator)
+        if t is fm.Half:
+            return value(phi.body) // 2
+        if t is fm.TruncSub:
+            v = value(phi.left) - value(phi.right)
+            return v if v > 0 else 0
+        # phi is a Sup or an Inf: _unit has rejected every other type.
+        var = phi.var
+        outer = env.get(var, _UNBOUND)
+        v = (max if t is fm.Sup else min)(over(var, phi.body))
+        if outer is _UNBOUND:
+            del env[var]
+        else:
+            env[var] = outer
+        return v
+
+    return Fraction(value(phi), scale)
 
 
 def theory_norm(phi, M):

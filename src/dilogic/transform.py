@@ -361,17 +361,33 @@ def complement_identity_holds(zeta, level, field_, assignment=None):
     """{zeta > i/l} = complement of {1 - zeta >= (l-i)/l}, for 0 <= i <= l.
 
     zeta and 1 -. zeta are each evaluated once per atom, independently of
-    each other; all l+1 thresholds compare those two value tables.
+    each other; _complement_tables_agree decides all l+1 thresholds on
+    those two value tables.
     """
-    values = di.fiber_values(zeta, field_, assignment)
-    neg_values = di.fiber_values(one_minus(zeta), field_, assignment)
-    for i in range(level + 1):
-        t = Fraction(i, level)
-        strict = di.threshold(values, field_, t, di.STRICT)
-        nonstrict = di.threshold(neg_values, field_, 1 - t, di.NONSTRICT)
-        if strict != field_.space.full - nonstrict:
-            return False
-    return True
+    return _complement_tables_agree(
+        di.fiber_values(zeta, field_, assignment),
+        di.fiber_values(one_minus(zeta), field_, assignment), level)
+
+
+def _threshold_count(num, den, level):
+    """How many of the thresholds i/l, 0 <= i <= l, lie below num/den: the
+    i < l*num/den form a prefix of 0..l of length ceil(l*num/den),
+    clamped to [0, l+1]."""
+    return min(level + 1, max(0, -(-level * num // den)))
+
+
+def _complement_tables_agree(values, neg_values, level):
+    """The complement identity at every threshold i/l, decided per atom.
+
+    An atom with value v lies in {zeta > i/l} exactly for the i < l*v, and
+    outside {1 - zeta >= 1 - i/l}, where 1 -. zeta has value n, exactly
+    for the i < l*(1 - n).  Both are prefixes of 0..l, so the identity
+    holds at every i if and only if the two prefixes have equal length at
+    every atom."""
+    return all(
+        _threshold_count(v.numerator, v.denominator, level)
+        == _threshold_count(n.denominator - n.numerator, n.denominator, level)
+        for v, n in zip(values, neg_values))
 
 
 def corollary_equivalence_check(field_a, field_b, formulas, assignment_pairs=None):

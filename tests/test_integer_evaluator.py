@@ -1,0 +1,313 @@
+"""The integer formula evaluator and the per-atom complement identity.
+
+structure.eval_formula computes in integers over one scale per call; it is
+checked here against a Fraction reference interpreter on random formulas
+(nested half, constants over 3, 5 and 7, truncated subtraction below zero,
+inf, function terms), on structures whose predicate denominators are
+coprime and on direct integrals against materialize.  The complement
+identity, decided per atom, is checked against the explicit loop over its
+l+1 thresholds.  No float appears in this module."""
+
+import ast
+import itertools
+import pathlib
+import random
+from fractions import Fraction
+
+from dilogic import family
+from dilogic import formula as fm
+from dilogic import integral as di
+from dilogic import structure as st
+from dilogic import transform as tr
+
+from helpers import SIG_P, make_structure
+
+F = Fraction
+
+SIG = fm.Signature(predicates=(("P", 1), ("Q", 1), ("R", 2)),
+                   functions=(("f", 1), ("g", 2)))
+
+
+# ---------------------------------------------------------------------------
+# The Fraction reference
+
+
+class _Coverage:
+    """Counts the cases the random formulas must reach."""
+
+    def __init__(self):
+        self.negative_sub = 0
+        self.nested_half = 0
+        self.inf = 0
+        self.func = 0
+
+
+def _term_reference(term, M, env, seen):
+    if isinstance(term, fm.Var):
+        return env[term.name]
+    seen.func += 1
+    return M.funcs[term.func][tuple(_term_reference(a, M, env, seen)
+                                    for a in term.args)]
+
+
+def _reference(phi, M, env, seen, halves=0):
+    """phi's value in M by the definition, in Fraction arithmetic, reading
+    the tables directly."""
+    rec = lambda p, h=halves: _reference(p, M, env, seen, h)  # noqa: E731
+    if isinstance(phi, fm.Atomic):
+        return M.preds[phi.pred][tuple(_term_reference(t, M, env, seen)
+                                       for t in phi.args)]
+    if isinstance(phi, fm.Const):
+        return phi.value
+    if isinstance(phi, fm.Half):
+        seen.nested_half += halves >= 1
+        return rec(phi.body, halves + 1) / 2
+    if isinstance(phi, fm.TruncSub):
+        v = rec(phi.left) - rec(phi.right)
+        seen.negative_sub += v < 0
+        return max(F(0), v)
+    seen.inf += isinstance(phi, fm.Inf)
+    values = [_reference(phi.body, M, {**env, phi.var: p}, seen, halves)
+              for p in M.points]
+    return max(values) if isinstance(phi, fm.Sup) else min(values)
+
+
+# ---------------------------------------------------------------------------
+# Random formulas and models
+
+
+def _random_term(rng, scope):
+    var = fm.Var(rng.choice(scope))
+    roll = rng.randrange(4)
+    if roll == 0:
+        return fm.Apply("f", (var,))
+    if roll == 1:
+        return fm.Apply("g", (var, fm.Var(rng.choice(scope))))
+    return var
+
+
+def _random_formula(rng, depth, scope):
+    """A formula of depth at most depth whose free variables lie in scope;
+    a quantifier may rebind a variable already in scope."""
+    roll = rng.randrange(7) if depth > 0 else rng.randrange(2)
+    if roll == 0:
+        return fm.Const(F(rng.randrange(8), 7) if rng.randrange(2)
+                        else F(rng.randrange(4), rng.choice((3, 5))))
+    if roll == 1:
+        pred = rng.choice(("P", "Q", "R"))
+        arity = 2 if pred == "R" else 1
+        return fm.Atomic(pred, tuple(_random_term(rng, scope)
+                                     for _ in range(arity)))
+    if roll == 2:
+        return fm.Half(_random_formula(rng, depth - 1, scope))
+    if roll in (3, 4):
+        return fm.TruncSub(_random_formula(rng, depth - 1, scope),
+                           _random_formula(rng, depth - 1, scope))
+    var = rng.choice(("x", "y", "z"))
+    body = _random_formula(rng, depth - 1, scope + [var])
+    return (fm.Sup if roll == 5 else fm.Inf)(var, body)
+
+
+def _random_formulas(seed, count):
+    rng = random.Random(seed)
+    return [_random_formula(rng, rng.randint(1, 4), ["x"]) for _ in range(count)]
+
+
+def _discrete_structure(rng, points, denoms):
+    """Distance 1 between distinct points, so every table is 1-Lipschitz:
+    P, Q and R take values over the three given denominators, f is a
+    permutation of the points and g a coordinate projection."""
+    dist = {(p, q): F(int(p != q)) for p in points for q in points}
+    preds = {}
+    for (name, arity), den in zip(SIG.predicates, denoms):
+        preds[name] = {args: F(rng.randrange(den + 1), den)
+                       for args in itertools.product(points, repeat=arity)}
+    shuffled = rng.sample(points, len(points))
+    side = rng.randrange(2)
+    funcs = {"f": {(p,): q for p, q in zip(points, shuffled)},
+             "g": {args: args[side]
+                   for args in itertools.product(points, repeat=2)}}
+    return st.ensure_valid(
+        st.FiniteMetricStructure(SIG, tuple(points), dist, preds, funcs))
+
+
+def _check(phis, M, seen):
+    """eval_formula against the reference for every phi and every point
+    assigned to x; returns the number of values compared."""
+    checked = 0
+    for phi in phis:
+        for p in M.points:
+            got = st.eval_formula(phi, M, {"x": p})
+            assert type(got) is Fraction
+            assert got == _reference(phi, M, {"x": p}, seen), fm.to_text(phi)
+            checked += 1
+    return checked
+
+
+def test_den_is_the_lcm_of_the_predicate_denominators():
+    M = _discrete_structure(random.Random(0), ["a", "b", "c"], (5, 7, 11))
+    assert M.den == 385
+    for name, table in M.preds.items():
+        for args, v in table.items():
+            scaled = M.scaled_pred(name, args)
+            assert type(scaled) is int and F(scaled, M.den) == v
+
+
+def test_eval_formula_matches_the_reference_on_coprime_structures():
+    rng = random.Random(1)
+    seen = _Coverage()
+    phis = _random_formulas(2, 300)
+    checked = 0
+    for points, denoms in ((["a", "b", "c"], (5, 7, 11)),
+                           (["a", "b"], (3, 4, 7)),
+                           (["a", "b", "c", "d"], (9, 5, 2))):
+        M = _discrete_structure(rng, points, denoms)
+        checked += _check(phis, M, seen)
+    assert checked == 300 * 9
+    assert min(seen.negative_sub, seen.nested_half, seen.inf, seen.func) > 0
+
+
+def test_eval_formula_matches_the_reference_on_random_metrics():
+    """Non-discrete metrics over 5 and 7 (constant functions)."""
+    rng = random.Random(3)
+    seen = _Coverage()
+    phis = _random_formulas(4, 60)
+    for denom in (5, 7):
+        M = family.random_structure(SIG, rng, 3, denom=denom)
+        _check(phis, M, seen)
+    assert seen.negative_sub > 0 and seen.inf > 0
+
+
+def test_shadowing_quantifier_restores_the_outer_value():
+    M = make_structure(SIG_P, {"P": {"p": F(1, 3), "q": F(1)}})
+    p_x = fm.Atomic("P", (fm.Var("x"),))
+    phi = fm.TruncSub(fm.Sup("x", p_x), p_x)
+    assert st.eval_formula(phi, M, {"x": "p"}) == F(2, 3)
+    assert st.eval_formula(phi, M, {"x": "q"}) == F(0)
+
+
+def test_eval_on_integral_matches_the_reference_on_materialize():
+    rng = random.Random(5)
+    space = di.FiniteProbabilitySpace(("w1", "w2"),
+                                      {"w1": F(1, 3), "w2": F(2, 3)})
+    field_ = di.MeasurableField(space, {
+        "w1": _discrete_structure(rng, ["a", "b"], (5, 7, 3)),
+        "w2": _discrete_structure(rng, ["c", "d", "e"], (7, 5, 3)),
+    })
+    M = di.materialize(field_)
+    seen = _Coverage()
+    checked = 0
+    for phi in _random_formulas(6, 100):
+        for e in field_.elements():
+            got = di.eval_on_integral(phi, field_, {"x": e})
+            name = tuple(e(w) for w in space.atoms)
+            assert type(got) is Fraction
+            assert got == _reference(phi, M, {"x": name}, seen), fm.to_text(phi)
+            checked += 1
+    assert checked == 100 * 6
+    assert min(seen.negative_sub, seen.nested_half, seen.inf, seen.func) > 0
+
+
+# ---------------------------------------------------------------------------
+# The complement identity against its l+1 thresholds
+
+
+def _complement_reference(values, neg_values, level):
+    """{zeta > i/l} = complement of {1 - zeta >= 1 - i/l} for each i in
+    0..l, as sets of atom positions."""
+    atoms = range(len(values))
+    for i in range(level + 1):
+        t = F(i, level)
+        strict = {w for w in atoms if values[w] > t}
+        outside = {w for w in atoms if not neg_values[w] >= 1 - t}
+        if strict != outside:
+            return False
+    return True
+
+
+def _planted_values(level):
+    """Every grid point i/l (0 and 1 among them) and two off-grid values."""
+    return [F(i, level) for i in range(level + 1)] + [F(1, 2 * level + 1),
+                                                      F(level, level + 1)]
+
+
+def test_complement_identity_on_every_formula_of_the_suite():
+    checked = 0
+    for inst in family.determination_instances(0, 204):
+        result = tr.transform(inst.formula, inst.k, tr.DEFAULT_BUDGET_C,
+                              family.FAMILY_BUDGET_VARS)
+        for zeta in result.formulas:
+            level = result.levels[zeta]
+            values = di.fiber_values(zeta, inst.field, inst.assignment)
+            neg = di.fiber_values(tr.one_minus(zeta), inst.field,
+                                  inst.assignment)
+            assert _complement_reference(values, neg, level)
+            assert tr.complement_identity_holds(zeta, level, inst.field,
+                                                inst.assignment)
+            checked += 1
+    assert checked > 5000
+
+
+def test_complement_identity_on_planted_tables():
+    for level in range(1, 9):
+        values = _planted_values(level)
+        neg = [1 - v for v in values]
+        assert _complement_reference(values, neg, level)
+        assert tr._complement_tables_agree(values, neg, level)
+        # One atom of 1 -. zeta moved by one grid step, inside [0, 1].
+        step = F(1, level)
+        for w, n in enumerate(neg):
+            moved = list(neg)
+            moved[w] = n - step if n - step >= 0 else n + step
+            assert not _complement_reference(values, moved, level)
+            assert not tr._complement_tables_agree(values, moved, level)
+
+
+def test_complement_tables_agree_with_the_reference_on_random_tables():
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(2000):
+        level = rng.randint(1, 12)
+        den = rng.choice((level, 2 * level, 3, 5, 7))
+        values = [F(rng.randrange(den + 1), den) for _ in range(3)]
+        neg = [1 - v + F(rng.randint(-1, 1), rng.choice((level, 2 * level)))
+               for v in values]
+        neg = [min(F(1), max(F(0), n)) for n in neg]
+        expected = _complement_reference(values, neg, level)
+        assert tr._complement_tables_agree(values, neg, level) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_moved_atom_of_the_complement_table_fails(monkeypatch):
+    M = make_structure(SIG_P, {"P": {"p": F(1, 2), "q": F(1)}})
+    field_ = di.MeasurableField(
+        di.FiniteProbabilitySpace(("w1",), {"w1": F(1)}), {"w1": M})
+    zeta = fm.Sup("y", fm.Atomic("P", (fm.Var("y"),)))  # 1 at the atom
+    level = 4
+    assert tr.complement_identity_holds(zeta, level, field_)
+    original = di.fiber_values
+
+    def moved(phi, field_, assignment=None):
+        values = original(phi, field_, assignment)
+        if phi == tr.one_minus(zeta):
+            return (values[0] + F(1, level),) + values[1:]
+        return values
+
+    monkeypatch.setattr(di, "fiber_values", moved)
+    assert not tr.complement_identity_holds(zeta, level, field_)
+
+
+# ---------------------------------------------------------------------------
+# No floats here either
+
+
+def test_no_float_in_this_module():
+    """The guard of test_integer_core, on this file; it names the float
+    type only as a string, so it does not trip on itself."""
+    tree = ast.parse(pathlib.Path(__file__).read_text(encoding="utf-8"))
+    offences = [node.lineno for node in ast.walk(tree)
+                if (isinstance(node, ast.Constant)
+                    and type(node.value).__name__ == "float")
+                or (isinstance(node, ast.Name) and node.id == "float")]
+    assert offences == []

@@ -434,3 +434,36 @@ def test_chain_var_outside_its_supchain_is_an_evaluation_error():
         mba.check_monotone(mba.Add(g, mba.Measure(mba.SetVar(X))), ALGEBRAS[1])
     with pytest.raises(EvaluationError):
         mba.eval_set(mba.ChainVar(0, "A", 0), {}, ALGEBRAS[1])
+
+
+# ---------------------------------------------------------------------------
+# Maximal depth vectors: searched once per key within a call
+
+
+def test_maximal_depth_vectors_are_searched_once_per_key_per_call(monkeypatch):
+    """A compiled maximal-mode search keeps the depth vectors of each
+    (caps, forbidden) key it meets, for the evaluations of its own call
+    only: check_monotone asks for no key twice, and a second call asks for
+    all of them again."""
+    original = mba._maximal_depth_vectors
+    keys = []
+
+    def recording(caps, forbidden):
+        keys.append((caps, forbidden))
+        return original(caps, forbidden)
+
+    monkeypatch.setattr(mba, "_maximal_depth_vectors", recording)
+    instances = [inst for inst in family.determination_instances(0, 17)
+                 if isinstance(inst.formula, fm.Sup)]
+    assert instances
+    for inst in instances:
+        g = checks.certify(inst, tr.DEFAULT_BUDGET_C,
+                           family.FAMILY_BUDGET_VARS)[0].g
+        per_call = []
+        for _ in range(2):
+            keys.clear()
+            assert mba.check_monotone(g, inst.field.space, trials=10) is None
+            per_call.append(list(keys))
+        assert per_call[0]
+        assert len(set(per_call[0])) == len(per_call[0])
+        assert per_call[1] == per_call[0]

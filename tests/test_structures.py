@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from dilogic import formula as fm
+from dilogic import integral as di
 from dilogic import structure as st
 from dilogic.errors import BudgetError, EvaluationError, ValidationError
 
-from helpers import SIG_P, SIG_PQ, make_structure, p_of
+from helpers import SIG_P, SIG_PQ, make_structure, p_of, uniform_space
 
 F = Fraction
 
@@ -72,6 +73,46 @@ def test_triangle_inequality_checked():
     )
     msg = st.validate(M)
     assert msg is not None and "triangle" in msg
+
+
+# Inexact or non-numeric values: True compares as 1, 0.25 as 1/4 and "1/2"
+# not at all, so each must be refused by its type.
+INEXACT_VALUES = [0.25, True, "1/2"]
+
+
+def _with_value(pred_value=F(1, 2), dist_value=F(1)):
+    """Two points p, q: P(p) = pred_value, P(q) = 1/2, d(p, q) =
+    dist_value, built without validation."""
+    dist = {("p", "p"): F(0), ("q", "q"): F(0),
+            ("p", "q"): dist_value, ("q", "p"): dist_value}
+    preds = {"P": {("p",): pred_value, ("q",): F(1, 2)}}
+    return st.FiniteMetricStructure(SIG_P, ("p", "q"), dist, preds)
+
+
+def _assert_refused(M, what):
+    msg = st.validate(M)
+    assert msg is not None and what in msg and "not an int or a Fraction" in msg
+    with pytest.raises(ValidationError):
+        st.ensure_valid(M)
+    with pytest.raises(ValidationError):
+        di.MeasurableField(uniform_space(("w1",)), {"w1": M})
+
+
+@pytest.mark.parametrize("bad", INEXACT_VALUES, ids=repr)
+def test_inexact_predicate_value_refused(bad):
+    _assert_refused(_with_value(pred_value=bad), "predicate 'P'")
+
+
+@pytest.mark.parametrize("bad", INEXACT_VALUES, ids=repr)
+def test_inexact_distance_refused(bad):
+    _assert_refused(_with_value(dist_value=bad), "distance d(p,q)")
+
+
+def test_int_and_fraction_values_accepted():
+    M = _with_value(pred_value=1, dist_value=1)
+    assert st.validate(M) is None
+    assert M.den == 2
+    assert st.eval_formula(fm.Inf("x", p_of("x")), M) == F(1, 2)
 
 
 def test_missing_table_reported():
