@@ -27,11 +27,15 @@ def _load_json(path):
         return json.load(fh)
 
 
-def _emit(doc, fmt, pretty_text=None):
-    if fmt == "pretty" and pretty_text is not None:
-        print(pretty_text)
+def _emit(fmt, doc, text=None):
+    """Print the rendering fmt selects, and build only that one: doc and
+    text are functions of no arguments giving the JSON document and the
+    pretty text.  A command without a text prints its document in either
+    format."""
+    if fmt == "pretty" and text is not None:
+        print(text())
     else:
-        json.dump(doc, sys.stdout, sort_keys=True, indent=2)
+        json.dump(doc(), sys.stdout, sort_keys=True, indent=2)
         print()
 
 
@@ -47,8 +51,8 @@ def _load_field(args):
 def cmd_transform(args):
     phi, _sig = _parse_with_sig(args)
     result = tr.transform(phi, args.k, args.budget_c, args.budget_vars)
-    _emit(jsonio.transform_result_to_doc(result), args.format,
-          jsonio.pretty_transform_result(result))
+    _emit(args.format, lambda: jsonio.transform_result_to_doc(result),
+          lambda: jsonio.pretty_transform_result(result))
     return EXIT_PASS
 
 
@@ -59,8 +63,8 @@ def cmd_eval(args):
         _load_json(args.assignment) if args.assignment else {}, field_)
     value = di.eval_on_integral(phi, field_, assignment,
                                 limit=args.max_choice_functions)
-    _emit({"value": jsonio.format_fraction(value)}, args.format,
-          jsonio.format_fraction(value))
+    _emit(args.format, lambda: {"value": jsonio.format_fraction(value)},
+          lambda: jsonio.format_fraction(value))
     return EXIT_PASS
 
 
@@ -73,7 +77,7 @@ def cmd_check(args):
         phi, args.k, field_, assignment, mode=args.mode,
         budget_c=args.budget_c, budget_vars=args.budget_vars,
         limit=args.max_choice_functions)
-    doc = {
+    _emit(args.format, lambda: {
         "k": report.k,
         "integral_value": jsonio.format_fraction(report.integral_value),
         "mba_value": jsonio.format_fraction(report.mba_value),
@@ -84,10 +88,8 @@ def cmd_check(args):
              "mba_value": jsonio.format_fraction(g)}
             for rule, l, v, g in report.failures
         ],
-    }
-    _emit(doc, args.format,
-          f"v = {report.integral_value}, g = {report.mba_value}, "
-          f"{'pass' if report.ok else 'FAIL'}")
+    }, lambda: (f"v = {report.integral_value}, g = {report.mba_value}, "
+                f"{'pass' if report.ok else 'FAIL'}"))
     return EXIT_PASS if report.ok else EXIT_VIOLATION
 
 
@@ -112,8 +114,9 @@ def cmd_mba_defin(args):
             w = mba.eval_mba(psi, {x1: a, x2: b, x3: a & b}, alg)
             if w != 0:
                 bad.append(("intersection", sorted(a), sorted(b)))
-    doc = {"ok": not bad, "violations": [list(x) for x in bad]}
-    _emit(doc, args.format, "pass" if not bad else f"FAIL: {bad[:3]}")
+    _emit(args.format,
+          lambda: {"ok": not bad, "violations": [list(x) for x in bad]},
+          lambda: "pass" if not bad else f"FAIL: {bad[:3]}")
     return EXIT_PASS if not bad else EXIT_VIOLATION
 
 
@@ -123,14 +126,13 @@ def cmd_mba_monotone(args):
     result = tr.transform(phi, args.k, args.budget_c, args.budget_vars)
     ce = mba.check_monotone(result.g, alg, trials=args.trials, seed=args.seed)
     if ce is None:
-        _emit({"ok": True}, args.format, "pass")
+        _emit(args.format, lambda: {"ok": True}, lambda: "pass")
         return EXIT_PASS
-    doc = {
+    _emit(args.format, lambda: {
         "ok": False,
         "low_value": jsonio.format_fraction(ce.low_value),
         "high_value": jsonio.format_fraction(ce.high_value),
-    }
-    _emit(doc, args.format, f"FAIL: {ce.low_value} > {ce.high_value}")
+    }, lambda: f"FAIL: {ce.low_value} > {ce.high_value}")
     return EXIT_VIOLATION
 
 
@@ -149,29 +151,29 @@ def cmd_mba_dist(args):
     assign = {mba.chain_var("X", m, len(chain)): x for m, x in enumerate(xs)}
     bound = mba.eval_mba(formula, assign, alg)
     dist, witness = mba.dist_to_chain_set(xs, chain, alg)
-    out = {
+    witness_doc = [jsonio.subset_to_doc(y, alg) for y in witness]
+    _emit(args.format, lambda: {
         "phi_value": jsonio.format_fraction(bound),
         "distance": jsonio.format_fraction(dist),
-        "witness": [jsonio.subset_to_doc(y, alg) for y in witness],
+        "witness": witness_doc,
         "ok": dist <= bound,
-    }
-    _emit(out, args.format,
-          f"phi = {bound}, dist = {dist}, witness = {out['witness']}")
+    }, lambda: f"phi = {bound}, dist = {dist}, witness = {witness_doc}")
     return EXIT_PASS if dist <= bound else EXIT_VIOLATION
 
 
 def cmd_typei(args):
     if args.typei_cmd == "rho":
         desc = jsonio.description_from_doc(_load_json(args.desc))
-        _emit(jsonio.rho_to_doc(typei.rho(desc)), args.format)
+        _emit(args.format, lambda: jsonio.rho_to_doc(typei.rho(desc)))
         return EXIT_PASS
     d1 = jsonio.description_from_doc(_load_json(args.left))
     d2 = jsonio.description_from_doc(_load_json(args.right))
     if args.typei_cmd == "equiv":
         same = typei.equiv(d1, d2)
-        _emit({"equiv": same}, args.format, "equivalent" if same else "different")
+        _emit(args.format, lambda: {"equiv": same},
+              lambda: "equivalent" if same else "different")
         return EXIT_PASS
-    _emit(jsonio.description_to_doc(typei.tensor(d1, d2)), args.format)
+    _emit(args.format, lambda: jsonio.description_to_doc(typei.tensor(d1, d2)))
     return EXIT_PASS
 
 
@@ -196,10 +198,10 @@ def cmd_selftest(args):
         not checks.typei_congruence(*quad)
         for quad in family.description_quadruples(args.seed, 25))
     ok = not any(failures.values())
-    doc = {"ok": ok, "failures": failures, "instances": len(instances),
-           "seed": args.seed}
-    _emit(doc, args.format,
-          ("pass" if ok else "FAIL") + f" ({len(instances)} instances)")
+    _emit(args.format,
+          lambda: {"ok": ok, "failures": failures, "instances": len(instances),
+                   "seed": args.seed},
+          lambda: ("pass" if ok else "FAIL") + f" ({len(instances)} instances)")
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 

@@ -198,27 +198,26 @@ def free_vars(phi):
 # Pretty printing
 
 
-def _term_text(term):
-    if isinstance(term, Var):
-        return term.name
-    return f"{term.func}({','.join(_term_text(a) for a in term.args)})"
-
-
 def to_text(phi):
-    """Render a formula in the DSL grammar; parse(to_text(phi)) == phi."""
-    if isinstance(phi, Atomic):
-        return f"{phi.pred}({','.join(_term_text(t) for t in phi.args)})"
-    if isinstance(phi, Const):
+    """Render a formula or term in the DSL grammar.  A canonical formula
+    reads back: parse_formula(to_text(phi)) == phi."""
+    t = type(phi)
+    if t is Atomic or t is Apply:
+        name = phi.pred if t is Atomic else phi.func
+        return f"{name}({','.join(map(to_text, phi.args))})"
+    if t is Var:
+        return phi.name
+    if t is Const:
         return str(phi.value)
-    if isinstance(phi, Half):
+    if t is Half:
         return f"half({to_text(phi.body)})"
-    if isinstance(phi, TruncSub):
+    if t is TruncSub:
         return f"sub({to_text(phi.left)}, {to_text(phi.right)})"
-    if isinstance(phi, Sup):
+    if t is Sup:
         return f"sup {phi.var} . {to_text(phi.body)}"
-    if isinstance(phi, Inf):
+    if t is Inf:
         return f"inf {phi.var} . {to_text(phi.body)}"
-    raise TypeError(f"not a formula: {phi!r}")
+    raise TypeError(f"not a formula or term: {phi!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -317,13 +316,11 @@ def _tokenize(text):
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ParseError(f"unexpected character {stripped[0]!r}", pos)
-        if m.lastgroup is None and not m.group().strip():
-            pos = m.end()
-            continue
+            raise ParseError(f"unexpected character {rest[0]!r}",
+                             len(text) - len(rest))
         kind = m.lastgroup
         value = m.group(kind)
         tokens.append((kind, value, m.start(kind)))

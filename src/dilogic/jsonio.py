@@ -47,6 +47,12 @@ def _object(doc, what):
     return doc
 
 
+def _list(doc, what):
+    if not isinstance(doc, list):
+        raise InputError(f"bad {what} document: expected a JSON list")
+    return doc
+
+
 def signature_from_doc(doc):
     _object(doc, "signature")
     try:
@@ -84,7 +90,7 @@ def algebra_from_doc(doc):
 
 def subset_from_doc(doc, alg):
     try:
-        subset = frozenset(doc)
+        subset = frozenset(_list(doc, "subset"))
     except TypeError as exc:
         raise InputError(f"bad subset {doc!r}: {exc}") from None
     for a in subset:
@@ -233,9 +239,10 @@ def description_to_doc(desc):
 def description_from_doc(doc):
     try:
         components = tuple(
-            (e["m"], tuple(parse_fraction(a) for a in e.get("atoms", [])),
+            (e["m"], tuple(map(parse_fraction,
+                               _list(e.get("atoms", []), "description atoms"))),
              parse_fraction(e.get("diffuse", 0)))
-            for e in doc["components"]
+            for e in _list(doc["components"], "description components")
         )
         remainder = parse_fraction(doc.get("remainder", 0))
     except (TypeError, KeyError) as exc:
@@ -269,58 +276,61 @@ def var_name(index, v):
     return name if v.strict else name + "|ge"
 
 
-def _set_to_doc(t, index):
-    if isinstance(t, mba.SetVar):
-        return {"op": "var", "name": var_name(index, t.index)}
-    if isinstance(t, mba.ChainVar):
-        return {"op": "chainvar", "binder": t.binder, "tag": index[t.tag],
-                "slot": t.slot}
-    if isinstance(t, mba.SetLit):
-        return {"op": "lit", "atoms": sorted(t.atoms, key=str)}
-    if isinstance(t, mba.Empty):
-        return {"op": "empty"}
-    if isinstance(t, mba.Full):
-        return {"op": "full"}
-    if isinstance(t, mba.Compl):
-        return {"op": "compl", "body": _set_to_doc(t.body, index)}
-    ops = {mba.Union: "union", mba.Inter: "inter", mba.Diff: "diff",
-           mba.SymDiff: "symdiff"}
-    return {"op": ops[type(t)], "left": _set_to_doc(t.left, index),
-            "right": _set_to_doc(t.right, index)}
+# The document op and the pretty infix symbol of each binary node class,
+# and the name of each n-ary one; _mba_to_doc and pretty_mba read both.
+_INFIX = {
+    mba.Union: ("union", "+"), mba.Inter: ("inter", "&"),
+    mba.Diff: ("diff", "\\"), mba.SymDiff: ("symdiff", "^"),
+    mba.Add: ("add", "+"), mba.TruncSub: ("sub", "-."),
+}
+_NARY = {mba.Max: "max", mba.Min: "min"}
 
 
 def _mba_to_doc(g, index):
-    if isinstance(g, mba.Measure):
-        return {"op": "measure", "set": _set_to_doc(g.term, index)}
-    if isinstance(g, mba.Const):
+    """The document of a set term or formula of G; index numbers its tags."""
+    t = type(g)
+    if t is mba.SetVar:
+        return {"op": "var", "name": var_name(index, g.index)}
+    if t in _INFIX:
+        return {"op": _INFIX[t][0], "left": _mba_to_doc(g.left, index),
+                "right": _mba_to_doc(g.right, index)}
+    if t is mba.Compl:
+        return {"op": "compl", "body": _mba_to_doc(g.body, index)}
+    if t is mba.Measure:
+        return {"op": "measure", "set": _mba_to_doc(g.term, index)}
+    if t is mba.ChainVar:
+        return {"op": "chainvar", "binder": g.binder, "tag": index[g.tag],
+                "slot": g.slot}
+    if t is mba.SetLit:
+        return {"op": "lit", "atoms": sorted(g.atoms, key=str)}
+    if t is mba.Empty:
+        return {"op": "empty"}
+    if t is mba.Full:
+        return {"op": "full"}
+    if t is mba.Const:
         return {"op": "const", "value": format_fraction(g.value)}
-    if isinstance(g, mba.Scale):
+    if t is mba.Scale:
         return {"op": "scale", "factor": format_fraction(g.factor),
                 "body": _mba_to_doc(g.body, index)}
-    if isinstance(g, (mba.Add, mba.TruncSub)):
-        op = "add" if isinstance(g, mba.Add) else "sub"
-        return {"op": op, "left": _mba_to_doc(g.left, index),
-                "right": _mba_to_doc(g.right, index)}
-    if isinstance(g, (mba.Max, mba.Min)):
-        op = "max" if isinstance(g, mba.Max) else "min"
-        return {"op": op, "items": [_mba_to_doc(i, index) for i in g.items]}
-    if isinstance(g, mba.SupChain):
+    if t in _NARY:
+        return {"op": _NARY[t], "items": [_mba_to_doc(i, index) for i in g.items]}
+    if t is mba.SupChain:
         return {
             "op": "supchain",
             "binder": g.binder,
             "chains": [
                 {"tag": index[spec.tag],
-                 "bounds": [_set_to_doc(b, index) for b in spec.bounds]}
+                 "bounds": [_mba_to_doc(b, index) for b in spec.bounds]}
                 for spec in g.chains
             ],
             "inner": _mba_to_doc(g.inner, index),
             "profiles": [
                 {"slots": [[index[tag], slot] for tag, slot in prof.slots],
-                 "bound": _set_to_doc(prof.bound, index)}
+                 "bound": _mba_to_doc(prof.bound, index)}
                 for prof in g.profiles
             ],
         }
-    raise TypeError(f"not an mba formula: {g!r}")
+    raise TypeError(f"not an mba formula or set term: {g!r}")
 
 
 def transform_result_to_doc(result):
@@ -348,58 +358,49 @@ def transform_result_to_doc(result):
 # Pretty printing of measure-algebra formulas
 
 
-def _pretty_var(v):
-    mode = "" if v.strict else "~"
-    return f"Z{mode}^{{{fm.to_text(v.tag)}}}_{{{v.level}}}"
-
-
-def _pretty_set(t):
-    if isinstance(t, mba.SetVar):
-        return _pretty_var(t.index)
-    if isinstance(t, mba.ChainVar):
-        return f"Y{t.binder}^{{{fm.to_text(t.tag)}}}_{t.slot}"
-    if isinstance(t, mba.SetLit):
-        return "{" + ",".join(sorted(t.atoms, key=str)) + "}"
-    if isinstance(t, mba.Empty):
-        return "0"
-    if isinstance(t, mba.Full):
-        return "1"
-    if isinstance(t, mba.Compl):
-        return f"c({_pretty_set(t.body)})"
-    sym = {mba.Union: "+", mba.Inter: "&", mba.Diff: "\\", mba.SymDiff: "^"}
-    return f"({_pretty_set(t.left)} {sym[type(t)]} {_pretty_set(t.right)})"
-
-
 def pretty_mba(g):
-    if isinstance(g, mba.Measure):
-        return f"mu({_pretty_set(g.term)})"
-    if isinstance(g, mba.Const):
+    """The text of a set term or formula of G."""
+    t = type(g)
+    if t is mba.SetVar:
+        v = g.index
+        mode = "" if v.strict else "~"
+        return f"Z{mode}^{{{fm.to_text(v.tag)}}}_{{{v.level}}}"
+    if t in _INFIX:
+        return f"({pretty_mba(g.left)} {_INFIX[t][1]} {pretty_mba(g.right)})"
+    if t is mba.Compl:
+        return f"c({pretty_mba(g.body)})"
+    if t is mba.Measure:
+        return f"mu({pretty_mba(g.term)})"
+    if t is mba.ChainVar:
+        return f"Y{g.binder}^{{{fm.to_text(g.tag)}}}_{g.slot}"
+    if t is mba.SetLit:
+        return "{" + ",".join(sorted(g.atoms, key=str)) + "}"
+    if t is mba.Empty:
+        return "0"
+    if t is mba.Full:
+        return "1"
+    if t is mba.Const:
         return format_fraction(g.value)
-    if isinstance(g, mba.Scale):
+    if t is mba.Scale:
         return f"{format_fraction(g.factor)}*({pretty_mba(g.body)})"
-    if isinstance(g, mba.Add):
-        return f"({pretty_mba(g.left)} + {pretty_mba(g.right)})"
-    if isinstance(g, mba.TruncSub):
-        return f"({pretty_mba(g.left)} -. {pretty_mba(g.right)})"
-    if isinstance(g, (mba.Max, mba.Min)):
-        name = "max" if isinstance(g, mba.Max) else "min"
-        return f"{name}({', '.join(pretty_mba(i) for i in g.items)})"
-    if isinstance(g, mba.SupChain):
+    if t in _NARY:
+        return f"{_NARY[t]}({', '.join(pretty_mba(i) for i in g.items)})"
+    if t is mba.SupChain:
         chains = "; ".join(
             f"{fm.to_text(spec.tag)}: "
-            + ", ".join(_pretty_set(b) for b in spec.bounds)
+            + ", ".join(pretty_mba(b) for b in spec.bounds)
             for spec in g.chains
         )
         profiles = "; ".join(
-            " & ".join(_pretty_set(mba.ChainVar(g.binder, tag, slot))
+            " & ".join(pretty_mba(mba.ChainVar(g.binder, tag, slot))
                        for tag, slot in prof.slots)
-            + f" <= {_pretty_set(prof.bound)}"
+            + f" <= {pretty_mba(prof.bound)}"
             for prof in g.profiles
         )
         if profiles:
             chains += f" | {profiles}"
         return f"sup[Y{g.binder} | {chains}]({pretty_mba(g.inner)})"
-    raise TypeError(f"not an mba formula: {g!r}")
+    raise TypeError(f"not an mba formula or set term: {g!r}")
 
 
 def pretty_transform_result(result):

@@ -212,13 +212,10 @@ class Compl:
     body: object
 
 
-def eval_set(term, assign, alg, env=None):
-    """The set a term denotes; assign holds frozensets by SetVarIndex and
-    env frozensets by chain-variable key (binder, tag, slot)."""
-    env = env or {}
+def eval_set(term, assign, alg):
+    """The set a term denotes; assign holds frozensets by SetVarIndex."""
     compiler = _Compiler(alg)
-    compiler.e.extend(map(alg.mask, env.values()))
-    term = compiler.set_term(term, {key: i for i, key in enumerate(env)})
+    term = compiler.set_term(term, {})
     compiler.bind(assign)
     return alg.unmask(term())
 
@@ -292,10 +289,6 @@ class ChainSpec:
 
     tag: object
     bounds: tuple  # of set terms
-
-    @property
-    def length(self):
-        return len(self.bounds)
 
 
 @dataclass(frozen=True)

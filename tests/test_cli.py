@@ -319,6 +319,13 @@ def _signature_doc(arity):
     return {"predicates": [{"name": "P", "arity": arity}]}
 
 
+def _field_doc_without(key):
+    """The atomic example field document with `key` dropped from fiber w1."""
+    doc = _field_doc()
+    del doc["fibers"]["w1"][key]
+    return doc
+
+
 @pytest.mark.parametrize("argv, doc", [
     (["transform", "--formula", "P(x)", "--signature", "DOC"],
      [{"name": "P", "arity": 1}]),
@@ -360,13 +367,36 @@ def _signature_doc(arity):
      {"components": [{"m": "two", "atoms": ["1"]}]}),
     (["typei", "rho", "--desc", "DOC"],
      {"components": [{"m": 2.7, "atoms": ["1"]}]}),
+    (["mba", "dist", "--algebra", "alg3.json", "--input", "DOC"],
+     {"chain": ["ab"], "tuple": [["a"]]}),
+    (["typei", "rho", "--desc", "DOC"], {"components": [{"m": 1, "atoms": "1"}]}),
+    (["mba", "defin", "--algebra", "DOC"], {"atoms": ["a"], "weights": ["1/0"]}),
+    (["mba", "defin", "--algebra", "DOC"], {"atoms": ["a"], "weights": ["x"]}),
+    (["transform", "--formula", "P(x)", "--signature", "DOC"],
+     {"predicates": [{"name": "P"}]}),
+    (["mba", "defin", "--algebra", "DOC"], {"atoms": ["a"]}),
+    (["mba", "defin", "--algebra", "DOC"],
+     {"atoms": ["a", "b"], "weights": ["1"]}),
+    (["mba", "dist", "--algebra", "alg.json", "--input", "DOC"],
+     {"chain": [["zz"]], "tuple": [["w1"]]}),
+    (["eval", "--formula", "P(x)", "--field", "DOC"], _field_doc_without("dist")),
+    (["eval", "--formula", "P(x)", "--field", "DOC"],
+     {"space": _field_doc()["space"]}),
+    (["eval", "--formula", "P(x)", "--field", "DOC"],
+     {**_field_doc(), "fibers": {"w1": _field_doc()["fibers"]["w1"]}}),
+    (["eval", "--formula", "P(x)", "--field", "DOC"], _field_doc(preds={"P": {}})),
+    (["typei", "rho", "--desc", "DOC"], {"remainder": "1"}),
 ], ids=["signature-list", "assignment-list", "assignment-string",
         "assignment-entry-string", "dist-missing-tuple", "dist-subset-number",
         "dist-chain-number", "points-string", "points-nested",
         "assignment-unknown-atom", "arity-string", "arity-null",
         "arity-fraction", "fibers-list", "preds-list", "dist-number",
         "atoms-lists", "atoms-string", "atoms-float", "m-string",
-        "m-fraction"])
+        "m-fraction", "dist-subset-string", "desc-atoms-string",
+        "weight-zero-denominator", "weight-not-rational", "arity-missing",
+        "weights-missing", "weights-length", "dist-subset-unknown-atom",
+        "structure-dist-missing", "fibers-missing", "fiber-missing",
+        "pred-entry-missing", "components-missing"])
 def test_malformed_document_exit_2(paths, tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -89,6 +89,37 @@ def test_parse_rejections(text):
         fm.parse_formula(text, SIG_PQ)
 
 
+SIG_PQF = fm.Signature((("P", 1), ("Q", 1)), (("f", 1),))
+
+
+@pytest.mark.parametrize("text, message, position", [
+    ("P(x) @", "unexpected character '@'", 5),
+    ("sub(,", "expected a formula, found ','", 4),
+    ("sup 1 . P(x)", "expected a variable name after quantifier", 4),
+    ("1/x", "expected a denominator", 2),
+    ("P(1)", "expected a term, found '1'", 2),
+    ("P(sup)", "'sup' cannot appear in a term", 2),
+    ("P(g(x))", "undeclared function 'g'", 2),
+    ("Q(f(x,x))", "function 'f' expects 1 argument(s), got 2", 2),
+])
+def test_parse_error_message_and_position(text, message, position):
+    with pytest.raises(ParseError) as exc:
+        fm.parse_formula(text, SIG_PQF)
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
+def test_to_text_renders_terms():
+    term = fm.Apply("g", (fm.Var("x"), fm.Apply("f", (fm.Var("y"),))))
+    assert fm.to_text(term) == "g(x,f(y))"
+    assert fm.to_text(fm.Var("x")) == "x"
+
+
+def test_trailing_whitespace_parses():
+    assert fm.parse_formula("P(f(x)) \t\n ", SIG_PQF) == fm.parse_formula(
+        "P(f(x))", SIG_PQF)
+
+
 # ---------------------------------------------------------------------------
 # Free variables and canonicalization
 

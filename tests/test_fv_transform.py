@@ -1,5 +1,6 @@
 """Formula compilation and the determination certificates."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -13,13 +14,16 @@ from dilogic import transform as tr
 from dilogic.errors import BudgetError, InputError
 
 from helpers import (
+    SIG_P,
     SIG_PQ,
     atomic_example_assignment,
     atomic_example_field,
     joint_witness_field,
+    make_structure,
     p_of,
     q_of,
     sup_example_field,
+    uniform_space,
 )
 
 F = Fraction
@@ -190,6 +194,29 @@ def test_determination_inf_blowup_fails_loudly():
         tr.determination_check(phi, 2, field_)
 
 
+def _constant_p_field(value):
+    """One atom whose one-point fiber has P = value."""
+    fiber = make_structure(SIG_P, {"P": {"p": value}})
+    return di.MeasurableField(uniform_space(("w1",)), {"w1": fiber})
+
+
+@pytest.mark.parametrize("p_value, g_value, rule", [
+    (F(0), F(1), "D.4"),  # G too high: G > l/k while the value is 0
+    (F(1), F(0), "D.3"),  # G too low: the value is 1 while G is 0
+])
+def test_determination_failures_on_a_wrong_g(p_value, g_value, rule):
+    phi = p_of("x")
+    field_ = _constant_p_field(p_value)
+    assignment = {"x": di.element_of(field_, {"w1": "p"})}
+    wrong = dataclasses.replace(tr.transform(phi, 4), g=mba.Const(g_value))
+    report = tr.determination_check(phi, 4, field_, assignment, result=wrong)
+    assert (report.integral_value, report.mba_value) == (p_value, g_value)
+    assert not report.ok
+    assert report.failures == tuple(
+        (rule, l, p_value, g_value) for l in (1, 2, 3)
+    ) + (("gap", None, p_value, g_value),)
+
+
 def test_determination_family_sample():
     for inst in family.determination_instances(5, 12):
         phi = fm.rewrite_inf(inst.formula)
@@ -246,6 +273,13 @@ def test_corollary_equivalence_relabeled_pair():
     field_a, field_b, _bij = family.relabel_pairs(3, 1)[0]
     bad = tr.corollary_equivalence_check(field_a, field_b, family.sentence_suite())
     assert bad == []
+
+
+def test_corollary_equivalence_reports_a_disagreement():
+    sup_p = fm.canonicalize(fm.Sup("y", p_of("y")))
+    zero, one = _constant_p_field(F(0)), _constant_p_field(F(1))
+    assert tr.corollary_equivalence_check(zero, one, [sup_p]) == [
+        (sup_p, {}, {}, F(0), F(1))]
 
 
 def test_corollary_equivalence_constant_fiber():

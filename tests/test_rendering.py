@@ -1,9 +1,12 @@
 """Renderings of the ASTs: the transform document, the pretty text of G,
-and the formula text."""
+the formula text, and which rendering each command builds."""
 
+import json
 from fractions import Fraction
 
-from dilogic import jsonio, mba
+import pytest
+
+from dilogic import cli, jsonio, mba
 from dilogic import formula as fm
 from dilogic import transform as tr
 
@@ -92,3 +95,27 @@ def test_formula_text_renders_nested_function_terms():
                     " sub(P(f(f(y1))), 1/3))")
     assert fm.parse_formula(text, sig) == phi
 
+
+def _refuse(what):
+    def refuse(*_args):
+        raise AssertionError(f"{what} was built")
+    return refuse
+
+
+@pytest.mark.parametrize("fmt, unused", [
+    ("json", ("pretty_transform_result", "pretty_mba")),
+    ("pretty", ("transform_result_to_doc",)),
+])
+def test_transform_builds_only_the_selected_format(tmp_path, capsys,
+                                                   monkeypatch, fmt, unused):
+    sig_path = tmp_path / "sig.json"
+    sig_path.write_text(json.dumps({"predicates": [{"name": "P", "arity": 1}]}),
+                        encoding="utf-8")
+    argv = ["transform", "--formula", "sup y . P(y)",
+            "--signature", str(sig_path), "--k", "2", "--format", fmt]
+    assert cli.main(argv) == cli.EXIT_PASS
+    expected = capsys.readouterr().out
+    for name in unused:
+        monkeypatch.setattr(jsonio, name, _refuse(name))
+    assert cli.main(argv) == cli.EXIT_PASS
+    assert capsys.readouterr().out == expected

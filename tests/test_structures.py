@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from dilogic import formula as fm
+from dilogic import jsonio
 from dilogic import integral as di
 from dilogic import structure as st
 from dilogic.errors import BudgetError, EvaluationError, ValidationError
@@ -119,6 +120,81 @@ def test_missing_table_reported():
     M = st.FiniteMetricStructure(SIG_PQ, ("p",), {("p", "p"): F(0)},
                                  {"P": {("p",): F(0)}})
     assert st.validate(M) is not None
+
+
+SIG_PF = fm.Signature((("P", 1),), (("f", 1),))
+
+
+def _metric(points, far):
+    """Distance far[(p, q)] for p before q in points (default 1/2), and
+    its mirror; 0 on the diagonal."""
+    dist = {}
+    for i, p in enumerate(points):
+        dist[(p, p)] = F(0)
+        for q in points[i + 1:]:
+            dist[(p, q)] = dist[(q, p)] = far.get((p, q), F(1, 2))
+    return dist
+
+
+def _pf(points=("p", "q"), dist=None, preds=None, funcs=None):
+    """A P, f structure, valid unless a table is replaced: d = 1/2 between
+    distinct points, P = 0 and f the identity."""
+    return st.FiniteMetricStructure(
+        SIG_PF, points, _metric(points, {}) if dist is None else dist,
+        {"P": {(p,): F(0) for p in points}} if preds is None else preds,
+        {"f": {(p,): p for p in points}} if funcs is None else funcs)
+
+
+PQR = ("p", "q", "r")
+
+
+@pytest.mark.parametrize("M, message", [
+    (_pf(points=()), "structure has no points"),
+    (_pf(points=("p", "p"), dist={}), "duplicate point names"),
+    (_pf(dist={k: v for k, v in _metric(("p", "q"), {}).items() if k != ("q", "q")}),
+     "missing distance (q,q)"),
+    (_pf(dist={**_metric(("p", "q"), {}), ("p", "q"): 0.5}),
+     "distance d(p,q)=0.5 is not an int or a Fraction"),
+    (_pf(dist=_metric(("p", "q"), {("p", "q"): F(2)})),
+     "distance d(p,q)=2 outside [0,1]"),
+    (_pf(dist=_metric(("p", "q"), {("p", "q"): F(0)})),
+     "d(p,q)=0 violates identity of indiscernibles"),
+    (_pf(dist={**_metric(("p", "q"), {}), ("q", "p"): F(1, 4)}),
+     "d(p,q) != d(q,p)"),
+    (_pf(points=PQR, dist=_metric(PQR, {("p", "q"): F(1, 4), ("q", "r"): F(1, 4),
+                                        ("p", "r"): F(1)})),
+     "triangle inequality fails at (p,q,r)"),
+    (_pf(preds={}), "missing table for predicate 'P'"),
+    (_pf(preds={"P": {("p",): F(0)}}), "predicate 'P' undefined at ('q',)"),
+    (_pf(preds={"P": {("p",): F(0), ("q",): 0.0}}),
+     "predicate 'P' value 0.0 at ('q',) is not an int or a Fraction"),
+    (_pf(preds={"P": {("p",): F(0), ("q",): F(3, 2)}}),
+     "predicate 'P' value 3/2 outside [0,1] at ('q',)"),
+    (_pf(preds={"P": {("p",): F(0), ("q",): F(1)}}),
+     "predicate 'P' not 1-Lipschitz in coordinate 0 between ('p',) and ('q',)"),
+    (_pf(funcs={}), "missing table for function 'f'"),
+    (_pf(funcs={"f": {("p",): "p"}}), "function 'f' undefined at ('q',)"),
+    (_pf(funcs={"f": {("p",): "p", ("q",): "r"}}),
+     "function 'f' maps ('q',) outside the point set"),
+    (_pf(points=PQR, dist=_metric(PQR, {("p", "q"): F(1, 4)}),
+         funcs={"f": {("p",): "p", ("q",): "r", ("r",): "r"}}),
+     "function 'f' not 1-Lipschitz in coordinate 0 between ('p',) and ('q',)"),
+])
+def test_validate_reports_each_malformed_structure(M, message):
+    assert st.validate(_pf()) is None
+    assert st.validate(M) == message
+
+
+def test_structure_document_round_trip_with_constant_and_function():
+    sig = fm.Signature((("P", 1), ("C", 0)), (("f", 1),))
+    M = st.ensure_valid(st.FiniteMetricStructure(
+        sig, ("p", "q"), _metric(("p", "q"), {}),
+        {"P": {("p",): F(1, 4), ("q",): F(1, 2)}, "C": {(): F(1, 3)}},
+        {"f": {("p",): "q", ("q",): "p"}}))
+    doc = jsonio.structure_to_doc(M)
+    assert doc["preds"]["C"] == "1/3"
+    assert doc["funcs"] == {"f": {"p": "q", "q": "p"}}
+    assert jsonio.structure_from_doc(doc) == M
 
 
 # ---------------------------------------------------------------------------
