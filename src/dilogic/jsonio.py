@@ -15,6 +15,7 @@ from . import formula as fm
 from . import integral as di
 from . import mba
 from . import structure as st
+from . import transform as tr
 from . import typei
 from .errors import InputError
 
@@ -333,10 +334,39 @@ def _mba_to_doc(g, index):
     raise TypeError(f"not an mba formula or set term: {g!r}")
 
 
+def _declared_names(result, index):
+    """The names of the declared set, tag by tag in F order: each tag's
+    strict grid merged with G's off-grid variables on that tag, by
+    threshold and then mode (>= before >).  Written from levels and G, so
+    result.variables is never built."""
+    off = {}
+    for v in tr.off_grid_vars(result.levels, result.g):
+        off.setdefault(v.tag, []).append(v)
+    grids = {}  # level -> the texts of its thresholds j/l, 0 <= j < l
+    names = []
+    for zeta in result.formulas:
+        level = result.levels[zeta]
+        if level not in grids:
+            grids[level] = [str(Fraction(j, level)) for j in range(level)]
+        prefix = f"Z[{index[zeta]}]"
+        if zeta not in off:
+            names += [f"{prefix}[{t}]" for t in grids[level]]
+            continue
+        # Thresholds compare as integer numerators over this tag's lcm.
+        lcm = math.lcm(level, *(v.level.denominator for v in off[zeta]))
+        keyed = [(j * (lcm // level), True, t)
+                 for j, t in enumerate(grids[level])]
+        keyed += [(v.level.numerator * (lcm // v.level.denominator),
+                   v.strict, str(v.level)) for v in off[zeta]]
+        names += [f"{prefix}[{t}]" + ("" if strict else "|ge")
+                  for _key, strict, t in sorted(keyed)]
+    return names
+
+
 def transform_result_to_doc(result):
+    """The `dilogic transform` document.  Its declared set is written from
+    result.levels and G; result.variables serves tests and counters only."""
     table, index = _formula_table(result)
-    # Levels compare as integer numerators over their lcm denominator.
-    lcm = math.lcm(*(v.level.denominator for v in result.variables))
     return {
         "k": result.k,
         "formulas": [fm.to_text(z) for z in result.formulas],
@@ -345,11 +375,7 @@ def transform_result_to_doc(result):
         ],
         "levels": {str(i): result.levels[z]
                    for i, z in enumerate(result.formulas)},
-        "variables": [var_name(index, v) for v in sorted(
-            result.variables,
-            key=lambda v: (index[v.tag],
-                           v.level.numerator * (lcm // v.level.denominator),
-                           v.strict))],
+        "variables": _declared_names(result, index),
         "g": _mba_to_doc(result.g, index),
     }
 

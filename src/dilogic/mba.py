@@ -150,10 +150,6 @@ class SetVarIndex:
             object.__setattr__(self, "level", Fraction(self.level))
 
 
-def var_sort_key(index):
-    return (str(index.tag), index.level, index.strict)
-
-
 @dataclass(frozen=True)
 class SetVar:
     index: SetVarIndex
@@ -731,7 +727,7 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     """
     free = free_set_vars(g)
     texts = {tag: str(tag) for tag in {v.tag for v in free}}
-    # var_sort_key, with each distinct tag rendered once.
+    # By tag text, threshold and mode, each distinct tag rendered once.
     variables = sorted(free, key=lambda v: (texts[v.tag], v.level, v.strict))
     if not variables:
         return None

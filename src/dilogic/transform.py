@@ -50,12 +50,37 @@ def xi_formula(var, alpha):
     return fm.canonicalize(fm.Sup(var, _min_fold(items)))
 
 
+def _xi_direct(var, alpha, free, renamed):
+    """xi_formula(var, alpha) for tags that bind no variable, built in
+    canonical form without a canonicalize walk: the Sup binds the first
+    y<i> not in free[zeta] (each tag's free variables but var) for any tag
+    of alpha, and renaming var is each tag's only change.  renamed caches
+    those copies by (tag, name)."""
+    taken = set().union(*(free[zeta] for zeta, _c in alpha))
+    name = next(f"y{i}" for i in itertools.count() if f"y{i}" not in taken)
+    items = []
+    for zeta, c in alpha:
+        if (zeta, name) not in renamed:
+            renamed[zeta, name] = _rename(zeta, var, name)
+        items.append(fm.TruncSub(renamed[zeta, name], fm.Const(c)))
+    return fm.Sup(name, _min_fold(items))
+
+
+def _rename(phi, old, new):
+    """phi with its variable old renamed new; phi binds no variable."""
+    if type(phi) is fm.Var:
+        return fm.Var(new) if phi.name == old else phi
+    return fm.rebuild(phi, lambda child: _rename(child, old, new))
+
+
 @dataclass(frozen=True)
 class TransformResult:
     """F[phi] (the keys of `levels`; `formulas` is their text order, the
-    one tag order), its levels and G.  The declared set `variables` is G's
-    variables plus the strict grid (zeta, i/l, >), 0 <= i < l, of each
-    formula zeta of level l.  Only G's variables get level sets."""
+    one tag order), its levels and G.  The declared set is G's variables
+    plus the strict grid (zeta, i/l, >), 0 <= i < l, of each formula zeta
+    of level l.  Only G's variables get level sets.  The document writes
+    the declared set from `levels` and G; the `variables` set serves tests
+    and counters only."""
 
     k: int
     levels: dict           # formula -> integer level l >= 1
@@ -77,13 +102,17 @@ class TransformResult:
         return frozenset(variables)
 
 
+def off_grid_vars(levels, g):
+    """G's variables off the strict grids: nonstrict, or at a threshold no
+    grid of their tag holds."""
+    return [v for v in mba.free_set_vars(g)
+            if not (v.strict and v.tag in levels and 0 <= v.level < 1
+                    and levels[v.tag] % v.level.denominator == 0)]
+
+
 def declared_count(levels, g):
-    """len(variables) in closed form: every grid, plus G's variables off
-    the grids (nonstrict, or at a threshold no grid of their tag holds)."""
-    return sum(levels.values()) + sum(
-        not (v.strict and v.tag in levels and 0 <= v.level < 1
-             and levels[v.tag] % v.level.denominator == 0)
-        for v in mba.free_set_vars(g))
+    """len(variables) in closed form: every grid, plus off_grid_vars."""
+    return sum(levels.values()) + len(off_grid_vars(levels, g))
 
 
 class _Builder:
@@ -215,6 +244,11 @@ class _Builder:
         for zeta, lev in zip(tags, grid_sizes):
             choices = [None] + [Fraction(i, lev) for i in range(lev)]
             per_tag.append(choices)
+        # Binder-free tags take _xi_direct; its caches live for this call.
+        free = {zeta: fm.free_vars(zeta) - {phi.var} for zeta in tags}
+        direct = not any(type(node) in (fm.Sup, fm.Inf)
+                         for zeta in tags for node in fm.nodes(zeta))
+        renamed = {}
         xi_levels = {}
         xi_of_alpha = {}
         for combo in itertools.product(*per_tag):
@@ -223,7 +257,8 @@ class _Builder:
             )
             if not alpha:
                 continue
-            xi = xi_formula(phi.var, alpha)
+            xi = (_xi_direct(phi.var, alpha, free, renamed) if direct
+                  else xi_formula(phi.var, alpha))
             lev = max(inner.levels[zeta] for zeta, _c in alpha)
             xi_levels[xi] = max(lev, xi_levels.get(xi, 1))
             xi_of_alpha[alpha] = xi

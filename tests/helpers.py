@@ -82,3 +82,8 @@ def p_of(v):
 
 def q_of(v):
     return fm.Atomic("Q", (fm.Var(v),))
+
+
+def var_sort_key(index):
+    """A set variable's order by tag text, threshold and mode."""
+    return (str(index.tag), index.level, index.strict)

@@ -1,22 +1,26 @@
 """The declared-set contract: TransformResult.variables is derived on
-demand, and the variable budget is checked against its closed-form size.
+demand, the variable budget is checked against its closed-form size, and
+the transform document writes the declared set from the levels and G.
 
 The compile panel of perfbench/workloads.py and its recorded counts in
 perfbench/reference.json pin what transform declares and what G reads.
 """
 
 import hashlib
+import math
 import os
 import sys
+from fractions import Fraction
 
 import pytest
 
-from dilogic import family, mba
+from dilogic import family, jsonio, mba
 from dilogic import formula as fm
 from dilogic import transform as tr
 from dilogic.errors import BudgetError
 
 from helpers import p_of, q_of
+from test_cli import GOLDEN_CORPUS
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -113,3 +117,120 @@ def test_budget_vars_boundary():
     assert len(result.variables) == 2016
     with pytest.raises(BudgetError):
         tr.transform(phi, 2, budget_vars=2015)
+
+
+def reference_names(result):
+    """The document's variable list as the sort of every variable in
+    result.variables, by formula-table position, threshold as an integer
+    over the lcm of all thresholds, and mode (>= before >)."""
+    _table, index = jsonio._formula_table(result)
+    lcm = math.lcm(*(v.level.denominator for v in result.variables))
+    return [jsonio.var_name(index, v) for v in sorted(
+        result.variables,
+        key=lambda v: (index[v.tag],
+                       v.level.numerator * (lcm // v.level.denominator),
+                       v.strict))]
+
+
+def test_document_variables_match_reference_sort(compile_panel):
+    names, results, finished = compile_panel
+    # The test_cli golden corpus is the panel's k = 2 column, compiled
+    # under the same lifted budgets.
+    assert {f"{name}@k2" for name, _text in GOLDEN_CORPUS} <= set(names)
+    assert workloads.COMPILE_BUDGET == 65536
+    # Strict variables off their tag's grid: at 1/3 on a grid of 1/2s,
+    # and at 1, past every grid; 1/3 and 1/2 compare over the lcm 6.
+    p = p_of("y0")
+    g = mba.inter_all([mba.SetVar(mba.SetVarIndex(p, level, strict))
+                       for level, strict in ((Fraction(1, 3), True),
+                                             (Fraction(1, 2), False),
+                                             (Fraction(1), True))])
+    made_up = tr.TransformResult(2, {p: 2}, mba.Measure(g))
+    assert reference_names(made_up) == [
+        "Z[0][0]", "Z[0][1/3]", "Z[0][1/2]|ge", "Z[0][1/2]", "Z[0][1]"]
+    nonstrict = off_grid = 0
+    for result in results + finished + [made_up]:
+        doc_names = jsonio.transform_result_to_doc(result)["variables"]
+        assert doc_names == reference_names(result)
+        nonstrict += sum(name.endswith("|ge") for name in doc_names)
+        off_grid += len(tr.off_grid_vars(result.levels, result.g))
+    assert nonstrict and off_grid > nonstrict
+
+
+def test_document_writes_declared_set_without_building_it():
+    sig = family.default_signature()
+    for text in ("sup y . sub(P(y), Q(y))", "sup x . sup y . R(x,y)",
+                 "inf y . P(y)"):
+        phi = fm.rewrite_inf(fm.parse_formula(text, sig))
+        result = tr.transform(phi, 2, workloads.COMPILE_BUDGET,
+                              workloads.COMPILE_BUDGET)
+        doc = jsonio.transform_result_to_doc(result)
+        assert "variables" not in vars(result)
+        assert len(doc["variables"]) == tr.declared_count(result.levels,
+                                                          result.g)
+
+
+def compile_recording_xi(jobs):
+    """Compile each (phi, k, budget_c, budget_vars) job; returns every
+    (var, alpha, xi) _xi_direct built and every (var, alpha) _sup sent to
+    xi_formula."""
+    direct, fallback = [], []
+    build, canonical = tr._xi_direct, tr.xi_formula
+
+    def recording_direct(var, alpha, free, renamed):
+        xi = build(var, alpha, free, renamed)
+        direct.append((var, alpha, xi))
+        return xi
+
+    def recording_canonical(var, alpha):
+        fallback.append((var, alpha))
+        return canonical(var, alpha)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr, "_xi_direct", recording_direct)
+        mp.setattr(tr, "xi_formula", recording_canonical)
+        for job in jobs:
+            tr.transform(*job)
+    return direct, fallback
+
+
+def has_binder(phi):
+    return any(type(node) in (fm.Sup, fm.Inf) for node in fm.nodes(phi))
+
+
+def test_direct_xi_equals_xi_formula():
+    sig = family.default_signature()
+    jobs = [(fm.rewrite_inf(fm.parse_formula(text, sig)), k,
+             workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)
+            for text, k in (case.args for case in workloads.compile_panel())]
+    jobs += [(fm.rewrite_inf(inst.formula), inst.k, tr.DEFAULT_BUDGET_C,
+              family.FAMILY_BUDGET_VARS)
+             for inst in family.determination_instances(
+                 workloads.CERTIFY_FAMILY_SEED, workloads.CERTIFY_COUNT)]
+    # Not canonical: the bound z is renamed, to y0 where the tag P(z)
+    # stands alone and to y1 where the tag 1 -. R(y0,z) takes part.
+    z, y0 = fm.Var("z"), fm.Var("y0")
+    jobs += [(fm.Sup("z", fm.TruncSub(fm.Atomic("P", (z,)),
+                                      fm.Atomic("R", (y0, z)))), k,
+              workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)
+             for k in (2, 3)]
+    direct, _fallback = compile_recording_xi(jobs)
+    assert len(direct) > 1000
+    assert {xi.var for var, _alpha, xi in direct if var == "z"} == {"y0", "y1"}
+    for var, alpha, xi in direct:
+        assert not any(has_binder(zeta) for zeta, _c in alpha)
+        expected = tr.xi_formula(var, alpha)
+        assert xi == expected
+        assert fm.to_text(xi) == fm.to_text(expected)
+
+
+def test_xi_falls_back_to_canonicalize_over_binders():
+    sig = family.default_signature()
+    phi = fm.parse_formula("sup x . sup y . R(x,y)", sig)
+    direct, fallback = compile_recording_xi(
+        [(phi, 2, workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)])
+    assert direct and fallback
+    assert all(not has_binder(zeta)
+               for _var, alpha, _xi in direct for zeta, _c in alpha)
+    assert all(has_binder(zeta)
+               for _var, alpha in fallback for zeta, _c in alpha)

@@ -17,7 +17,12 @@ from dilogic import structure as st
 from dilogic import transform as tr
 from dilogic.errors import InputError
 
-from helpers import atomic_example_assignment, atomic_example_field, p_of
+from helpers import (
+    atomic_example_assignment,
+    atomic_example_field,
+    p_of,
+    var_sort_key,
+)
 
 F = Fraction
 
@@ -27,7 +32,7 @@ INSTANCES = family.determination_instances(0, 17)
 def reference_assignment(variables, field_, assignment):
     """Level set of each variable, one eval_formula call per atom."""
     out = {}
-    for v in sorted(variables, key=mba.var_sort_key):
+    for v in sorted(variables, key=var_sort_key):
         atoms = set()
         for w in field_.space.atoms:
             local = {name: e(w) for name, e in assignment.items()}

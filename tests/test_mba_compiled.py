@@ -23,7 +23,7 @@ from dilogic import formula as fm
 from dilogic import transform as tr
 from dilogic.errors import ChainError, EvaluationError
 
-from helpers import p_of, sup_example_field
+from helpers import p_of, sup_example_field, var_sort_key
 
 F = Fraction
 
@@ -304,7 +304,7 @@ def ref_check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     pairs per atom are (neither, high only, both), exhaustive in product
     order when 3^(atoms * variables) is within the limit, else drawn with
     random.Random(seed), one randrange(3) per atom per variable."""
-    variables = sorted(mba.free_set_vars(g), key=mba.var_sort_key)
+    variables = sorted(mba.free_set_vars(g), key=var_sort_key)
     if not variables:
         return None
 
@@ -368,7 +368,7 @@ def _decreasing_sup_g():
 def test_monotone_counterexample_of_a_decreasing_sup_is_pinned(kwargs, low, high, values):
     g, alg = _decreasing_sup_g()
     ce = mba.check_monotone(g, alg, **kwargs)
-    variables = sorted(ce.low, key=mba.var_sort_key)
+    variables = sorted(ce.low, key=var_sort_key)
     assert [fm.to_text(v.tag) for v in variables] == [
         "sup y0 . sub(P(y0), 0)", "sup y0 . sub(P(y0), 1/2)"]
     assert tuple(sorted(ce.low[v]) for v in variables) == low
