@@ -182,6 +182,8 @@ class Instance:
 
 def determination_instances(seed, count, sig=None):
     """The seeded (formula, field, assignment, k) family."""
+    if count < 0:
+        raise InputError(f"instance count {count} is negative")
     sig = sig or default_signature()
     rng = random.Random(seed)
     templates = formula_templates()

@@ -34,8 +34,9 @@ from .tree import Shape
 ENUMERATE = "enumerate"
 MAXIMAL = "maximal"
 
-# Enumerate mode refuses a SupChain whose feasible chain tuples, counted
-# in closed form, exceed this; the 204-instance suite needs at most 13,068.
+# Enumerate mode refuses a SupChain whose chain tuples, counted in closed
+# form before profile constraints, exceed this; the 204-instance suite
+# needs at most 13,068.
 # The same budget caps maximal mode's product of per-atom maximal vectors
 # and each atom's depth-vector search, the chain-set walk of
 # dist_to_chain_set, and structure's permutation and assignment searches.
@@ -334,16 +335,19 @@ def contains_supchain(g):
 
 def _feasible_chain_tuples(bounds, alg):
     """All nested mask tuples (Y_0,...,Y_{l-1}) with Y_j within U_j and all
-    previous Y's, in deterministic bitmask order."""
+    previous Y's, in deterministic bitmask order: one generator per slot,
+    each extending the tuples of the slot before."""
+    if not bounds:
+        return iter([()])
+    out = ((y,) for y in _submasks(alg.full_mask & bounds[0]))
+    for u in bounds[1:]:
+        out = _extend(out, u)
+    return out
 
-    def rec(j, prefix, allowed):
-        if j == len(bounds):
-            yield prefix
-            return
-        for y in _submasks(allowed & bounds[j]):
-            yield from rec(j + 1, prefix + (y,), y)
 
-    yield from rec(0, (), alg.full_mask)
+def _extend(tuples, u):
+    """Each tuple followed by every submask of its last mask within u."""
+    return (ys + (y,) for ys in tuples for y in _submasks(ys[-1] & u))
 
 
 def _depth(bounds, bit):
@@ -364,7 +368,9 @@ def chain_enumeration_count(bounds, alg):
 
 
 def supchain_search_size(g, assign, alg):
-    """Total feasible-tuple count of the outermost SupChain under assign."""
+    """The number of chain tuples the bounds of the outermost SupChain
+    allow under assign, before any profile constraint: the count the
+    enumerate-mode budget refuses on."""
     compiler = _Compiler(alg)
     bounds = [[compiler.set_term(b, {}) for b in spec.bounds] for spec in g.chains]
     compiler.bind(assign)
@@ -489,9 +495,9 @@ class _Compiler:
     A ChainVar reads its slot of the list `e`, which the search of its
     SupChain writes in place.  Set terms give masks and formulas give
     their value times the scale S, an integer.  A chain variable no
-    enclosing SupChain binds and a profile naming no slot of its SupChain
-    are EvaluationErrors when compiled, an unassigned set variable when
-    bound.
+    enclosing SupChain binds and a profile naming a slot its SupChain
+    lacks are EvaluationErrors when compiled, an unassigned set variable
+    when bound.
     """
 
     def __init__(self, alg, mode=MAXIMAL, variables=()):
@@ -613,32 +619,50 @@ class _Compiler:
         return self.maximal_search(tags, bounds, starts, profiles, inner)
 
     def enumerate_search(self, bounds, starts, profiles, inner):
-        """Supremum over every feasible tuple, in bitmask order."""
+        """Supremum over the feasible tuples, the only ones built, in the
+        order of the product of the chains' tuples in bitmask order.  The
+        masks of a chain are nested, so a profile bounds only its deepest
+        slot on each chain it names; the bound of its slot on the last such
+        chain loses the meet of its earlier slots outside its bound set.
+        The budget counts the untightened bounds' tuples."""
         alg, e, full = self.alg, self.e, self.alg.full_mask
-        lo = starts[0] if starts else 0
-        hi = lo + sum(map(len, bounds))
-        positions = [tuple(starts[i] + slot for i, slot in pairs) for pairs, _w in profiles]
+        # Per chain: (its deepest slot, positions of the earlier slots, bound).
+        cuts = [[] for _ in bounds]
+        slotless = []
+        for pairs, w in profiles:
+            deepest = {}
+            for i, slot in pairs:
+                deepest[i] = max(slot, deepest.get(i, slot))
+            if not deepest:
+                slotless.append(w)
+                continue
+            last = max(deepest)
+            cuts[last].append((deepest.pop(last),
+                               tuple(starts[i] + slot for i, slot in deepest.items()), w))
+
+        def walk(us, outsides, j):
+            u = list(us[j])
+            for slot, ps, outside in outsides[j]:
+                for p in ps:
+                    outside &= e[p]
+                u[slot] &= ~outside
+            lo, innermost = starts[j], j + 1 == len(us)
+            best = None
+            for ys in _feasible_chain_tuples(u, alg):
+                e[lo:lo + len(ys)] = ys
+                v = inner() if innermost else walk(us, outsides, j + 1)
+                if best is None or v > best:
+                    best = v
+            return best
 
         def search():
             us = [[b() for b in bs] for bs in bounds]
-            joint = [(ps, full & ~w()) for ps, (_pairs, w) in zip(positions, profiles)]
             refuse_over_budget(math.prod(chain_enumeration_count(u, alg) for u in us),
                                "SupChain feasible tuple")
-            best = None
-            for combo in itertools.product(*[_feasible_chain_tuples(u, alg) for u in us]):
-                e[lo:hi] = itertools.chain.from_iterable(combo)
-                for ps, outside in joint:
-                    for p in ps:
-                        outside &= e[p]
-                    if outside:
-                        break
-                else:
-                    v = inner()
-                    if best is None or v > best:
-                        best = v
-            if best is None:
+            if any(full & ~w() for w in slotless):
                 raise EvaluationError("SupChain has an empty feasible region")
-            return best
+            outsides = [[(slot, ps, full & ~w()) for slot, ps, w in cut] for cut in cuts]
+            return walk(us, outsides, 0) if us else inner()
 
         return search
 
@@ -723,8 +747,10 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     Returns None on pass, or the first MonotoneCounterexample found.
     Exhaustive over all comparable assignment pairs when their count,
     3^(atoms * variables), is within exhaustive_limit; otherwise samples
-    `trials` seeded random pairs.
+    `trials` seeded random pairs.  trials < 1 is refused on both paths.
     """
+    if trials < 1:
+        raise EvaluationError("trials must be >= 1")
     free = free_set_vars(g)
     texts = {tag: str(tag) for tag in {v.tag for v in free}}
     # By tag text, threshold and mode, each distinct tag rendered once.
@@ -732,8 +758,6 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     if not variables:
         return None
     exhaustive = 3 ** (len(alg.atoms) * len(variables)) <= exhaustive_limit
-    if not exhaustive and trials < 1:
-        raise EvaluationError("trials must be >= 1")
     bits = tuple(alg.bit.values())
     compiler = _Compiler(alg, variables=variables)
     value, scale = compiler.formula(g)

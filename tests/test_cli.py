@@ -427,6 +427,23 @@ def test_mba_monotone(paths, capsys):
     assert json.loads(out) == {"ok": True}
 
 
+@pytest.mark.parametrize("argv", [
+    ["selftest", "--count", "-1"],
+    # P(x) is checked exhaustively and the supremum by sampling: the trial
+    # count is refused on both paths.
+    ["mba", "monotone", "--formula", "P(x)", "--signature", "sig.json",
+     "--algebra", "alg.json", "--trials", "-3"],
+    ["mba", "monotone", "--formula", "sup y . sub(P(y), Q(y))",
+     "--signature", "sig.json", "--algebra", "alg.json", "--trials", "-3"],
+], ids=["selftest-negative-count", "monotone-exhaustive-negative-trials",
+        "monotone-sampled-negative-trials"])
+def test_out_of_range_argument_exit_2(paths, capsys, argv):
+    code, out, err = run(capsys, [paths.get(a, a) for a in argv])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+
+
 def test_mba_defin_budget_exit_2(tmp_path, capsys):
     # 4**20 subset pairs against 3**20 inclusion pairs: 12**20 comparisons,
     # refused from the closed-form count, not walked.

@@ -6,11 +6,16 @@ written here from the definitions checks it in both SupChain modes on
 random formulas over 1-3 atoms with non-uniform weights: nested
 Scale(1/2), Scale(1/3) and Scale(1/k), Const with denominators 5 and 7,
 TruncSub below zero, Max/Min, and SupChains with joint profiles.
-check_monotone must return the counterexample that the same search,
-run with the reference evaluator, finds first; the compile-time errors
-keep their EvaluationError type.
+Enumerate mode prunes with the profiles before it builds a tuple, so it
+is also checked on SupChains of up to three chains whose profiles name
+several slots of one chain, slots of one chain only, or no slot, and the
+tuples its inner formula sees are pinned to the feasible ones, in the
+order of the unpruned search.  check_monotone must return the
+counterexample that the same search, run with the reference evaluator,
+finds first; the compile-time errors keep their EvaluationError type.
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -21,7 +26,7 @@ import pytest
 from dilogic import checks, family, mba
 from dilogic import formula as fm
 from dilogic import transform as tr
-from dilogic.errors import ChainError, EvaluationError
+from dilogic.errors import BudgetError, ChainError, EvaluationError
 
 from helpers import p_of, sup_example_field, var_sort_key
 
@@ -293,6 +298,214 @@ def test_nested_supchain_reads_the_enclosing_chain_variable(inner_binder, inner_
             for mode in (mba.ENUMERATE, mba.MAXIMAL):
                 assert mba.eval_mba(g, assign, alg, mode) == ref_value(
                     g, assign, {}, alg, mode, Counter())
+
+
+# ---------------------------------------------------------------------------
+# Enumerate mode: the pruned search
+
+
+def random_profiled_supchain(rng, leaves, binder=7):
+    """Up to three chains of at most four slots in all, with bounds that
+    need not decrease (Full one time in two), an inner formula that need
+    not increase, and one to three profiles, each of a shape the pruned
+    enumerate search treats in its own way: two slots of one chain
+    (perhaps with a slot of another chain), slots of a single chain, slots
+    across chains, and, one time in ten, no slot at all."""
+    lengths = rng.choice(((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2),
+                          (2, 2), (3, 1), (1, 3), (3,)))
+    chains, per_chain = [], []
+    for tag, n in zip("ABC", lengths):
+        bounds = (rng.choice((mba.Full(), random_set(rng, leaves, 1))) for _ in range(n))
+        chains.append(mba.ChainSpec(tag, tuple(bounds)))
+        per_chain.append([(tag, j) for j in range(n)])
+    slots = [s for chain in per_chain for s in chain]
+    profiles = []
+    for _ in range(rng.randrange(1, 4)):
+        kind = rng.randrange(10)
+        long = [chain for chain in per_chain if len(chain) >= 2]
+        if kind < 3 and long:
+            named = rng.sample(rng.choice(long), 2)
+            others = [s for s in slots if s[0] != named[0][0]]
+            if others and rng.randrange(2):
+                named.append(rng.choice(others))
+        elif kind < 5:
+            chain = rng.choice(per_chain)
+            named = rng.sample(chain, rng.randrange(1, len(chain) + 1))
+        elif kind < 9:
+            named = rng.sample(slots, min(len(slots), rng.randrange(2, 4)))
+        else:
+            named = []
+        rng.shuffle(named)
+        profiles.append(mba.ProfileSpec(tuple(named), random_set(rng, leaves, 1)))
+    chain_vars = [mba.ChainVar(binder, tag, j) for tag, j in slots]
+    if rng.randrange(2):
+        inner = random_formula(rng, leaves + tuple(chain_vars), 2)
+    else:
+        # A weighted sum of the slots' measures, some of them taken on the
+        # complement: its supremum sits where the profiles cut.
+        terms = [mba.Scale(rng.choice((F(1), F(1, 2), F(1, 3), F(2, 3))),
+                           mba.Measure(rng.choice((y, mba.Compl(y)))))
+                 for y in chain_vars]
+        inner = functools.reduce(mba.Add, terms)
+    return mba.SupChain(binder, tuple(chains), inner, tuple(profiles))
+
+
+def _enumerate_expect(g, assign, alg):
+    """The reference value, or EvaluationError for an empty feasible
+    region (the reference's max() of nothing)."""
+    try:
+        return ref_value(g, assign, {}, alg, mba.ENUMERATE, Counter())
+    except ValueError:
+        return EvaluationError
+
+
+def _enumerate_actual(g, assign, alg):
+    try:
+        return mba.eval_mba(g, assign, alg, mba.ENUMERATE)
+    except EvaluationError:
+        return EvaluationError
+
+
+def _profile_shapes(g, assign, alg):
+    """The shapes of g's profiles that the pruned search treats apart."""
+    shapes = set()
+    if len(g.chains) == 3:
+        shapes.add("three chains")
+    for prof in g.profiles:
+        tags = [tag for tag, _slot in prof.slots]
+        if not tags:
+            full = ref_set(prof.bound, assign, {}, alg) == frozenset(alg.atoms)
+            shapes.add("slotless, full bound" if full else "slotless, bound not full")
+        elif len(set(tags)) == 1:
+            shapes.add("single chain")
+        if len(set(tags)) < len(tags):
+            shapes.add("two slots of one chain")
+    return shapes
+
+
+def test_enumerate_search_matches_the_definition_on_profiled_supchains():
+    rng = random.Random(20230418)
+    seen = Counter()
+    for case in range(200):
+        alg = ALGEBRAS[1 + case % 2]
+        g = random_profiled_supchain(rng, LEAVES)
+        subsets = _subsets(alg)
+        for _ in range(2):
+            assign = {X: rng.choice(subsets), Y: rng.choice(subsets)}
+            expected = _enumerate_expect(g, assign, alg)
+            assert _enumerate_actual(g, assign, alg) == expected, (g, assign)
+            seen.update(_profile_shapes(g, assign, alg))
+            if expected is EvaluationError:
+                continue
+            # The value without some of the profiles: did they matter?
+            for what, kept in (("profiles", ()),
+                               ("cross-chain profiles", tuple(
+                                   p for p in g.profiles
+                                   if len({tag for tag, _slot in p.slots}) == 1))):
+                seen[f"{what} change the value"] += expected != mba.eval_mba(
+                    mba.SupChain(g.binder, g.chains, g.inner, kept), assign, alg,
+                    mba.ENUMERATE)
+    for shape in ("three chains", "two slots of one chain", "single chain",
+                  "slotless, full bound", "slotless, bound not full"):
+        assert seen[shape] >= 3, (shape, seen)
+    assert seen["profiles change the value"] > 40, seen
+    assert seen["cross-chain profiles change the value"] > 5, seen
+
+
+W0 = mba.SetLit(frozenset({"w0"}))
+A0, A1, B0 = (mba.ChainVar(0, "A", 0), mba.ChainVar(0, "A", 1), mba.ChainVar(0, "B", 0))
+
+
+@pytest.mark.parametrize("bound, expected", [
+    (mba.Full(), F(2)),
+    (mba.Union(W0, mba.Compl(W0)), F(2)),
+    (W0, EvaluationError),
+    (mba.Empty(), EvaluationError),
+], ids=["full", "full-by-value", "not-full", "empty"])
+def test_a_slotless_profile_is_checked_once(bound, expected):
+    # mu(A_0 sym B_0) + mu(A_1 minus B_0) is 2 at A = (Full, Full), B = {}
+    # unless a slotless profile with a bound short of Full empties the
+    # region.
+    alg = ALGEBRAS[1]
+    g = mba.SupChain(0, (mba.ChainSpec("A", (mba.Full(), mba.Full())),
+                         mba.ChainSpec("B", (mba.Full(),))),
+                     mba.Add(mba.Measure(mba.SymDiff(A0, B0)),
+                             mba.Measure(mba.Diff(A1, B0))),
+                     (mba.ProfileSpec((), bound),
+                      mba.ProfileSpec((("A", 1), ("B", 0)), W0)))
+    assert _enumerate_expect(g, {}, alg) == expected
+    assert _enumerate_actual(g, {}, alg) == expected
+
+
+def test_nested_supchain_profile_bound_reads_the_enclosing_chain_variables():
+    # The inner SupChain's profiles are bounded by outer chain variables, so
+    # its pruning changes with every outer tuple; the outer profile names
+    # both slots of chain A and the slot of chain B.
+    c0, d0 = mba.ChainVar(8, "C", 0), mba.ChainVar(8, "D", 0)
+    nested = mba.SupChain(
+        8, (mba.ChainSpec("C", (A0,)), mba.ChainSpec("D", (mba.Compl(mba.SetVar(X)),))),
+        mba.TruncSub(mba.Add(mba.Measure(c0), mba.Scale(F(1, 2), mba.Measure(d0))),
+                     mba.Measure(mba.Inter(d0, A1))),
+        (mba.ProfileSpec((("C", 0), ("D", 0)), B0),
+         mba.ProfileSpec((("D", 0),), mba.Compl(A1))))
+    g = mba.SupChain(
+        0, (mba.ChainSpec("A", (mba.Full(), mba.SetVar(Y))), mba.ChainSpec("B", (mba.Full(),))),
+        mba.Add(nested, mba.Scale(F(1, 3), mba.Measure(mba.Diff(A0, B0)))),
+        (mba.ProfileSpec((("A", 0), ("B", 0), ("A", 1)), mba.SetVar(X)),))
+    for alg in ALGEBRAS[:2]:
+        for sx, sy in itertools.product(_subsets(alg), repeat=2):
+            assign = {X: sx, Y: sy}
+            assert _enumerate_actual(g, assign, alg) == _enumerate_expect(g, assign, alg)
+    alg, rng = ALGEBRAS[2], random.Random(5)
+    for _ in range(6):
+        assign = {X: rng.choice(_subsets(alg)), Y: rng.choice(_subsets(alg))}
+        assert _enumerate_actual(g, assign, alg) == _enumerate_expect(g, assign, alg)
+
+
+def test_enumerate_search_visits_exactly_the_feasible_tuples_in_product_order(monkeypatch):
+    """The compiled inner formula runs once on each feasible tuple, in the
+    order the unpruned search visited them: the filtered product of the
+    chains' tuples in bitmask order, which is the lexicographic order of
+    the concatenated masks."""
+    original = mba._Compiler.enumerate_search
+    visits = []
+
+    def watching(self, bounds, starts, profiles, inner):
+        lo, e = starts[0], self.e
+        hi = lo + sum(map(len, bounds))
+
+        def watched():
+            visits.append(tuple(e[lo:hi]))
+            return inner()
+        return original(self, bounds, starts, profiles, watched)
+
+    monkeypatch.setattr(mba._Compiler, "enumerate_search", watching)
+    rng = random.Random(31)
+    pruned = 0
+    for case in range(40):
+        alg = ALGEBRAS[1 + case % 2]
+        g = random_profiled_supchain(rng, LEAVES)
+        assign = {X: rng.choice(_subsets(alg)), Y: rng.choice(_subsets(alg))}
+        feasible = sorted(tuple(alg.mask(y) for ys in combo for y in ys)
+                          for combo in _feasible(g, assign, {}, alg))
+        visits.clear()
+        _enumerate_actual(g, assign, alg)
+        assert visits == feasible, g
+        pruned += len(feasible) < mba.supchain_search_size(g, assign, alg)
+    assert pruned > 10
+
+
+def test_enumerate_budget_counts_tuples_before_profiles():
+    # The profile leaves one feasible tuple, but the budget counts the
+    # 2**20 tuples of the bounds alone and refuses before any search.
+    atoms = tuple(f"w{i}" for i in range(20))
+    alg = mba.FiniteMeasureAlgebra(atoms, {a: F(1, 20) for a in atoms})
+    g = mba.SupChain(0, (mba.ChainSpec("A", (mba.Full(),)),), mba.Measure(A0),
+                     (mba.ProfileSpec((("A", 0),), mba.Empty()),))
+    assert mba.supchain_search_size(g, {}, alg) == 2**20
+    with pytest.raises(BudgetError, match=str(2**20)):
+        mba.eval_mba(g, {}, alg, mba.ENUMERATE)
+    assert mba.eval_mba(g, {}, alg, mba.MAXIMAL) == 0
 
 
 # ---------------------------------------------------------------------------
