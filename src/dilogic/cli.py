@@ -73,10 +73,10 @@ def cmd_check(args):
     phi = fm.parse_formula(args.formula, field_.signature)
     assignment = jsonio.assignment_from_doc(
         _load_json(args.assignment) if args.assignment else {}, field_)
+    result = tr.transform(phi, args.k, args.budget_c, args.budget_vars)
     report = tr.determination_check(
         phi, args.k, field_, assignment, mode=args.mode,
-        budget_c=args.budget_c, budget_vars=args.budget_vars,
-        limit=args.max_choice_functions)
+        limit=args.max_choice_functions, result=result)
     _emit(args.format, lambda: {
         "k": report.k,
         "integral_value": jsonio.format_fraction(report.integral_value),

@@ -33,10 +33,15 @@ from .mba import FiniteMeasureAlgebra
 # atoms with positive rational weights summing to 1.
 FiniteProbabilitySpace = FiniteMeasureAlgebra
 
-STRICT = "strict"
-NONSTRICT = "nonstrict"
-
 DEFAULT_CHOICE_LIMIT = 10**6
+
+
+def _refuse_over_limit(count, limit, what):
+    """None is no limit; a negative limit is an InputError."""
+    if limit is not None and limit < 0:
+        raise InputError(f"limit must be >= 0, got {limit}")
+    if limit is not None and count > limit:
+        raise BudgetError(f"{what} count {count} exceeds limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -87,14 +92,12 @@ class MeasurableField:
         return n
 
     def elements(self, limit=DEFAULT_CHOICE_LIMIT):
-        """All choice functions, in fiber point order; guarded by limit."""
-        if limit is not None and self.element_count() > limit:
-            raise BudgetError(
-                f"choice-function count {self.element_count()} exceeds limit {limit}"
-            )
+        """All choice functions, in fiber point order; guarded by limit
+        when called, before the first is built."""
+        _refuse_over_limit(self.element_count(), limit, "choice-function")
         atoms = self.space.atoms
-        for combo in itertools.product(*[self.fibers[a].points for a in atoms]):
-            yield IntegralElement(dict(zip(atoms, combo)))
+        return (IntegralElement(dict(zip(atoms, combo))) for combo in
+                itertools.product(*[self.fibers[a].points for a in atoms]))
 
 
 @dataclass(frozen=True)
@@ -170,9 +173,11 @@ def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
     """Exact value of phi on the direct integral of the field.
 
     This is structure.eval_formula on the integral seen as a structure:
-    Sup/Inf range over all choice functions of the field, Atomic
-    integrates the fiberwise table values.
+    Sup/Inf range over all choice functions of the field (at most limit
+    of them), Atomic integrates the fiberwise table values.
     """
+    # Refused here too: a quantifier-free phi never reads the limit.
+    _refuse_over_limit(0, limit, "choice-function")
     return st.eval_formula(phi, _Integral(field_, limit), assignment)
 
 
@@ -190,23 +195,19 @@ def fiber_values(zeta, field_, assignment=None):
     )
 
 
-def threshold(values, field_, t, strictness=STRICT):
-    """Atoms whose entry of a fiber_values table exceeds the rational t.
-
-    Strict compares with >, nonstrict with >=.
-    """
-    if strictness == STRICT:
+def threshold(values, field_, t, *, strict=True):
+    """Atoms whose entry of a fiber_values table exceeds the rational t:
+    compared with > when strict, else with >=."""
+    if strict:
         return frozenset(w for w, v in zip(field_.space.atoms, values) if v > t)
-    if strictness == NONSTRICT:
-        return frozenset(w for w, v in zip(field_.space.atoms, values) if v >= t)
-    raise InputError(f"unknown strictness {strictness!r}")
+    return frozenset(w for w, v in zip(field_.space.atoms, values) if v >= t)
 
 
-def level_set(zeta, field_, assignment, t, strictness=STRICT):
+def level_set(zeta, field_, assignment, t, *, strict=True):
     """Atoms where the fiberwise value of zeta exceeds t: the threshold at
     t of zeta's fiber_values table."""
     return threshold(fiber_values(zeta, field_, assignment), field_,
-                     Fraction(t), strictness)
+                     Fraction(t), strict=strict)
 
 
 def theory_distribution(field_, sentences, thresholds):
@@ -274,9 +275,7 @@ def materialize(field_, limit=DEFAULT_CHOICE_LIMIT):
     sig = field_.signature
     entries = sum(n ** arity for arity in
                   (2, *(arity for _name, arity in sig.predicates + sig.functions)))
-    if limit is not None and entries > limit:
-        raise BudgetError(
-            f"materialized table entry count {entries} exceeds limit {limit}")
+    _refuse_over_limit(entries, limit, "materialized table entry")
     atoms = field_.space.atoms
     elements = list(field_.elements(limit))
     names = [tuple(e(a) for a in atoms) for e in elements]

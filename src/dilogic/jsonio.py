@@ -261,7 +261,7 @@ def rho_to_doc(table):
 
 def _formula_table(result):
     """F[phi], then the ChainSpec tags outside it in pre-order: F tags
-    every free SetVar of G, and a ChainSpec of each ChainVar's tag comes
+    every SetVarIndex of G, and a ChainSpec of each ChainVar's tag comes
     before it in pre-order."""
     seen = list(result.formulas)
     index = {z: i for i, z in enumerate(seen)}
@@ -290,8 +290,8 @@ _NARY = {mba.Max: "max", mba.Min: "min"}
 def _mba_to_doc(g, index):
     """The document of a set term or formula of G; index numbers its tags."""
     t = type(g)
-    if t is mba.SetVar:
-        return {"op": "var", "name": var_name(index, g.index)}
+    if t is mba.SetVarIndex:
+        return {"op": "var", "name": var_name(index, g)}
     if t in _INFIX:
         return {"op": _INFIX[t][0], "left": _mba_to_doc(g.left, index),
                 "right": _mba_to_doc(g.right, index)}
@@ -387,10 +387,9 @@ def transform_result_to_doc(result):
 def pretty_mba(g):
     """The text of a set term or formula of G."""
     t = type(g)
-    if t is mba.SetVar:
-        v = g.index
-        mode = "" if v.strict else "~"
-        return f"Z{mode}^{{{fm.to_text(v.tag)}}}_{{{v.level}}}"
+    if t is mba.SetVarIndex:
+        mode = "" if g.strict else "~"
+        return f"Z{mode}^{{{fm.to_text(g.tag)}}}_{{{g.level}}}"
     if t in _INFIX:
         return f"({pretty_mba(g.left)} {_INFIX[t][1]} {pretty_mba(g.right)})"
     if t is mba.Compl:

@@ -2,16 +2,18 @@
 
 Elements of the algebra are subsets of a finite atom list with positive
 rational weights summing to 1; d(A,B) = mu(A symmetric-difference B).
-Formulas are real-valued terms over indexed set variables, including a
+Formulas are real-valued terms over set variables, including a
 constrained-supremum node (SupChain) evaluated either by exhaustive
-search or by substituting the maximal feasible element.
+search or by substituting the maximal feasible element.  A set variable
+is a SetVarIndex (tag, level, strict), the leaf of set terms; within a
+tag, vars_by_tag orders them by (level, strict), the one per-tag order.
 
 Inside this module a set is an int mask over the atom order (atom i is
 bit i).  eval_mba, check_monotone, eval_set and supchain_search_size
 compile their formula once per call into closures of no arguments over
-masks (_Compiler): each free set variable reads a slot of one list of
-masks, each chain variable a slot of one flat list that the SupChain
-searches write in place, and every value is an integer over one scale S,
+masks (_Compiler): each SetVarIndex reads a slot of one list of masks,
+each chain variable a slot of one flat list that the SupChain searches
+write in place, and every value is an integer over one scale S,
 the weight denominator times the lcm of the Const denominators and the
 products of nested Scale denominators, so a result is one Fraction.
 Nothing is cached across calls: each call pays for its own O(|G|)
@@ -42,6 +44,10 @@ MAXIMAL = "maximal"
 # dist_to_chain_set, and structure's permutation and assignment searches.
 ENUMERATE_TUPLE_BUDGET = 10**6
 
+# The exact value types of weights, distances and predicate values; bool,
+# float and every other type are rejected.
+EXACT_TYPES = (int, Fraction)
+
 
 @dataclass(frozen=True)
 class FiniteMeasureAlgebra:
@@ -54,11 +60,14 @@ class FiniteMeasureAlgebra:
             raise ValidationError("duplicate atom names")
         if set(self.weights) != set(self.atoms):
             raise ValidationError("weights must cover exactly the atom list")
-        w = {a: Fraction(v) for a, v in self.weights.items()}
-        object.__setattr__(self, "weights", w)
-        for a, v in w.items():
+        for a, v in self.weights.items():
+            if type(v) not in EXACT_TYPES:
+                raise ValidationError(
+                    f"weight of atom {a!r} is {v!r}, not an int or a Fraction")
             if v <= 0:
                 raise ValidationError(f"weight of atom {a!r} is not positive")
+        w = {a: Fraction(v) for a, v in self.weights.items()}
+        object.__setattr__(self, "weights", w)
         if sum(w.values()) != 1:
             raise ValidationError("weights must sum to exactly 1")
 
@@ -139,8 +148,9 @@ def _submasks(cap):
 
 @dataclass(frozen=True, slots=True)
 class SetVarIndex:
-    """Index of a set variable: a formula tag, a threshold level, and the
-    comparison mode the intended level set uses (strict '>' vs '>=')."""
+    """A set variable, the leaf of set terms: a formula tag, a threshold
+    level, and the comparison mode its intended level set uses (strict
+    '>' vs '>=')."""
 
     tag: object
     level: Fraction
@@ -149,11 +159,6 @@ class SetVarIndex:
     def __post_init__(self):
         if type(self.level) is not Fraction:
             object.__setattr__(self, "level", Fraction(self.level))
-
-
-@dataclass(frozen=True)
-class SetVar:
-    index: SetVarIndex
 
 
 @dataclass(frozen=True)
@@ -311,7 +316,7 @@ MbaFormula = (Measure, Const, Scale, Add, TruncSub, Max, Min, SupChain)
 
 # Child fields of every set-term and formula class, in traversal order.
 _CHILDREN = Shape({
-    **dict.fromkeys((SetVar, ChainVar, SetLit, Empty, Full, Const), ()),
+    **dict.fromkeys((SetVarIndex, ChainVar, SetLit, Empty, Full, Const), ()),
     **dict.fromkeys((Union, Inter, Diff, SymDiff, Add, TruncSub), ("left", "right")),
     **dict.fromkeys((Compl, Scale), ("body",)),
     **dict.fromkeys((Max, Min), ("items",)),
@@ -326,7 +331,19 @@ rebuild = _CHILDREN.rebuild
 
 def free_set_vars(g):
     """Free SetVarIndex occurrences of a formula (chain variables are bound)."""
-    return {node.index for node in nodes(g) if type(node) is SetVar}
+    return {node for node in nodes(g) if type(node) is SetVarIndex}
+
+
+def vars_by_tag(g):
+    """{tag: its free set variables sorted by (level, strict)}: by
+    threshold, and >= before > at an equal threshold, so their intended
+    level sets decrease."""
+    out = {}
+    for v in free_set_vars(g):
+        out.setdefault(v.tag, []).append(v)
+    for variables in out.values():
+        variables.sort(key=lambda v: (v.level, v.strict))
+    return out
 
 
 def contains_supchain(g):
@@ -489,7 +506,7 @@ class _Compiler:
     per call of eval_mba, check_monotone, eval_set or supchain_search_size;
     nothing outlives that call.
 
-    A free SetVar reads its slot of the list `a`, which bind fills from
+    A free SetVarIndex reads its slot of the list `a`, which bind fills from
     an assignment or the caller writes in the order of the `variables` it
     names; slots of other variables follow in order of first occurrence.
     A ChainVar reads its slot of the list `e`, which the search of its
@@ -534,8 +551,8 @@ class _Compiler:
         """The closure of a set term; scope maps each chain-variable key
         (binder, tag, slot) in reach to its slot of e."""
         k = type(t)
-        if k is SetVar:
-            a, i = self.a, self.slot(t.index)
+        if k is SetVarIndex:
+            a, i = self.a, self.slot(t)
             return lambda: a[i]
         if k is ChainVar:
             i = scope.get((t.binder, t.tag, t.slot))
@@ -721,8 +738,8 @@ def substitute_set_vars(g, mapping):
     """Replace free set variables by set terms (chain variables untouched)."""
 
     def sub(node):
-        if type(node) is SetVar:
-            return mapping.get(node.index, node)
+        if type(node) is SetVarIndex:
+            return mapping.get(node, node)
         return rebuild(node, sub)
 
     return sub(g)
@@ -751,13 +768,11 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     """
     if trials < 1:
         raise EvaluationError("trials must be >= 1")
-    free = free_set_vars(g)
-    texts = {tag: str(tag) for tag in {v.tag for v in free}}
-    # By tag text, threshold and mode, each distinct tag rendered once.
-    variables = sorted(free, key=lambda v: (texts[v.tag], v.level, v.strict))
+    by_tag = vars_by_tag(g)
+    # Tag by tag in text order, each tag's variables in vars_by_tag order.
+    variables = [v for tag in sorted(by_tag, key=str) for v in by_tag[tag]]
     if not variables:
         return None
-    exhaustive = 3 ** (len(alg.atoms) * len(variables)) <= exhaustive_limit
     bits = tuple(alg.bit.values())
     compiler = _Compiler(alg, variables=variables)
     value, scale = compiler.formula(g)
@@ -769,7 +784,15 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
         high = sum(bit for bit, c in zip(bits, choice) if c >= 1)
         return low, high
 
-    def test(pairs):
+    if 3 ** (len(bits) * len(variables)) <= exhaustive_limit:
+        all_pairs = [comparable(choice)
+                     for choice in itertools.product(range(3), repeat=len(bits))]
+        draws = itertools.product(all_pairs, repeat=len(variables))
+    else:
+        rng = random.Random(seed)
+        draws = ([comparable([rng.randrange(3) for _bit in bits]) for _v in variables]
+                 for _ in range(trials))
+    for pairs in draws:
         low, high = zip(*pairs)
         a[:] = low
         lv = value()
@@ -780,23 +803,6 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
                 {v: alg.unmask(m) for v, m in zip(variables, low)},
                 {v: alg.unmask(m) for v, m in zip(variables, high)},
                 Fraction(lv, scale), Fraction(hv, scale))
-        return None
-
-    if exhaustive:
-        all_pairs = [comparable(choice)
-                     for choice in itertools.product(range(3), repeat=len(bits))]
-        for combo in itertools.product(all_pairs, repeat=len(variables)):
-            ce = test(combo)
-            if ce is not None:
-                return ce
-        return None
-    rng = random.Random(seed)
-    for _ in range(trials):
-        pairs = [comparable([rng.randrange(3) for _bit in bits])
-                 for _v in variables]
-        ce = test(pairs)
-        if ce is not None:
-            return ce
     return None
 
 
@@ -820,8 +826,8 @@ def phi_chain(bounds, tag="X"):
     length = len(bounds)
     items = []
     for m in range(length):
-        x_m = SetVar(chain_var(tag, m, length))
-        prev = [SetVar(chain_var(tag, j, length)) for j in range(m)]
+        x_m = chain_var(tag, m, length)
+        prev = [chain_var(tag, j, length) for j in range(m)]
         nested = Measure(Diff(x_m, inter_all(prev)))
         outside = Measure(Diff(x_m, SetLit(bounds[m])))
         items.append(Add(nested, outside))
@@ -875,9 +881,7 @@ def simple_definables():
     psi(X1,X2,X3) = mu((X1 inter X2) symdiff X3) witnesses definability of
     intersection triples.
     """
-    x1 = SetVar(SetVarIndex("X1", 0))
-    x2 = SetVar(SetVarIndex("X2", 0))
-    x3 = SetVar(SetVarIndex("X3", 0))
+    x1, x2, x3 = (SetVarIndex(name, 0) for name in ("X1", "X2", "X3"))
     phi = Measure(Diff(x1, x2))
     psi = Measure(SymDiff(Inter(x1, x2), x3))
     return phi, psi

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import formula as fm
 from .errors import EvaluationError, ValidationError
-from .mba import refuse_over_budget
+from .mba import EXACT_TYPES, refuse_over_budget
 
 
 @dataclass(frozen=True)
@@ -70,10 +70,6 @@ def _tuples(points, arity):
     return itertools.product(points, repeat=arity)
 
 
-# The exact value types; bool, float and every other type are rejected.
-_EXACT = (int, Fraction)
-
-
 def validate(M):
     """Check all structure invariants; return None on pass, else a message."""
     if not M.points:
@@ -85,7 +81,7 @@ def validate(M):
         if (p, q) not in M.dist:
             return f"missing distance ({p},{q})"
         d = M.dist[(p, q)]
-        if type(d) not in _EXACT:
+        if type(d) not in EXACT_TYPES:
             return f"distance d({p},{q})={d!r} is not an int or a Fraction"
         if not 0 <= d <= 1:
             return f"distance d({p},{q})={d} outside [0,1]"
@@ -104,12 +100,13 @@ def validate(M):
             if tup not in table:
                 return f"predicate {name!r} undefined at {tup}"
             v = table[tup]
-            if type(v) not in _EXACT:
+            if type(v) not in EXACT_TYPES:
                 return (f"predicate {name!r} value {v!r} at {tup} is not an"
                         " int or a Fraction")
             if not 0 <= v <= 1:
                 return f"predicate {name!r} value {v} outside [0,1] at {tup}"
-        msg = _check_lipschitz_pred(M, name, arity, table)
+        msg = _check_lipschitz(M, "predicate", name, arity, table,
+                               lambda u, v: abs(u - v))
         if msg:
             return msg
     for name, arity in M.signature.functions:
@@ -121,39 +118,24 @@ def validate(M):
                 return f"function {name!r} undefined at {tup}"
             if table[tup] not in pts:
                 return f"function {name!r} maps {tup} outside the point set"
-        msg = _check_lipschitz_func(M, name, arity, table)
+        msg = _check_lipschitz(M, "function", name, arity, table,
+                               lambda p, q: M.dist[(p, q)])
         if msg:
             return msg
     return None
 
 
-def _coordinate_variants(M, tup, i):
-    for q in M.points:
-        if q != tup[i]:
-            yield tup[:i] + (q,) + tup[i + 1:]
-
-
-def _check_lipschitz_pred(M, name, arity, table):
+def _check_lipschitz(M, kind, name, arity, table, gap):
+    """The first tuple pair differing in one coordinate i whose table
+    entries are further apart by gap than d(tup[i], other[i]), as a
+    message; None when there is none."""
     for tup in _tuples(M.points, arity):
-        for i in range(arity):
-            for other in _coordinate_variants(M, tup, i):
-                if abs(table[tup] - table[other]) > M.dist[(tup[i], other[i])]:
-                    return (
-                        f"predicate {name!r} not 1-Lipschitz in coordinate {i}"
-                        f" between {tup} and {other}"
-                    )
-    return None
-
-
-def _check_lipschitz_func(M, name, arity, table):
-    for tup in _tuples(M.points, arity):
-        for i in range(arity):
-            for other in _coordinate_variants(M, tup, i):
-                if M.dist[(table[tup], table[other])] > M.dist[(tup[i], other[i])]:
-                    return (
-                        f"function {name!r} not 1-Lipschitz in coordinate {i}"
-                        f" between {tup} and {other}"
-                    )
+        for i, p in enumerate(tup):
+            for q in M.points:
+                other = tup[:i] + (q,) + tup[i + 1:]
+                if q != p and gap(table[tup], table[other]) > M.dist[(p, q)]:
+                    return (f"{kind} {name!r} not 1-Lipschitz in coordinate {i}"
+                            f" between {tup} and {other}")
     return None
 
 

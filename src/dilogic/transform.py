@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -162,7 +163,7 @@ class _Builder:
     def _atomic(self, phi, k):
         levels = {phi: k}
         terms = [
-            mba.Measure(mba.SetVar(mba.SetVarIndex(phi, Fraction(i, k), True)))
+            mba.Measure(mba.SetVarIndex(phi, Fraction(i, k), True))
             for i in range(1, k)
         ]
         acc = mba.Const(0) if not terms else terms[0]
@@ -191,8 +192,7 @@ class _Builder:
         right_levels = {}
         for v in mba.free_set_vars(right.g):
             neg = one_minus(v.tag)
-            w = mba.SetVarIndex(neg, 1 - v.level, not v.strict)
-            mapping[v] = mba.Compl(mba.SetVar(w))
+            mapping[v] = mba.Compl(mba.SetVarIndex(neg, 1 - v.level, not v.strict))
         for zeta, lev in right.levels.items():
             right_levels[one_minus(zeta)] = lev
         g = mba.TruncSub(left.g, mba.substitute_set_vars(right.g, mapping))
@@ -201,30 +201,22 @@ class _Builder:
 
     def _sup(self, phi, k):
         inner = self.build(phi.body, k)
-        if any(not v.strict for v in mba.free_set_vars(inner.g)):
+        by_tag = mba.vars_by_tag(inner.g)
+        if any(not v.strict for vs in by_tag.values() for v in vs):
             # A joint witness point can only be certified to beat a
             # nonstrict threshold by the grid step below it; compiling the
             # body at doubled precision absorbs that one-step slack inside
             # the body's own determination margin.
             inner = self.build(phi.body, 2 * k)
+            by_tag = mba.vars_by_tag(inner.g)
         tags = inner.formulas
         grid_sizes = [inner.levels[z] for z in tags]
         # Bound slots: the variables of each tag the inner formula actually
-        # reads, ordered so intended level sets decrease (higher threshold
-        # later; >= before > at equal threshold).  Every tag is in F.
-        mentioned_by_tag = {zeta: [] for zeta in tags}
-        for v in mba.free_set_vars(inner.g):
-            mentioned_by_tag[v.tag].append(v)
-        for mentioned in mentioned_by_tag.values():
-            mentioned.sort(key=lambda v: (v.level, v.strict))
-        c_size = 1
-        for lev in grid_sizes:
-            c_size *= lev + 1
-        c_size -= 1
-        profile_size = 1
-        for zeta in tags:
-            profile_size *= len(mentioned_by_tag[zeta]) + 1
-        profile_size -= 1
+        # reads, in vars_by_tag order, so intended level sets decrease.
+        # Every tag is in F.
+        mentioned_by_tag = {zeta: by_tag.get(zeta, []) for zeta in tags}
+        c_size = math.prod(lev + 1 for lev in grid_sizes) - 1
+        profile_size = math.prod(len(m) + 1 for m in mentioned_by_tag.values()) - 1
         if max(c_size, profile_size) > self.budget_c:
             blowup = " * ".join(f"({lev}+1)" for lev in grid_sizes)
             raise BudgetError(
@@ -240,10 +232,7 @@ class _Builder:
 
         # C: nonempty partial maps from tags to their threshold grids, in a
         # fixed order (per tag: absent, then thresholds ascending).
-        per_tag = []
-        for zeta, lev in zip(tags, grid_sizes):
-            choices = [None] + [Fraction(i, lev) for i in range(lev)]
-            per_tag.append(choices)
+        per_tag = [[None] + [Fraction(i, lev) for i in range(lev)] for lev in grid_sizes]
         # Binder-free tags take _xi_direct; its caches live for this call.
         free = {zeta: fm.free_vars(zeta) - {phi.var} for zeta in tags}
         direct = not any(type(node) in (fm.Sup, fm.Inf)
@@ -264,7 +253,7 @@ class _Builder:
             xi_of_alpha[alpha] = xi
 
         def xi_var(alpha):
-            return mba.SetVar(mba.SetVarIndex(xi_of_alpha[alpha], Fraction(0), True))
+            return mba.SetVarIndex(xi_of_alpha[alpha], Fraction(0), True)
 
         binder = self.fresh_binder()
         chains = []
@@ -321,11 +310,15 @@ class _Builder:
 def transform(phi, k, budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS):
     """Compile phi at precision k; see the module docstring.
 
-    Inf nodes compile as their rewrite_inf form; k >= 2.  Raises
-    BudgetError when the index-set or variable blowup exceeds the budgets.
+    Inf nodes compile as their rewrite_inf form; k >= 2 and the budgets
+    are >= 0.  Raises BudgetError when the index-set or variable blowup
+    exceeds the budgets.
     """
     if k < 2:
         raise InputError(f"k must be >= 2, got {k}")
+    for name, budget in (("budget_c", budget_c), ("budget_vars", budget_vars)):
+        if budget < 0:
+            raise InputError(f"{name} must be >= 0, got {budget}")
     return _Builder(budget_c, budget_vars).build(phi, k)
 
 
@@ -336,19 +329,15 @@ def build_level_assignment(result, field_, assignment=None):
 
     Each distinct tag is evaluated once per atom, and its level sets are
     thresholds of that one value table.  Tags come in result.formulas
-    order (F tags every variable of G), each by threshold and mode.
+    order (F tags every variable of G), each in vars_by_tag order.
     """
-    by_tag = {}
-    for v in mba.free_set_vars(result.g):
-        by_tag.setdefault(v.tag, []).append(v)
+    by_tag = mba.vars_by_tag(result.g)
     out = {}
     for tag in result.formulas:
-        if tag not in by_tag:
-            continue
-        values = di.fiber_values(tag, field_, assignment)
-        for v in sorted(by_tag[tag], key=lambda v: (v.level, v.strict)):
-            mode = di.STRICT if v.strict else di.NONSTRICT
-            out[v] = di.threshold(values, field_, v.level, mode)
+        if tag in by_tag:
+            values = di.fiber_values(tag, field_, assignment)
+            for v in by_tag[tag]:
+                out[v] = di.threshold(values, field_, v.level, strict=v.strict)
     return out
 
 
@@ -365,17 +354,17 @@ class DeterminationReport:
 
 
 def determination_check(phi, k, field_, assignment=None, mode=mba.MAXIMAL,
-                        budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS,
                         limit=di.DEFAULT_CHOICE_LIMIT, result=None):
     """Certify the two determination implications for one instance.
 
     For every integer l: value > l/k implies G > (l-1)/k, and G > l/k
     implies value > (l-1)/k; together these force |value - G| <= 2/k,
     which is asserted as well.  result, when given, is the transform of
-    phi; G is evaluated on the level sets of the variables it reads.
+    phi, else phi is compiled under the default budgets; G is evaluated
+    on the level sets of the variables it reads.
     """
     if result is None:
-        result = transform(phi, k, budget_c, budget_vars)
+        result = transform(phi, k)
     v = di.eval_on_integral(phi, field_, assignment, limit)
     assign = build_level_assignment(result, field_, assignment)
     g = mba.eval_mba(result.g, assign, field_.space, mode)

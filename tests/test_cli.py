@@ -435,8 +435,18 @@ def test_mba_monotone(paths, capsys):
      "--algebra", "alg.json", "--trials", "-3"],
     ["mba", "monotone", "--formula", "sup y . sub(P(y), Q(y))",
      "--signature", "sig.json", "--algebra", "alg.json", "--trials", "-3"],
+    # A negative budget or limit is an argument error, not a budget.
+    ["transform", "--formula", "sup y . P(y)", "--signature", "sig.json",
+     "--budget-c", "-1"],
+    ["transform", "--formula", "sup y . P(y)", "--signature", "sig.json",
+     "--budget-vars", "-1"],
+    ["eval", "--formula", "sup y . P(y)", "--field", "sup_field.json",
+     "--max-choice-functions", "-1"],
+    ["selftest", "--budget-vars", "-5"],
 ], ids=["selftest-negative-count", "monotone-exhaustive-negative-trials",
-        "monotone-sampled-negative-trials"])
+        "monotone-sampled-negative-trials", "transform-negative-budget-c",
+        "transform-negative-budget-vars", "eval-negative-max-choice-functions",
+        "selftest-negative-budget-vars"])
 def test_out_of_range_argument_exit_2(paths, capsys, argv):
     code, out, err = run(capsys, [paths.get(a, a) for a in argv])
     assert code == cli.EXIT_INPUT

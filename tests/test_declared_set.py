@@ -19,7 +19,7 @@ from dilogic import formula as fm
 from dilogic import transform as tr
 from dilogic.errors import BudgetError
 
-from helpers import p_of, q_of
+from helpers import p_of, q_of, var_sort_key
 from test_cli import GOLDEN_CORPUS
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -46,7 +46,7 @@ def compile_recording_finish(jobs):
 
 
 def assert_tags_in_table(result):
-    """The two facts that let F[phi] order every tag: each free SetVar of
+    """The two facts that let F[phi] order every tag: each SetVarIndex of
     G is tagged by a formula of F, and each ChainVar by the tag of a
     ChainSpec of an enclosing SupChain with its binder."""
     g = result.g
@@ -141,7 +141,7 @@ def test_document_variables_match_reference_sort(compile_panel):
     # Strict variables off their tag's grid: at 1/3 on a grid of 1/2s,
     # and at 1, past every grid; 1/3 and 1/2 compare over the lcm 6.
     p = p_of("y0")
-    g = mba.inter_all([mba.SetVar(mba.SetVarIndex(p, level, strict))
+    g = mba.inter_all([mba.SetVarIndex(p, level, strict)
                        for level, strict in ((Fraction(1, 3), True),
                                              (Fraction(1, 2), False),
                                              (Fraction(1), True))])
@@ -155,6 +155,32 @@ def test_document_variables_match_reference_sort(compile_panel):
         nonstrict += sum(name.endswith("|ge") for name in doc_names)
         off_grid += len(tr.off_grid_vars(result.levels, result.g))
     assert nonstrict and off_grid > nonstrict
+
+
+def test_monotone_variable_order_matches_reference_sort(monkeypatch):
+    """check_monotone numbers G's variables tag by tag in text order, each
+    tag's in vars_by_tag order: on every G of the certify panel, the sort
+    by tag text, threshold and mode."""
+    orders = []
+    compiler = mba._Compiler
+
+    def recording(alg, mode=mba.MAXIMAL, variables=()):
+        orders.append(list(variables))
+        return compiler(alg, mode, variables)
+
+    monkeypatch.setattr(mba, "_Compiler", recording)
+    tags = nonstrict = 0
+    for inst in family.determination_instances(workloads.CERTIFY_FAMILY_SEED,
+                                               workloads.CERTIFY_COUNT):
+        g = tr.transform(fm.rewrite_inf(inst.formula), inst.k, tr.DEFAULT_BUDGET_C,
+                         family.FAMILY_BUDGET_VARS).g
+        expected = sorted(mba.free_set_vars(g), key=var_sort_key)
+        orders.clear()
+        mba.check_monotone(g, inst.field.space, trials=1, exhaustive_limit=0)
+        assert orders == ([expected] if expected else [])
+        tags = max(tags, len({v.tag for v in expected}))
+        nonstrict += sum(not v.strict for v in expected)
+    assert tags > 1 and nonstrict
 
 
 def test_document_writes_declared_set_without_building_it():

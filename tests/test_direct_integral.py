@@ -111,6 +111,23 @@ def test_choice_limit_guard():
         di.eval_on_integral(phi, field_, limit=1)
 
 
+def test_negative_limit_is_refused_as_input():
+    # A negative limit is no budget: refused before any work, also where
+    # no quantifier reads it.  None stays "no limit".
+    field_ = sup_example_field()
+    for phi in (fm.Sup("y", p_of("y")), fm.Const(F(1, 2))):
+        with pytest.raises(InputError, match="limit must be >= 0"):
+            di.eval_on_integral(phi, field_, limit=-1)
+        assert di.eval_on_integral(phi, field_, limit=None) == di.eval_on_integral(
+            phi, field_)
+    with pytest.raises(InputError, match="limit must be >= 0"):
+        field_.elements(limit=-1)
+    with pytest.raises(InputError, match="limit must be >= 0"):
+        di.materialize(field_, limit=-1)
+    assert len(list(field_.elements(limit=None))) == 2
+    assert di.materialize(field_, limit=None).points == di.materialize(field_).points
+
+
 def test_single_atom_degeneracy():
     m = make_structure(
         SIG_PQ,
@@ -154,13 +171,15 @@ def test_level_set_examples():
     field_ = atomic_example_field()
     assignment = atomic_example_assignment(field_)
     phi = p_of("x")
-    assert di.level_set(phi, field_, assignment, F(1), di.STRICT) == frozenset()
+    assert di.level_set(phi, field_, assignment, F(1), strict=True) == frozenset()
     assert di.level_set(phi, field_, assignment, F(1, 2)) == frozenset({"w1"})
-    assert di.level_set(phi, field_, assignment, F(1, 4), di.NONSTRICT) == frozenset(
+    assert di.level_set(phi, field_, assignment, F(1, 4), strict=False) == frozenset(
         {"w1", "w2"}
     )
-    with pytest.raises(InputError):
-        di.level_set(phi, field_, assignment, F(1, 2), "weird")
+    # The mode is keyword-only: a positional mode, which as a bool would
+    # silently mean strict, is a TypeError.
+    with pytest.raises(TypeError):
+        di.level_set(phi, field_, assignment, F(1, 2), "nonstrict")
 
 
 def test_level_set_fiberwise_quantifier_scope():
@@ -175,8 +194,8 @@ def test_level_set_monotone_nesting():
     field_ = sup_example_field()
     phi = fm.Sup("y", p_of("y"))
     thresholds = [F(i, 8) for i in range(9)]
-    for mode in (di.STRICT, di.NONSTRICT):
-        sets = [di.level_set(phi, field_, {}, t, mode) for t in thresholds]
+    for strict in (True, False):
+        sets = [di.level_set(phi, field_, {}, t, strict=strict) for t in thresholds]
         for lo, hi in zip(sets, sets[1:]):
             assert hi <= lo
 

@@ -39,7 +39,7 @@ def test_atomic_shape():
     assert result.formulas == (phi,)
     assert result.levels == {phi: 2}
     expected = mba.Scale(
-        F(1, 2), mba.Measure(mba.SetVar(mba.SetVarIndex(phi, F(1, 2), True)))
+        F(1, 2), mba.Measure(mba.SetVarIndex(phi, F(1, 2), True))
     )
     assert result.g == expected
     assert result.variables == frozenset(
@@ -144,6 +144,14 @@ def test_budget_vars_exceeded():
         tr.transform(phi, 2, budget_vars=1)
 
 
+@pytest.mark.parametrize("budgets", [{"budget_c": -1}, {"budget_vars": -1}])
+def test_negative_budget_is_refused_as_input(budgets, monkeypatch):
+    # Refused before any work: the builder is never made.
+    monkeypatch.setattr(tr, "_Builder", None)
+    with pytest.raises(InputError, match=f"{next(iter(budgets))} must be >= 0"):
+        tr.transform(p_of("x"), 2, **budgets)
+
+
 # ---------------------------------------------------------------------------
 # Determination certificates (frozen instances)
 
@@ -220,10 +228,10 @@ def test_determination_failures_on_a_wrong_g(p_value, g_value, rule):
 def test_determination_family_sample():
     for inst in family.determination_instances(5, 12):
         phi = fm.rewrite_inf(inst.formula)
+        result = tr.transform(phi, inst.k, tr.DEFAULT_BUDGET_C,
+                              family.FAMILY_BUDGET_VARS)
         report = tr.determination_check(
-            phi, inst.k, inst.field, inst.assignment,
-            budget_vars=family.FAMILY_BUDGET_VARS,
-        )
+            phi, inst.k, inst.field, inst.assignment, result=result)
         assert report.ok, (inst.name, report.failures)
 
 

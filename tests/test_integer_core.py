@@ -98,8 +98,8 @@ def _measure(alg, subset):
 def _set_terms():
     """Every set term over X and Y of depth at most two: the leaves, their
     complements, and each binary operation on two of those."""
-    x = mba.SetVar(mba.SetVarIndex("X", 0))
-    y = mba.SetVar(mba.SetVarIndex("Y", 0))
+    x = mba.SetVarIndex("X", 0)
+    y = mba.SetVarIndex("Y", 0)
     leaves = [x, y, mba.Empty(), mba.Full(), mba.SetLit(frozenset({"w0"}))]
     unary = leaves + [mba.Compl(t) for t in leaves]
     return unary + [op(a, b)
@@ -109,8 +109,8 @@ def _set_terms():
 
 def _eval_set_reference(term, assign, alg):
     rec = lambda t: _eval_set_reference(t, assign, alg)  # noqa: E731
-    if type(term) is mba.SetVar:
-        return assign[term.index]
+    if type(term) is mba.SetVarIndex:
+        return assign[term]
     if type(term) is mba.SetLit:
         return term.atoms
     if type(term) is mba.Empty:

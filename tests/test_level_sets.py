@@ -15,7 +15,6 @@ from dilogic import formula as fm
 from dilogic import integral as di
 from dilogic import structure as st
 from dilogic import transform as tr
-from dilogic.errors import InputError
 
 from helpers import (
     atomic_example_assignment,
@@ -79,16 +78,18 @@ def test_threshold_at_a_fiber_value():
     values = di.fiber_values(phi, field_, assignment)
     assert values == (F(3, 4), F(1, 4))
     cases = [
-        (F(1, 4), di.STRICT, {"w1"}),
-        (F(1, 4), di.NONSTRICT, {"w1", "w2"}),
-        (F(3, 4), di.STRICT, set()),
-        (F(3, 4), di.NONSTRICT, {"w1"}),
+        (F(1, 4), True, {"w1"}),
+        (F(1, 4), False, {"w1", "w2"}),
+        (F(3, 4), True, set()),
+        (F(3, 4), False, {"w1"}),
     ]
-    for t, mode, atoms in cases:
-        assert di.threshold(values, field_, t, mode) == frozenset(atoms)
-        assert di.level_set(phi, field_, assignment, t, mode) == frozenset(atoms)
-    with pytest.raises(InputError):
-        di.threshold(values, field_, F(1, 2), "weird")
+    for t, strict, atoms in cases:
+        assert di.threshold(values, field_, t, strict=strict) == frozenset(atoms)
+        assert di.level_set(phi, field_, assignment, t,
+                            strict=strict) == frozenset(atoms)
+    # The mode is keyword-only: a positional mode is a TypeError.
+    with pytest.raises(TypeError):
+        di.threshold(values, field_, F(1, 2), "nonstrict")
 
 
 def test_nonstrict_variables_at_fiber_values():

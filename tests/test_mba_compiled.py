@@ -46,8 +46,7 @@ ALGEBRAS = [_algebra(w) for w in (
 
 X = mba.SetVarIndex("X", 0)
 Y = mba.SetVarIndex("Y", F(1, 2))
-LEAVES = (mba.SetVar(X), mba.SetVar(Y), mba.SetLit(frozenset({"w0"})),
-          mba.Full(), mba.Empty())
+LEAVES = (X, Y, mba.SetLit(frozenset({"w0"})), mba.Full(), mba.Empty())
 
 
 # ---------------------------------------------------------------------------
@@ -63,8 +62,8 @@ def ref_set(t, assign, env, alg):
     full = frozenset(alg.atoms)
     rec = lambda u: ref_set(u, assign, env, alg)  # noqa: E731
     k = type(t)
-    if k is mba.SetVar:
-        return assign[t.index]
+    if k is mba.SetVarIndex:
+        return assign[t]
     if k is mba.ChainVar:
         return env[(t.binder, t.tag, t.slot)]
     if k is mba.SetLit:
@@ -288,9 +287,9 @@ def test_nested_supchain_reads_the_enclosing_chain_variable(inner_binder, inner_
     inner_y = mba.ChainVar(inner_binder, inner_tag, 0)
     nested = mba.SupChain(
         inner_binder, (mba.ChainSpec(inner_tag, (outer_y,)),),
-        mba.Add(mba.Measure(inner_y), mba.Measure(mba.Diff(mba.SetVar(Y), outer_y))),
-        (mba.ProfileSpec(((inner_tag, 0),), mba.SetVar(X)),))
-    g = mba.SupChain(7, (mba.ChainSpec("A", (mba.Compl(mba.SetVar(X)),)),),
+        mba.Add(mba.Measure(inner_y), mba.Measure(mba.Diff(Y, outer_y))),
+        (mba.ProfileSpec(((inner_tag, 0),), X),))
+    g = mba.SupChain(7, (mba.ChainSpec("A", (mba.Compl(X),)),),
                      mba.Scale(F(1, 3), nested))
     for alg in ALGEBRAS:
         for sx, sy in itertools.product(_subsets(alg), repeat=2):
@@ -443,15 +442,15 @@ def test_nested_supchain_profile_bound_reads_the_enclosing_chain_variables():
     # both slots of chain A and the slot of chain B.
     c0, d0 = mba.ChainVar(8, "C", 0), mba.ChainVar(8, "D", 0)
     nested = mba.SupChain(
-        8, (mba.ChainSpec("C", (A0,)), mba.ChainSpec("D", (mba.Compl(mba.SetVar(X)),))),
+        8, (mba.ChainSpec("C", (A0,)), mba.ChainSpec("D", (mba.Compl(X),))),
         mba.TruncSub(mba.Add(mba.Measure(c0), mba.Scale(F(1, 2), mba.Measure(d0))),
                      mba.Measure(mba.Inter(d0, A1))),
         (mba.ProfileSpec((("C", 0), ("D", 0)), B0),
          mba.ProfileSpec((("D", 0),), mba.Compl(A1))))
     g = mba.SupChain(
-        0, (mba.ChainSpec("A", (mba.Full(), mba.SetVar(Y))), mba.ChainSpec("B", (mba.Full(),))),
+        0, (mba.ChainSpec("A", (mba.Full(), Y)), mba.ChainSpec("B", (mba.Full(),))),
         mba.Add(nested, mba.Scale(F(1, 3), mba.Measure(mba.Diff(A0, B0)))),
-        (mba.ProfileSpec((("A", 0), ("B", 0), ("A", 1)), mba.SetVar(X)),))
+        (mba.ProfileSpec((("A", 0), ("B", 0), ("A", 1)), X),))
     for alg in ALGEBRAS[:2]:
         for sx, sy in itertools.product(_subsets(alg), repeat=2):
             assign = {X: sx, Y: sy}
@@ -548,7 +547,7 @@ def ref_check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
 
 
 UNIFORM3 = mba.FiniteMeasureAlgebra(("w1", "w2", "w3"), {a: F(1, 3) for a in ("w1", "w2", "w3")})
-NOT_X = mba.Measure(mba.Compl(mba.SetVar(X)))
+NOT_X = mba.Measure(mba.Compl(X))
 
 
 def test_monotone_counterexamples_of_the_complement_are_pinned():
@@ -621,7 +620,7 @@ def _chain(inner=None, bound=mba.Full(), profiles=()):
         profiles=profiles)
 
 
-UNBOUND = mba.SetVar(mba.SetVarIndex("missing", 0))
+UNBOUND = mba.SetVarIndex("missing", 0)
 
 
 @pytest.mark.parametrize("mode", [mba.ENUMERATE, mba.MAXIMAL])
@@ -644,7 +643,7 @@ def test_chain_var_outside_its_supchain_is_an_evaluation_error():
     with pytest.raises(EvaluationError):
         mba.eval_mba(g, {}, ALGEBRAS[1])
     with pytest.raises(EvaluationError):
-        mba.check_monotone(mba.Add(g, mba.Measure(mba.SetVar(X))), ALGEBRAS[1])
+        mba.check_monotone(mba.Add(g, mba.Measure(X)), ALGEBRAS[1])
     with pytest.raises(EvaluationError):
         mba.eval_set(mba.ChainVar(0, "A", 0), {}, ALGEBRAS[1])
 

@@ -36,6 +36,22 @@ def test_algebra_validation():
         mba.FiniteMeasureAlgebra(("a", "a"), {"a": F(1)})
 
 
+@pytest.mark.parametrize("weights", [
+    {"a": True}, {"a": 1.0}, {"a": 0.5, "b": 0.5}, {"a": "1"},
+], ids=["bool", "float", "float-halves", "str"])
+def test_algebra_refuses_inexact_weights(weights):
+    # Weights are ints or Fractions, as distances and predicate values are;
+    # a bool is refused although it is an int.
+    with pytest.raises(ValidationError, match="not an int or a Fraction"):
+        mba.FiniteMeasureAlgebra(tuple(weights), weights)
+
+
+def test_algebra_accepts_int_and_fraction_weights():
+    assert mba.FiniteMeasureAlgebra(("a",), {"a": 1}).weights == {"a": F(1)}
+    alg = mba.FiniteMeasureAlgebra(("a", "b"), {"a": F(1, 3), "b": F(2, 3)})
+    assert alg.measure({"b"}) == F(2, 3)
+
+
 def test_measure_additivity_exhaustive():
     alg = UNIFORM3
     for a in alg.subsets():
@@ -78,20 +94,30 @@ def test_eval_set_operations():
     x = mba.SetVarIndex("X", 0)
     y = mba.SetVarIndex("Y", 0)
     assign = {x: s("w1", "w2"), y: s("w2", "w3")}
-    vx, vy = mba.SetVar(x), mba.SetVar(y)
-    assert mba.eval_set(mba.Union(vx, vy), assign, alg) == s("w1", "w2", "w3")
-    assert mba.eval_set(mba.Inter(vx, vy), assign, alg) == s("w2")
-    assert mba.eval_set(mba.Diff(vx, vy), assign, alg) == s("w1")
-    assert mba.eval_set(mba.SymDiff(vx, vy), assign, alg) == s("w1", "w3")
-    assert mba.eval_set(mba.Compl(vx), assign, alg) == s("w3")
-    assert mba.eval_set(mba.Compl(mba.Compl(vx)), assign, alg) == s("w1", "w2")
+    assert mba.eval_set(mba.Union(x, y), assign, alg) == s("w1", "w2", "w3")
+    assert mba.eval_set(mba.Inter(x, y), assign, alg) == s("w2")
+    assert mba.eval_set(mba.Diff(x, y), assign, alg) == s("w1")
+    assert mba.eval_set(mba.SymDiff(x, y), assign, alg) == s("w1", "w3")
+    assert mba.eval_set(mba.Compl(x), assign, alg) == s("w3")
+    assert mba.eval_set(mba.Compl(mba.Compl(x)), assign, alg) == s("w1", "w2")
     assert mba.eval_set(mba.Empty(), assign, alg) == s()
     assert mba.eval_set(mba.Full(), assign, alg) == alg.full
 
 
+def test_vars_by_tag_groups_and_orders_each_tag():
+    a_half, a_half_ge = mba.SetVarIndex("A", F(1, 2)), mba.SetVarIndex("A", F(1, 2), False)
+    a_zero, b_one = mba.SetVarIndex("A", 0), mba.SetVarIndex("B", F(1, 3), False)
+    g = mba.Add(mba.Measure(mba.Union(a_half, b_one)),
+                mba.Max((mba.Measure(a_half_ge), mba.Measure(mba.Compl(a_zero)),
+                         mba.Measure(a_half))))
+    # By threshold, and >= before > at an equal threshold.
+    assert mba.vars_by_tag(g) == {"A": [a_zero, a_half_ge, a_half], "B": [b_one]}
+    assert mba.vars_by_tag(mba.Const(1)) == {}
+
+
 def test_eval_measure_of_variable():
     v = mba.SetVarIndex("X", 0)
-    g = mba.Measure(mba.SetVar(v))
+    g = mba.Measure(v)
     assert mba.eval_mba(g, {v: s("w1")}, UNIFORM2) == F(1, 2)
 
 
@@ -101,7 +127,7 @@ def test_eval_truncation():
 
 
 def test_eval_unbound_variable():
-    g = mba.Measure(mba.SetVar(mba.SetVarIndex("X", 0)))
+    g = mba.Measure(mba.SetVarIndex("X", 0))
     with pytest.raises(EvaluationError):
         mba.eval_mba(g, {}, UNIFORM2)
 
@@ -125,7 +151,7 @@ def test_supchain_single_slot_both_modes():
     u = mba.SetVarIndex("U", 0)
     g = mba.SupChain(
         binder=0,
-        chains=(mba.ChainSpec("T", (mba.SetVar(u),)),),
+        chains=(mba.ChainSpec("T", (u,)),),
         inner=mba.Measure(mba.ChainVar(0, "T", 0)),
     )
     assign = {u: s("w1")}
@@ -139,7 +165,7 @@ def test_supchain_nesting_constraint():
     u1 = mba.SetVarIndex("U", F(1, 2))
     g = mba.SupChain(
         binder=0,
-        chains=(mba.ChainSpec("T", (mba.SetVar(u0), mba.SetVar(u1))),),
+        chains=(mba.ChainSpec("T", (u0, u1)),),
         inner=mba.Measure(mba.ChainVar(0, "T", 1)),
     )
     assign = {u0: s("w1", "w2"), u1: s("w1")}
@@ -152,7 +178,7 @@ def test_supchain_maximal_requires_decreasing_bounds():
     u1 = mba.SetVarIndex("U", F(1, 2))
     g = mba.SupChain(
         binder=0,
-        chains=(mba.ChainSpec("T", (mba.SetVar(u0), mba.SetVar(u1))),),
+        chains=(mba.ChainSpec("T", (u0, u1)),),
         inner=mba.Measure(mba.ChainVar(0, "T", 1)),
     )
     assign = {u0: s("w1"), u1: s("w2")}
@@ -214,8 +240,8 @@ def test_supchain_profile_constraint():
     g = mba.SupChain(
         binder=0,
         chains=(
-            mba.ChainSpec("A", (mba.SetVar(a0),)),
-            mba.ChainSpec("B", (mba.SetVar(b0),)),
+            mba.ChainSpec("A", (a0,)),
+            mba.ChainSpec("B", (b0,)),
         ),
         inner=inner,
         profiles=(profile,),
@@ -244,11 +270,11 @@ def test_supchain_profile_modes_agree_exhaustively():
     g = mba.SupChain(
         binder=0,
         chains=(
-            mba.ChainSpec("A", (mba.SetVar(a0),)),
-            mba.ChainSpec("B", (mba.SetVar(b0),)),
+            mba.ChainSpec("A", (a0,)),
+            mba.ChainSpec("B", (b0,)),
         ),
         inner=inner,
-        profiles=(mba.ProfileSpec((("A", 0), ("B", 0)), mba.SetVar(w)),),
+        profiles=(mba.ProfileSpec((("A", 0), ("B", 0)), w),),
     )
     subsets = list(UNIFORM2.subsets())
     for va, vb, vw in itertools.product(subsets, repeat=3):
@@ -275,7 +301,7 @@ def test_free_set_vars_sees_profile_bounds():
         binder=0,
         chains=(mba.ChainSpec("A", (mba.Full(),)),),
         inner=mba.Measure(mba.ChainVar(0, "A", 0)),
-        profiles=(mba.ProfileSpec((("A", 0),), mba.SetVar(w)),),
+        profiles=(mba.ProfileSpec((("A", 0),), w),),
     )
     assert mba.free_set_vars(g) == {w}
     assert mba.substitute_set_vars(g, {}) is g
@@ -289,13 +315,13 @@ def test_free_set_vars_sees_profile_bounds():
 
 def test_monotone_measure_passes():
     v = mba.SetVarIndex("X", 0)
-    g = mba.Measure(mba.SetVar(v))
+    g = mba.Measure(v)
     assert mba.check_monotone(g, UNIFORM3) is None
 
 
 def test_monotone_complement_fails():
     v = mba.SetVarIndex("X", 0)
-    g = mba.Measure(mba.Compl(mba.SetVar(v)))
+    g = mba.Measure(mba.Compl(v))
     ce = mba.check_monotone(g, UNIFORM3)
     assert ce is not None
     assert ce.low_value > ce.high_value
@@ -303,7 +329,7 @@ def test_monotone_complement_fails():
 
 def test_monotone_random_mode_finds_complement():
     v = mba.SetVarIndex("X", 0)
-    g = mba.Measure(mba.Compl(mba.SetVar(v)))
+    g = mba.Measure(mba.Compl(v))
     ce = mba.check_monotone(g, UNIFORM3, trials=50, exhaustive_limit=0)
     assert ce is not None
 

@@ -18,8 +18,8 @@ Q = fm.Atomic("Q", (fm.Var("x"),))
 
 def _every_node_result():
     """A TransformResult whose G holds one node of every mba class."""
-    z = mba.SetVar(mba.SetVarIndex(P, F(1, 2)))
-    z_ge = mba.SetVar(mba.SetVarIndex(P, F(0), False))
+    z = mba.SetVarIndex(P, F(1, 2))
+    z_ge = mba.SetVarIndex(P, F(0), False)
     y0, y1 = mba.ChainVar(0, Q, 0), mba.ChainVar(0, Q, 1)
     sets = mba.Union(
         mba.Inter(z, mba.Compl(z_ge)),

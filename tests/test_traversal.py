@@ -26,8 +26,8 @@ def _formula_sample():
 
 def _mba_sample():
     # Every set-term and formula class, with chain and profile specs.
-    x = mba.SetVar(mba.SetVarIndex("X", 0))
-    w = mba.SetVar(mba.SetVarIndex("W", F(1, 2), False))
+    x = mba.SetVarIndex("X", 0)
+    w = mba.SetVarIndex("W", F(1, 2), False)
     y = mba.ChainVar(0, "A", 0)
     bound = mba.Union(mba.Inter(x, mba.Full()), mba.SetLit(frozenset({"w1"})))
     inner = mba.Add(
