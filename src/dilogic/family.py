@@ -238,8 +238,8 @@ def _coin(rng):
     return not rng.getrandbits(64) >> 31 & 1
 
 
-def random_description(rng, denom=12):
-    """Random type-I description with sizes in {1,..,4}."""
+def random_description(rng):
+    """Random type-I description with sizes in {1,..,4}, masses in twelfths."""
     sizes = rng.sample([1, 2, 3, 4], rng.randint(1, 3))
     slots = []
     for m in sizes:
@@ -249,9 +249,7 @@ def random_description(rng, denom=12):
             slots.append((m, "diffuse"))
     if not slots:
         slots.append((sizes[0], "atom"))
-    if len(slots) > denom:
-        slots = slots[:denom]
-    masses = _partition(rng, len(slots), denom)
+    masses = _partition(rng, len(slots), 12)
     components = {}
     for (m, kind), mass in zip(slots, masses):
         atoms, diffuse = components.get(m, ([], Fraction(0)))

@@ -3,7 +3,8 @@
 The connective fragment is fixed: atomic predicates, rational constants in
 [0,1], halving, truncated subtraction, and the quantifiers sup/inf.  All
 values are exact rationals.  Bound variables are renamed canonically
-(y0, y1, ...) so that structurally equal formulas compare equal.
+(y0, y1, ...) so that structurally equal formulas compare equal.  Terms
+and formulas are tree.node classes: frozen, slotted, hash cached.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParseError, SignatureError
-from .tree import Shape
+from .tree import Node, Shape, node
 
 RESERVED_WORDS = frozenset({"half", "sub", "sup", "inf"})
 
@@ -75,45 +76,16 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
-# The node base shared by terms and formulas
-
-
-class _Node:
-    """Base of the term and formula classes: one slot that caches the
-    dataclass-generated hash, so a deep AST is hashed once, not on every
-    dict or set lookup."""
-
-    __slots__ = ("_hash",)
-
-
-def _node(cls):
-    """A frozen, slotted dataclass whose field hash is cached in _hash."""
-    cls = dataclass(frozen=True, slots=True)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-# ---------------------------------------------------------------------------
 # Terms
 
 
-@_node
-class Var(_Node):
+@node
+class Var(Node):
     name: str
 
 
-@_node
-class Apply(_Node):
+@node
+class Apply(Node):
     func: str
     args: tuple
 
@@ -122,7 +94,7 @@ class Apply(_Node):
 # Formulas
 
 
-class _Formula(_Node):
+class _Formula(Node):
     """Base of the formula classes: str renders the formula as text."""
 
     __slots__ = ()
@@ -131,13 +103,13 @@ class _Formula(_Node):
         return to_text(self)
 
 
-@_node
+@node
 class Atomic(_Formula):
     pred: str
     args: tuple = ()
 
 
-@_node
+@node
 class Const(_Formula):
     value: Fraction
 
@@ -148,24 +120,24 @@ class Const(_Formula):
         object.__setattr__(self, "value", v)
 
 
-@_node
+@node
 class Half(_Formula):
     body: object
 
 
-@_node
+@node
 class TruncSub(_Formula):
     left: object
     right: object
 
 
-@_node
+@node
 class Sup(_Formula):
     var: str
     body: object
 
 
-@_node
+@node
 class Inf(_Formula):
     var: str
     body: object

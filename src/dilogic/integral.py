@@ -113,9 +113,6 @@ class IntegralElement:
     def __hash__(self):
         return hash(tuple(sorted(self.choice.items(), key=lambda kv: str(kv[0]))))
 
-    def __eq__(self, other):
-        return isinstance(other, IntegralElement) and self.choice == other.choice
-
 
 def element_of(field_, mapping):
     e = IntegralElement(mapping)

@@ -199,23 +199,28 @@ def field_to_doc(field_):
 
 
 def field_from_doc(doc):
+    """A field; its document keys fibers, like assignment entries, by atom text."""
     try:
         space = algebra_from_doc(doc["space"])
         fiber_docs = _object(doc["fibers"], "fibers")
     except (TypeError, KeyError) as exc:
         raise InputError(f"bad field document: {exc}") from None
+    if len({str(a) for a in space.atoms}) != len(space.atoms):
+        raise InputError("field atoms must have distinct texts")
     fibers = {}
     for a in space.atoms:
-        if a not in fiber_docs:
+        if str(a) not in fiber_docs:
             raise InputError(f"missing fiber for atom {a!r}")
-        fibers[a] = structure_from_doc(fiber_docs[a])
+        fibers[a] = structure_from_doc(fiber_docs[str(a)])
     return di.MeasurableField(space, fibers)
 
 
 def assignment_from_doc(doc, field_):
+    by_text = {str(a): a for a in field_.space.atoms}
     out = {}
     for var, choice in _object(doc or {}, "assignment").items():
-        out[var] = di.element_of(field_, _object(choice, f"assignment entry {var!r}"))
+        choice = _object(choice, f"assignment entry {var!r}")
+        out[var] = di.element_of(field_, {by_text.get(t, t): p for t, p in choice.items()})
     return out
 
 

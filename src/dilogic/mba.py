@@ -7,6 +7,7 @@ constrained-supremum node (SupChain) evaluated either by exhaustive
 search or by substituting the maximal feasible element.  A set variable
 is a SetVarIndex (tag, level, strict), the leaf of set terms; within a
 tag, vars_by_tag orders them by (level, strict), the one per-tag order.
+Set terms and formulas are tree.node classes, like formula's nodes.
 
 Inside this module a set is an int mask over the atom order (atom i is
 bit i).  eval_mba, check_monotone, eval_set and supchain_search_size
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BudgetError, ChainError, EvaluationError, ValidationError
-from .tree import Shape
+from .tree import Node, Shape, node
 
 ENUMERATE = "enumerate"
 MAXIMAL = "maximal"
@@ -146,8 +147,8 @@ def _submasks(cap):
 # Set variables and set terms
 
 
-@dataclass(frozen=True, slots=True)
-class SetVarIndex:
+@node
+class SetVarIndex(Node):
     """A set variable, the leaf of set terms: a formula tag, a threshold
     level, and the comparison mode its intended level set uses (strict
     '>' vs '>=')."""
@@ -161,8 +162,8 @@ class SetVarIndex:
             object.__setattr__(self, "level", Fraction(self.level))
 
 
-@dataclass(frozen=True)
-class ChainVar:
+@node
+class ChainVar(Node):
     """A bound variable of a SupChain, identified by binder id, tag, slot."""
 
     binder: int
@@ -170,47 +171,47 @@ class ChainVar:
     slot: int
 
 
-@dataclass(frozen=True)
-class SetLit:
+@node
+class SetLit(Node):
     atoms: frozenset
 
 
-@dataclass(frozen=True)
-class Empty:
+@node
+class Empty(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Full:
+@node
+class Full(Node):
     pass
 
 
-@dataclass(frozen=True)
-class Union:
+@node
+class Union(Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Inter:
+@node
+class Inter(Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Diff:
+@node
+class Diff(Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class SymDiff:
+@node
+class SymDiff(Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Compl:
+@node
+class Compl(Node):
     body: object
 
 
@@ -236,21 +237,21 @@ def inter_all(terms):
 # Real-valued measure-algebra formulas
 
 
-@dataclass(frozen=True)
-class Measure:
+@node
+class Measure(Node):
     term: object
 
 
-@dataclass(frozen=True)
-class Const:
+@node
+class Const(Node):
     value: Fraction
 
     def __post_init__(self):
         object.__setattr__(self, "value", Fraction(self.value))
 
 
-@dataclass(frozen=True)
-class Scale:
+@node
+class Scale(Node):
     factor: Fraction
     body: object
 
@@ -261,30 +262,30 @@ class Scale:
         object.__setattr__(self, "factor", f)
 
 
-@dataclass(frozen=True)
-class Add:
+@node
+class Add(Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class TruncSub:
+@node
+class TruncSub(Node):
     left: object
     right: object
 
 
-@dataclass(frozen=True)
-class Max:
+@node
+class Max(Node):
     items: tuple
 
 
-@dataclass(frozen=True)
-class Min:
+@node
+class Min(Node):
     items: tuple
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+@node
+class ChainSpec(Node):
     """Per-tag chain: upper-bound set terms U_0, ..., U_{l-1} over the outer
     variables; the bound chain variables Y_0, ..., Y_{l-1} must satisfy
     Y_j <= U_j intersect (Y_0 ... Y_{j-1})."""
@@ -293,8 +294,8 @@ class ChainSpec:
     bounds: tuple  # of set terms
 
 
-@dataclass(frozen=True)
-class ProfileSpec:
+@node
+class ProfileSpec(Node):
     """Joint upper bound coupling slots across tags:
     the intersection of the named bound variables Y^tag_slot must lie
     inside the bound set.  slots is a tuple of (tag, slot index)."""
@@ -303,8 +304,8 @@ class ProfileSpec:
     bound: object  # set term
 
 
-@dataclass(frozen=True)
-class SupChain:
+@node
+class SupChain(Node):
     binder: int
     chains: tuple  # of ChainSpec
     inner: object

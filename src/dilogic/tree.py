@@ -1,14 +1,39 @@
-"""Traversal of the frozen-dataclass ASTs over a table of child fields.
+"""AST nodes, and their traversal over a table of child fields.
 
-An AST module states its shape once, as a table from node class to the
-names of its child fields in traversal order.  A child field holds one
-node or a tuple of nodes; every other field is data.
+Every formula and mba node class is declared with @node on Node.  An AST
+module states its shape once, as a table from node class to the names of
+its child fields in traversal order.  A child field holds one node or a
+tuple of nodes; every other field is data.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import operator
+
+
+class Node:
+    """Base of every AST node class: one slot caching the dataclass field
+    hash, so a deep AST is hashed once, not on every dict or set lookup."""
+
+    __slots__ = ("_hash",)
+
+
+def node(cls):
+    """A frozen, slotted dataclass whose field hash is cached in _hash."""
+    cls = dataclasses.dataclass(frozen=True, slots=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+            return h
+
+    cls.__hash__ = __hash__
+    return cls
 
 
 class Shape(dict):

@@ -133,6 +133,42 @@ def test_eval_pretty_format(paths, capsys):
     assert out.strip() == "5/8"
 
 
+def _integer_atom_field():
+    """sup_example_field with its atoms w1, w2 renamed 1, 2."""
+    field_ = sup_example_field()
+    return di.MeasurableField(uniform_space((1, 2)),
+                              {1: field_.fibers["w1"], 2: field_.fibers["w2"]})
+
+
+def test_field_over_integer_atoms_round_trips():
+    field_ = _integer_atom_field()
+    doc = json.loads(json.dumps(jsonio.field_to_doc(field_)))
+    assert sorted(doc["fibers"]) == ["1", "2"]
+    assert jsonio.field_from_doc(doc) == field_
+    assignment = jsonio.assignment_from_doc({"x": {"1": "q", "2": "r"}}, field_)
+    assert assignment == {"x": di.element_of(field_, {1: "q", 2: "r"})}
+
+
+def test_eval_over_integer_atoms(tmp_path, capsys):
+    field_path = tmp_path / "int_field.json"
+    field_path.write_text(json.dumps(jsonio.field_to_doc(_integer_atom_field())),
+                          encoding="utf-8")
+    assignment_path = tmp_path / "int_assignment.json"
+    assignment_path.write_text(json.dumps({"x": {"1": "q", "2": "r"}}),
+                               encoding="utf-8")
+    code, out, _ = run(capsys, [
+        "eval", "--formula", "sup y . P(y)", "--field", str(field_path),
+    ])
+    assert code == cli.EXIT_PASS
+    assert json.loads(out) == {"value": "5/8"}
+    code, out, _ = run(capsys, [
+        "eval", "--formula", "P(x)", "--field", str(field_path),
+        "--assignment", str(assignment_path),
+    ])
+    assert code == cli.EXIT_PASS
+    assert json.loads(out) == {"value": "1/8"}
+
+
 # ---------------------------------------------------------------------------
 # transform
 
@@ -386,6 +422,9 @@ def _field_doc_without(key):
      {**_field_doc(), "fibers": {"w1": _field_doc()["fibers"]["w1"]}}),
     (["eval", "--formula", "P(x)", "--field", "DOC"], _field_doc(preds={"P": {}})),
     (["typei", "rho", "--desc", "DOC"], {"remainder": "1"}),
+    (["eval", "--formula", "P(x)", "--field", "DOC"],
+     {"space": {"atoms": [1, "1"], "weights": ["1/2", "1/2"]},
+      "fibers": {"1": _field_doc()["fibers"]["w1"]}}),
 ], ids=["signature-list", "assignment-list", "assignment-string",
         "assignment-entry-string", "dist-missing-tuple", "dist-subset-number",
         "dist-chain-number", "points-string", "points-nested",
@@ -396,7 +435,7 @@ def _field_doc_without(key):
         "weight-zero-denominator", "weight-not-rational", "arity-missing",
         "weights-missing", "weights-length", "dist-subset-unknown-atom",
         "structure-dist-missing", "fibers-missing", "fiber-missing",
-        "pred-entry-missing", "components-missing"])
+        "pred-entry-missing", "components-missing", "atoms-share-text"])
 def test_malformed_document_exit_2(paths, tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

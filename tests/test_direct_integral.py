@@ -53,6 +53,16 @@ def test_element_of_validation():
         di.element_of(field_, {"zz": "p", "w1": "p", "w2": "r"})
 
 
+def test_elements_from_reordered_dicts_are_one_element():
+    a = di.IntegralElement({"w1": "p", "w2": "q"})
+    b = di.IntegralElement({"w2": "q", "w1": "p"})
+    assert list(a.choice) != list(b.choice)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert {a, b} == {a}
+    assert a != di.IntegralElement({"w1": "p", "w2": "p"})
+
+
 def test_elements_enumeration_and_limit():
     field_ = sup_example_field()
     assert field_.element_count() == 2

@@ -415,16 +415,18 @@ W0 = mba.SetLit(frozenset({"w0"}))
 A0, A1, B0 = (mba.ChainVar(0, "A", 0), mba.ChainVar(0, "A", 1), mba.ChainVar(0, "B", 0))
 
 
-@pytest.mark.parametrize("bound, expected", [
-    (mba.Full(), F(2)),
-    (mba.Union(W0, mba.Compl(W0)), F(2)),
-    (W0, EvaluationError),
-    (mba.Empty(), EvaluationError),
+@pytest.mark.parametrize("bound, expected, maximal", [
+    (mba.Full(), F(2), F(10, 7)),
+    (mba.Union(W0, mba.Compl(W0)), F(2), F(10, 7)),
+    (W0, EvaluationError, EvaluationError),
+    (mba.Empty(), EvaluationError, EvaluationError),
 ], ids=["full", "full-by-value", "not-full", "empty"])
-def test_a_slotless_profile_is_checked_once(bound, expected):
+def test_a_slotless_profile_is_checked_once(bound, expected, maximal):
     # mu(A_0 sym B_0) + mu(A_1 minus B_0) is 2 at A = (Full, Full), B = {}
     # unless a slotless profile with a bound short of Full empties the
-    # region.
+    # region.  The sum is not increasing, so maximal mode, which only
+    # tries each atom's maximal depth vectors, reaches 10/7 (w1 at A
+    # depth 2, B depth 0); it refuses an empty region like enumerate mode.
     alg = ALGEBRAS[1]
     g = mba.SupChain(0, (mba.ChainSpec("A", (mba.Full(), mba.Full())),
                          mba.ChainSpec("B", (mba.Full(),))),
@@ -434,6 +436,11 @@ def test_a_slotless_profile_is_checked_once(bound, expected):
                       mba.ProfileSpec((("A", 1), ("B", 0)), W0)))
     assert _enumerate_expect(g, {}, alg) == expected
     assert _enumerate_actual(g, {}, alg) == expected
+    if maximal is EvaluationError:
+        with pytest.raises(EvaluationError, match="empty feasible region"):
+            mba.eval_mba(g, {}, alg, mba.MAXIMAL)
+    else:
+        assert mba.eval_mba(g, {}, alg, mba.MAXIMAL) == maximal
 
 
 def test_nested_supchain_profile_bound_reads_the_enclosing_chain_variables():

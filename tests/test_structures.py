@@ -327,6 +327,45 @@ def test_isomorphism_preserves_evaluation():
             )
 
 
+def test_not_isomorphic_different_signatures():
+    M = two_point(F(0), F(1))
+    N = make_structure(SIG_PQ, {"P": {"p": F(0), "q": F(1)},
+                                "Q": {"p": F(0), "q": F(0)}})
+    assert st.is_isomorphic(M, N) is None
+
+
+def test_isomorphism_search_skips_a_bijection_that_breaks_a_distance():
+    # P is constant, so only distances tell the points apart; the first
+    # permutation tried, p -> a, q -> b, r -> c, sends d(p,q) = 1/2 to 1.
+    half = F(1, 2)
+    M = make_structure(SIG_P, {"P": dict.fromkeys("pqr", half)},
+                       dist={frozenset("pq"): half, frozenset("pr"): 1,
+                             frozenset("qr"): 1})
+    N = make_structure(SIG_P, {"P": dict.fromkeys("abc", half)},
+                       dist={frozenset("ab"): 1, frozenset("ac"): 1,
+                             frozenset("bc"): half})
+    assert st.is_isomorphic(M, N) == {"p": "b", "q": "c", "r": "a"}
+
+
+SIG_PF = fm.Signature(predicates=(("P", 1),), functions=(("f", 1),))
+
+
+def with_function(M, images):
+    """M over SIG_PF, with the unary function f sending p to images[p]."""
+    return st.ensure_valid(st.FiniteMetricStructure(
+        SIG_PF, M.points, M.dist, M.preds,
+        {"f": {(p,): images[p] for p in M.points}}))
+
+
+def test_isomorphism_preserves_a_unary_function():
+    M = with_function(two_point(F(1, 4), F(3, 4)), {"p": "q", "q": "p"})
+    N = make_structure(SIG_P, {"P": {"a": F(1, 4), "b": F(3, 4)}})
+    assert st.is_isomorphic(M, with_function(N, {"a": "b", "b": "a"})) == {
+        "p": "a", "q": "b"}
+    # The one bijection that keeps P sends f(p) = q to b, but f(a) = a.
+    assert st.is_isomorphic(M, with_function(N, {"a": "a", "b": "a"})) is None
+
+
 def test_is_isomorphic_refuses_an_oversized_permutation_count():
     # 12! = 479,001,600 permutations, refused before any is tried; the
     # signature and size checks still answer first.
