@@ -111,7 +111,8 @@ class IntegralElement:
         return self.choice[atom]
 
     def __hash__(self):
-        return hash(tuple(sorted(self.choice.items(), key=lambda kv: str(kv[0]))))
+        # Order-free, so it agrees with ==, which compares the dicts.
+        return hash(frozenset(self.choice.items()))
 
 
 def element_of(field_, mapping):

@@ -15,9 +15,8 @@ from . import formula as fm
 from . import integral as di
 from . import mba
 from . import structure as st
-from . import transform as tr
 from . import typei
-from .errors import InputError
+from .errors import BudgetError, InputError
 
 
 def parse_fraction(text):
@@ -125,6 +124,14 @@ def _table_from_doc(points, arity, doc, leaf, what):
     if arity == 0:
         table[()] = leaf(doc)
         return table
+    # The table has len(points) ** arity entries of arity points each.  For
+    # b the budget's bit length, the power exceeds the budget exactly when
+    # len(points) ** min(arity, b) does, so the huge power is never built.
+    budget = mba.ENUMERATE_TUPLE_BUDGET
+    if arity > budget or len(points) ** min(arity, budget.bit_length()) > budget:
+        raise BudgetError(
+            f"{what} table of {len(points)}^{arity} entries exceeds budget "
+            f"{budget}")
     for tup in itertools.product(points, repeat=arity):
         node = doc
         try:
@@ -345,7 +352,7 @@ def _declared_names(result, index):
     threshold and then mode (>= before >).  Written from levels and G, so
     result.variables is never built."""
     off = {}
-    for v in tr.off_grid_vars(result.levels, result.g):
+    for v in result.off_grid_vars:
         off.setdefault(v.tag, []).append(v)
     grids = {}  # level -> the texts of its thresholds j/l, 0 <= j < l
     names = []

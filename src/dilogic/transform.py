@@ -29,49 +29,63 @@ def one_minus(zeta):
     return fm.TruncSub(fm.Const(1), zeta)
 
 
-def _min_pair(a, b):
-    # min(a, b) = a -. (a -. b), exact on [0,1]
-    return fm.TruncSub(a, fm.TruncSub(a, b))
-
-
-def _min_fold(items):
-    out = items[0]
-    for item in items[1:]:
-        out = _min_pair(out, item)
-    return out
-
-
-def xi_formula(var, alpha):
-    """xi_alpha = sup_y min over (zeta, c) in alpha of (zeta -. c).
+def _xi_direct(var, alpha, free, binders, items):
+    """xi_alpha = sup_y min over (zeta, c) in alpha of (zeta -. c), built
+    in the canonical form fm.canonicalize would give it, without its walk.
 
     Truncated subtraction replaces plain subtraction so the range stays in
     [0,1]; the strict-positivity level set at 0 is unchanged.
+
+    The min folds the items left to right by min(a, b) = a -. (a -. b),
+    exact on [0,1].  canonicalize numbers binders y0, y1, ... in pre-order
+    and skips every free variable of alpha's tags (free[zeta]: zeta's own
+    but var).  So the Sup takes the first free name, and each occurrence of
+    a tag in the expanded fold takes the next binders[zeta] names for its
+    own binders, in its pre-order.  The fold repeats its accumulator a, so
+    the two copies of an accumulator that binds a variable take different
+    names; a binder-free accumulator is one shared object.  items caches
+    each renamed tag by (zeta, Sup name, binder names), paired with the
+    whole items zeta -. c over that copy, by c.
     """
-    items = [fm.TruncSub(zeta, fm.Const(c)) for zeta, c in alpha]
-    return fm.canonicalize(fm.Sup(var, _min_fold(items)))
-
-
-def _xi_direct(var, alpha, free, renamed):
-    """xi_formula(var, alpha) for tags that bind no variable, built in
-    canonical form without a canonicalize walk: the Sup binds the first
-    y<i> not in free[zeta] (each tag's free variables but var) for any tag
-    of alpha, and renaming var is each tag's only change.  renamed caches
-    those copies by (tag, name)."""
     taken = set().union(*(free[zeta] for zeta, _c in alpha))
-    name = next(f"y{i}" for i in itertools.count() if f"y{i}" not in taken)
-    items = []
-    for zeta, c in alpha:
-        if (zeta, name) not in renamed:
-            renamed[zeta, name] = _rename(zeta, var, name)
-        items.append(fm.TruncSub(renamed[zeta, name], fm.Const(c)))
-    return fm.Sup(name, _min_fold(items))
+    names = (f"y{i}" for i in itertools.count() if f"y{i}" not in taken)
+    name = next(names)
+
+    def item(zeta, c):
+        key = (zeta, name, tuple(itertools.islice(names, binders[zeta])))
+        if key not in items:
+            items[key] = (_rename(zeta, {var: name}, iter(key[2])), {})
+        renamed, by_c = items[key]
+        out = by_c.get(c)
+        if out is None:
+            out = by_c[c] = fm.TruncSub(renamed, fm.Const(c))
+        return out
+
+    def fold(n):
+        # The min of alpha's first n items, naming binders in pre-order:
+        # the accumulator's, then its copy's, then the next item's.
+        acc = item(*alpha[0])
+        bound = binders[alpha[0][0]]
+        for m in range(1, n):
+            copy = fold(m) if bound else acc
+            zeta, c = alpha[m]
+            acc = fm.TruncSub(acc, fm.TruncSub(copy, item(zeta, c)))
+            bound = bound or binders[zeta]
+        return acc
+
+    return fm.Sup(name, fold(len(alpha)))
 
 
-def _rename(phi, old, new):
-    """phi with its variable old renamed new; phi binds no variable."""
-    if type(phi) is fm.Var:
-        return fm.Var(new) if phi.name == old else phi
-    return fm.rebuild(phi, lambda child: _rename(child, old, new))
+def _rename(phi, env, names):
+    """phi with each free variable v in env renamed env[v], and each binder
+    renamed the next of names, in pre-order."""
+    t = type(phi)
+    if t is fm.Var:
+        return fm.Var(env[phi.name]) if phi.name in env else phi
+    if t is fm.Sup or t is fm.Inf:
+        name = next(names)
+        return t(name, _rename(phi.body, {**env, phi.var: name}, names))
+    return fm.rebuild(phi, lambda child: _rename(child, env, names))
 
 
 @dataclass(frozen=True)
@@ -79,9 +93,13 @@ class TransformResult:
     """F[phi] (the keys of `levels`; `formulas` is their text order, the
     one tag order), its levels and G.  The declared set is G's variables
     plus the strict grid (zeta, i/l, >), 0 <= i < l, of each formula zeta
-    of level l.  Only G's variables get level sets.  The document writes
-    the declared set from `levels` and G; the `variables` set serves tests
-    and counters only."""
+    of level l.  Only G's variables get level sets.
+
+    G is walked once for its variables, by `vars_by_tag`; the budget
+    check, the compiler's rewiring and bound slots, the document's
+    declared set and build_level_assignment all read that one walk.  The
+    document writes the declared set from `levels` and `off_grid_vars`;
+    the `variables` set serves tests and counters only."""
 
     k: int
     levels: dict           # formula -> integer level l >= 1
@@ -92,8 +110,27 @@ class TransformResult:
         return tuple(sorted(self.levels, key=fm.to_text))
 
     @functools.cached_property
+    def vars_by_tag(self):
+        """mba.vars_by_tag(self.g), computed once."""
+        return mba.vars_by_tag(self.g)
+
+    @property
+    def off_grid_vars(self):
+        """G's variables off the strict grids: nonstrict, or at a threshold
+        no grid of their tag holds."""
+        levels = self.levels
+        return [v for vs in self.vars_by_tag.values() for v in vs
+                if not (v.strict and v.tag in levels and 0 <= v.level < 1
+                        and levels[v.tag] % v.level.denominator == 0)]
+
+    @property
+    def declared_count(self):
+        """len(variables) in closed form: every grid, plus off_grid_vars."""
+        return sum(self.levels.values()) + len(self.off_grid_vars)
+
+    @functools.cached_property
     def variables(self):
-        variables = set(mba.free_set_vars(self.g))
+        variables = {v for vs in self.vars_by_tag.values() for v in vs}
         grids = {}  # one threshold grid per level, shared by its variables
         for zeta in self.formulas:
             level = self.levels[zeta]
@@ -101,19 +138,6 @@ class TransformResult:
                 grids[level] = [Fraction(i, level) for i in range(level)]
             variables |= {mba.SetVarIndex(zeta, t, True) for t in grids[level]}
         return frozenset(variables)
-
-
-def off_grid_vars(levels, g):
-    """G's variables off the strict grids: nonstrict, or at a threshold no
-    grid of their tag holds."""
-    return [v for v in mba.free_set_vars(g)
-            if not (v.strict and v.tag in levels and 0 <= v.level < 1
-                    and levels[v.tag] % v.level.denominator == 0)]
-
-
-def declared_count(levels, g):
-    """len(variables) in closed form: every grid, plus off_grid_vars."""
-    return sum(levels.values()) + len(off_grid_vars(levels, g))
 
 
 class _Builder:
@@ -152,13 +176,14 @@ class _Builder:
     # variable budget without building its declared set.
 
     def _finish(self, k, levels, g):
-        count = declared_count(levels, g)
+        result = TransformResult(k, dict(levels), g)
+        count = result.declared_count
         if count > self.budget_vars:
             raise BudgetError(
                 f"declared set-variable count {count} exceeds budget "
                 f"{self.budget_vars}"
             )
-        return TransformResult(k, dict(levels), g)
+        return result
 
     def _atomic(self, phi, k):
         levels = {phi: k}
@@ -190,9 +215,11 @@ class _Builder:
         # so G stays coordinatewise increasing in the new variables.
         mapping = {}
         right_levels = {}
-        for v in mba.free_set_vars(right.g):
-            neg = one_minus(v.tag)
-            mapping[v] = mba.Compl(mba.SetVarIndex(neg, 1 - v.level, not v.strict))
+        for tag, variables in right.vars_by_tag.items():
+            neg = one_minus(tag)
+            for v in variables:
+                mapping[v] = mba.Compl(
+                    mba.SetVarIndex(neg, 1 - v.level, not v.strict))
         for zeta, lev in right.levels.items():
             right_levels[one_minus(zeta)] = lev
         g = mba.TruncSub(left.g, mba.substitute_set_vars(right.g, mapping))
@@ -201,14 +228,13 @@ class _Builder:
 
     def _sup(self, phi, k):
         inner = self.build(phi.body, k)
-        by_tag = mba.vars_by_tag(inner.g)
-        if any(not v.strict for vs in by_tag.values() for v in vs):
+        if any(not v.strict for vs in inner.vars_by_tag.values() for v in vs):
             # A joint witness point can only be certified to beat a
             # nonstrict threshold by the grid step below it; compiling the
             # body at doubled precision absorbs that one-step slack inside
             # the body's own determination margin.
             inner = self.build(phi.body, 2 * k)
-            by_tag = mba.vars_by_tag(inner.g)
+        by_tag = inner.vars_by_tag
         tags = inner.formulas
         grid_sizes = [inner.levels[z] for z in tags]
         # Bound slots: the variables of each tag the inner formula actually
@@ -233,11 +259,12 @@ class _Builder:
         # C: nonempty partial maps from tags to their threshold grids, in a
         # fixed order (per tag: absent, then thresholds ascending).
         per_tag = [[None] + [Fraction(i, lev) for i in range(lev)] for lev in grid_sizes]
-        # Binder-free tags take _xi_direct; its caches live for this call.
+        # _xi_direct's tables and item cache live for this call.
         free = {zeta: fm.free_vars(zeta) - {phi.var} for zeta in tags}
-        direct = not any(type(node) in (fm.Sup, fm.Inf)
-                         for zeta in tags for node in fm.nodes(zeta))
-        renamed = {}
+        binders = {zeta: sum(type(node) in (fm.Sup, fm.Inf)
+                             for node in fm.nodes(zeta))
+                   for zeta in tags}
+        items = {}
         xi_levels = {}
         xi_of_alpha = {}
         for combo in itertools.product(*per_tag):
@@ -246,8 +273,7 @@ class _Builder:
             )
             if not alpha:
                 continue
-            xi = (_xi_direct(phi.var, alpha, free, renamed) if direct
-                  else xi_formula(phi.var, alpha))
+            xi = _xi_direct(phi.var, alpha, free, binders, items)
             lev = max(inner.levels[zeta] for zeta, _c in alpha)
             xi_levels[xi] = max(lev, xi_levels.get(xi, 1))
             xi_of_alpha[alpha] = xi
@@ -329,9 +355,10 @@ def build_level_assignment(result, field_, assignment=None):
 
     Each distinct tag is evaluated once per atom, and its level sets are
     thresholds of that one value table.  Tags come in result.formulas
-    order (F tags every variable of G), each in vars_by_tag order.
+    order (F tags every variable of G), each in vars_by_tag order, which
+    result caches: a second call on one result does not walk G.
     """
-    by_tag = mba.vars_by_tag(result.g)
+    by_tag = result.vars_by_tag
     out = {}
     for tag in result.formulas:
         if tag in by_tag:

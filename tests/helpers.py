@@ -84,6 +84,17 @@ def q_of(v):
     return fm.Atomic("Q", (fm.Var(v),))
 
 
+def xi_formula(var, alpha):
+    """The reference xi_alpha: sup_var min over (zeta, c) in alpha of
+    (zeta -. c), the min folded left to right by min(a, b) = a -. (a -. b),
+    then canonicalized."""
+    items = [fm.TruncSub(zeta, fm.Const(c)) for zeta, c in alpha]
+    out = items[0]
+    for item in items[1:]:
+        out = fm.TruncSub(out, fm.TruncSub(out, item))
+    return fm.canonicalize(fm.Sup(var, out))
+
+
 def var_sort_key(index):
     """A set variable's order by tag text, threshold and mode."""
     return (str(index.tag), index.level, index.strict)

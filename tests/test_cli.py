@@ -124,6 +124,32 @@ def test_eval_choice_limit_is_a_budget_error(paths, capsys):
     assert json.loads(err)["error"] == "budget"
 
 
+@pytest.mark.parametrize("points, arity", [(["p"], 10**21), (["p", "q"], 20)],
+                         ids=["one-point-huge-arity", "two-points-arity-20"])
+def test_eval_table_over_budget_is_a_budget_error(tmp_path, capsys, points,
+                                                  arity):
+    # The table has len(points) ** arity entries: refused before any is
+    # read, and its size is never computed when it is huge.
+    field_path = tmp_path / "huge_arity_field.json"
+    field_path.write_text(json.dumps({
+        "space": {"atoms": ["w"], "weights": ["1"]},
+        "fibers": {"w": {
+            "signature": {"predicates": [{"name": "P", "arity": arity}]},
+            "points": points,
+            "dist": [["0" if p == q else "1" for q in points] for p in points],
+            "preds": {"P": {}},
+        }},
+    }), encoding="utf-8")
+    code, out, err = run(capsys, [
+        "eval", "--formula", "P(x)", "--field", str(field_path),
+    ])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    body = json.loads(err)
+    assert body["error"] == "budget"
+    assert f"^{arity} entries" in body["message"]
+
+
 def test_eval_pretty_format(paths, capsys):
     code, out, _ = run(capsys, [
         "eval", "--formula", "sup y . P(y)", "--field", paths["sup_field.json"],

@@ -19,7 +19,8 @@ from dilogic import formula as fm
 from dilogic import transform as tr
 from dilogic.errors import BudgetError
 
-from helpers import p_of, q_of, var_sort_key
+from helpers import (joint_witness_field, p_of, q_of, var_sort_key,
+                     xi_formula)
 from test_cli import GOLDEN_CORPUS
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -106,8 +107,7 @@ def test_closed_form_count_matches_declared_set(compile_panel):
              for inst in family.determination_instances(0, 204)]
     finished = finished + compile_recording_finish(suite)[1]
     for result in finished:
-        assert tr.declared_count(result.levels, result.g) == len(
-            result.variables)
+        assert result.declared_count == len(result.variables)
         assert_tags_in_table(result)
 
 
@@ -153,7 +153,7 @@ def test_document_variables_match_reference_sort(compile_panel):
         doc_names = jsonio.transform_result_to_doc(result)["variables"]
         assert doc_names == reference_names(result)
         nonstrict += sum(name.endswith("|ge") for name in doc_names)
-        off_grid += len(tr.off_grid_vars(result.levels, result.g))
+        off_grid += len(result.off_grid_vars)
     assert nonstrict and off_grid > nonstrict
 
 
@@ -192,43 +192,45 @@ def test_document_writes_declared_set_without_building_it():
                               workloads.COMPILE_BUDGET)
         doc = jsonio.transform_result_to_doc(result)
         assert "variables" not in vars(result)
-        assert len(doc["variables"]) == tr.declared_count(result.levels,
-                                                          result.g)
+        assert len(doc["variables"]) == result.declared_count
 
 
 def compile_recording_xi(jobs):
     """Compile each (phi, k, budget_c, budget_vars) job; returns every
-    (var, alpha, xi) _xi_direct built and every (var, alpha) _sup sent to
-    xi_formula."""
-    direct, fallback = [], []
-    build, canonical = tr._xi_direct, tr.xi_formula
+    (var, alpha, xi) _xi_direct built."""
+    direct = []
+    build = tr._xi_direct
 
-    def recording_direct(var, alpha, free, renamed):
-        xi = build(var, alpha, free, renamed)
+    def recording(var, alpha, *tables):
+        xi = build(var, alpha, *tables)
         direct.append((var, alpha, xi))
         return xi
 
-    def recording_canonical(var, alpha):
-        fallback.append((var, alpha))
-        return canonical(var, alpha)
-
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tr, "_xi_direct", recording_direct)
-        mp.setattr(tr, "xi_formula", recording_canonical)
+        mp.setattr(tr, "_xi_direct", recording)
         for job in jobs:
             tr.transform(*job)
-    return direct, fallback
+    return direct
 
 
-def has_binder(phi):
-    return any(type(node) in (fm.Sup, fm.Inf) for node in fm.nodes(phi))
+def binder_names(phi):
+    return [node.var for node in fm.nodes(phi)
+            if type(node) in (fm.Sup, fm.Inf)]
+
+
+def compile_panel_jobs():
+    sig = family.default_signature()
+    return [(fm.rewrite_inf(fm.parse_formula(text, sig)), k,
+             workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)
+            for text, k in (case.args for case in workloads.compile_panel())]
 
 
 def test_direct_xi_equals_xi_formula():
+    """On the compile panel (nested sup at k = 2 to 4), the certify panel
+    and two hand-built cases, every xi transform builds is the reference
+    xi_formula's, binder tags included."""
     sig = family.default_signature()
-    jobs = [(fm.rewrite_inf(fm.parse_formula(text, sig)), k,
-             workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)
-            for text, k in (case.args for case in workloads.compile_panel())]
+    jobs = compile_panel_jobs()
     jobs += [(fm.rewrite_inf(inst.formula), inst.k, tr.DEFAULT_BUDGET_C,
               family.FAMILY_BUDGET_VARS)
              for inst in family.determination_instances(
@@ -240,23 +242,67 @@ def test_direct_xi_equals_xi_formula():
                                       fm.Atomic("R", (y0, z)))), k,
               workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)
              for k in (2, 3)]
-    direct, _fallback = compile_recording_xi(jobs)
+    # The free y1 is named like a binder: the outer supremum's tags bind a
+    # variable and read y1, so their binders skip it.
+    skip = fm.parse_formula("sup x . sup w . R(x,y1)", sig)
+    jobs += [(skip, 2, workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)]
+    direct = compile_recording_xi(jobs)
     assert len(direct) > 1000
     assert {xi.var for var, _alpha, xi in direct if var == "z"} == {"y0", "y1"}
+    over_binders = [(var, alpha, xi) for var, alpha, xi in direct
+                    if any(binder_names(zeta) for zeta, _c in alpha)]
+    assert len(over_binders) > 500
+    skipping = [xi for _var, alpha, xi in over_binders
+                if any("y1" in fm.free_vars(zeta) for zeta, _c in alpha)]
+    assert skipping
+    assert all("y1" not in binder_names(xi) and "y2" in binder_names(xi)
+               for xi in skipping)
     for var, alpha, xi in direct:
-        assert not any(has_binder(zeta) for zeta, _c in alpha)
-        expected = tr.xi_formula(var, alpha)
+        expected = xi_formula(var, alpha)
         assert xi == expected
         assert fm.to_text(xi) == fm.to_text(expected)
 
 
-def test_xi_falls_back_to_canonicalize_over_binders():
+def test_xi_accumulator_copies_take_their_own_binder_names():
+    """min(a, b) = a -. (a -. b) repeats its accumulator; each occurrence
+    of a binder tag takes the next names, in pre-order."""
     sig = family.default_signature()
-    phi = fm.parse_formula("sup x . sup y . R(x,y)", sig)
-    direct, fallback = compile_recording_xi(
-        [(phi, 2, workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)])
-    assert direct and fallback
-    assert all(not has_binder(zeta)
-               for _var, alpha, _xi in direct for zeta, _c in alpha)
-    assert all(has_binder(zeta)
-               for _var, alpha in fallback for zeta, _c in alpha)
+    alpha = ((fm.parse_formula("sup y . R(x,y)", sig), Fraction(1, 4)),
+             (fm.parse_formula("sup y . sub(R(x,y), P(x))", sig),
+              Fraction(1, 2)))
+    free = {zeta: fm.free_vars(zeta) - {"x"} for zeta, _c in alpha}
+    binders = {zeta: 1 for zeta, _c in alpha}
+    xi = tr._xi_direct("x", alpha, free, binders, {})
+    assert fm.to_text(xi) == (
+        "sup y0 . sub(sub(sup y1 . R(y0,y1), 1/4), "
+        "sub(sub(sup y2 . R(y0,y2), 1/4), "
+        "sub(sup y3 . sub(R(y0,y3), P(y0)), 1/2)))")
+    assert xi == xi_formula("x", alpha)
+
+
+def test_transform_makes_no_canonicalize_call(monkeypatch):
+    jobs = compile_panel_jobs()
+
+    def refuse(phi):
+        raise AssertionError(f"canonicalize({fm.to_text(phi)}) called")
+
+    monkeypatch.setattr(fm, "canonicalize", refuse)
+    for job in jobs:
+        tr.transform(*job)
+
+
+def test_level_assignment_reads_the_cached_variables(monkeypatch):
+    """A second build_level_assignment on one result, as certify makes,
+    walks G no more."""
+    phi = fm.canonicalize(fm.Sup("y", fm.TruncSub(p_of("y"), q_of("y"))))
+    result = tr.transform(phi, 2)
+    field_ = joint_witness_field()
+    first = tr.build_level_assignment(result, field_)
+    assert set(first) == {v for vs in result.vars_by_tag.values() for v in vs}
+
+    def refuse(g):
+        raise AssertionError("G walked again")
+
+    monkeypatch.setattr(mba, "free_set_vars", refuse)
+    monkeypatch.setattr(mba, "vars_by_tag", refuse)
+    assert tr.build_level_assignment(result, field_) == first

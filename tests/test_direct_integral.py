@@ -63,6 +63,16 @@ def test_elements_from_reordered_dicts_are_one_element():
     assert a != di.IntegralElement({"w1": "p", "w2": "p"})
 
 
+def test_elements_whose_atoms_render_alike_hash_alike():
+    # The atoms 1 and "1" print the same, so an order by their text
+    # cannot tell the two insertion orders apart.
+    a = di.IntegralElement({1: "p", "1": "q"})
+    b = di.IntegralElement({"1": "q", 1: "p"})
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_elements_enumeration_and_limit():
     field_ = sup_example_field()
     assert field_.element_count() == 2
