@@ -7,13 +7,15 @@ atom weights; functions act fiberwise.  Quantifiers on the integral range
 over all choice functions, so evaluation here is the brute-force oracle
 against which the compiled measure-algebra formulas are checked.
 
-The oracle sums integers: each field builds, once, its weighted fiber
-predicate values as integer numerators over one common denominator
-(MeasurableField.weighted_preds).  That denominator is the integral's
-`den` in structure.eval_formula's model protocol, and `scaled_pred`, an
-integrated predicate value times den, is one integer sum, so evaluating a
-formula on the integral builds one Fraction in all.  A field is not
-changed once built.
+Inside the oracle a choice function is the tuple of its points in atom
+order; IntegralElement is the element type at the public boundary only.
+Each field builds, once, its per-atom tables in atom order: the weighted
+fiber predicate values as integer numerators over one common denominator
+(MeasurableField.weighted_preds), the integral's `den` in
+structure.eval_formula's model protocol, and the fiber function tables
+(MeasurableField.fiber_funcs).  So `scaled_pred`, an integrated predicate
+value times den, is one integer sum, and evaluating a formula on the
+integral builds one Fraction in all.  A field is not changed once built.
 """
 
 from __future__ import annotations
@@ -66,30 +68,33 @@ class MeasurableField:
 
     @functools.cached_property
     def weighted_preds(self):
-        """(den, {name: [(atom, {args: numerator})]}): every weighted fiber
-        value weights[w] * preds[name][args] as an integer numerator over
-        den, the lcm of all their denominators."""
+        """(den, {name: (table, ...)}), one table {args: numerator} per atom
+        in atom order: every weighted fiber value weights[w] *
+        preds[name][args] as an integer numerator over den, the lcm of all
+        their denominators."""
         weights = self.space.weights
         values = {
-            name: [(w, {args: weights[w] * v
-                        for args, v in self.fibers[w].preds[name].items()})
+            name: [{args: weights[w] * v
+                    for args, v in self.fibers[w].preds[name].items()}
                    for w in self.space.atoms]
             for name, _arity in self.signature.predicates
         }
-        den = math.lcm(*(v.denominator for rows in values.values()
-                         for _w, table in rows for v in table.values()))
+        den = math.lcm(*(v.denominator for tables in values.values()
+                         for table in tables for v in table.values()))
         return den, {
-            name: [(w, {args: v.numerator * (den // v.denominator)
-                        for args, v in table.items()})
-                   for w, table in rows]
-            for name, rows in values.items()
+            name: tuple({args: v.numerator * (den // v.denominator)
+                         for args, v in table.items()} for table in tables)
+            for name, tables in values.items()
         }
 
+    @functools.cached_property
+    def fiber_funcs(self):
+        """{name: (table, ...)}: each fiber's function table, in atom order."""
+        return {name: tuple(self.fibers[w].funcs[name] for w in self.space.atoms)
+                for name, _arity in self.signature.functions}
+
     def element_count(self):
-        n = 1
-        for a in self.space.atoms:
-            n *= len(self.fibers[a].points)
-        return n
+        return math.prod(len(self.fibers[a].points) for a in self.space.atoms)
 
     def elements(self, limit=DEFAULT_CHOICE_LIMIT):
         """All choice functions, in fiber point order; guarded by limit
@@ -142,29 +147,32 @@ def _fiber_assignment(assignment, atom):
 
 class _Integral:
     """The direct integral of a field as a model for
-    structure.eval_formula: its points are the choice functions (at most
-    limit of them), predicates integrate the fiber values against the
-    atom weights, as integers over den, and functions act fiberwise."""
+    structure.eval_formula: its points are the choice functions as tuples
+    of fiber points in atom order (at most limit of them, refused each
+    time a quantifier ranges), predicates integrate the fiber values
+    against the atom weights, as integers over den, and functions act
+    fiberwise."""
 
     def __init__(self, field_, limit):
         self.field = field_
         self.limit = limit
         self.den, self.tables = field_.weighted_preds
+        self.funcs = field_.fiber_funcs
 
     @property
     def points(self):
-        return self.field.elements(self.limit)
+        _refuse_over_limit(self.field.element_count(), self.limit, "choice-function")
+        fibers = self.field.fibers
+        return itertools.product(*[fibers[w].points for w in self.field.space.atoms])
 
     def scaled_pred(self, name, args):
-        return sum(table[tuple(e.choice[w] for e in args)]
-                   for w, table in self.tables[name])
+        # A 0-ary predicate reads () at every atom.
+        return sum(map(dict.__getitem__, self.tables[name],
+                       zip(*args) if args else itertools.repeat(())))
 
     def func(self, name, args):
-        fibers = self.field.fibers
-        return IntegralElement({
-            w: fibers[w].funcs[name][tuple(e(w) for e in args)]
-            for w in self.field.space.atoms
-        })
+        # A signature's functions take at least one argument.
+        return tuple(map(dict.__getitem__, self.funcs[name], zip(*args)))
 
 
 def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
@@ -172,11 +180,14 @@ def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
 
     This is structure.eval_formula on the integral seen as a structure:
     Sup/Inf range over all choice functions of the field (at most limit
-    of them), Atomic integrates the fiberwise table values.
+    of them), Atomic integrates the fiberwise table values.  Each
+    assigned IntegralElement enters as its row of points in atom order.
     """
     # Refused here too: a quantifier-free phi never reads the limit.
     _refuse_over_limit(0, limit, "choice-function")
-    return st.eval_formula(phi, _Integral(field_, limit), assignment)
+    rows = {var: tuple(map(e.choice.__getitem__, field_.space.atoms))
+            for var, e in (assignment or {}).items()}
+    return st.eval_formula(phi, _Integral(field_, limit), rows)
 
 
 def fiber_values(zeta, field_, assignment=None):

@@ -381,7 +381,7 @@ def transform_result_to_doc(result):
     table, index = _formula_table(result)
     return {
         "k": result.k,
-        "formulas": [fm.to_text(z) for z in result.formulas],
+        "formulas": list(result.formula_texts.values()),
         "auxiliary_formulas": [
             fm.to_text(z) for z in table[len(result.formulas):]
         ],
@@ -442,7 +442,7 @@ def pretty_mba(g):
 
 def pretty_transform_result(result):
     lines = [f"k = {result.k}"]
-    for i, z in enumerate(result.formulas):
-        lines.append(f"F[{i}] = {fm.to_text(z)}   (l = {result.levels[z]})")
+    for i, (z, text) in enumerate(result.formula_texts.items()):
+        lines.append(f"F[{i}] = {text}   (l = {result.levels[z]})")
     lines.append(f"G = {pretty_mba(result.g)}")
     return "\n".join(lines)

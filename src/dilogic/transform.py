@@ -91,9 +91,10 @@ def _rename(phi, env, names):
 @dataclass(frozen=True)
 class TransformResult:
     """F[phi] (the keys of `levels`; `formulas` is their text order, the
-    one tag order), its levels and G.  The declared set is G's variables
-    plus the strict grid (zeta, i/l, >), 0 <= i < l, of each formula zeta
-    of level l.  Only G's variables get level sets.
+    one tag order, rendered once in `formula_texts`), its levels and G.
+    The declared set is G's variables plus the strict grid (zeta, i/l, >),
+    0 <= i < l, of each formula zeta of level l.  Only G's variables get
+    level sets.
 
     G is walked once for its variables, by `vars_by_tag`; the budget
     check, the compiler's rewiring and bound slots, the document's
@@ -106,8 +107,14 @@ class TransformResult:
     g: object              # MbaFormula over SetVarIndex variables
 
     @functools.cached_property
+    def formula_texts(self):
+        """{zeta: fm.to_text(zeta)} over F, in text order (no two share one)."""
+        texts = {zeta: fm.to_text(zeta) for zeta in self.levels}
+        return dict(sorted(texts.items(), key=lambda item: item[1]))
+
+    @functools.cached_property
     def formulas(self):
-        return tuple(sorted(self.levels, key=fm.to_text))
+        return tuple(self.formula_texts)
 
     @functools.cached_property
     def vars_by_tag(self):

@@ -2,14 +2,16 @@
 relabeling, and materialization."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from dilogic import family
 from dilogic import formula as fm
 from dilogic import integral as di
 from dilogic import structure as st
-from dilogic.errors import BudgetError, InputError, ValidationError
+from dilogic.errors import BudgetError, InputError, SignatureError, ValidationError
 
 from helpers import (
     SIG_P,
@@ -352,6 +354,88 @@ def test_function_terms_on_the_integral_match_materialize():
             seen.add(v)
     # f is not constant, so the values depend on the assignment.
     assert len(seen) > len(texts)
+
+
+# ---------------------------------------------------------------------------
+# The oracle on point tuples: each value against eval_formula on materialize
+
+
+def _choice_grid_field():
+    """Fibers of 3, 3 and 4 points: 36 choice functions."""
+    rng = random.Random(5)
+    sig = family.default_signature()
+    return di.MeasurableField(uniform_space(("w1", "w2", "w3")), {
+        w: family.random_structure(sig, rng, n, prefix=w)
+        for w, n in (("w1", 3), ("w2", 3), ("w3", 4))})
+
+
+def test_quantifier_free_formula_ignores_the_limit():
+    field_ = _choice_grid_field()
+    assert field_.element_count() == 36
+    e = next(field_.elements())
+    for text in ("P(x)", "sub(R(x, x), half(Q(x)))", "2/5"):
+        phi = fm.parse_formula(text, field_.signature)
+        assert di.eval_on_integral(phi, field_, {"x": e}, limit=1) == \
+            di.eval_on_integral(phi, field_, {"x": e}, limit=None)
+
+
+def test_quantifier_limit_is_the_choice_function_count():
+    field_ = _choice_grid_field()
+    count = field_.element_count()
+    phi = fm.parse_formula("sup y . sub(P(y), Q(y))", field_.signature)
+    with pytest.raises(BudgetError, match=f"{count} exceeds limit {count - 1}"):
+        di.eval_on_integral(phi, field_, limit=count - 1)
+    assert di.eval_on_integral(phi, field_, limit=count) == st.eval_formula(
+        phi, di.materialize(field_))
+    with pytest.raises(InputError, match="limit must be >= 0"):
+        di.eval_on_integral(phi, field_, limit=-1)
+
+
+_EDGE_SIG = fm.Signature(predicates=(("C", 0), ("P", 1)),
+                         functions=(("f", 1), ("g", 1)))
+
+
+def _edge_fiber(points, p_values, c_value, g_point):
+    """Discrete metric; f cycles the points, g is constant at g_point and
+    C is a 0-ary predicate."""
+    dist = {(p, q): F(int(p != q)) for p in points for q in points}
+    cycle = dict(zip(points, points[1:] + points[:1]))
+    return st.ensure_valid(st.FiniteMetricStructure(
+        _EDGE_SIG, points, dist,
+        {"C": {(): c_value}, "P": {(p,): v for p, v in zip(points, p_values)}},
+        {"f": {(p,): cycle[p] for p in points},
+         "g": {(p,): g_point for p in points}},
+    ))
+
+
+def test_edge_signatures_on_the_integral_match_materialize():
+    # A constant symbol is a 0-ary function, which a signature refuses:
+    # the oracle meets constants only as constant functions, like g.
+    with pytest.raises(SignatureError):
+        fm.Signature(functions=(("k", 0),))
+    space = di.FiniteProbabilitySpace(("w1", "w2"), {"w1": F(1, 3), "w2": F(2, 3)})
+    field_ = di.MeasurableField(space, {
+        "w1": _edge_fiber(("a", "b"), (F(1, 4), F(1)), F(1, 5), "b"),
+        "w2": _edge_fiber(("c", "d", "e"), (F(0), F(1, 2), F(6, 7)), F(3, 4), "e"),
+    })
+    atoms = space.atoms
+    M = di.materialize(field_)
+    phis = [fm.parse_formula(text, _EDGE_SIG) for text in (
+        "C()", "half(C())", "P(g(x))", "P(f(f(x)))", "sub(P(f(f(x))), C())",
+        "sub(P(x), P(g(x)))", "sup y . sub(P(f(f(y))), C())",
+        "inf y . sub(P(y), P(f(g(y))))")]
+    values = set()
+    for e in field_.elements():
+        # The same element from a mapping in reverse atom order.
+        rev = di.element_of(field_, {w: e(w) for w in reversed(atoms)})
+        assert list(rev.choice) == list(reversed(atoms))
+        row = tuple(e(w) for w in atoms)
+        for phi in phis:
+            v = di.eval_on_integral(phi, field_, {"x": rev})
+            assert v == di.eval_on_integral(phi, field_, {"x": e})
+            assert v == st.eval_formula(phi, M, {"x": row})
+            values.add(v)
+    assert len(values) > len(phis)
 
 
 def test_materialize_refuses_oversized_tables():

@@ -58,8 +58,9 @@ def test_weighted_preds_share_the_lcm_denominator():
     assert den == 105
     weights = field_.space.weights
     for name, _arity in field_.signature.predicates:
-        assert [w for w, _table in tables[name]] == list(field_.space.atoms)
-        for w, table in tables[name]:
+        # One table per atom, in atom order.
+        assert len(tables[name]) == len(field_.space.atoms)
+        for w, table in zip(field_.space.atoms, tables[name]):
             fiber = field_.fibers[w].preds[name]
             assert set(table) == set(fiber)
             for args, numerator in table.items():
@@ -85,6 +86,43 @@ def test_oracle_matches_materialize_with_coprime_denominators():
                 phi, M, local)
             checked += 1
     assert checked > len(phis)
+
+
+def test_scaled_pred_is_den_times_the_fraction_sum():
+    field_ = _coprime_field()
+    integral = di._Integral(field_, None)
+    atoms = field_.space.atoms
+    weights = field_.space.weights
+    rng = random.Random(3)
+    for name, arity in field_.signature.predicates:
+        for _ in range(20):
+            # A choice function is its tuple of points in atom order.
+            args = tuple(tuple(rng.choice(field_.fibers[w].points) for w in atoms)
+                         for _ in range(arity))
+            reference = sum((weights[w] * field_.fibers[w].preds[name][
+                tuple(a[i] for a in args)] for i, w in enumerate(atoms)), F(0))
+            got = integral.scaled_pred(name, args)
+            assert type(got) is int
+            assert got == integral.den * reference
+
+
+def test_oracle_builds_no_element(monkeypatch):
+    field_ = _coprime_field()
+    e = next(field_.elements())
+    built = []
+    init = di.IntegralElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(di.IntegralElement, "__post_init__", counting)
+    for phi in family.sentence_suite():
+        di.eval_on_integral(phi, field_)
+    # A caller may still pass elements in.
+    phi = fm.parse_formula("sup y . sub(R(x, y), P(x))", field_.signature)
+    di.eval_on_integral(phi, field_, {"x": e})
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
