@@ -23,8 +23,13 @@ EXIT_INPUT = 2
 
 
 def _load_json(path):
+    """The JSON value in the file at path.  Bad UTF-8, bad JSON and an
+    integer past the interpreter's digit limit are all ValueErrors."""
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InputError(f"bad JSON document {path}: {exc}") from None
 
 
 def _emit(fmt, doc, text=None):
@@ -138,15 +143,7 @@ def cmd_mba_monotone(args):
 
 def cmd_mba_dist(args):
     alg = jsonio.algebra_from_doc(_load_json(args.algebra))
-    doc = _load_json(args.input)
-    try:
-        chain_doc, tuple_doc = doc["chain"], doc["tuple"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"bad dist input document: {exc}") from None
-    if not isinstance(chain_doc, list) or not isinstance(tuple_doc, list):
-        raise InputError("dist input chain and tuple must be lists")
-    chain = [jsonio.subset_from_doc(u, alg) for u in chain_doc]
-    xs = [jsonio.subset_from_doc(x, alg) for x in tuple_doc]
+    chain, xs = jsonio.dist_input_from_doc(_load_json(args.input), alg)
     formula = mba.phi_chain(chain)
     assign = {mba.chain_var("X", m, len(chain)): x for m, x in enumerate(xs)}
     bound = mba.eval_mba(formula, assign, alg)
@@ -301,7 +298,7 @@ def main(argv=None):
         print(json.dumps({"error": "budget", "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return EXIT_INPUT
-    except (DilogicError, OSError, json.JSONDecodeError) as exc:
+    except (DilogicError, OSError) as exc:
         print(json.dumps({"error": "input", "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return EXIT_INPUT

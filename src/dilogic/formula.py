@@ -9,6 +9,7 @@ and formulas are tree.node classes: frozen, slotted, hash cached.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,8 +42,8 @@ class Signature:
     functions: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "predicates", tuple((str(n), a) for n, a in self.predicates))
-        object.__setattr__(self, "functions", tuple((str(n), a) for n, a in self.functions))
+        object.__setattr__(self, "predicates", tuple((n, a) for n, a in self.predicates))
+        object.__setattr__(self, "functions", tuple((n, a) for n, a in self.functions))
         for name, arity in self.predicates + self.functions:
             if isinstance(arity, bool) or not isinstance(arity, int):
                 raise SignatureError(f"symbol {name!r} has arity {arity!r}, not an integer")
@@ -196,38 +197,33 @@ def to_text(phi):
 # Canonical renaming of bound variables
 
 
+def rename(phi, env, names):
+    """phi with each free variable v in env renamed env[v], and each binder
+    renamed the next of the iterator names, in pre-order.  A node whose
+    names do not change is returned as is."""
+    t = type(phi)
+    if t is Var:
+        name = env.get(phi.name, phi.name)
+        return phi if name == phi.name else Var(name)
+    if t is Sup or t is Inf:
+        name = next(names)
+        body = rename(phi.body, {**env, phi.var: name}, names)
+        return phi if name == phi.var and body is phi.body else t(name, body)
+    return rebuild(phi, lambda child: rename(child, env, names))
+
+
 def canonicalize(phi):
     """Rename bound variables to y0, y1, ... in traversal order.
 
     Names already used by free variables are skipped, so no capture is
     possible.  Two alpha-equivalent formulas canonicalize to equal ASTs.
     """
-    taken = free_vars(phi)
-    counter = [0]
+    return rename(phi, {}, binder_names(free_vars(phi)))
 
-    def fresh():
-        while True:
-            name = f"y{counter[0]}"
-            counter[0] += 1
-            if name not in taken:
-                return name
 
-    def renamer(env):
-        def walk(node):
-            if type(node) is Var:
-                name = env.get(node.name, node.name)
-                return node if name == node.name else Var(name)
-            if type(node) in (Sup, Inf):
-                name = fresh()
-                body = renamer({**env, node.var: name})(node.body)
-                if name == node.var and body is node.body:
-                    return node
-                return type(node)(name, body)
-            return rebuild(node, walk)
-
-        return walk
-
-    return renamer({})(phi)
+def binder_names(taken):
+    """The canonical binder names y0, y1, ..., skipping those in taken."""
+    return (f"y{i}" for i in itertools.count() if f"y{i}" not in taken)
 
 
 # ---------------------------------------------------------------------------

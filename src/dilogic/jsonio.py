@@ -3,12 +3,16 @@
 All rationals travel as "p/q" strings (or "p" for integers).  Documents
 are plain dict/list trees ready for json.dumps with sort_keys=True, so
 identical inputs produce identical byte streams.
+
+Every reader checks what it reads through _as and _get, by exact type:
+a bool is never an integer, and a float is never a rational.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from . import formula as fm
@@ -18,12 +22,42 @@ from . import structure as st
 from . import typei
 from .errors import BudgetError, InputError
 
+# Atoms and rationals are strings or integers.
+_SCALAR = (str, int)
+# A table node: an object keyed by point, or a leaf its reader checks.
+_TABLE = (dict, str, int)
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
-def parse_fraction(text):
+
+def _as(value, kinds, what):
+    """value, if its exact type is kinds or one of them."""
+    kinds = kinds if type(kinds) is tuple else (kinds,)
+    if type(value) not in kinds:
+        raise InputError(f"{what} must be {' or '.join(k.__name__ for k in kinds)}"
+                         f", not {type(value).__name__}")
+    return value
+
+
+def _get(doc, key, kinds, what, default=None):
+    """doc[key], checked by _as, of doc checked to be an object; a missing
+    key gives default, and is an error when default is None."""
+    if key not in _as(doc, dict, what):
+        if default is None:
+            raise InputError(f"{what} is missing key {key!r}")
+        return default
+    return _as(doc[key], kinds, f"{what} {key!r}")
+
+
+def parse_fraction(value):
+    """A rational from a "p/q" or "p" string or an integer.  The form is
+    checked before Fraction sees it, so no float or exponent is read."""
+    if type(_as(value, (str, int), "rational")) is str \
+            and not _RATIONAL_RE.fullmatch(value):
+        raise InputError(f"bad rational {value!r}: not of the form p/q")
     try:
-        return Fraction(str(text))
+        return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from None
+        raise InputError(f"bad rational {value!r}: {exc}") from None
 
 
 def format_fraction(value):
@@ -41,26 +75,11 @@ def signature_to_doc(sig):
     }
 
 
-def _object(doc, what):
-    if not isinstance(doc, dict):
-        raise InputError(f"bad {what} document: expected a JSON object")
-    return doc
-
-
-def _list(doc, what):
-    if not isinstance(doc, list):
-        raise InputError(f"bad {what} document: expected a JSON list")
-    return doc
-
-
 def signature_from_doc(doc):
-    _object(doc, "signature")
-    try:
-        preds = tuple((e["name"], e["arity"]) for e in doc.get("predicates", []))
-        funcs = tuple((e["name"], e["arity"]) for e in doc.get("functions", []))
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"bad signature document: {exc}") from None
-    return fm.Signature(preds, funcs)
+    return fm.Signature(*(
+        tuple((_get(e, "name", str, key), _get(e, "arity", int, key))
+              for e in _get(doc, key, list, "signature", []))
+        for key in ("predicates", "functions")))
 
 
 # ---------------------------------------------------------------------------
@@ -75,24 +94,17 @@ def algebra_to_doc(alg):
 
 
 def algebra_from_doc(doc):
-    try:
-        atoms = doc["atoms"]
-        weights = [parse_fraction(w) for w in doc["weights"]]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"bad algebra document: {exc}") from None
-    if not isinstance(atoms, list) or not all(
-            isinstance(a, (str, int)) for a in atoms):
-        raise InputError("algebra atoms must be a list of strings or integers")
+    atoms = [_as(a, _SCALAR, "algebra atom")
+             for a in _get(doc, "atoms", list, "algebra")]
+    weights = [parse_fraction(w) for w in _get(doc, "weights", list, "algebra")]
     if len(atoms) != len(weights):
         raise InputError("atoms and weights differ in length")
     return mba.FiniteMeasureAlgebra(tuple(atoms), dict(zip(atoms, weights)))
 
 
 def subset_from_doc(doc, alg):
-    try:
-        subset = frozenset(_list(doc, "subset"))
-    except TypeError as exc:
-        raise InputError(f"bad subset {doc!r}: {exc}") from None
+    subset = frozenset(_as(a, _SCALAR, "subset atom")
+                       for a in _as(doc, list, "subset"))
     for a in subset:
         if a not in alg.weights:
             raise InputError(f"unknown atom {a!r} in subset")
@@ -101,6 +113,13 @@ def subset_from_doc(doc, alg):
 
 def subset_to_doc(subset, alg):
     return [a for a in alg.atoms if a in subset]
+
+
+def dist_input_from_doc(doc, alg):
+    """The chain and the tuple of a `dilogic mba dist` input, each a list
+    of subsets."""
+    return tuple([subset_from_doc(u, alg) for u in _get(doc, key, list, "dist input")]
+                 for key in ("chain", "tuple"))
 
 
 # ---------------------------------------------------------------------------
@@ -120,10 +139,8 @@ def _table_to_doc(points, arity, table, leaf):
 
 
 def _table_from_doc(points, arity, doc, leaf, what):
-    table = {}
     if arity == 0:
-        table[()] = leaf(doc)
-        return table
+        return {(): leaf(doc)}
     # The table has len(points) ** arity entries of arity points each.  For
     # b the budget's bit length, the power exceeds the budget exactly when
     # len(points) ** min(arity, b) does, so the huge power is never built.
@@ -132,13 +149,11 @@ def _table_from_doc(points, arity, doc, leaf, what):
         raise BudgetError(
             f"{what} table of {len(points)}^{arity} entries exceeds budget "
             f"{budget}")
+    table = {}
     for tup in itertools.product(points, repeat=arity):
         node = doc
-        try:
-            for p in tup:
-                node = node[p]
-        except (KeyError, TypeError):
-            raise InputError(f"{what} table missing entry at {tup}") from None
+        for p in tup:
+            node = _get(node, p, _TABLE, f"{what} table at {tup}")
         table[tup] = leaf(node)
     return table
 
@@ -163,37 +178,26 @@ def structure_to_doc(M):
     return doc
 
 
-def structure_from_doc(doc, sig=None):
-    try:
-        sig = sig or signature_from_doc(doc["signature"])
-        points = doc["points"]
-        matrix = doc["dist"]
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"bad structure document: {exc}") from None
-    if not isinstance(points, list) or not all(isinstance(p, str) for p in points):
-        raise InputError("structure points must be a list of strings")
-    points = tuple(points)
-    if (not isinstance(matrix, list) or len(matrix) != len(points)
-            or any(not isinstance(row, list) or len(row) != len(points)
-                   for row in matrix)):
+def structure_from_doc(doc):
+    sig = signature_from_doc(_get(doc, "signature", dict, "structure"))
+    points = tuple(_as(p, str, "structure point")
+                   for p in _get(doc, "points", list, "structure"))
+    matrix = _get(doc, "dist", list, "structure")
+    if len(matrix) != len(points) or any(
+            len(_as(row, list, "dist row")) != len(points) for row in matrix):
         raise InputError("dist matrix shape does not match the point list")
-    pred_docs = _object(doc.get("preds", {}), "structure preds")
-    func_docs = _object(doc.get("funcs", {}), "structure funcs")
-    dist = {
-        (p, q): parse_fraction(matrix[i][j])
-        for i, p in enumerate(points)
-        for j, q in enumerate(points)
-    }
-    preds = {
-        name: _table_from_doc(points, arity, pred_docs.get(name),
-                              parse_fraction, f"predicate {name!r}")
-        for name, arity in sig.predicates
-    }
-    funcs = {
-        name: _table_from_doc(points, arity, func_docs.get(name),
-                              str, f"function {name!r}")
-        for name, arity in sig.functions
-    }
+    pred_docs = _get(doc, "preds", dict, "structure", {})
+    func_docs = _get(doc, "funcs", dict, "structure", {})
+    dist = {(p, q): parse_fraction(v) for p, row in zip(points, matrix)
+            for q, v in zip(points, row)}
+    preds = {name: _table_from_doc(
+                 points, arity, _get(pred_docs, name, _TABLE, "preds"),
+                 parse_fraction, f"predicate {name!r}")
+             for name, arity in sig.predicates}
+    funcs = {name: _table_from_doc(
+                 points, arity, _get(func_docs, name, dict, "funcs"),
+                 lambda v: _as(v, str, "function table entry"), f"function {name!r}")
+             for name, arity in sig.functions}
     return st.ensure_valid(st.FiniteMetricStructure(sig, points, dist, preds, funcs))
 
 
@@ -207,27 +211,23 @@ def field_to_doc(field_):
 
 def field_from_doc(doc):
     """A field; its document keys fibers, like assignment entries, by atom text."""
-    try:
-        space = algebra_from_doc(doc["space"])
-        fiber_docs = _object(doc["fibers"], "fibers")
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"bad field document: {exc}") from None
+    space = algebra_from_doc(_get(doc, "space", dict, "field"))
+    fiber_docs = _get(doc, "fibers", dict, "field")
     if len({str(a) for a in space.atoms}) != len(space.atoms):
         raise InputError("field atoms must have distinct texts")
-    fibers = {}
-    for a in space.atoms:
-        if str(a) not in fiber_docs:
-            raise InputError(f"missing fiber for atom {a!r}")
-        fibers[a] = structure_from_doc(fiber_docs[str(a)])
-    return di.MeasurableField(space, fibers)
+    return di.MeasurableField(space, {
+        a: structure_from_doc(_get(fiber_docs, str(a), dict, "field fibers"))
+        for a in space.atoms})
 
 
 def assignment_from_doc(doc, field_):
     by_text = {str(a): a for a in field_.space.atoms}
     out = {}
-    for var, choice in _object(doc or {}, "assignment").items():
-        choice = _object(choice, f"assignment entry {var!r}")
-        out[var] = di.element_of(field_, {by_text.get(t, t): p for t, p in choice.items()})
+    for var, choice in _as(doc, dict, "assignment").items():
+        what = f"assignment entry {var!r}"
+        out[var] = di.element_of(field_, {
+            by_text.get(t, t): _as(p, str, f"{what} point")
+            for t, p in _as(choice, dict, what).items()})
     return out
 
 
@@ -249,18 +249,17 @@ def description_to_doc(desc):
     }
 
 
+def _component(doc):
+    what = "description component"
+    return (_get(doc, "m", int, what),
+            tuple(map(parse_fraction, _get(doc, "atoms", list, what, []))),
+            parse_fraction(_get(doc, "diffuse", _SCALAR, what, 0)))
+
+
 def description_from_doc(doc):
-    try:
-        components = tuple(
-            (e["m"], tuple(map(parse_fraction,
-                               _list(e.get("atoms", []), "description atoms"))),
-             parse_fraction(e.get("diffuse", 0)))
-            for e in _list(doc["components"], "description components")
-        )
-        remainder = parse_fraction(doc.get("remainder", 0))
-    except (TypeError, KeyError) as exc:
-        raise InputError(f"bad description document: {exc}") from None
-    return typei.TypeIDescription(components, remainder)
+    return typei.TypeIDescription(
+        tuple(map(_component, _get(doc, "components", list, "description"))),
+        parse_fraction(_get(doc, "remainder", _SCALAR, "description", 0)))
 
 
 def rho_to_doc(table):

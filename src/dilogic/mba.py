@@ -98,23 +98,19 @@ class FiniteMeasureAlgebra:
         return frozenset(a for a, b in self.bit.items() if mask & b)
 
     @functools.cached_property
-    def _mask_measures(self):
-        """The memo of measure_mask, and the weights as integer numerators
-        over their least common denominator."""
+    def _mask_sums(self):
+        """(sums, den): den is the least common denominator of the
+        weights, and sums maps a mask to its measure times den, an integer
+        memoised per mask that occurs; a 2^n table is never built."""
         den = math.lcm(*(w.denominator for w in self.weights.values()))
-        scaled = tuple(self.weights[a].numerator * (den // self.weights[a].denominator)
-                       for a in self.atoms)
-        return {}, scaled, den
+        return _MaskSums(tuple(self.weights[a].numerator
+                               * (den // self.weights[a].denominator)
+                               for a in self.atoms)), den
 
     def measure_mask(self, mask):
-        """mu of a mask: one integer sum and one Fraction per mask seen.
-        Only masks that occur are memoised; a 2^n table is never built."""
-        memo, scaled, den = self._mask_measures
-        value = memo.get(mask)
-        if value is None:
-            value = memo[mask] = Fraction(
-                sum(w for i, w in enumerate(scaled) if mask >> i & 1), den)
-        return value
+        """mu of a mask, from its memoised integer sum."""
+        sums, den = self._mask_sums
+        return Fraction(sums[mask], den)
 
     def measure(self, subset):
         return self.measure_mask(self.mask(subset))
@@ -131,6 +127,20 @@ class FiniteMeasureAlgebra:
         """All subsets of `within` (default: all atoms), in bitmask order."""
         cap = self.full_mask if within is None else self.mask(within)
         return map(self.unmask, _submasks(cap))
+
+
+class _MaskSums(dict):
+    """mask -> the sum of the integer weights of its atoms, on first use."""
+
+    __slots__ = ("weights",)
+
+    def __init__(self, weights):
+        super().__init__()
+        self.weights = weights
+
+    def __missing__(self, mask):
+        value = self[mask] = sum(w for i, w in enumerate(self.weights) if mask >> i & 1)
+        return value
 
 
 def _submasks(cap):
@@ -488,24 +498,10 @@ def _leaf_denominator(g, above=1):
     return math.lcm(*(_leaf_denominator(c, above) for c in children))
 
 
-class _Measures(dict):
-    """mask -> its measure times S, an integer computed on first use."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights):
-        super().__init__()
-        self.weights = weights
-
-    def __missing__(self, mask):
-        value = self[mask] = sum(w for i, w in enumerate(self.weights) if mask >> i & 1)
-        return value
-
-
 class _Compiler:
     """Compiles a formula or set term into closures of no arguments, once
     per call of eval_mba, check_monotone, eval_set or supchain_search_size;
-    nothing outlives that call.
+    only the algebra's memo of mask sums outlives that call.
 
     A free SetVarIndex reads its slot of the list `a`, which bind fills from
     an assignment or the caller writes in the order of the `variables` it
@@ -527,10 +523,9 @@ class _Compiler:
 
     def formula(self, g):
         """The closure of a formula and the scale S of its values."""
-        _memo, weights, den = self.alg._mask_measures
-        unit = _leaf_denominator(g)
-        self.scale = den * unit
-        self.measures = _Measures(tuple(w * unit for w in weights))
+        self.sums, den = self.alg._mask_sums
+        self.unit = _leaf_denominator(g)
+        self.scale = den * self.unit
         return self.value(g, {}), self.scale
 
     def slot(self, index):
@@ -583,8 +578,8 @@ class _Compiler:
         """The closure of a formula: its value times S."""
         t = type(g)
         if t is Measure:
-            measures, term = self.measures, self.set_term(g.term, scope)
-            return lambda: measures[term()]
+            sums, unit, term = self.sums, self.unit, self.set_term(g.term, scope)
+            return lambda: sums[term()] * unit
         if t is Const:
             c = g.value.numerator * (self.scale // g.value.denominator)
             return lambda: c

@@ -48,13 +48,13 @@ def _xi_direct(var, alpha, free, binders, items):
     whole items zeta -. c over that copy, by c.
     """
     taken = set().union(*(free[zeta] for zeta, _c in alpha))
-    names = (f"y{i}" for i in itertools.count() if f"y{i}" not in taken)
+    names = fm.binder_names(taken)
     name = next(names)
 
     def item(zeta, c):
         key = (zeta, name, tuple(itertools.islice(names, binders[zeta])))
         if key not in items:
-            items[key] = (_rename(zeta, {var: name}, iter(key[2])), {})
+            items[key] = (fm.rename(zeta, {var: name}, iter(key[2])), {})
         renamed, by_c = items[key]
         out = by_c.get(c)
         if out is None:
@@ -74,18 +74,6 @@ def _xi_direct(var, alpha, free, binders, items):
         return acc
 
     return fm.Sup(name, fold(len(alpha)))
-
-
-def _rename(phi, env, names):
-    """phi with each free variable v in env renamed env[v], and each binder
-    renamed the next of names, in pre-order."""
-    t = type(phi)
-    if t is fm.Var:
-        return fm.Var(env[phi.name]) if phi.name in env else phi
-    if t is fm.Sup or t is fm.Inf:
-        name = next(names)
-        return t(name, _rename(phi.body, {**env, phi.var: name}, names))
-    return fm.rebuild(phi, lambda child: _rename(child, env, names))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ import hashlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,6 +47,7 @@ def paths(tmp_path):
     write("joint_field.json", jsonio.field_to_doc(joint_witness_field()))
     write("assignment.json", {"x": {"w1": "p", "w2": "p"}})
     write("alg.json", {"atoms": ["w1", "w2"], "weights": ["1/2", "1/2"]})
+    write("alg_int.json", {"atoms": [1, 2], "weights": ["1/2", "1/2"]})
     write("alg3.json", {"atoms": ["a", "b", "c"],
                         "weights": ["1/2", "1/4", "1/4"]})
     write("m2.json", {"components": [{"m": 2, "atoms": ["1"], "diffuse": "0"}]})
@@ -381,6 +384,17 @@ def _signature_doc(arity):
     return {"predicates": [{"name": "P", "arity": arity}]}
 
 
+def _func_field_doc(entry):
+    """A one-atom field whose fiber has the points "5" and "q" and a unary
+    function f with f("5") = entry and f("q") = "q"."""
+    sig = {"predicates": [{"name": "P", "arity": 1}],
+           "functions": [{"name": "f", "arity": 1}]}
+    fiber = {"signature": sig, "points": ["5", "q"],
+             "dist": [["0", "1"], ["1", "0"]], "preds": {"P": {"5": "1", "q": "0"}},
+             "funcs": {"f": {"5": entry, "q": "q"}}}
+    return {"space": {"atoms": ["w1"], "weights": ["1"]}, "fibers": {"w1": fiber}}
+
+
 def _field_doc_without(key):
     """The atomic example field document with `key` dropped from fiber w1."""
     doc = _field_doc()
@@ -451,6 +465,20 @@ def _field_doc_without(key):
     (["eval", "--formula", "P(x)", "--field", "DOC"],
      {"space": {"atoms": [1, "1"], "weights": ["1/2", "1/2"]},
       "fibers": {"1": _field_doc()["fibers"]["w1"]}}),
+    (["transform", "--formula", "None(x)", "--signature", "DOC"],
+     {"predicates": [{"name": None, "arity": 1}]}),
+    (["transform", "--formula", "True(x)", "--signature", "DOC"],
+     {"predicates": [{"name": True, "arity": 1}]}),
+    (["mba", "defin", "--algebra", "DOC"],
+     {"atoms": ["w1", True], "weights": ["1/2", "1/2"]}),
+    (["mba", "dist", "--algebra", "alg_int.json", "--input", "DOC"],
+     {"chain": [[True]], "tuple": [[1]]}),
+    (["mba", "defin", "--algebra", "DOC"],
+     {"atoms": ["w1", "w2"], "weights": ["1/2", 0.5]}),
+    (["mba", "defin", "--algebra", "DOC"],
+     {"atoms": ["a", "b"], "weights": ["1e-1", "9/10"]}),
+    (["eval", "--formula", "sup y . P(f(y))", "--field", "DOC"],
+     _func_field_doc(5)),
 ], ids=["signature-list", "assignment-list", "assignment-string",
         "assignment-entry-string", "dist-missing-tuple", "dist-subset-number",
         "dist-chain-number", "points-string", "points-nested",
@@ -461,12 +489,48 @@ def _field_doc_without(key):
         "weight-zero-denominator", "weight-not-rational", "arity-missing",
         "weights-missing", "weights-length", "dist-subset-unknown-atom",
         "structure-dist-missing", "fibers-missing", "fiber-missing",
-        "pred-entry-missing", "components-missing", "atoms-share-text"])
+        "pred-entry-missing", "components-missing", "atoms-share-text",
+        "name-null", "name-true", "atom-true", "subset-atom-true",
+        "weight-float", "weight-exponent", "func-entry-number"])
 def test_malformed_document_exit_2(paths, tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     argv = [str(path) if a == "DOC" else paths.get(a, a) for a in argv]
     code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+def test_valid_function_field_evaluates(tmp_path, capsys):
+    # The document the func-entry-number case spoils, with its entry a string.
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(_func_field_doc("5")), encoding="utf-8")
+    code, out, _ = run(capsys, ["eval", "--formula", "sup y . P(f(y))",
+                                "--field", str(path)])
+    assert code == cli.EXIT_PASS
+    assert json.loads(out) == {"value": "1"}
+
+
+def test_exponent_rational_is_refused_before_it_is_built(tmp_path, capsys):
+    # Fraction("1e-10000000") would build 10**10000000 first.
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({"atoms": ["a", "b"],
+                                "weights": ["1e-10000000", "1"]}), encoding="utf-8")
+    start = time.process_time()
+    code, out, err = run(capsys, ["mba", "defin", "--algebra", str(path)])
+    assert time.process_time() - start < 1
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == "input"
+
+
+@pytest.mark.parametrize("data", [b"\xff\xfe", b"[" + b"1" * 5000 + b"]"],
+                         ids=["not-utf-8", "integer-past-digit-limit"])
+def test_unreadable_json_exit_2(tmp_path, capsys, data):
+    path = tmp_path / "alg.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, ["mba", "defin", "--algebra", str(path)])
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert json.loads(err)["error"] == "input"
@@ -631,3 +695,28 @@ def test_selftest_golden_bytes(capsys):
         assert code == cli.EXIT_PASS
         digests.append(hashlib.sha256(out.encode("utf-8")).hexdigest())
     assert tuple(digests) == SELFTEST_SHA256
+
+
+def test_selftest_seed_0_count_34_golden_bytes(capsys):
+    code, out, _ = run(capsys, ["selftest", "--seed", "0", "--count", "34"])
+    assert code == cli.EXIT_PASS
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "df9b169fe627dfaa14883787c09d4ef19ce7492edc740ba06cd97a346b139614")
+
+
+def test_readme_example_documents(tmp_path, capsys):
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    block = re.search(r"Example documents:\s*```json\n(.*?)```", readme.read_text(
+        encoding="utf-8"), re.S).group(1)
+    docs = {name: json.loads(body) for name, body in
+            re.findall(r"^// (\S+)\n(.*?)(?=^// |\Z)", block, re.S | re.M)}
+    assert sorted(docs) == ["alg.json", "field.json", "sig.json"]
+    jsonio.signature_from_doc(docs["sig.json"])
+    jsonio.algebra_from_doc(docs["alg.json"])
+    jsonio.field_from_doc(docs["field.json"])
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(docs["field.json"]), encoding="utf-8")
+    code, out, _ = run(capsys, ["eval", "--formula", "sup y . P(y)",
+                                "--field", str(path)])
+    assert code == cli.EXIT_PASS
+    assert json.loads(out) == {"value": "3/4"}

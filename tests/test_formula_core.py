@@ -33,6 +33,14 @@ def test_signature_rejects_duplicates_and_bad_arities():
             fm.Signature(predicates=(("P", arity),))
 
 
+def test_signature_rejects_names_that_are_not_strings():
+    for name in (None, True, 5):
+        with pytest.raises(SignatureError):
+            fm.Signature(predicates=((name, 1),))
+        with pytest.raises(SignatureError):
+            fm.Signature(functions=((name, 1),))
+
+
 def test_signature_allows_nullary_predicates():
     sig = fm.Signature(predicates=(("c", 0),))
     assert sig.pred_arity("c") == 0
