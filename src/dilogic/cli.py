@@ -202,14 +202,13 @@ def cmd_selftest(args):
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 
-def _add_common(p, k=False, budgets=False, fmt=True):
+def _add_common(p, k=False, budgets=False):
     if k:
         p.add_argument("--k", type=int, default=2)
     if budgets:
         p.add_argument("--budget-c", type=int, default=tr.DEFAULT_BUDGET_C)
         p.add_argument("--budget-vars", type=int, default=tr.DEFAULT_BUDGET_VARS)
-    if fmt:
-        p.add_argument("--format", choices=["json", "pretty"], default="json")
+    p.add_argument("--format", choices=["json", "pretty"], default="json")
 
 
 def build_parser():

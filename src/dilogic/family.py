@@ -90,16 +90,16 @@ def random_structure(sig, rng, n_points, prefix="p", denom=DENOM):
     )
 
 
-def random_space(rng, n_atoms, denom=DENOM):
+def random_space(rng, n_atoms):
     atoms = tuple(f"w{i + 1}" for i in range(n_atoms))
-    weights = dict(zip(atoms, _partition(rng, n_atoms, denom)))
+    weights = dict(zip(atoms, _partition(rng, n_atoms)))
     return di.FiniteProbabilitySpace(atoms, weights)
 
 
-def random_field(sig, rng, n_atoms, max_points, denom=DENOM):
-    space = random_space(rng, n_atoms, denom)
+def random_field(sig, rng, n_atoms, max_points):
+    space = random_space(rng, n_atoms)
     fibers = {
-        a: random_structure(sig, rng, rng.randint(1, max_points), denom=denom)
+        a: random_structure(sig, rng, rng.randint(1, max_points))
         for a in space.atoms
     }
     return di.MeasurableField(space, fibers)
@@ -180,11 +180,11 @@ class Instance:
     k: int
 
 
-def determination_instances(seed, count, sig=None):
+def determination_instances(seed, count):
     """The seeded (formula, field, assignment, k) family."""
     if count < 0:
         raise InputError(f"instance count {count} is negative")
-    sig = sig or default_signature()
+    sig = default_signature()
     rng = random.Random(seed)
     templates = formula_templates()
     out = []
@@ -209,9 +209,9 @@ def determination_instances(seed, count, sig=None):
 # Fiber-relabeling pairs
 
 
-def relabel_pairs(seed, count, sig=None):
+def relabel_pairs(seed, count):
     """(field, relabeled field) pairs with per-fiber renaming bijections."""
-    sig = sig or default_signature()
+    sig = default_signature()
     rng = random.Random(seed)
     out = []
     for i in range(count):

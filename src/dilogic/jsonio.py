@@ -60,8 +60,18 @@ def parse_fraction(value):
         raise InputError(f"bad rational {value!r}: {exc}") from None
 
 
+def _text(value):
+    """str(value); a BudgetError when an integer in it has more digits
+    than the interpreter converts to text."""
+    try:
+        return str(value)
+    except ValueError:
+        raise BudgetError("an integer to write has more digits than the "
+                          "interpreter's integer-to-text limit") from None
+
+
 def format_fraction(value):
-    return str(Fraction(value))
+    return _text(Fraction(value))
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +223,12 @@ def field_from_doc(doc):
     """A field; its document keys fibers, like assignment entries, by atom text."""
     space = algebra_from_doc(_get(doc, "space", dict, "field"))
     fiber_docs = _get(doc, "fibers", dict, "field")
-    if len({str(a) for a in space.atoms}) != len(space.atoms):
+    texts = {str(a) for a in space.atoms}
+    if len(texts) != len(space.atoms):
         raise InputError("field atoms must have distinct texts")
+    unknown = sorted(set(fiber_docs) - texts)
+    if unknown:
+        raise InputError(f"field fibers name no atom of the space: {unknown}")
     return di.MeasurableField(space, {
         a: structure_from_doc(_get(fiber_docs, str(a), dict, "field fibers"))
         for a in space.atoms})
@@ -236,6 +250,11 @@ def assignment_from_doc(doc, field_):
 
 
 def description_to_doc(desc):
+    """The document of a description.  A size or a mass past the
+    interpreter's digit limit for integer-to-text conversion is a
+    BudgetError, raised before any of the document is written."""
+    for m, _atoms, _diffuse in desc.components:
+        _text(m)
     return {
         "components": [
             {

@@ -3,18 +3,20 @@
 Elements of the algebra are subsets of a finite atom list with positive
 rational weights summing to 1; d(A,B) = mu(A symmetric-difference B).
 Formulas are real-valued terms over set variables, including a
-constrained-supremum node (SupChain) evaluated either by exhaustive
-search or by substituting the maximal feasible element.  A set variable
-is a SetVarIndex (tag, level, strict), the leaf of set terms; within a
-tag, vars_by_tag orders them by (level, strict), the one per-tag order.
+constrained-supremum node (SupChain) whose constraints hold atom by
+atom: one search walks the product over atoms of per-atom depth vectors,
+every feasible one in enumerate mode and the maximal ones in maximal
+mode.  A set variable is a SetVarIndex (tag, level, strict), the leaf of
+set terms; within a tag, vars_by_tag orders them by (level, strict), the
+one per-tag order.
 Set terms and formulas are tree.node classes, like formula's nodes.
 
 Inside this module a set is an int mask over the atom order (atom i is
 bit i).  eval_mba, check_monotone, eval_set and supchain_search_size
 compile their formula once per call into closures of no arguments over
 masks (_Compiler): each SetVarIndex reads a slot of one list of masks,
-each chain variable a slot of one flat list that the SupChain searches
-write in place, and every value is an integer over one scale S,
+each chain variable a slot of one flat list that the SupChain search
+writes in place, and every value is an integer over one scale S,
 the weight denominator times the lcm of the Const denominators and the
 products of nested Scale denominators, so a result is one Fraction.
 Nothing is cached across calls: each call pays for its own O(|G|)
@@ -40,8 +42,8 @@ MAXIMAL = "maximal"
 # Enumerate mode refuses a SupChain whose chain tuples, counted in closed
 # form before profile constraints, exceed this; the 204-instance suite
 # needs at most 13,068.
-# The same budget caps maximal mode's product of per-atom maximal vectors
-# and each atom's depth-vector search, the chain-set walk of
+# The same budget caps the product of the atoms' depth-vector counts and
+# each atom's depth-vector search, the chain-set walk of
 # dist_to_chain_set, and structure's permutation and assignment searches.
 ENUMERATE_TUPLE_BUDGET = 10**6
 
@@ -410,12 +412,13 @@ def eval_mba(g, assign, alg, mode=MAXIMAL):
 
     SupChain semantics: supremum of the inner value over all bound tuples
     respecting the chain constraints and the joint profile constraints.
-    Mode `enumerate` searches the whole feasible region; mode `maximal`
-    substitutes per-atom maximal feasible membership patterns (requires
-    the evaluated bound chains to be decreasing), which reduces to
-    substituting the single maximal feasible element when there are no
-    profile constraints.  The modes agree whenever the inner formula is
-    coordinatewise increasing and the bounds are decreasing.
+    Both modes search the product over atoms of per-atom depth vectors:
+    mode `enumerate` takes every feasible vector, the whole feasible
+    region; mode `maximal` takes the maximal ones only (and requires the
+    evaluated bound chains to be decreasing), which reduces to the single
+    maximal feasible element when there are no profile constraints.  The
+    modes agree whenever the inner formula is coordinatewise increasing
+    and the bounds are decreasing.
     """
     if mode not in (ENUMERATE, MAXIMAL):
         raise EvaluationError(f"unknown mode {mode!r}")
@@ -468,6 +471,12 @@ def _maximal_depth_vectors(caps, forbidden):
         v for v in candidates
         if not any(w != v and all(wi >= vi for wi, vi in zip(w, v)) for w in candidates)
     )
+
+
+def _vectors_under(tops):
+    """Every vector under one of tops, ascending: with tops the maximal
+    feasible depth vectors, the whole downward closed feasible set."""
+    return sorted({v for top in tops for v in itertools.product(*(range(d + 1) for d in top))})
 
 
 # ---------------------------------------------------------------------------
@@ -619,107 +628,68 @@ class _Compiler:
                     raise EvaluationError(f"profile slot {slot} out of range for tag {tag!r}")
             profiles.append((tuple((tag_pos[tag], slot) for tag, slot in prof.slots),
                              self.set_term(prof.bound, scope)))
-        starts, inner_scope = [], dict(scope)
+        lo, inner_scope = len(self.e), dict(scope)
         for spec, bs in zip(g.chains, bounds):
-            starts.append(len(self.e))
             for slot in range(len(bs)):
                 inner_scope[(g.binder, spec.tag, slot)] = len(self.e)
                 self.e.append(0)
         inner = self.value(g.inner, inner_scope)
-        if self.mode == ENUMERATE:
-            return self.enumerate_search(bounds, starts, profiles, inner)
-        tags = [spec.tag for spec in g.chains]
-        return self.maximal_search(tags, bounds, starts, profiles, inner)
+        return self.search([spec.tag for spec in g.chains], bounds, lo, profiles, inner)
 
-    def enumerate_search(self, bounds, starts, profiles, inner):
-        """Supremum over the feasible tuples, the only ones built, in the
-        order of the product of the chains' tuples in bitmask order.  The
-        masks of a chain are nested, so a profile bounds only its deepest
-        slot on each chain it names; the bound of its slot on the last such
-        chain loses the meet of its earlier slots outside its bound set.
-        The budget counts the untightened bounds' tuples."""
-        alg, e, full = self.alg, self.e, self.alg.full_mask
-        # Per chain: (its deepest slot, positions of the earlier slots, bound).
-        cuts = [[] for _ in bounds]
-        slotless = []
-        for pairs, w in profiles:
-            deepest = {}
-            for i, slot in pairs:
-                deepest[i] = max(slot, deepest.get(i, slot))
-            if not deepest:
-                slotless.append(w)
-                continue
-            last = max(deepest)
-            cuts[last].append((deepest.pop(last),
-                               tuple(starts[i] + slot for i, slot in deepest.items()), w))
-
-        def walk(us, outsides, j):
-            u = list(us[j])
-            for slot, ps, outside in outsides[j]:
-                for p in ps:
-                    outside &= e[p]
-                u[slot] &= ~outside
-            lo, innermost = starts[j], j + 1 == len(us)
-            best = None
-            for ys in _feasible_chain_tuples(u, alg):
-                e[lo:lo + len(ys)] = ys
-                v = inner() if innermost else walk(us, outsides, j + 1)
-                if best is None or v > best:
-                    best = v
-            return best
-
-        def search():
-            us = [[b() for b in bs] for bs in bounds]
-            refuse_over_budget(math.prod(chain_enumeration_count(u, alg) for u in us),
-                               "SupChain feasible tuple")
-            if any(full & ~w() for w in slotless):
-                raise EvaluationError("SupChain has an empty feasible region")
-            outsides = [[(slot, ps, full & ~w()) for slot, ps, w in cut] for cut in cuts]
-            return walk(us, outsides, 0) if us else inner()
-
-        return search
-
-    def maximal_search(self, tags, bounds, starts, profiles, inner):
-        """Supremum via per-atom maximal feasible patterns.
+    def search(self, tags, bounds, lo, profiles, inner):
+        """Supremum of inner over a product over atoms of depth vectors.
 
         All constraints are pointwise: an atom's membership pattern is a
-        per-tag prefix depth capped by the first excluding bound, and a
-        profile forbids jointly exceeding its slots outside its bound set.
-        For an inner formula increasing in the chain variables the
-        supremum is attained with every atom at one of its maximal
-        feasible depth vectors, independently across atoms."""
-        alg, e = self.alg, self.e
+        per-chain depth, capped by the chain's first bound excluding the
+        atom, and a profile forbids the atoms outside its bound set to
+        exceed all its slots at once.  An atom's feasible depth vectors
+        are downward closed, so its maximal ones describe them.  Enumerate
+        mode takes every vector under a maximal one, ascending: the whole
+        feasible region, refused first when the bounds' tuples, counted in
+        closed form, exceed the budget.  Maximal mode takes the maximal
+        vectors only and requires decreasing bounds; for an inner formula
+        increasing in the chain variables the supremum is attained there.
+        Each combination writes the chain slots e[lo:hi] at once."""
+        alg, e, enumerate_all = self.alg, self.e, self.mode == ENUMERATE
         bits = tuple(alg.bit.values())
-        # (caps, forbidden) -> its maximal depth vectors, for the evaluations
-        # of this compiled search only; a new key is still budget-checked.
+        columns = [(i, slot) for i, bs in enumerate(bounds) for slot in range(len(bs))]
+        hi = lo + len(columns)
+        # (caps, forbidden) -> its depth vectors, for the evaluations of this
+        # compiled search only; a new key is still budget-checked.
         vectors = {}
 
         def search():
             us = [[b() for b in bs] for bs in bounds]
+            if enumerate_all:
+                refuse_over_budget(math.prod(chain_enumeration_count(u, alg) for u in us),
+                                   "SupChain feasible tuple")
+            else:
+                for tag, u in zip(tags, us):
+                    prev = alg.full_mask
+                    for m in u:
+                        if m & ~prev:
+                            raise ChainError(
+                                f"evaluated bound chain for tag {tag!r} is not decreasing")
+                        prev = m
             ws = [(pairs, w()) for pairs, w in profiles]
-            for tag, u in zip(tags, us):
-                prev = alg.full_mask
-                for m in u:
-                    if m & ~prev:
-                        raise ChainError(
-                            f"evaluated bound chain for tag {tag!r} is not decreasing")
-                    prev = m
             per_atom = []
             for bit in bits:
                 key = (tuple(_depth(u, bit) for u in us),
                        tuple(pairs for pairs, w in ws if not w & bit))
                 found = vectors.get(key)
                 if found is None:
-                    found = vectors[key] = _maximal_depth_vectors(*key)
-                per_atom.append(found)
+                    found = _maximal_depth_vectors(*key)
+                    if enumerate_all:
+                        found = _vectors_under(found)
+                    vectors[key] = found
+                # Each vector as this atom's bit in the chain slots it fills.
+                per_atom.append([tuple(bit if v[i] > slot else 0 for i, slot in columns)
+                                 for v in found])
             refuse_over_budget(math.prod(map(len, per_atom)),
                                "maximal depth vector combination")
             best = None
             for combo in itertools.product(*per_atom):
-                for i, (start, u) in enumerate(zip(starts, us)):
-                    for slot in range(len(u)):
-                        e[start + slot] = sum(
-                            bit for bit, vec in zip(bits, combo) if vec[i] > slot)
+                e[lo:hi] = map(sum, zip(*combo))
                 v = inner()
                 if best is None or v > best:
                     best = v

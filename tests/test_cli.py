@@ -8,13 +8,15 @@ import re
 import subprocess
 import sys
 import time
+import types
 from fractions import Fraction
 
 import pytest
 
-from dilogic import cli, family, jsonio
+from dilogic import cli, family, jsonio, mba
 from dilogic import formula as fm
 from dilogic import integral as di
+from dilogic import transform as tr
 
 from helpers import (
     SIG_P,
@@ -479,6 +481,9 @@ def _field_doc_without(key):
      {"atoms": ["a", "b"], "weights": ["1e-1", "9/10"]}),
     (["eval", "--formula", "sup y . P(f(y))", "--field", "DOC"],
      _func_field_doc(5)),
+    (["eval", "--formula", "sup y . P(y)", "--field", "DOC"],
+     {**_func_field_doc("5"),
+      "fibers": {"w1": _func_field_doc("5")["fibers"]["w1"], "zz": 5}}),
 ], ids=["signature-list", "assignment-list", "assignment-string",
         "assignment-entry-string", "dist-missing-tuple", "dist-subset-number",
         "dist-chain-number", "points-string", "points-nested",
@@ -491,7 +496,8 @@ def _field_doc_without(key):
         "structure-dist-missing", "fibers-missing", "fiber-missing",
         "pred-entry-missing", "components-missing", "atoms-share-text",
         "name-null", "name-true", "atom-true", "subset-atom-true",
-        "weight-float", "weight-exponent", "func-entry-number"])
+        "weight-float", "weight-exponent", "func-entry-number",
+        "fibers-unknown-atom"])
 def test_malformed_document_exit_2(paths, tmp_path, capsys, argv, doc):
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -544,6 +550,31 @@ def test_mba_defin(paths, capsys):
     code, out, _ = run(capsys, ["mba", "defin", "--algebra", paths["alg3.json"]])
     assert code == cli.EXIT_PASS
     assert json.loads(out)["ok"] is True
+
+
+def test_mba_defin_reports_planted_violations(paths, capsys, monkeypatch):
+    # mu(X2 minus X1) is zero off the inclusion pairs, and mu(X3) is not
+    # zero at X3 = X1 inter X2: both warm-up checks fail.
+    x1, x2, x3 = (mba.SetVarIndex(n, 0) for n in ("X1", "X2", "X3"))
+    monkeypatch.setattr(mba, "simple_definables",
+                        lambda: (mba.Measure(mba.Diff(x2, x1)), mba.Measure(x3)))
+    code, out, _ = run(capsys, ["mba", "defin", "--algebra", paths["alg.json"]])
+    assert code == cli.EXIT_VIOLATION
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert {v[0] for v in doc["violations"]} == {"inclusion", "intersection"}
+
+
+def test_mba_monotone_reports_a_planted_decreasing_formula(paths, capsys, monkeypatch):
+    # A transform whose G is mu of a complement, which decreases.
+    x = mba.SetVarIndex("X", 0)
+    monkeypatch.setattr(tr, "transform", lambda *args: types.SimpleNamespace(
+        g=mba.Measure(mba.Compl(x))))
+    code, out, _ = run(capsys, [
+        "mba", "monotone", "--formula", "P(x)", "--signature", paths["sig.json"],
+        "--algebra", paths["alg.json"]])
+    assert code == cli.EXIT_VIOLATION
+    assert json.loads(out) == {"ok": False, "low_value": "1", "high_value": "1/2"}
 
 
 def test_mba_monotone(paths, capsys):
@@ -652,6 +683,31 @@ def test_typei_equiv_and_tensor(paths, capsys):
     assert code == cli.EXIT_PASS
     doc = json.loads(out)
     assert doc["components"] == [{"m": 6, "atoms": ["1"], "diffuse": "0"}]
+
+
+BIG_A, BIG_B = 10**2200, 3**4700  # coprime, each under 4,300 digits
+
+
+@pytest.mark.parametrize("command, components", [
+    ("tensor", [{"m": 10**2500, "diffuse": "1"}]),
+    ("tensor", [{"m": 1, "atoms": [f"{10**2500 - 1}/{10**2500}", f"1/{10**2500}"]}]),
+    ("rho", [{"m": 1, "diffuse": f"1/{BIG_A}"}, {"m": 1, "diffuse": f"1/{BIG_B}"},
+             {"m": 2, "diffuse": f"{BIG_A - 2}/{2 * BIG_A}"},
+             {"m": 3, "diffuse": f"{BIG_B - 2}/{2 * BIG_B}"}]),
+], ids=["tensor-size", "tensor-atom-mass", "rho-merged-mass"])
+def test_output_past_the_digit_limit_is_a_budget_error(tmp_path, capsys, command,
+                                                      components):
+    # Each description is readable, but a size or mass it leads to (the
+    # product's, or the sum of the two size-1 masses) has more digits than
+    # an integer may have as text: refused before anything is written.
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"components": components}), encoding="utf-8")
+    argv = (["--desc", str(path)] if command == "rho"
+            else ["--left", str(path), "--right", str(path)])
+    code, out, err = run(capsys, ["typei", command, *argv])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == "budget"
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,11 @@ written here from the definitions checks it in both SupChain modes on
 random formulas over 1-3 atoms with non-uniform weights: nested
 Scale(1/2), Scale(1/3) and Scale(1/k), Const with denominators 5 and 7,
 TruncSub below zero, Max/Min, and SupChains with joint profiles.
-Enumerate mode prunes with the profiles before it builds a tuple, so it
-is also checked on SupChains of up to three chains whose profiles name
-several slots of one chain, slots of one chain only, or no slot, and the
-tuples its inner formula sees are pinned to the feasible ones, in the
-order of the unpruned search.  check_monotone must return the
+Enumerate mode builds only feasible tuples, so it is also checked on
+SupChains of up to three chains whose profiles name several slots of one
+chain, slots of one chain only, or no slot, and the tuples its inner
+formula sees are pinned to the feasible ones, in the order of the
+product over atoms of their depth vectors.  check_monotone must return the
 counterexample that the same search, run with the reference evaluator,
 finds first; the compile-time errors keep their EvaluationError type.
 """
@@ -300,14 +300,14 @@ def test_nested_supchain_reads_the_enclosing_chain_variable(inner_binder, inner_
 
 
 # ---------------------------------------------------------------------------
-# Enumerate mode: the pruned search
+# Enumerate mode: only feasible tuples
 
 
 def random_profiled_supchain(rng, leaves, binder=7):
     """Up to three chains of at most four slots in all, with bounds that
     need not decrease (Full one time in two), an inner formula that need
-    not increase, and one to three profiles, each of a shape the pruned
-    enumerate search treats in its own way: two slots of one chain
+    not increase, and one to three profiles, each of a shape worth
+    checking apart: two slots of one chain
     (perhaps with a slot of another chain), slots of a single chain, slots
     across chains, and, one time in ten, no slot at all."""
     lengths = rng.choice(((1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2),
@@ -366,7 +366,7 @@ def _enumerate_actual(g, assign, alg):
 
 
 def _profile_shapes(g, assign, alg):
-    """The shapes of g's profiles that the pruned search treats apart."""
+    """The shapes of g's profiles that are checked apart."""
     shapes = set()
     if len(g.chains) == 3:
         shapes.add("three chains")
@@ -470,33 +470,33 @@ def test_nested_supchain_profile_bound_reads_the_enclosing_chain_variables():
 
 def test_enumerate_search_visits_exactly_the_feasible_tuples_in_product_order(monkeypatch):
     """The compiled inner formula runs once on each feasible tuple, in the
-    order the unpruned search visited them: the filtered product of the
-    chains' tuples in bitmask order, which is the lexicographic order of
-    the concatenated masks."""
-    original = mba._Compiler.enumerate_search
+    order of the product over atoms of each atom's feasible depth vectors
+    (per chain, how many of its slots hold the atom), each atom's vectors
+    ascending: the lexicographic order of the per-atom vectors."""
+    original = mba._Compiler.search
     visits = []
 
-    def watching(self, bounds, starts, profiles, inner):
-        lo, e = starts[0], self.e
-        hi = lo + sum(map(len, bounds))
+    def watching(self, tags, bounds, lo, profiles, inner):
+        e, hi = self.e, lo + sum(map(len, bounds))
 
         def watched():
             visits.append(tuple(e[lo:hi]))
             return inner()
-        return original(self, bounds, starts, profiles, watched)
+        return original(self, tags, bounds, lo, profiles, watched)
 
-    monkeypatch.setattr(mba._Compiler, "enumerate_search", watching)
+    monkeypatch.setattr(mba._Compiler, "search", watching)
     rng = random.Random(31)
     pruned = 0
     for case in range(40):
         alg = ALGEBRAS[1 + case % 2]
         g = random_profiled_supchain(rng, LEAVES)
         assign = {X: rng.choice(_subsets(alg)), Y: rng.choice(_subsets(alg))}
-        feasible = sorted(tuple(alg.mask(y) for ys in combo for y in ys)
-                          for combo in _feasible(g, assign, {}, alg))
+        feasible = sorted(_feasible(g, assign, {}, alg), key=lambda combo: [
+            tuple(sum(a in y for y in ys) for ys in combo) for a in alg.atoms])
         visits.clear()
         _enumerate_actual(g, assign, alg)
-        assert visits == feasible, g
+        assert visits == [tuple(alg.mask(y) for ys in combo for y in ys)
+                          for combo in feasible], g
         pruned += len(feasible) < mba.supchain_search_size(g, assign, alg)
     assert pruned > 10
 

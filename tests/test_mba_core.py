@@ -2,14 +2,18 @@
 and the definability formulas with their distance oracles."""
 
 import itertools
+import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from dilogic import mba
-from dilogic.errors import BudgetError, ChainError, EvaluationError, ValidationError
+from dilogic import family, mba
+from dilogic import formula as fm
+from dilogic.errors import (BudgetError, ChainError, EvaluationError, InputError,
+                            SignatureError, ValidationError)
 
 F = Fraction
 
@@ -44,6 +48,24 @@ def test_algebra_refuses_inexact_weights(weights):
     # a bool is refused although it is an int.
     with pytest.raises(ValidationError, match="not an int or a Fraction"):
         mba.FiniteMeasureAlgebra(tuple(weights), weights)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: mba.FiniteMeasureAlgebra(("a",), {"b": 1}), ValidationError,
+     "cover exactly the atom list"),
+    (lambda: UNIFORM2.d_tuple([s("w1")], []), ChainError, "length mismatch"),
+    (lambda: mba.Scale(F(-1, 2), mba.Const(1)), ValidationError, "non-negative"),
+    (lambda: mba.eval_mba(mba.Const(0), {}, UNIFORM2, "fastest"), EvaluationError,
+     "unknown mode"),
+    (lambda: mba.psi_multichain({}), ChainError, "empty chain family"),
+    (lambda: fm.Const(F(3, 2)), SignatureError, "outside"),
+    (lambda: family.random_space(random.Random(0), family.DENOM + 1), InputError,
+     "cannot split"),
+], ids=["weights-not-the-atoms", "d-tuple-lengths", "negative-scale",
+        "unknown-mode", "empty-chain-family", "const-above-one", "too-many-parts"])
+def test_refusals_of_the_library(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 def test_algebra_accepts_int_and_fraction_weights():
@@ -226,6 +248,34 @@ def test_maximal_depth_vector_search_refuses_oversized_caps():
     with pytest.raises(BudgetError, match=str(1001 * 1001 * 2)):
         mba._maximal_depth_vectors([1000, 1000, 1], [((0, 0), (1, 0))])
     assert mba._maximal_depth_vectors([2, 1], [((0, 0), (1, 0))]) == [(0, 1), (2, 0)]
+
+
+def test_depth_vectors_of_one_atom_match_their_definition():
+    """Both SupChain modes read an atom's depth vectors from one search:
+    maximal mode its maximal vectors, enumerate mode every vector under
+    them.  Against the definition (v under caps, no pattern with v[i] > j
+    in all its pairs), on seeded random keys: the maximal vectors are the
+    feasible set's maximal elements and the vectors under them are the
+    feasible set itself, ascending."""
+    rng = random.Random(19)
+    shapes = Counter()
+    for _ in range(3000):
+        n = rng.randrange(5)
+        caps = tuple(rng.randrange(4) for _ in range(n))
+        forbidden = tuple(
+            tuple((rng.randrange(n), rng.randrange(4))
+                  for _ in range(rng.randrange(1, 4) if n else 0))
+            for _ in range(rng.randrange(5)))
+        feasible = [v for v in itertools.product(*(range(c + 1) for c in caps))
+                    if not any(all(v[i] > j for i, j in pattern) for pattern in forbidden)]
+        maximal = [v for v in feasible
+                   if not any(w != v and all(map(int.__ge__, w, v)) for w in feasible)]
+        tops = mba._maximal_depth_vectors(caps, forbidden)
+        assert tops == maximal, (caps, forbidden)
+        assert mba._vectors_under(tops) == feasible, (caps, forbidden)
+        shapes["empty" if not feasible else "several maximal" if len(maximal) > 1
+               else "pruned" if maximal != [caps] else "unpruned"] += 1
+    assert min(shapes.values()) >= 50 and len(shapes) == 4, shapes
 
 
 def test_supchain_profile_constraint():
