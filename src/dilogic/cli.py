@@ -82,10 +82,11 @@ def cmd_check(args):
     report = tr.determination_check(
         phi, args.k, field_, assignment, mode=args.mode,
         limit=args.max_choice_functions, result=result)
+    v_text, g_text = map(jsonio.format_fraction, (report.integral_value, report.mba_value))
     _emit(args.format, lambda: {
         "k": report.k,
-        "integral_value": jsonio.format_fraction(report.integral_value),
-        "mba_value": jsonio.format_fraction(report.mba_value),
+        "integral_value": v_text,
+        "mba_value": g_text,
         "ok": report.ok,
         "failures": [
             {"rule": rule, "l": l,
@@ -93,8 +94,7 @@ def cmd_check(args):
              "mba_value": jsonio.format_fraction(g)}
             for rule, l, v, g in report.failures
         ],
-    }, lambda: (f"v = {report.integral_value}, g = {report.mba_value}, "
-                f"{'pass' if report.ok else 'FAIL'}"))
+    }, lambda: f"v = {v_text}, g = {g_text}, {'pass' if report.ok else 'FAIL'}")
     return EXIT_PASS if report.ok else EXIT_VIOLATION
 
 
@@ -106,14 +106,12 @@ def cmd_mba_defin(args):
     phi, psi = mba.simple_definables()
     x1, x2, x3 = (mba.SetVarIndex(n, 0) for n in ("X1", "X2", "X3"))
     bad = []
-    zero_pairs = [(a2, b2) for a2 in alg.subsets() for b2 in alg.subsets()
-                  if a2 <= b2]
     for a in alg.subsets():
         for b in alg.subsets():
             v = mba.eval_mba(phi, {x1: a, x2: b}, alg)
-            exact = min(
-                max(alg.d(a, a2), alg.d(b, b2)) for a2, b2 in zero_pairs
-            )
+            # The inclusion pairs a2 <= b2 are the chain set of (Full, Full),
+            # read as (b2, a2).
+            exact, _ = mba.dist_to_chain_set((b, a), (alg.full, alg.full), alg)
             if (v == 0) != (a <= b) or exact > v:
                 bad.append(("inclusion", sorted(a), sorted(b)))
             w = mba.eval_mba(psi, {x1: a, x2: b, x3: a & b}, alg)
@@ -133,11 +131,9 @@ def cmd_mba_monotone(args):
     if ce is None:
         _emit(args.format, lambda: {"ok": True}, lambda: "pass")
         return EXIT_PASS
-    _emit(args.format, lambda: {
-        "ok": False,
-        "low_value": jsonio.format_fraction(ce.low_value),
-        "high_value": jsonio.format_fraction(ce.high_value),
-    }, lambda: f"FAIL: {ce.low_value} > {ce.high_value}")
+    low, high = map(jsonio.format_fraction, (ce.low_value, ce.high_value))
+    _emit(args.format, lambda: {"ok": False, "low_value": low, "high_value": high},
+          lambda: f"FAIL: {low} > {high}")
     return EXIT_VIOLATION
 
 
@@ -149,12 +145,13 @@ def cmd_mba_dist(args):
     bound = mba.eval_mba(formula, assign, alg)
     dist, witness = mba.dist_to_chain_set(xs, chain, alg)
     witness_doc = [jsonio.subset_to_doc(y, alg) for y in witness]
+    phi_text, dist_text = map(jsonio.format_fraction, (bound, dist))
     _emit(args.format, lambda: {
-        "phi_value": jsonio.format_fraction(bound),
-        "distance": jsonio.format_fraction(dist),
+        "phi_value": phi_text,
+        "distance": dist_text,
         "witness": witness_doc,
         "ok": dist <= bound,
-    }, lambda: f"phi = {bound}, dist = {dist}, witness = {witness_doc}")
+    }, lambda: f"phi = {phi_text}, dist = {dist_text}, witness = {witness_doc}")
     return EXIT_PASS if dist <= bound else EXIT_VIOLATION
 
 

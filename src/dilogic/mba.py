@@ -363,23 +363,6 @@ def contains_supchain(g):
     return any(type(node) is SupChain for node in nodes(g))
 
 
-def _feasible_chain_tuples(bounds, alg):
-    """All nested mask tuples (Y_0,...,Y_{l-1}) with Y_j within U_j and all
-    previous Y's, in deterministic bitmask order: one generator per slot,
-    each extending the tuples of the slot before."""
-    if not bounds:
-        return iter([()])
-    out = ((y,) for y in _submasks(alg.full_mask & bounds[0]))
-    for u in bounds[1:]:
-        out = _extend(out, u)
-    return out
-
-
-def _extend(tuples, u):
-    """Each tuple followed by every submask of its last mask within u."""
-    return (ys + (y,) for ys in tuples for y in _submasks(ys[-1] & u))
-
-
 def _depth(bounds, bit):
     """How many leading masks of a bound chain contain the atom's bit."""
     for j, u in enumerate(bounds):
@@ -810,7 +793,12 @@ def _require_decreasing(bounds):
 
 def dist_to_chain_set(xs, bounds, alg):
     """Exact max-metric distance from the tuple xs to the chain set of
-    bounds, with a nearest witness (first in enumeration order)."""
+    bounds, with a nearest witness.
+
+    A chain tuple is one depth per atom, at most the atom's depth in the
+    bounds, and Y_m holds the atoms of depth > m.  The walk keeps the least
+    (integer distance, masks) over every depth vector, so the witness is
+    the lexicographically least nearest tuple of masks."""
     bounds = [frozenset(u) for u in bounds]
     _require_decreasing(bounds)
     xs = [alg.mask(x) for x in xs]
@@ -819,14 +807,14 @@ def dist_to_chain_set(xs, bounds, alg):
     bounds = [alg.mask(u) for u in bounds]
     refuse_over_budget(chain_enumeration_count(bounds, alg),
                        "chain set tuple")
-    best = None
-    witness = None
-    for ys in _feasible_chain_tuples(bounds, alg):
-        d = max(alg.measure_mask(x ^ y) for x, y in zip(xs, ys))
-        if best is None or d < best:
-            best = d
-            witness = ys
-    return best, tuple(map(alg.unmask, witness))
+    sums, den = alg._mask_sums
+    # Each depth of an atom as its bit in the masks Y_0, ..., Y_{l-1}.
+    per_atom = [[tuple(bit if depth > m else 0 for m in range(len(bounds)))
+                 for depth in range(_depth(bounds, bit) + 1)]
+                for bit in alg.bit.values()]
+    tuples = (tuple(map(sum, zip(*combo))) for combo in itertools.product(*per_atom))
+    dist, witness = min((max(sums[x ^ y] for x, y in zip(xs, ys)), ys) for ys in tuples)
+    return Fraction(dist, den), tuple(map(alg.unmask, witness))
 
 
 def psi_multichain(chains):

@@ -172,15 +172,19 @@ class _Builder:
 
     def _finish(self, k, levels, g):
         result = TransformResult(k, dict(levels), g)
-        count = result.declared_count
+        self._refuse_count(result.declared_count)
+        return result
+
+    def _refuse_count(self, count):
         if count > self.budget_vars:
             raise BudgetError(
                 f"declared set-variable count {count} exceeds budget "
                 f"{self.budget_vars}"
             )
-        return result
 
     def _atomic(self, phi, k):
+        # A leaf declares exactly k variables: refused before building them.
+        self._refuse_count(k)
         levels = {phi: k}
         terms = [
             mba.Measure(mba.SetVarIndex(phi, Fraction(i, k), True))

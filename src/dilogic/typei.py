@@ -48,7 +48,11 @@ class TypeIDescription:
         object.__setattr__(self, "remainder", rem)
         total = self.total_mass()
         if total != 1:
-            raise ValidationError(f"total mass {total} != 1")
+            try:
+                message = f"total mass {total} != 1"
+            except ValueError:  # more digits than the interpreter writes
+                message = "total mass != 1"
+            raise ValidationError(message)
 
     def total_mass(self):
         t = self.remainder

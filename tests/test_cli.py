@@ -81,6 +81,44 @@ def test_check_atomic_example(paths, capsys):
     assert doc["mba_value"] == "1/4"
 
 
+def _plant_constant_g(monkeypatch, value):
+    """Make every transform give G = Const(value) with no formulas."""
+    monkeypatch.setattr(tr, "transform", lambda phi, k, *budgets: tr.TransformResult(
+        k, {}, mba.Const(value)))
+
+
+def test_check_reports_each_failure_of_a_planted_g(paths, capsys, monkeypatch):
+    # P(x) integrates to 1/2; G = 1 at k = 8 claims G > l/8 where the value
+    # is not above (l-1)/8 for l = 5, 6, 7, and misses it by more than 2/8.
+    _plant_constant_g(monkeypatch, 1)
+    code, out, _ = run(capsys, [
+        "check", "--formula", "P(x)", "--field", paths["atomic_field.json"],
+        "--assignment", paths["assignment.json"], "--k", "8",
+    ])
+    assert code == cli.EXIT_VIOLATION
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert doc["failures"] == [
+        {"rule": rule, "l": l, "integral_value": "1/2", "mba_value": "1"}
+        for rule, l in (("D.4", 5), ("D.4", 6), ("D.4", 7), ("gap", None))]
+
+
+@pytest.mark.parametrize("planted, line", [
+    (None, "v = 1/2, g = 1/4, pass"),
+    (1, "v = 1/2, g = 1, FAIL"),
+], ids=["pass", "planted-fail"])
+def test_check_pretty_line(paths, capsys, monkeypatch, planted, line):
+    if planted is not None:
+        _plant_constant_g(monkeypatch, planted)
+    code, out, _ = run(capsys, [
+        "check", "--formula", "P(x)", "--field", paths["atomic_field.json"],
+        "--assignment", paths["assignment.json"], "--k", "2" if planted is None else "8",
+        "--format", "pretty",
+    ])
+    assert code == (cli.EXIT_PASS if planted is None else cli.EXIT_VIOLATION)
+    assert out == line + "\n"
+
+
 def test_check_joint_witness(paths, capsys):
     code, out, _ = run(capsys, [
         "check", "--formula", "sup y . sub(P(y), Q(y))",
@@ -708,6 +746,47 @@ def test_output_past_the_digit_limit_is_a_budget_error(tmp_path, capsys, command
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert json.loads(err)["error"] == "budget"
+
+
+# Four atoms of weights 1/4 +- 1/BIG_C and 1/4 +- 1/BIG_D: each weight is
+# readable, but the mass of {w1, w3} has more digits than an integer may
+# have as text.
+BIG_C, BIG_D = 10**4000, 3**8000
+NEAR_QUARTERS = {"atoms": ["w1", "w2", "w3", "w4"],
+                 "weights": [f"{BIG_C + 4}/{4 * BIG_C}", f"{BIG_C - 4}/{4 * BIG_C}",
+                             f"{BIG_D + 4}/{4 * BIG_D}", f"{BIG_D - 4}/{4 * BIG_D}"]}
+
+
+def _near_quarters_field_doc():
+    """NEAR_QUARTERS with one-point fibers: P = 1 at w1 and w3, 0 elsewhere."""
+    fibers = {a: jsonio.structure_to_doc(make_structure(SIG_P, {"P": {"p": F(v)}}))
+              for a, v in zip(NEAR_QUARTERS["atoms"], (1, 0, 1, 0))}
+    return {"space": NEAR_QUARTERS, "fibers": fibers}
+
+
+@pytest.mark.parametrize("argv, docs, error", [
+    (["typei", "rho", "--desc", "DESC"],
+     {"DESC": {"components": [{"m": 1, "diffuse": f"1/{BIG_A}"},
+                              {"m": 1, "diffuse": f"1/{BIG_B}"},
+                              {"m": 2, "diffuse": "1"}]}}, "input"),
+    (["check", "--formula", "sup y . P(y)", "--field", "FIELD", "--format", "pretty"],
+     {"FIELD": _near_quarters_field_doc()}, "budget"),
+    (["mba", "dist", "--algebra", "ALG", "--input", "DIST", "--format", "pretty"],
+     {"ALG": NEAR_QUARTERS, "DIST": {"chain": [[]], "tuple": [["w1", "w3"]]}},
+     "budget"),
+], ids=["typei-rho-total-mass", "check-pretty", "mba-dist-pretty"])
+def test_a_rational_past_the_digit_limit_is_refused_without_output(
+        tmp_path, capsys, argv, docs, error):
+    # A total mass, an integral value or a distance no integer text can
+    # hold: exit 2 with an error body, and nothing on stdout.
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [str(path) if a == name else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err)["error"] == error
 
 
 # ---------------------------------------------------------------------------

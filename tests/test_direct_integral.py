@@ -356,6 +356,26 @@ def test_function_terms_on_the_integral_match_materialize():
     assert len(seen) > len(texts)
 
 
+def test_relabel_transports_function_tables():
+    sig = fm.Signature(predicates=(("P", 1), ("R", 2)), functions=(("f", 1),))
+    space = di.FiniteProbabilitySpace(("w1", "w2"), {"w1": F(1, 3), "w2": F(2, 3)})
+    field_ = di.MeasurableField(space, {
+        "w1": _cycle_fiber(sig, ("a", "b"), (F(1, 4), F(3, 4)),
+                          (F(0), F(1, 2), F(1), F(1, 4))),
+        "w2": _cycle_fiber(sig, ("c", "d", "e"), (F(0), F(1, 2), F(1)),
+                          tuple(F(i, 8) for i in range(9))),
+    })
+    bij = {"w1": {"a": "y", "b": "x"}, "w2": {"c": "d", "d": "e", "e": "c"}}
+    out = di.relabel_field(field_, bij)
+    assert out.fibers["w1"].funcs == {"f": {("y",): "x", ("x",): "y"}}
+    assert out.fibers["w2"].funcs == {"f": {("d",): "e", ("e",): "c", ("c",): "d"}}
+    for text in ("P(f(x))", "sub(R(f(f(x)), x), P(f(x)))"):
+        phi = fm.parse_formula(text, sig)
+        for e in field_.elements():
+            assert di.eval_on_integral(phi, field_, {"x": e}) == di.eval_on_integral(
+                phi, out, {"x": di.map_element(e, bij)})
+
+
 # ---------------------------------------------------------------------------
 # The oracle on point tuples: each value against eval_formula on materialize
 

@@ -144,6 +144,18 @@ def test_budget_vars_exceeded():
         tr.transform(phi, 2, budget_vars=1)
 
 
+def test_a_huge_k_is_refused_before_any_term_is_built(monkeypatch):
+    # A leaf declares exactly its k grid variables, so its k - 1 Measure
+    # terms are never built past the budget.
+    built = []
+    measure = mba.Measure
+    monkeypatch.setattr(mba, "Measure", lambda term: built.append(term) or measure(term))
+    with pytest.raises(BudgetError,
+                       match="^declared set-variable count 100000 exceeds budget 4096$"):
+        tr.transform(p_of("x"), 10**5)
+    assert built == []
+
+
 @pytest.mark.parametrize("budgets", [{"budget_c": -1}, {"budget_vars": -1}])
 def test_negative_budget_is_refused_as_input(budgets, monkeypatch):
     # Refused before any work: the builder is never made.

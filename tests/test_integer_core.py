@@ -209,23 +209,13 @@ def test_eval_set_equals_its_definition(alg):
 
 
 @pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"{len(a.atoms)}atoms")
-def test_feasible_chain_tuples_follow_subsets_order(alg):
-    subsets = list(alg.subsets())
-    for length in (1, 2):
-        for bounds in itertools.product(subsets, repeat=length):
-            masks = [alg.mask(u) for u in bounds]
-            got = [tuple(map(alg.unmask, ys))
-                   for ys in mba._feasible_chain_tuples(masks, alg)]
-            assert got == list(_feasible_reference(list(bounds), alg))
-            assert len(got) == mba.chain_enumeration_count(masks, alg)
-
-
-@pytest.mark.parametrize("alg", ALGEBRAS, ids=lambda a: f"{len(a.atoms)}atoms")
 def test_dist_to_chain_set_equals_brute_force(alg):
     subsets = list(alg.subsets())
     chains = [(u0, u1) for u0 in subsets for u1 in subsets if u1 <= u0]
     for bounds in chains:
         members = list(_feasible_reference(list(bounds), alg))
+        masks = [alg.mask(u) for u in bounds]
+        assert mba.chain_enumeration_count(masks, alg) == len(members)
         for xs in itertools.product(subsets, repeat=2):
             dist, witness = mba.dist_to_chain_set(xs, bounds, alg)
             distances = [max(_measure(alg, x ^ y) for x, y in zip(xs, ys))

@@ -11,7 +11,9 @@ from fractions import Fraction
 import pytest
 
 from dilogic import formula as fm
-from dilogic import mba
+from dilogic import jsonio, mba
+from dilogic import structure as st
+from dilogic import transform as tr
 
 F = Fraction
 
@@ -79,3 +81,25 @@ def test_nodes_rejects_foreign_objects():
         list(fm.nodes(fm.Half("not a formula")))
     with pytest.raises(TypeError):
         mba.free_set_vars(fm.Const(0))
+
+
+_MEASURE = mba.Measure(mba.Full())
+_HALF = fm.Const(F(1, 2))
+_ONE_POINT = st.FiniteMetricStructure(fm.Signature(), ("p",), {("p", "p"): F(0)}, {})
+_ONE_ATOM = mba.FiniteMeasureAlgebra(("a",), {"a": F(1)})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fm.to_text(_MEASURE), "not a formula or term"),
+    (lambda: st.eval_formula(_MEASURE, _ONE_POINT), "not a formula"),
+    (lambda: tr.transform(_MEASURE, 2), "not a formula"),
+    (lambda: mba.eval_mba(_HALF, {}, _ONE_ATOM), "not an mba formula"),
+    (lambda: mba.eval_set(_HALF, {}, _ONE_ATOM), "not a set term"),
+    (lambda: jsonio._mba_to_doc(_HALF, {}), "not an mba formula or set term"),
+    (lambda: jsonio.pretty_mba(_HALF), "not an mba formula or set term"),
+], ids=["to_text", "eval_formula", "transform", "eval_mba", "eval_set",
+        "_mba_to_doc", "pretty_mba"])
+def test_a_node_of_the_other_ast_is_a_type_error(call, message):
+    # Each walker of one AST refuses a node of the other by name.
+    with pytest.raises(TypeError, match=message):
+        call()
