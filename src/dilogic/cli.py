@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 all checks pass, 1 a property violation was found, 2 budget
-exceeded or malformed input.  All machine output is JSON with sorted keys
+exceeded or malformed input, 3 a bug in dilogic (any other exception; its
+traceback goes to stderr).  All machine output is JSON with sorted keys
 so repeated runs produce identical byte streams.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import checks, family, integral as di, jsonio, mba
 from . import formula as fm
@@ -20,6 +22,7 @@ from .errors import BudgetError, DilogicError, InputError
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
+EXIT_BUG = 3
 
 
 def _load_json(path):
@@ -298,6 +301,10 @@ def main(argv=None):
         print(json.dumps({"error": "input", "message": str(exc)},
                          sort_keys=True), file=sys.stderr)
         return EXIT_INPUT
+    except Exception:
+        # Not 1: a crash must not read as a property violation.
+        traceback.print_exc()
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

@@ -180,8 +180,10 @@ def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
 
     This is structure.eval_formula on the integral seen as a structure:
     Sup/Inf range over all choice functions of the field (at most limit
-    of them), Atomic integrates the fiberwise table values.  Each
-    assigned IntegralElement enters as its row of points in atom order.
+    of them), and run their body compiled past the first
+    structure.INTERPRETED_POINTS of them; Atomic integrates the fiberwise
+    table values.  Each assigned IntegralElement enters as its row of
+    points in atom order.
     """
     # Refused here too: a quantifier-free phi never reads the limit.
     _refuse_over_limit(0, limit, "choice-function")
@@ -193,9 +195,12 @@ def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
 def fiber_values(zeta, field_, assignment=None):
     """The fiberwise value of zeta at each atom, in atom order.
 
-    zeta is evaluated fiberwise: its quantifiers range within each fiber,
-    not over choice functions.  Every level set of zeta under this
-    assignment is a threshold of this one table.
+    zeta is evaluated fiberwise, one structure.eval_formula call per atom:
+    its quantifiers range within each fiber, not over choice functions,
+    so on a fiber of at most structure.INTERPRETED_POINTS points (every
+    fiber of the acceptance suite has at most 3) they are interpreted and
+    nothing is compiled.  Every level set of zeta under this assignment is
+    a threshold of this one table.
     """
     assignment = assignment or {}
     return tuple(

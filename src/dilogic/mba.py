@@ -592,9 +592,8 @@ class _Compiler:
             pick = max if t is Max else min
             items = tuple(self.value(item, scope) for item in g.items)
             return lambda: pick([f() for f in items])
-        if t is SupChain:
-            return self.supchain(g, scope)
-        raise TypeError(f"not an mba formula: {g!r}")
+        # g is a SupChain: _leaf_denominator has rejected every other type.
+        return self.supchain(g, scope)
 
     def supchain(self, g, scope):
         """The bounds and profile bounds read the enclosing scope; the

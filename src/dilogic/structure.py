@@ -16,6 +16,26 @@ above the leaf) times the leaf's Const denominator, and computes every
 subformula's value times the scale S = den * unit as an integer: Half is
 the exact // 2, truncated subtraction max(0, a - b), and the result is
 one Fraction over S.
+
+A Sup or Inf interprets its body, node by node, at the first
+INTERPRETED_POINTS points of its domain.  At the next point, if there is
+one, it compiles the body once into closures of no arguments (_compile)
+and runs them there and at every later point: a variable argument of an
+Atomic is one lookup in the evaluation's environment, and a nested
+quantifier is compiled too and reads its domain afresh on each entry.  So
+a quantifier-free formula, and a domain of at most INTERPRETED_POINTS
+points, is only interpreted.
+
+INTERPRETED_POINTS is the break-even of a cost model.  Per formula node of
+a body timed alone (CPython 3.11 on an AMD EPYC host), compiling costs C
+of about 0.33 us; a run costs I of about 0.20 us interpreted and R of
+about 0.09 us compiled on a finite structure, and 0.32 and 0.19 us on a
+direct integral, whose scaled_pred sums over the atoms.  Interpreting the
+first C / (I - R) points (2.9 and 2.5), then compiling, as in rent or buy,
+costs at most about twice the cheaper of interpreting every point and
+compiling at once, whatever the domain size; and since C and I - R both
+grow with the body, the count does not depend on it.  Its ceiling, 3, is
+the constant.
 """
 
 from __future__ import annotations
@@ -23,6 +43,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -176,6 +197,25 @@ def _unit(phi, above=1):
 
 _UNBOUND = object()
 
+# A Sup or Inf interprets its body at this many points of its domain and
+# compiles it for the rest (see the module docstring).
+INTERPRETED_POINTS = 3
+
+
+def _restore(env, var, outer):
+    if outer is _UNBOUND:
+        del env[var]
+    else:
+        env[var] = outer
+
+
+def _binding(env, var, run):
+    """The function that binds var to a point in env and runs run."""
+    def at(p):
+        env[var] = p
+        return run()
+    return at
+
 
 def eval_formula(phi, M, assignment=None):
     """Exact rational value of phi in M under the assignment: an integer
@@ -185,18 +225,16 @@ def eval_formula(phi, M, assignment=None):
     scaled_pred = M.scaled_pred
     env = dict(assignment) if assignment else {}
 
-    def over(var, body):
-        # Sup and Inf bind var in env point by point; over a generator,
-        # not a list: the domain of a direct integral can hold up to
-        # integral.DEFAULT_CHOICE_LIMIT choice functions.
-        for p in M.points:
-            env[var] = p
-            yield value(body)
-
     def value(phi):
         t = type(phi)
         if t is fm.Atomic:
-            args = tuple([eval_term(a, M, env) for a in phi.args])
+            try:
+                args = tuple([env[a.name] if type(a) is fm.Var
+                              else eval_term(a, M, env) for a in phi.args])
+            except KeyError:
+                # eval_term raises the error of the first argument that
+                # fails: an unassigned variable is an EvaluationError.
+                args = tuple([eval_term(a, M, env) for a in phi.args])
             return scaled_pred(phi.pred, args) * unit
         if t is fm.Const:
             return phi.value.numerator * (scale // phi.value.denominator)
@@ -206,16 +244,79 @@ def eval_formula(phi, M, assignment=None):
             v = value(phi.left) - value(phi.right)
             return v if v > 0 else 0
         # phi is a Sup or an Inf: _unit has rejected every other type.
-        var = phi.var
+        # The domain is a generator, not a list: a direct integral's can
+        # hold up to integral.DEFAULT_CHOICE_LIMIT choice functions.
+        var, body, pick = phi.var, phi.body, max if t is fm.Sup else min
         outer = env.get(var, _UNBOUND)
-        v = (max if t is fm.Sup else min)(over(var, phi.body))
-        if outer is _UNBOUND:
-            del env[var]
+        points = iter(M.points)
+        prefix = []
+        for p in itertools.islice(points, INTERPRETED_POINTS):
+            env[var] = p
+            prefix.append(value(body))
+        rest = next(points, _UNBOUND)
+        if rest is _UNBOUND:
+            v = pick(prefix)
         else:
-            env[var] = outer
+            # A point past the prefix: compile body once for all the rest.
+            at = _binding(env, var, _compile(body, M, env, unit, scale))
+            v = pick(itertools.chain(prefix, (at(rest),), map(at, points)))
+        _restore(env, var, outer)
         return v
 
     return Fraction(value(phi), scale)
+
+
+def _compile_term(term, M, env):
+    if type(term) is fm.Var:
+        name = term.name
+        return lambda: env[name]
+    func, name = M.func, term.func
+    args = [_compile_term(a, M, env) for a in term.args]
+    return lambda: func(name, tuple([a() for a in args]))
+
+
+def _compile(phi, M, env, unit, scale):
+    """A closure of no arguments that gives phi's value times scale under
+    the current bindings of env, as eval_formula's value does; a Sup or
+    Inf reads M.points on every entry.  Only eval_formula calls it, after
+    interpreting phi once, so every variable phi reads is bound."""
+    t = type(phi)
+    if t is fm.Atomic:
+        scaled_pred, pred, args = M.scaled_pred, phi.pred, phi.args
+        # Variable arguments are read from env directly, without a term
+        # closure each: one name as a 1-tuple, more by one itemgetter.
+        if len(args) == 1 and type(args[0]) is fm.Var:
+            name = args[0].name
+            return lambda: scaled_pred(pred, (env[name],)) * unit
+        if args and all(type(a) is fm.Var for a in args):
+            get = operator.itemgetter(*[a.name for a in args])
+            return lambda: scaled_pred(pred, get(env)) * unit
+        terms = [_compile_term(a, M, env) for a in args]
+        return lambda: scaled_pred(pred, tuple([a() for a in terms])) * unit
+    if t is fm.Const:
+        c = phi.value.numerator * (scale // phi.value.denominator)
+        return lambda: c
+    if t is fm.Half:
+        body = _compile(phi.body, M, env, unit, scale)
+        return lambda: body() // 2
+    if t is fm.TruncSub:
+        left = _compile(phi.left, M, env, unit, scale)
+        right = _compile(phi.right, M, env, unit, scale)
+
+        def trunc_sub():
+            v = left() - right()
+            return v if v > 0 else 0
+        return trunc_sub
+    # phi is a Sup or an Inf, as in value.
+    var, pick = phi.var, max if t is fm.Sup else min
+    at = _binding(env, var, _compile(phi.body, M, env, unit, scale))
+
+    def quantify():
+        outer = env.get(var, _UNBOUND)
+        v = pick(map(at, M.points))
+        _restore(env, var, outer)
+        return v
+    return quantify
 
 
 def theory_norm(phi, M):

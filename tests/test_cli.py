@@ -652,6 +652,21 @@ def test_out_of_range_argument_exit_2(paths, capsys, argv):
     assert json.loads(err)["error"] == "input"
 
 
+def test_an_internal_bug_exits_3_with_its_traceback(paths, capsys, monkeypatch):
+    # Exit 1 means "violation"; an exception that is no DilogicError and no
+    # OSError is a bug and gets its own code.
+    def broken(args):
+        raise RuntimeError("planted bug")
+
+    monkeypatch.setattr(cli, "cmd_transform", broken)
+    code, out, err = run(capsys, ["transform", "--formula", "P(x)",
+                                  "--signature", paths["sig.json"], "--k", "2"])
+    assert code == cli.EXIT_BUG == 3
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().endswith("RuntimeError: planted bug")
+
+
 def test_mba_defin_budget_exit_2(tmp_path, capsys):
     # 4**20 subset pairs against 3**20 inclusion pairs: 12**20 comparisons,
     # refused from the closed-form count, not walked.

@@ -4,7 +4,9 @@ structure.eval_formula computes in integers over one scale per call; it is
 checked here against a Fraction reference interpreter on random formulas
 (nested half, constants over 3, 5 and 7, truncated subtraction below zero,
 inf, function terms), on structures whose predicate denominators are
-coprime and on direct integrals against materialize.  The complement
+coprime and on direct integrals against materialize, on both sides of the
+boundary where a quantifier stops interpreting its body and compiles it
+(structure.INTERPRETED_POINTS).  The complement
 identity, decided per atom, is checked against the explicit loop over its
 l+1 thresholds.  No float appears in this module."""
 
@@ -14,11 +16,14 @@ import pathlib
 import random
 from fractions import Fraction
 
+import pytest
+
 from dilogic import family
 from dilogic import formula as fm
 from dilogic import integral as di
 from dilogic import structure as st
 from dilogic import transform as tr
+from dilogic.errors import EvaluationError
 
 from helpers import SIG_P, make_structure
 
@@ -206,6 +211,145 @@ def test_eval_on_integral_matches_the_reference_on_materialize():
             checked += 1
     assert checked == 100 * 6
     assert min(seen.negative_sub, seen.nested_half, seen.inf, seen.func) > 0
+
+
+# ---------------------------------------------------------------------------
+# Both sides of the interpret/compile boundary
+
+N = st.INTERPRETED_POINTS
+
+
+def _points(count):
+    return [f"p{i}" for i in range(count)]
+
+
+def _atom(pred, *args):
+    return fm.Atomic(pred, tuple(fm.Var(a) if isinstance(a, str) else a
+                                 for a in args))
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The body each call of structure._compile from outside _compile
+    itself was given, in call order."""
+    original = st._compile
+    bodies = []
+    depth = [0]
+
+    def counting(phi, *args):
+        if depth[0] == 0:
+            bodies.append(phi)
+        depth[0] += 1
+        try:
+            return original(phi, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(st, "_compile", counting)
+    return bodies
+
+
+@pytest.mark.parametrize("size", [N, N + 1], ids=["N", "N+1"])
+def test_random_formulas_on_n_and_n_plus_one_points(size, compiles):
+    rng = random.Random(11 + size)
+    M = _discrete_structure(rng, _points(size), (3, 5, 7))
+    seen = _Coverage()
+    assert _check(_random_formulas(12, 200), M, seen) == 200 * size
+    assert min(seen.negative_sub, seen.nested_half, seen.inf, seen.func) > 0
+    # A domain of at most N points is never compiled.
+    assert (compiles == []) == (size == N)
+
+
+@pytest.mark.parametrize("size", [N - 1, N, N + 1, N + 2])
+def test_nested_binders_across_the_boundary(size):
+    rng = random.Random(size)
+    M = _discrete_structure(rng, _points(size), (5, 7, 3))
+    seen = _Coverage()
+    phis = [
+        fm.Sup("x", fm.Inf("y", _atom("R", "x", "y"))),
+        fm.Inf("x", fm.Sup("y", fm.TruncSub(_atom("R", "x", "y"),
+                                            fm.Half(_atom("P", "y"))))),
+        fm.Sup("y", fm.Half(fm.TruncSub(fm.Inf("z", _atom("R", "y", "z")),
+                                        fm.Sup("z", _atom("Q", "z"))))),
+    ]
+    _check(phis, M, seen)
+
+
+def test_a_shadowing_binder_restores_the_outer_value_after_compiling():
+    M = _discrete_structure(random.Random(4), _points(N + 2), (5, 7, 3))
+    seen = _Coverage()
+    # sup x rebinds the free x; the compiled loop of the outer sup y runs
+    # the inner, compiled sup x, and P(x) after it reads the outer x again.
+    inner = fm.Sup("x", _atom("R", "x", "y"))
+    phis = [
+        fm.TruncSub(fm.Sup("x", _atom("P", "x")), _atom("P", "x")),
+        fm.Sup("y", fm.TruncSub(inner, _atom("Q", "x"))),
+        fm.Sup("y", fm.TruncSub(_atom("P", "x"), fm.Inf("x", _atom("R", "y", "x")))),
+    ]
+    assert _check(phis, M, seen) == 3 * (N + 2)
+
+
+def test_function_terms_under_a_compiled_binder():
+    M = _discrete_structure(random.Random(6), _points(N + 1), (7, 3, 5))
+    seen = _Coverage()
+    f_y = fm.Apply("f", (fm.Var("y"),))
+    g_xy = fm.Apply("g", (fm.Var("x"), fm.Var("y")))
+    phis = [
+        fm.Sup("y", _atom("R", f_y, g_xy)),
+        fm.Inf("y", _atom("P", fm.Apply("f", (f_y,)))),
+        fm.Sup("y", fm.TruncSub(_atom("Q", g_xy), _atom("R", "y", f_y))),
+    ]
+    _check(phis, M, seen)
+    assert seen.func > 0
+
+
+@pytest.mark.parametrize("body", [
+    _atom("R", "y", "z"),
+    _atom("P", fm.Apply("f", (fm.Var("z"),))),
+    fm.Sup("x", fm.TruncSub(_atom("P", "x"), _atom("Q", "z"))),
+], ids=["variable", "function-term", "nested-binder"])
+def test_an_unassigned_variable_under_a_binder_is_an_evaluation_error(body):
+    M = _discrete_structure(random.Random(8), _points(N + 1), (3, 5, 7))
+    with pytest.raises(EvaluationError, match="variable 'z' has no assignment"):
+        st.eval_formula(fm.Sup("y", body), M, {})
+
+
+@pytest.mark.parametrize("sizes", [(N - 1,), (N,), (N + 1,), (2, N)],
+                         ids=["below", "at", "above", "two-atoms"])
+def test_eval_on_integral_across_the_boundary(sizes):
+    rng = random.Random(sum(sizes))
+    atoms = tuple(f"w{i}" for i in range(len(sizes)))
+    space = di.FiniteProbabilitySpace(
+        atoms, dict(zip(atoms, (F(1, 3), F(2, 3)) if len(atoms) == 2 else (F(1),))))
+    field_ = di.MeasurableField(space, {
+        w: _discrete_structure(rng, [f"{w}p{i}" for i in range(n)], (5, 7, 3))
+        for w, n in zip(atoms, sizes)})
+    M = di.materialize(field_)
+    seen = _Coverage()
+    for phi in _random_formulas(13, 60):
+        for e in field_.elements():
+            got = di.eval_on_integral(phi, field_, {"x": e})
+            name = tuple(e(w) for w in atoms)
+            assert got == _reference(phi, M, {"x": name}, seen), fm.to_text(phi)
+    assert seen.inf > 0 and seen.func > 0
+
+
+def test_a_body_is_compiled_once_per_binder_entry(compiles):
+    body = _atom("R", "x", "y")
+    inner = fm.Inf("y", body)
+    M = _discrete_structure(random.Random(9), _points(N + 1), (3, 5, 7))
+    st.eval_formula(fm.Sup("y", _atom("P", "y")), M)
+    assert compiles == [_atom("P", "y")]
+    compiles.clear()
+    # The inner binder is entered at the outer one's N interpreted points
+    # and compiles there; the outer one then compiles its whole body once,
+    # and the inner binder inside it compiles nothing more.
+    st.eval_formula(fm.Sup("x", inner), M)
+    assert compiles == [body] * N + [inner]
+    compiles.clear()
+    small = _discrete_structure(random.Random(9), _points(N), (3, 5, 7))
+    st.eval_formula(fm.Sup("x", inner), small)
+    assert compiles == []
 
 
 # ---------------------------------------------------------------------------
