@@ -5,6 +5,17 @@ The connective fragment is fixed: atomic predicates, rational constants in
 values are exact rationals.  Bound variables are renamed canonically
 (y0, y1, ...) so that structurally equal formulas compare equal.  Terms
 and formulas are tree.node classes: frozen, slotted, hash cached.
+
+Formula text nested deeper than MAX_NESTING = 50 is a ParseError: the
+tokenizer counts open parentheses plus binders whose body is still open,
+before the parser recurses.  transform compiles a formula of nesting n to
+a G of depth at most 5n + 4 nodes, 254 at the bound, whatever k: a leaf
+is Scale, Add, Measure and a variable; half, sup and the left branch of
+sub add one level each, the right branch of sub two (its TruncSub, and
+one complement over each variable below), and inf, compiled as
+1 -. sup (1 -. .), five.  So the parser and every formula and G walker
+recurse a bounded number of times, well below the interpreter's default
+recursion limit of 1000.
 """
 
 from __future__ import annotations
@@ -277,10 +288,20 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[(),./]))"
 )
 
+# The deepest nesting formula text may have (see the module docstring).
+MAX_NESTING = 50
+
 
 def _tokenize(text):
+    """The token list of text, refused past MAX_NESTING before any parse.
+
+    A binder's body runs to the comma or closing parenthesis of the group
+    it sits in, or to the end of the text, so each open group counts the
+    binders opened in it, and its end closes them."""
     tokens = []
     pos = 0
+    depth = 0
+    binders = [0]  # per open group, the outermost first
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
@@ -291,10 +312,35 @@ def _tokenize(text):
                              len(text) - len(rest))
         kind = m.lastgroup
         value = m.group(kind)
+        if value == "(":
+            binders.append(0)
+            depth += 1
+        elif value == "sup" or value == "inf":
+            binders[-1] += 1
+            depth += 1
+        elif value == "," or value == ")":
+            depth -= binders[-1]
+            binders[-1] = 0
+            if value == ")" and len(binders) > 1:
+                binders.pop()
+                depth -= 1
+        if depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING}",
+                             m.start(kind))
         tokens.append((kind, value, m.start(kind)))
         pos = m.end()
     tokens.append(("eof", "", len(text)))
     return tokens
+
+
+def _integer(text, pos):
+    """int(text); a ParseError past the interpreter's digit limit for
+    text-to-integer conversion."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ParseError(f"integer of {len(text.lstrip('-'))} digits is past the "
+                         "interpreter's limit", pos) from None
 
 
 class _Parser:
@@ -350,13 +396,13 @@ class _Parser:
 
     def parse_rational(self):
         kind, val, pos = self.next()
-        num = int(val)
+        num = _integer(val, pos)
         if self.peek()[1] == "/":
             self.next()
             dkind, dval, dpos = self.next()
             if dkind != "int":
                 raise ParseError("expected a denominator", dpos)
-            den = int(dval)
+            den = _integer(dval, dpos)
             if den <= 0:
                 raise ParseError(f"denominator must be positive, found {den}", dpos)
             value = Fraction(num, den)

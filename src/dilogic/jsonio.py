@@ -308,13 +308,16 @@ def var_name(index, v):
 
 
 # The document op and the pretty infix symbol of each binary node class,
-# and the name of each n-ary one; _mba_to_doc and pretty_mba read both.
+# and of each n-ary one (None: pretty renders it as a call, max(a, b));
+# _mba_to_doc and pretty_mba read both.
 _INFIX = {
-    mba.Union: ("union", "+"), mba.Inter: ("inter", "&"),
-    mba.Diff: ("diff", "\\"), mba.SymDiff: ("symdiff", "^"),
-    mba.Add: ("add", "+"), mba.TruncSub: ("sub", "-."),
+    mba.Union: ("union", "+"), mba.Diff: ("diff", "\\"),
+    mba.SymDiff: ("symdiff", "^"), mba.TruncSub: ("sub", "-."),
 }
-_NARY = {mba.Max: "max", mba.Min: "min"}
+_NARY = {
+    mba.Inter: ("inter", "&"), mba.Add: ("add", "+"),
+    mba.Max: ("max", None), mba.Min: ("min", None),
+}
 
 
 def _mba_to_doc(g, index):
@@ -344,7 +347,7 @@ def _mba_to_doc(g, index):
         return {"op": "scale", "factor": format_fraction(g.factor),
                 "body": _mba_to_doc(g.body, index)}
     if t in _NARY:
-        return {"op": _NARY[t], "items": [_mba_to_doc(i, index) for i in g.items]}
+        return {"op": _NARY[t][0], "items": [_mba_to_doc(i, index) for i in g.items]}
     if t is mba.SupChain:
         return {
             "op": "supchain",
@@ -439,7 +442,11 @@ def pretty_mba(g):
     if t is mba.Scale:
         return f"{format_fraction(g.factor)}*({pretty_mba(g.body)})"
     if t in _NARY:
-        return f"{_NARY[t]}({', '.join(pretty_mba(i) for i in g.items)})"
+        name, symbol = _NARY[t]
+        items = [pretty_mba(i) for i in g.items]
+        if symbol is None:
+            return f"{name}({', '.join(items)})"
+        return f"({f' {symbol} '.join(items)})"
     if t is mba.SupChain:
         chains = "; ".join(
             f"{fm.to_text(spec.tag)}: "

@@ -10,6 +10,10 @@ mode.  A set variable is a SetVarIndex (tag, level, strict), the leaf of
 set terms; within a tag, vars_by_tag orders them by (level, strict), the
 one per-tag order.
 Set terms and formulas are tree.node classes, like formula's nodes.
+Add and Inter are n-ary over items, as Max and Min are, so a fold is one
+node: transform's layer cake (1/k) * sum_i mu(X_{i/k}) is one Add and
+inter_all's intersection of a bound's level sets one Inter, and G's
+depth does not grow with k.
 
 Inside this module a set is an int mask over the atom order (atom i is
 bit i).  eval_mba, check_monotone, eval_set and supchain_search_size
@@ -206,8 +210,9 @@ class Union(Node):
 
 @node
 class Inter(Node):
-    left: object
-    right: object
+    """The intersection of items, one node however many; no items is Full."""
+
+    items: tuple
 
 
 @node
@@ -236,13 +241,12 @@ def eval_set(term, assign, alg):
 
 
 def inter_all(terms):
-    terms = list(terms)
+    """The intersection of terms as one Inter node: Full() for no term,
+    the term itself for one."""
+    terms = tuple(terms)
     if not terms:
         return Full()
-    out = terms[0]
-    for t in terms[1:]:
-        out = Inter(out, t)
-    return out
+    return terms[0] if len(terms) == 1 else Inter(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +280,9 @@ class Scale(Node):
 
 @node
 class Add(Node):
-    left: object
-    right: object
+    """The sum of items, one node however many."""
+
+    items: tuple
 
 
 @node
@@ -330,9 +335,9 @@ MbaFormula = (Measure, Const, Scale, Add, TruncSub, Max, Min, SupChain)
 # Child fields of every set-term and formula class, in traversal order.
 _CHILDREN = Shape({
     **dict.fromkeys((SetVarIndex, ChainVar, SetLit, Empty, Full, Const), ()),
-    **dict.fromkeys((Union, Inter, Diff, SymDiff, Add, TruncSub), ("left", "right")),
+    **dict.fromkeys((Union, Diff, SymDiff, TruncSub), ("left", "right")),
     **dict.fromkeys((Compl, Scale), ("body",)),
-    **dict.fromkeys((Max, Min), ("items",)),
+    **dict.fromkeys((Inter, Add, Max, Min), ("items",)),
     Measure: ("term",),
     ChainSpec: ("bounds",),
     ProfileSpec: ("bound",),
@@ -481,9 +486,9 @@ def _leaf_denominator(g, above=1):
         return _leaf_denominator(g.body, above * g.factor.denominator)
     if t is SupChain:
         return _leaf_denominator(g.inner, above)
-    if t is Add or t is TruncSub:
+    if t is TruncSub:
         children = (g.left, g.right)
-    elif t is Max or t is Min:
+    elif t is Add or t is Max or t is Min:
         children = g.items
     else:
         raise TypeError(f"not an mba formula: {g!r}")
@@ -548,16 +553,26 @@ class _Compiler:
                 raise EvaluationError(f"unbound chain variable {t}")
             e = self.e
             return lambda: e[i]
-        if k is Inter or k is Union or k is Diff or k is SymDiff:
+        if k is Union or k is Diff or k is SymDiff:
             left, right = self.set_term(t.left, scope), self.set_term(t.right, scope)
-            if k is Inter:
-                return lambda: left() & right()
             if k is Union:
                 return lambda: left() | right()
             if k is Diff:
                 return lambda: left() & ~right()
             return lambda: left() ^ right()
         full = self.alg.full_mask
+        if k is Inter:
+            items = tuple(self.set_term(item, scope) for item in t.items)
+            if len(items) == 2:
+                left, right = items
+                return lambda: left() & right()
+
+            def inter():
+                mask = full
+                for f in items:
+                    mask &= f()
+                return mask
+            return inter
         if k is Compl:
             body = self.set_term(t.body, scope)
             return lambda: full ^ body()
@@ -579,10 +594,8 @@ class _Compiler:
             n, d = g.factor.numerator, g.factor.denominator
             body = self.value(g.body, scope)
             return lambda: n * body() // d
-        if t is Add or t is TruncSub:
+        if t is TruncSub:
             left, right = self.value(g.left, scope), self.value(g.right, scope)
-            if t is Add:
-                return lambda: left() + right()
 
             def trunc_sub():
                 v = left() - right()
@@ -592,6 +605,13 @@ class _Compiler:
             pick = max if t is Max else min
             items = tuple(self.value(item, scope) for item in g.items)
             return lambda: pick([f() for f in items])
+        if t is Add:
+            items = tuple(self.value(item, scope) for item in g.items)
+            # Two items, the common case, skip building a list.
+            if len(items) == 2:
+                left, right = items
+                return lambda: left() + right()
+            return lambda: sum([f() for f in items])
         # g is a SupChain: _leaf_denominator has rejected every other type.
         return self.supchain(g, scope)
 
@@ -778,7 +798,7 @@ def phi_chain(bounds, tag="X"):
         prev = [chain_var(tag, j, length) for j in range(m)]
         nested = Measure(Diff(x_m, inter_all(prev)))
         outside = Measure(Diff(x_m, SetLit(bounds[m])))
-        items.append(Add(nested, outside))
+        items.append(Add((nested, outside)))
     return Max(tuple(items))
 
 
@@ -836,5 +856,5 @@ def simple_definables():
     """
     x1, x2, x3 = (SetVarIndex(name, 0) for name in ("X1", "X2", "X3"))
     phi = Measure(Diff(x1, x2))
-    psi = Measure(SymDiff(Inter(x1, x2), x3))
+    psi = Measure(SymDiff(Inter((x1, x2)), x3))
     return phi, psi

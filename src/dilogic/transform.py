@@ -6,6 +6,12 @@ indexed by (formula, threshold, comparison mode).  The intended value of
 the variable (zeta, t, strict) on a direct integral is the level set of
 zeta at threshold t; determination_check wires these level sets in and
 certifies that G's value pins down the integral value of phi to 2/k.
+
+Each fold of the compiler is one node: a leaf at precision k is the layer
+cake (1/k) * sum_i mu(X_{i/k}) as one mba.Add of its k - 1 measures (a
+bare Measure at k = 2), and each bound of a compiled sup one mba.Inter of
+its level sets (mba.inter_all).  So G's depth depends on phi's nesting
+alone, never on k (see the formula module docstring for the bound).
 """
 
 from __future__ import annotations
@@ -185,16 +191,15 @@ class _Builder:
     def _atomic(self, phi, k):
         # A leaf declares exactly k variables: refused before building them.
         self._refuse_count(k)
-        levels = {phi: k}
-        terms = [
+        # The layer cake (1/k) * sum_i mu(X_{i/k}), 0 < i < k, as one Add
+        # node; k >= 2, and its one term at k = 2 stands alone, as
+        # inter_all leaves a single term.
+        terms = tuple(
             mba.Measure(mba.SetVarIndex(phi, Fraction(i, k), True))
             for i in range(1, k)
-        ]
-        acc = mba.Const(0) if not terms else terms[0]
-        for t in terms[1:]:
-            acc = mba.Add(acc, t)
-        g = mba.Scale(Fraction(1, k), acc)
-        return self._finish(k, levels, g)
+        )
+        layers = terms[0] if len(terms) == 1 else mba.Add(terms)
+        return self._finish(k, {phi: k}, mba.Scale(Fraction(1, k), layers))
 
     def _merge_levels(self, *level_maps):
         # Levels are k * 2^i * 3^j for one base k (ratio 6 occurs), so two

@@ -318,60 +318,60 @@ GOLDEN_SHA256 = {
         "65f85d0b8e09c0494cef24cd4f283c1e88cab6dae3353f3e58b3d9eb40f41415",
     ),
     "sub-atomic": (
-        "79a325331d3048f58a61a9ccfb848d651b92451a41ad8bd4cd06b8e6040dcc55",
-        "259e954532d91b1658cf1ab83a4d3463adda90d3cd24294bcdc853db32978a68",
+        "f139d1a65bddc774a0525379f2fdb86711a972f618699243a3c5723ae55bd2a8",
+        "73b472afac1453227a4bdfc4b0f7a39639b17fcbd9b44f853e478169f464962e",
     ),
     "sub-mixed": (
-        "0055963113bbd957288ca1f490b8844244219cfc01fb20243fcae4e5f64feafd",
-        "0d2c1c3651a654f6b63af8f16dc404966da1e90552b867927966b361f6fd238b",
+        "59477411620e8c7206d0c625457ce9c0cf595899200ca7507ce8baa5757ac8ab",
+        "20b07eba7b107a50c68327a9f8a5623063f8054262e69d634c1796fd180c5def",
     ),
     "sub-const-left": (
-        "4788c74b387b13652008b63b888d149edfb682243edf33a3e316ab78efc9e12a",
-        "a66d41e835c8a70b54d520e553b31a97278fbdfa731fd1056e59f4d5392be492",
+        "c06443ffa812d2bc797ba61b64d83840264aab8a33c85ce8a63e6745c2d4a7ec",
+        "98b635e7b2532519bfe3e05446fd06cc66bb39886941572b8ce1e68025949607",
     ),
     "half-sub": (
-        "0fc639de7ae5a10639e3bb7b189965d9cc327be2401eca4c5f22fa63d0dc87e5",
-        "e9d732044638deb5b49d46dfa2e5bdf40a0c4b13f6e4b67f5102d0d76e845239",
+        "fbda084f46e56782c545855e4d44c89f665ce8bb351e4bc763abdcad8e82912d",
+        "e6bd5d2be4d16ceb4331515b7b4363bf809ec7a93b44650c8378a71690f48904",
     ),
     "sub-sub": (
-        "18d98eae198eee2cb8a6761738aac2622e826766c08f2983ef6c8933c0e73bfa",
-        "89a920df1e91feb60a5b31531284d26cdf601992f2624dd8fca61c8815c2a4e4",
+        "9650236afec753592e77019c7e8b8b9979dc6fa8404c3626b84dcc26ea422abe",
+        "2f978e8253823e002055d54c2481239b1e2bff060b93ca0b36f13b55e185e2d5",
     ),
     "sup-atomic": (
-        "3209bafc0eee22e73792207f2f2d6a304e5bfd602027f3e4cf5db7af134dc951",
+        "9e1d3e4aaede659af7eef6ac953d6c9277c054cbc32fd539aa3240fad71245bd",
         "75f9e4f728445a2dff11c6a7ae75625ade9b81dc253cfb6b4e1327923f9681fb",
     ),
     "sup-binary": (
-        "1e8868d9d20185d0587a9874b82d689c11a3c93af74cf8234104c7489b8bb826",
+        "ab7ba8e7f952b535ebf27f0935e978b94562ff3343a8e7874b6fbc760a85a950",
         "e47be98f55537067936df1041a871b26e5a66f80d7684d2bbca0da1e7ceebf23",
     ),
     "half-sup": (
-        "54a7a4fb7d27cf9d48859f1b5f2d8bd340000d93cafd7466ecfb4ba567108ec6",
+        "eb69a2afeca76d20a946f686924e121848f2c73c74b5fd1ca263f1d42bdcb3af",
         "b2fb6873b98582bf6a76bf881a31962710446fae29ec6aa89a91f42c134aec03",
     ),
     "sup-sub": (
-        "44d11967d2b4e709df67993d31e93ee89f9af29e76f49c3856fb799128e85410",
-        "c457213fb9dbad5754789187a08d660e5b5e74fd262aa177b1587282a7aa4a77",
+        "7ebd243212ad869f72edca494832373721282268e570317e042885f1b7b55b04",
+        "f626404dcca02d7a7fc689d4bd50994c5ed55f809f893badc715773912906433",
     ),
     "sup-sub-const": (
-        "de245444c3eeef4b65db87e2ab12effd7cf88158a69b355da8a6a3b6a47919b3",
-        "d854bd6e36fe92bbf085911daee66f352967e1b2a1e88242f6f3f73ed51da6b1",
+        "32406aa5a2db4b6f9ae35ffed0adc950408a48e394fcbe759cf1f1440fc5e019",
+        "245f0459778a97b68ad664125d235dbea307c36f939b8c4e644d883ce2903e6f",
     ),
     "sub-sup": (
-        "6c0ee53be7bd869d901b981b0abfe1c089192c5752a83a363381b3a66db8d88f",
-        "b2da703febfe3ef6fc843600a9234bcdb257656a25a6db6ada139b155eadf1fd",
+        "521cdf5e712e2f5b17213c74ea9cb23c81c1787cf2f00e44978cce6e893759c6",
+        "6475b9a291810eb86bc12f79c4dbd35d36e95c25e4b89871f3e20613feb12f8f",
     ),
     "frontier-sup-sub": (
-        "44d11967d2b4e709df67993d31e93ee89f9af29e76f49c3856fb799128e85410",
-        "c457213fb9dbad5754789187a08d660e5b5e74fd262aa177b1587282a7aa4a77",
+        "7ebd243212ad869f72edca494832373721282268e570317e042885f1b7b55b04",
+        "f626404dcca02d7a7fc689d4bd50994c5ed55f809f893badc715773912906433",
     ),
     "frontier-sup-sup": (
-        "29ef52918c91f845416fac36cf11a7efc29f458988c837a79dd81a39b5698cf6",
+        "c062f33e1c3a2176dced374de8c5210f506ba82522b172d18e41d535c18b5e5a",
         "4ecca3cfd8a5aa3d0f74e4510dad0277a58f01ff9592d8491b6a115836415865",
     ),
     "frontier-inf": (
-        "865c01765e15ec7624fafd495ada26c6fc3cc018b87fcc838c5f44a8537e71eb",
-        "8b577e49dbd9ac7606cf2e26c69c63d9b383b5fb996b9f522ed2a02ccd8bde46",
+        "8f6e6b64fcbf9b3fb79b5ac33a5c3ecd34a683f6e65f75c260628a9d7408ca38",
+        "b2f65d3e1fc5444aea18f726eca6bb1c640521feaf9c9f722bc1242a25b7b772",
     ),
 }
 

@@ -89,7 +89,7 @@ def test_compile_panel_matches_reference_counts(compile_panel):
 # SHA-256 over the `dilogic transform` JSON documents of the whole compile
 # panel, concatenated in workloads.compile_panel() order.
 COMPILE_PANEL_SHA256 = (
-    "b9ab8efa909c597282d7a313870e3082ec544aee7394f14519681cfad1bd5353")
+    "af008f4a416dfa2b10239048d0ab7a0820c85f44a6dc2bff014df978fe677023")
 
 
 def test_compile_panel_document_bytes(compile_panel):

@@ -135,14 +135,17 @@ def _measure(alg, subset):
 
 def _set_terms():
     """Every set term over X and Y of depth at most two: the leaves, their
-    complements, and each binary operation on two of those."""
+    complements, each binary operation on two of those, and the
+    intersections of none and of three of them."""
     x = mba.SetVarIndex("X", 0)
     y = mba.SetVarIndex("Y", 0)
     leaves = [x, y, mba.Empty(), mba.Full(), mba.SetLit(frozenset({"w0"}))]
     unary = leaves + [mba.Compl(t) for t in leaves]
-    return unary + [op(a, b)
-                    for op in (mba.Union, mba.Inter, mba.Diff, mba.SymDiff)
-                    for a, b in itertools.product(unary, repeat=2)]
+    pairs = list(itertools.product(unary, repeat=2))
+    return (unary
+            + [op(a, b) for op in (mba.Union, mba.Diff, mba.SymDiff) for a, b in pairs]
+            + [mba.Inter(pair) for pair in pairs]
+            + [mba.Inter(()), mba.Inter((x, mba.Compl(y), mba.SetLit(frozenset({"w0"}))))])
 
 
 def _eval_set_reference(term, assign, alg):
@@ -157,9 +160,11 @@ def _eval_set_reference(term, assign, alg):
         return frozenset(alg.atoms)
     if type(term) is mba.Compl:
         return frozenset(alg.atoms) - rec(term.body)
+    if type(term) is mba.Inter:
+        return frozenset(alg.atoms).intersection(*map(rec, term.items))
     left, right = rec(term.left), rec(term.right)
-    return {mba.Union: left | right, mba.Inter: left & right,
-            mba.Diff: left - right, mba.SymDiff: left ^ right}[type(term)]
+    return {mba.Union: left | right, mba.Diff: left - right,
+            mba.SymDiff: left ^ right}[type(term)]
 
 
 def _subsets_reference(alg, within):

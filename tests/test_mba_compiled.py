@@ -15,7 +15,6 @@ counterexample that the same search, run with the reference evaluator,
 finds first; the compile-time errors keep their EvaluationError type.
 """
 
-import functools
 import itertools
 import random
 from collections import Counter
@@ -74,9 +73,11 @@ def ref_set(t, assign, env, alg):
         return full
     if k is mba.Compl:
         return full - rec(t.body)
+    if k is mba.Inter:
+        return full.intersection(*map(rec, t.items))
     left, right = rec(t.left), rec(t.right)
-    return {mba.Union: left | right, mba.Inter: left & right,
-            mba.Diff: left - right, mba.SymDiff: left ^ right}[k]
+    return {mba.Union: left | right, mba.Diff: left - right,
+            mba.SymDiff: left ^ right}[k]
 
 
 def ref_value(g, assign, env, alg, mode, seen):
@@ -90,7 +91,7 @@ def ref_value(g, assign, env, alg, mode, seen):
     if k is mba.Scale:
         return g.factor * rec(g.body)
     if k is mba.Add:
-        return rec(g.left) + rec(g.right)
+        return sum(map(rec, g.items), F(0))
     if k is mba.TruncSub:
         v = rec(g.left) - rec(g.right)
         seen["truncsub below zero"] += v < 0
@@ -171,7 +172,8 @@ def random_set(rng, leaves, depth):
     if op == 4:
         return mba.Compl(random_set(rng, leaves, depth - 1))
     cls = (mba.Union, mba.Inter, mba.Diff, mba.SymDiff)[op]
-    return cls(random_set(rng, leaves, depth - 1), random_set(rng, leaves, depth - 1))
+    left, right = random_set(rng, leaves, depth - 1), random_set(rng, leaves, depth - 1)
+    return mba.Inter((left, right)) if cls is mba.Inter else cls(left, right)
 
 
 def random_formula(rng, leaves, depth, sup=False):
@@ -192,12 +194,13 @@ def random_formula(rng, leaves, depth, sup=False):
         factor = rng.choice((F(1, 2), F(1, 3), F(1, rng.randrange(2, 8)), F(2, 3)))
         return mba.Scale(factor, random_formula(rng, leaves, depth - 1, sup))
     if kind in (3, 4):
-        cls = mba.Add if kind == 3 else mba.TruncSub
         if sup and rng.randrange(2):
-            return cls(random_formula(rng, leaves, depth - 1),
-                       random_formula(rng, leaves, depth - 1, sup))
-        return cls(random_formula(rng, leaves, depth - 1, sup),
-                   random_formula(rng, leaves, depth - 1))
+            pair = (random_formula(rng, leaves, depth - 1),
+                    random_formula(rng, leaves, depth - 1, sup))
+        else:
+            pair = (random_formula(rng, leaves, depth - 1, sup),
+                    random_formula(rng, leaves, depth - 1))
+        return mba.Add(pair) if kind == 3 else mba.TruncSub(*pair)
     cls = mba.Max if kind == 5 else mba.Min
     items = [random_formula(rng, leaves, depth - 1) for _ in range(rng.randrange(1, 4))]
     if sup:
@@ -216,7 +219,7 @@ def random_supchain(rng, leaves, depth):
         for j in range(n):
             u = random_set(rng, leaves, 1)
             if prev is not None and rng.randrange(4):
-                u = mba.Inter(prev, u)
+                u = mba.Inter((prev, u))
             bounds.append(u)
             prev = u
             slots.append((tag, j))
@@ -270,9 +273,9 @@ def test_scale_is_exact_over_nested_denominators():
     # consts over 5 and 7, needs a scale of 6 * 2 * 3 * 7 * 5.
     alg = ALGEBRAS[2]
     w2 = mba.SetLit(frozenset({"w2"}))
-    g = mba.Add(
+    g = mba.Add((
         mba.Scale(F(1, 2), mba.Scale(F(1, 3), mba.Scale(F(1, 7), mba.Measure(w2)))),
-        mba.TruncSub(mba.Const(F(2, 5)), mba.Scale(F(1, 3), mba.Const(F(3, 7)))))
+        mba.TruncSub(mba.Const(F(2, 5)), mba.Scale(F(1, 3), mba.Const(F(3, 7))))))
     expected = F(1, 2) * F(1, 3) * F(1, 7) * F(1, 2) + F(2, 5) - F(1, 7)
     for mode in (mba.ENUMERATE, mba.MAXIMAL):
         assert mba.eval_mba(g, {}, alg, mode) == expected
@@ -287,7 +290,7 @@ def test_nested_supchain_reads_the_enclosing_chain_variable(inner_binder, inner_
     inner_y = mba.ChainVar(inner_binder, inner_tag, 0)
     nested = mba.SupChain(
         inner_binder, (mba.ChainSpec(inner_tag, (outer_y,)),),
-        mba.Add(mba.Measure(inner_y), mba.Measure(mba.Diff(Y, outer_y))),
+        mba.Add((mba.Measure(inner_y), mba.Measure(mba.Diff(Y, outer_y)))),
         (mba.ProfileSpec(((inner_tag, 0),), X),))
     g = mba.SupChain(7, (mba.ChainSpec("A", (mba.Compl(X),)),),
                      mba.Scale(F(1, 3), nested))
@@ -345,7 +348,7 @@ def random_profiled_supchain(rng, leaves, binder=7):
         terms = [mba.Scale(rng.choice((F(1), F(1, 2), F(1, 3), F(2, 3))),
                            mba.Measure(rng.choice((y, mba.Compl(y)))))
                  for y in chain_vars]
-        inner = functools.reduce(mba.Add, terms)
+        inner = mba.Add(tuple(terms))
     return mba.SupChain(binder, tuple(chains), inner, tuple(profiles))
 
 
@@ -430,8 +433,8 @@ def test_a_slotless_profile_is_checked_once(bound, expected, maximal):
     alg = ALGEBRAS[1]
     g = mba.SupChain(0, (mba.ChainSpec("A", (mba.Full(), mba.Full())),
                          mba.ChainSpec("B", (mba.Full(),))),
-                     mba.Add(mba.Measure(mba.SymDiff(A0, B0)),
-                             mba.Measure(mba.Diff(A1, B0))),
+                     mba.Add((mba.Measure(mba.SymDiff(A0, B0)),
+                              mba.Measure(mba.Diff(A1, B0)))),
                      (mba.ProfileSpec((), bound),
                       mba.ProfileSpec((("A", 1), ("B", 0)), W0)))
     assert _enumerate_expect(g, {}, alg) == expected
@@ -450,13 +453,13 @@ def test_nested_supchain_profile_bound_reads_the_enclosing_chain_variables():
     c0, d0 = mba.ChainVar(8, "C", 0), mba.ChainVar(8, "D", 0)
     nested = mba.SupChain(
         8, (mba.ChainSpec("C", (A0,)), mba.ChainSpec("D", (mba.Compl(X),))),
-        mba.TruncSub(mba.Add(mba.Measure(c0), mba.Scale(F(1, 2), mba.Measure(d0))),
-                     mba.Measure(mba.Inter(d0, A1))),
+        mba.TruncSub(mba.Add((mba.Measure(c0), mba.Scale(F(1, 2), mba.Measure(d0)))),
+                     mba.Measure(mba.Inter((d0, A1)))),
         (mba.ProfileSpec((("C", 0), ("D", 0)), B0),
          mba.ProfileSpec((("D", 0),), mba.Compl(A1))))
     g = mba.SupChain(
         0, (mba.ChainSpec("A", (mba.Full(), Y)), mba.ChainSpec("B", (mba.Full(),))),
-        mba.Add(nested, mba.Scale(F(1, 3), mba.Measure(mba.Diff(A0, B0)))),
+        mba.Add((nested, mba.Scale(F(1, 3), mba.Measure(mba.Diff(A0, B0))))),
         (mba.ProfileSpec((("A", 0), ("B", 0), ("A", 1)), X),))
     for alg in ALGEBRAS[:2]:
         for sx, sy in itertools.product(_subsets(alg), repeat=2):
@@ -632,7 +635,7 @@ UNBOUND = mba.SetVarIndex("missing", 0)
 
 @pytest.mark.parametrize("mode", [mba.ENUMERATE, mba.MAXIMAL])
 @pytest.mark.parametrize("g", [
-    _chain(inner=mba.Measure(mba.Inter(mba.ChainVar(0, "A", 0), UNBOUND))),
+    _chain(inner=mba.Measure(mba.Inter((mba.ChainVar(0, "A", 0), UNBOUND)))),
     _chain(profiles=(mba.ProfileSpec((("A", 0),), UNBOUND),)),
     _chain(inner=mba.Measure(mba.ChainVar(1, "A", 0))),
     _chain(profiles=(mba.ProfileSpec((("B", 0),), mba.Full()),)),
@@ -646,11 +649,11 @@ def test_malformed_supchain_is_an_evaluation_error(g, mode):
 
 
 def test_chain_var_outside_its_supchain_is_an_evaluation_error():
-    g = mba.Add(_chain(), mba.Measure(mba.ChainVar(0, "A", 0)))
+    g = mba.Add((_chain(), mba.Measure(mba.ChainVar(0, "A", 0))))
     with pytest.raises(EvaluationError):
         mba.eval_mba(g, {}, ALGEBRAS[1])
     with pytest.raises(EvaluationError):
-        mba.check_monotone(mba.Add(g, mba.Measure(X)), ALGEBRAS[1])
+        mba.check_monotone(mba.Add((g, mba.Measure(X))), ALGEBRAS[1])
     with pytest.raises(EvaluationError):
         mba.eval_set(mba.ChainVar(0, "A", 0), {}, ALGEBRAS[1])
 

@@ -117,7 +117,7 @@ def test_eval_set_operations():
     y = mba.SetVarIndex("Y", 0)
     assign = {x: s("w1", "w2"), y: s("w2", "w3")}
     assert mba.eval_set(mba.Union(x, y), assign, alg) == s("w1", "w2", "w3")
-    assert mba.eval_set(mba.Inter(x, y), assign, alg) == s("w2")
+    assert mba.eval_set(mba.Inter((x, y)), assign, alg) == s("w2")
     assert mba.eval_set(mba.Diff(x, y), assign, alg) == s("w1")
     assert mba.eval_set(mba.SymDiff(x, y), assign, alg) == s("w1", "w3")
     assert mba.eval_set(mba.Compl(x), assign, alg) == s("w3")
@@ -129,9 +129,9 @@ def test_eval_set_operations():
 def test_vars_by_tag_groups_and_orders_each_tag():
     a_half, a_half_ge = mba.SetVarIndex("A", F(1, 2)), mba.SetVarIndex("A", F(1, 2), False)
     a_zero, b_one = mba.SetVarIndex("A", 0), mba.SetVarIndex("B", F(1, 3), False)
-    g = mba.Add(mba.Measure(mba.Union(a_half, b_one)),
-                mba.Max((mba.Measure(a_half_ge), mba.Measure(mba.Compl(a_zero)),
-                         mba.Measure(a_half))))
+    g = mba.Add((mba.Measure(mba.Union(a_half, b_one)),
+                 mba.Max((mba.Measure(a_half_ge), mba.Measure(mba.Compl(a_zero)),
+                          mba.Measure(a_half)))))
     # By threshold, and >= before > at an equal threshold.
     assert mba.vars_by_tag(g) == {"A": [a_zero, a_half_ge, a_half], "B": [b_one]}
     assert mba.vars_by_tag(mba.Const(1)) == {}
@@ -157,12 +157,26 @@ def test_eval_unbound_variable():
 def test_eval_scale_add_max_min():
     g = mba.Scale(
         F(1, 2),
-        mba.Add(
+        mba.Add((
             mba.Max((mba.Const(F(1, 4)), mba.Const(F(1, 2)))),
             mba.Min((mba.Const(F(1, 4)), mba.Const(F(1, 2)))),
-        ),
+        )),
     )
     assert mba.eval_mba(g, {}, UNIFORM2) == F(3, 8)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5])
+def test_nary_add_and_inter_fold_every_item(n):
+    # Item i is the set {w1, w2, w3} minus w_i (for i < 3) and measures
+    # 2/3, so the Add is 2n/3 and the Inter drops the first min(n, 3) atoms.
+    xs = [mba.SetVarIndex("X", i) for i in range(n)]
+    atoms = ("w1", "w2", "w3")
+    assign = {x: s(*(a for a in atoms if a != atoms[i % 3])) for i, x in enumerate(xs)}
+    add = mba.Add(tuple(mba.Measure(x) for x in xs))
+    assert mba.eval_mba(add, assign, UNIFORM3) == F(2 * n, 3)
+    inter = mba.Inter(tuple(xs))
+    assert mba.eval_set(inter, assign, UNIFORM3) == s(*atoms[min(n, 3):])
+    assert mba.eval_mba(mba.Measure(inter), assign, UNIFORM3) == F(3 - min(n, 3), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +297,9 @@ def test_supchain_profile_constraint():
     # containing any atom; the sum of measures then caps at 1.
     a0 = mba.SetVarIndex("A", 0)
     b0 = mba.SetVarIndex("B", 0)
-    inner = mba.Add(
+    inner = mba.Add((
         mba.Measure(mba.ChainVar(0, "A", 0)), mba.Measure(mba.ChainVar(0, "B", 0))
-    )
+    ))
     profile = mba.ProfileSpec((("A", 0), ("B", 0)), mba.Empty())
     g = mba.SupChain(
         binder=0,
@@ -313,10 +327,10 @@ def test_supchain_profile_modes_agree_exhaustively():
     a0 = mba.SetVarIndex("A", 0)
     b0 = mba.SetVarIndex("B", 0)
     w = mba.SetVarIndex("W", 0)
-    inner = mba.Add(
+    inner = mba.Add((
         mba.Measure(mba.ChainVar(0, "A", 0)),
         mba.Scale(F(1, 2), mba.Measure(mba.ChainVar(0, "B", 0))),
-    )
+    ))
     g = mba.SupChain(
         binder=0,
         chains=(

@@ -52,14 +52,14 @@ MBA_SAMPLES = [
     (mba.Empty(), []),
     (mba.Full(), []),
     (mba.Union(X, Y), ["left", "right"]),
-    (mba.Inter(X, Y), ["left", "right"]),
+    (mba.Inter((X, Y)), ["items"]),
     (mba.Diff(X, Y), ["left", "right"]),
     (mba.SymDiff(X, Y), ["left", "right"]),
     (mba.Compl(X), ["body"]),
     (mba.Measure(X), ["term"]),
     (mba.Const(F(1, 3)), ["value"]),
     (mba.Scale(F(1, 2), mba.Measure(Y)), ["factor", "body"]),
-    (mba.Add(mba.Measure(X), mba.Const(0)), ["left", "right"]),
+    (mba.Add((mba.Measure(X), mba.Const(0))), ["items"]),
     (mba.TruncSub(mba.Measure(X), mba.Const(0)), ["left", "right"]),
     (mba.Max((mba.Measure(X), mba.Measure(Y))), ["items"]),
     (mba.Min((mba.Measure(X),)), ["items"]),
@@ -166,18 +166,19 @@ def test_compiled_g_nodes_hash_their_fields(compile_panel):
 
 
 def test_substituted_and_rebuilt_mba_nodes_carry_no_stale_hash():
-    g = mba.Add(mba.Measure(mba.Diff(X, Y)),
-                mba.Scale(F(1, 2), mba.Measure(mba.Compl(X))))
+    g = mba.Add((mba.Measure(mba.Diff(X, Y)),
+                 mba.Scale(F(1, 2), mba.Measure(mba.Compl(X)))))
     old = [hash(node) for node in mba.nodes(g)]
 
     substituted = mba.substitute_set_vars(g, {X: mba.Full()})
-    expected = mba.Add(mba.Measure(mba.Diff(mba.Full(), Y)),
-                       mba.Scale(F(1, 2), mba.Measure(mba.Compl(mba.Full()))))
+    expected = mba.Add((mba.Measure(mba.Diff(mba.Full(), Y)),
+                        mba.Scale(F(1, 2), mba.Measure(mba.Compl(mba.Full())))))
     assert substituted == expected
     assert hash(substituted) == hash(expected) != hash(g)
 
-    rebuilt = mba.rebuild(g, lambda c: mba.Measure(Y) if c is g.left else c)
-    expected = mba.Add(mba.Measure(Y), g.right)
+    first, second = g.items
+    rebuilt = mba.rebuild(g, lambda c: mba.Measure(Y) if c is first else c)
+    expected = mba.Add((mba.Measure(Y), second))
     assert rebuilt == expected
     assert hash(rebuilt) == hash(expected) != hash(g)
     assert mba.rebuild(g, lambda c: c) is g

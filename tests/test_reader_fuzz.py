@@ -2,23 +2,28 @@
 that reads a document.
 
 Valid documents are mutated by type swaps, deleted keys and items, huge
-integers, true/false/null, renamed keys and nesting changes.  A reader may
-only return or raise a DilogicError; a command may only exit 0, 1 or 2,
-and exit 2 prints nothing on stdout and an "input" or "budget" body on
-stderr.  Commands read their documents in memory, through a patched
-cli._load_json, so no file is written.
+integers, true/false/null, renamed keys and nesting changes, and valid
+--formula texts by deep nesting, long digit runs, truncation, and swapped
+and dropped tokens.  A reader may only return or raise a DilogicError; a
+command may only exit 0, 1 or 2, and exit 2 prints nothing on stdout and
+an "input" or "budget" body on stderr.  Commands read their documents in
+memory, through a patched cli._load_json, so no file is written.
 """
 
 import copy
 import json
 import random
+import re
 
 from dilogic import cli, jsonio
+from dilogic import formula as fm
 from dilogic.errors import DilogicError
 
 SEED = 18
 READER_MUTATIONS = 5000
 CLI_MUTATIONS = 1000
+FORMULA_SEED = 22
+FORMULA_MUTATIONS = 400
 
 _FIBER = {
     "signature": {"predicates": [{"name": "P", "arity": 1},
@@ -157,3 +162,86 @@ def test_commands_exit_0_1_or_2_on_mutated_documents(monkeypatch, capsys):
             assert out == ""
             assert json.loads(err)["error"] in ("input", "budget")
     assert codes.get(cli.EXIT_PASS) and codes.get(cli.EXIT_INPUT)
+
+
+# ---------------------------------------------------------------------------
+# Formula texts
+
+_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|-?[0-9]+|[(),./]")
+# Nesting depths around the bound and far past it, where the parser and
+# every walker used to recurse without limit.
+NEST_DEPTHS = [fm.MAX_NESTING - 2, fm.MAX_NESTING - 1, fm.MAX_NESTING,
+               fm.MAX_NESTING + 1, 400, 2000]
+# Digit runs on both sides of the interpreter's 4,300-digit limit for
+# text-to-integer conversion.
+DIGIT_RUNS = [4299, 4300, 4301, 5000, 10000]
+# Quantifier evaluation walks the choice functions once per enclosing
+# binder, so eval gets few added binders: 4^6 bodies on the fuzz field.
+EVAL_BINDERS = 5
+
+
+def _nest(text, rng, binders_cap):
+    n = rng.choice(NEST_DEPTHS + [rng.randint(1, 60)])
+    shape = rng.randrange(4)
+    if shape == 0:
+        return "half(" * n + text + ")" * n
+    if shape == 1:
+        return "sub(1, " * n + text + ")" * n
+    if shape == 2:
+        return "sub(" * n + text + ", 1/2)" * n
+    n = min(n, binders_cap)
+    return "".join(f"{rng.choice(('sup', 'inf'))} z{i} . " for i in range(n)) + text
+
+
+def mutate_formula(text, rng, binders_cap):
+    """text with one or two of: deep nesting, a long digit run, truncation,
+    and a swapped or dropped token."""
+    for _ in range(rng.randint(1, 2)):
+        op = rng.randrange(5)
+        if op == 0:
+            text = _nest(text, rng, binders_cap)
+            continue
+        if op == 1:
+            digits = "1" + "0" * (rng.choice(DIGIT_RUNS) - 1)
+            run = rng.choice([digits, "1/" + digits, digits + "/" + digits])
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + run + text[at:]
+            continue
+        if op == 2:
+            text = text[:rng.randrange(len(text) + 1)]
+            continue
+        tokens = _TOKEN.findall(text)
+        if len(tokens) < 2:
+            continue
+        i, j = rng.sample(range(len(tokens)), 2)
+        if op == 3:
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            del tokens[i]
+        text = " ".join(tokens)
+    return text
+
+
+def test_commands_exit_0_1_or_2_on_mutated_formulas(monkeypatch, capsys):
+    rng = random.Random(FORMULA_SEED)
+    monkeypatch.setattr(cli, "_load_json", lambda name: VALID[name])
+    commands = [argv for argv in COMMANDS if "--formula" in argv]
+    codes, messages = {}, []
+    for i in range(FORMULA_MUTATIONS):
+        argv = list(commands[i % len(commands)])
+        at = argv.index("--formula") + 1
+        cap = EVAL_BINDERS if argv[0] == "eval" else max(NEST_DEPTHS)
+        argv[at] = mutate_formula(argv[at], rng, cap)
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        codes[code] = codes.get(code, 0) + 1
+        assert code in (cli.EXIT_PASS, cli.EXIT_VIOLATION, cli.EXIT_INPUT), argv[at][:200]
+        if code == cli.EXIT_INPUT:
+            assert out == ""
+            body = json.loads(err)
+            assert body["error"] in ("input", "budget")
+            messages.append(body["message"])
+    assert codes.get(cli.EXIT_PASS) and codes.get(cli.EXIT_INPUT)
+    # The table reaches both parser bounds.
+    assert any("nested deeper than" in m for m in messages)
+    assert any("digits is past the interpreter's limit" in m for m in messages)

@@ -22,13 +22,13 @@ def _every_node_result():
     z_ge = mba.SetVarIndex(P, F(0), False)
     y0, y1 = mba.ChainVar(0, Q, 0), mba.ChainVar(0, Q, 1)
     sets = mba.Union(
-        mba.Inter(z, mba.Compl(z_ge)),
+        mba.Inter((z, mba.Compl(z_ge))),
         mba.Diff(mba.SymDiff(mba.SetLit(frozenset({"b", "a"})), mba.Empty()),
                  mba.Full()))
     inner = mba.Max((
-        mba.Measure(mba.Inter(y0, y1)),
-        mba.Min((mba.Const(F(1, 3)), mba.Scale(F(1, 2), mba.Add(
-            mba.Measure(sets), mba.TruncSub(mba.Const(1), mba.Measure(y1)))))),
+        mba.Measure(mba.Inter((y0, y1))),
+        mba.Min((mba.Const(F(1, 3)), mba.Scale(F(1, 2), mba.Add((
+            mba.Measure(sets), mba.TruncSub(mba.Const(1), mba.Measure(y1))))))),
     ))
     g = mba.SupChain(0, (mba.ChainSpec(Q, (z, mba.Full())),), inner,
                      (mba.ProfileSpec(((Q, 0), (Q, 1)), mba.Compl(z)),))
@@ -46,8 +46,8 @@ def test_every_node_class_is_rendered():
         return {"op": "chainvar", "binder": 0, "tag": 1, "slot": slot}
 
     sets = {"op": "union",
-            "left": {"op": "inter", "left": var("Z[0][1/2]"),
-                     "right": {"op": "compl", "body": var("Z[0][0]|ge")}},
+            "left": {"op": "inter", "items": [
+                var("Z[0][1/2]"), {"op": "compl", "body": var("Z[0][0]|ge")}]},
             "right": {"op": "diff",
                       "left": {"op": "symdiff",
                                "left": {"op": "lit", "atoms": ["a", "b"]},
@@ -55,14 +55,14 @@ def test_every_node_class_is_rendered():
                       "right": {"op": "full"}}}
     inner = {"op": "max", "items": [
         {"op": "measure",
-         "set": {"op": "inter", "left": chainvar(0), "right": chainvar(1)}},
+         "set": {"op": "inter", "items": [chainvar(0), chainvar(1)]}},
         {"op": "min", "items": [
             {"op": "const", "value": "1/3"},
             {"op": "scale", "factor": "1/2", "body": {
-                "op": "add",
-                "left": {"op": "measure", "set": sets},
-                "right": {"op": "sub", "left": {"op": "const", "value": "1"},
-                          "right": {"op": "measure", "set": chainvar(1)}}}},
+                "op": "add", "items": [
+                    {"op": "measure", "set": sets},
+                    {"op": "sub", "left": {"op": "const", "value": "1"},
+                     "right": {"op": "measure", "set": chainvar(1)}}]}},
         ]},
     ]}
     assert jsonio.transform_result_to_doc(result) == {
@@ -83,6 +83,24 @@ def test_every_node_class_is_rendered():
         "(max(mu((Y0^{Q(x)}_0 & Y0^{Q(x)}_1)),"
         " min(1/3, 1/2*((mu(((Z^{P(x)}_{1/2} & c(Z~^{P(x)}_{0}))"
         " + (({a,b} ^ 0) \\ 1))) + (1 -. mu(Y0^{Q(x)}_1)))))))")
+
+
+def test_nary_add_and_inter_render_over_their_items():
+    """Add and Inter render infix joined over any number of items, one
+    document node with an items list; a leaf at k = 4 is one Add of its
+    three layers."""
+    x, y, w = (mba.SetVarIndex(P, F(i, 4)) for i in (1, 2, 3))
+    inter = mba.Inter((x, y, mba.Compl(w)))
+    assert jsonio.pretty_mba(inter) == (
+        "(Z^{P(x)}_{1/4} & Z^{P(x)}_{1/2} & c(Z^{P(x)}_{3/4}))")
+    assert jsonio.pretty_mba(mba.Inter(())) == "()"
+    result = tr.transform(P, 4)
+    layer = [{"op": "measure", "set": {"op": "var", "name": f"Z[0][{t}]"}}
+             for t in ("1/4", "1/2", "3/4")]
+    assert jsonio.transform_result_to_doc(result)["g"] == {
+        "op": "scale", "factor": "1/4", "body": {"op": "add", "items": layer}}
+    assert jsonio.pretty_mba(result.g) == (
+        "1/4*((mu(Z^{P(x)}_{1/4}) + mu(Z^{P(x)}_{1/2}) + mu(Z^{P(x)}_{3/4})))")
 
 
 def test_formula_text_renders_nested_function_terms():

@@ -31,11 +31,11 @@ def _mba_sample():
     x = mba.SetVarIndex("X", 0)
     w = mba.SetVarIndex("W", F(1, 2), False)
     y = mba.ChainVar(0, "A", 0)
-    bound = mba.Union(mba.Inter(x, mba.Full()), mba.SetLit(frozenset({"w1"})))
-    inner = mba.Add(
+    bound = mba.Union(mba.Inter((x, mba.Full())), mba.SetLit(frozenset({"w1"})))
+    inner = mba.Add((
         mba.Scale(F(1, 2), mba.Measure(mba.Diff(y, mba.Compl(mba.SymDiff(x, mba.Empty()))))),
         mba.TruncSub(mba.Max((mba.Const(1), mba.Measure(y))), mba.Min((mba.Const(0),))),
-    )
+    ))
     return mba.SupChain(
         binder=0,
         chains=(mba.ChainSpec("A", (bound, x)),),
