@@ -16,6 +16,18 @@ structure.eval_formula's model protocol, and the fiber function tables
 (MeasurableField.fiber_funcs).  So `scaled_pred`, an integrated predicate
 value times den, is one integer sum, and evaluating a formula on the
 integral builds one Fraction in all.  A field is not changed once built.
+
+A quantifier whose body is quantifier-free is the oracle's inner loop, and
+the integral evaluates that body at every choice function in one pass
+(_Integral.sweep): an Atomic becomes one column per atom, its weighted
+table entries over the atom's fiber, and its values are the column sums
+over itertools.product of the fibers, the order of the choice functions
+themselves.  The body's value at every choice function is still
+computed (one value serves them all when the body does not read the bound
+variable), and it is the integer the point-by-point evaluation gives.
+Before any choice function is visited, eval_on_integral counts the visits
+of the whole formula in closed form (choice_function_visits) and refuses
+them over its limit.
 """
 
 from __future__ import annotations
@@ -23,12 +35,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formula as fm
 from . import structure as st
-from .errors import BudgetError, InputError, ValidationError
+from .errors import BudgetError, EvaluationError, InputError, ValidationError
 from .mba import FiniteMeasureAlgebra
 
 # A finite probability space is exactly a finite measure algebra: ordered
@@ -93,6 +106,11 @@ class MeasurableField:
         return {name: tuple(self.fibers[w].funcs[name] for w in self.space.atoms)
                 for name, _arity in self.signature.functions}
 
+    @functools.cached_property
+    def integral(self):
+        """The direct integral as a model for structure.eval_formula."""
+        return _Integral(self)
+
     def element_count(self):
         return math.prod(len(self.fibers[a].points) for a in self.space.atoms)
 
@@ -148,22 +166,22 @@ def _fiber_assignment(assignment, atom):
 class _Integral:
     """The direct integral of a field as a model for
     structure.eval_formula: its points are the choice functions as tuples
-    of fiber points in atom order (at most limit of them, refused each
-    time a quantifier ranges), predicates integrate the fiber values
-    against the atom weights, as integers over den, and functions act
-    fiberwise."""
+    of fiber points in atom order (eval_on_integral counts every visit to
+    one against its limit before it evaluates), predicates integrate the
+    fiber values against the atom weights, as integers over den, and
+    functions act fiberwise.  It also gives eval_formula the sweep of a
+    quantifier-free body over every point at once.  Each field builds its
+    one model on first use (MeasurableField.integral)."""
 
-    def __init__(self, field_, limit):
-        self.field = field_
-        self.limit = limit
+    def __init__(self, field_):
+        self.fiber_points = tuple(field_.fibers[w].points for w in field_.space.atoms)
+        self.count = math.prod(map(len, self.fiber_points))
         self.den, self.tables = field_.weighted_preds
         self.funcs = field_.fiber_funcs
 
     @property
     def points(self):
-        _refuse_over_limit(self.field.element_count(), self.limit, "choice-function")
-        fibers = self.field.fibers
-        return itertools.product(*[fibers[w].points for w in self.field.space.atoms])
+        return itertools.product(*self.fiber_points)
 
     def scaled_pred(self, name, args):
         # A 0-ary predicate reads () at every atom.
@@ -174,22 +192,120 @@ class _Integral:
         # A signature's functions take at least one argument.
         return tuple(map(dict.__getitem__, self.funcs[name], zip(*args)))
 
+    def sweep(self, phi, var, env, unit, scale):
+        """The values times scale of the quantifier-free phi at every
+        point, with var bound to the point and every other variable to its
+        row in env, as eval_formula's value computes them one point at a
+        time: an iterator in points order, or a 1-tuple when phi does not
+        read var and so has one value at every point.  A variable that is
+        neither var nor in env is an EvaluationError, as in eval_formula.
+
+        Functions act fiberwise, so a term that reads var has at each atom
+        one point per point of that atom's fiber, and an Atomic that reads
+        var has one column per atom: its weighted table entries over the
+        fiber.  Its value at a choice function is the sum of one entry of
+        each column, so its values in points order are the sums over
+        itertools.product of the columns.  Const, Half and TruncSub then
+        combine whole iterators, and a subformula that does not read var
+        stays one int."""
+        v = self._sweep(phi, var, env, unit, scale)
+        return (v,) if type(v) is int else v
+
+    def _sweep(self, phi, var, env, unit, scale):
+        t = type(phi)
+        if t is fm.Atomic:
+            reads, entries = self._lookup(self.tables[phi.pred], phi.args, var, env)
+            if not reads:
+                return sum(entries) * unit
+            sums = map(sum, itertools.product(*entries))
+            return sums if unit == 1 else map(unit.__mul__, sums)
+        if t is fm.Const:
+            return phi.value.numerator * (scale // phi.value.denominator)
+        if t is fm.Half:
+            v = self._sweep(phi.body, var, env, unit, scale)
+            return v // 2 if type(v) is int else map(_HALF, v)
+        # phi is a TruncSub: sweep is given quantifier-free formulas only.
+        left = self._sweep(phi.left, var, env, unit, scale)
+        right = self._sweep(phi.right, var, env, unit, scale)
+        if type(left) is int:
+            if type(right) is int:
+                return left - right if left > right else 0
+            diffs = map(left.__sub__, right)
+        elif type(right) is int:
+            diffs = map(right.__rsub__, left)
+        else:
+            diffs = map(operator.sub, left, right)
+        return (d if d > 0 else 0 for d in diffs)
+
+    def _term(self, term, var, env):
+        """term's value at each atom, as _lookup gives it."""
+        if type(term) is fm.Var:
+            if term.name == var:
+                return True, self.fiber_points
+            try:
+                return False, env[term.name]
+            except KeyError:
+                raise EvaluationError(
+                    f"variable {term.name!r} has no assignment") from None
+        return self._lookup(self.funcs[term.func], term.args, var, env)
+
+    def _lookup(self, tables, args, var, env):
+        """The per-atom tables read at the terms args, in atom order: (False,
+        the entry at each atom) when no argument reads var, else (True, at
+        each atom the list of entries as var runs over the atom's fiber)."""
+        terms = [self._term(a, var, env) for a in args]
+        if not any(reads for reads, _ in terms):
+            # A 0-ary predicate reads () at every atom.
+            keys = zip(*[v for _, v in terms]) if terms else itertools.repeat(())
+            return False, tuple(map(dict.__getitem__, tables, keys))
+        return True, [
+            list(map(table.__getitem__,
+                     zip(*[v[i] if reads else itertools.repeat(v[i])
+                           for reads, v in terms])))
+            for i, table in enumerate(tables)]
+
+
+# The exact half of an int, as a function of it: (2).__rfloordiv__(v) is v // 2.
+_HALF = (2).__rfloordiv__
+
+
+def choice_function_visits(phi, n):
+    """The choice functions eval_on_integral visits on phi over a field of
+    n: a Sup or Inf visits all n, each once per evaluation of its body, so
+    it counts n * (1 + the visits of its body); a quantifier-free phi
+    visits none."""
+    t = type(phi)
+    if t is fm.Atomic or t is fm.Const:
+        return 0
+    if t is fm.Half:
+        return choice_function_visits(phi.body, n)
+    if t is fm.TruncSub:
+        return (choice_function_visits(phi.left, n)
+                + choice_function_visits(phi.right, n))
+    return n * (1 + choice_function_visits(phi.body, n))
+
 
 def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
     """Exact value of phi on the direct integral of the field.
 
     This is structure.eval_formula on the integral seen as a structure:
-    Sup/Inf range over all choice functions of the field (at most limit
-    of them), and run their body compiled past the first
-    structure.INTERPRETED_POINTS of them; Atomic integrates the fiberwise
-    table values.  Each assigned IntegralElement enters as its row of
-    points in atom order.
+    Sup/Inf range over all choice functions of the field, and Atomic
+    integrates the fiberwise table values.  A Sup or Inf whose body is
+    quantifier-free takes the body's values at every choice function from
+    one _Integral.sweep; one with a quantifier below runs its body at each
+    choice function, compiled past the first
+    structure.INTERPRETED_POINTS of them.  The choice functions phi visits
+    in all, choice_function_visits, are refused over limit before any is
+    visited.  Each assigned IntegralElement enters as its row of points in
+    atom order.
     """
-    # Refused here too: a quantifier-free phi never reads the limit.
-    _refuse_over_limit(0, limit, "choice-function")
-    rows = {var: tuple(map(e.choice.__getitem__, field_.space.atoms))
-            for var, e in (assignment or {}).items()}
-    return st.eval_formula(phi, _Integral(field_, limit), rows)
+    integral = field_.integral
+    _refuse_over_limit(choice_function_visits(phi, integral.count), limit,
+                       "choice-function")
+    atoms = field_.space.atoms
+    rows = {var: tuple(map(e.choice.__getitem__, atoms))
+            for var, e in assignment.items()} if assignment else {}
+    return st.eval_formula(phi, integral, rows)
 
 
 def fiber_values(zeta, field_, assignment=None):

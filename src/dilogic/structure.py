@@ -6,8 +6,8 @@ point set exactly, so sup/inf are max/min.
 
 The evaluator computes in integers.  It reads a model only through
 `points` (the quantifier domain), `den`, `scaled_pred(name, args)` (the
-predicate value times den, an int) and `func(name, args)`, so it also
-evaluates formulas on the direct integral of a field (see
+predicate value times den, an int), `func(name, args)` and `sweep`, so it
+also evaluates formulas on the direct integral of a field (see
 integral.eval_on_integral).  A structure's den is the lcm of its
 predicate-value denominators, and its integer tables are built once, on
 first use; a structure is not changed once built.  Each eval_formula call
@@ -17,25 +17,30 @@ subformula's value times the scale S = den * unit as an integer: Half is
 the exact // 2, truncated subtraction max(0, a - b), and the result is
 one Fraction over S.
 
-A Sup or Inf interprets its body, node by node, at the first
-INTERPRETED_POINTS points of its domain.  At the next point, if there is
-one, it compiles the body once into closures of no arguments (_compile)
-and runs them there and at every later point: a variable argument of an
-Atomic is one lookup in the evaluation's environment, and a nested
-quantifier is compiled too and reads its domain afresh on each entry.  So
-a quantifier-free formula, and a domain of at most INTERPRETED_POINTS
+A model's sweep is None, or a function that gives a quantifier-free
+body's values at every point at once (the direct integral's,
+integral._Integral.sweep).  A Sup or Inf whose body is quantifier-free
+takes the max or min of the sweep when the model has one.  Otherwise it
+interprets its body, node by node, at the first INTERPRETED_POINTS points
+of its domain.  At the next point, if there is one, it compiles the body
+once into closures of no arguments (_compile) and runs them there and at
+every later point: a variable argument of an Atomic is one lookup in the
+evaluation's environment, and a nested quantifier is compiled too and
+reads its domain (or sweeps its body) afresh on each entry.  So a
+quantifier-free formula, and a domain of at most INTERPRETED_POINTS
 points, is only interpreted.
 
 INTERPRETED_POINTS is the break-even of a cost model.  Per formula node of
-a body timed alone (CPython 3.11 on an AMD EPYC host), compiling costs C
-of about 0.33 us; a run costs I of about 0.20 us interpreted and R of
-about 0.09 us compiled on a finite structure, and 0.32 and 0.19 us on a
-direct integral, whose scaled_pred sums over the atoms.  Interpreting the
-first C / (I - R) points (2.9 and 2.5), then compiling, as in rent or buy,
-costs at most about twice the cheaper of interpreting every point and
-compiling at once, whatever the domain size; and since C and I - R both
-grow with the body, the count does not depend on it.  Its ceiling, 3, is
-the constant.
+a body timed alone on a finite structure (CPython 3.11 on an AMD EPYC
+host), compiling costs C of about 0.33 us, and a run costs I of about
+0.20 us interpreted and R of about 0.09 us compiled.  Interpreting the
+first C / (I - R) points (2.9), then compiling, as in rent or buy, costs
+at most about twice the cheaper of interpreting every point and compiling
+at once, whatever the domain size; and since C and I - R both grow with
+the body, the count does not depend on it.  Its ceiling, 3, is the
+constant.  On a direct integral a quantifier-free body is swept, so the
+constant applies there only to a binder with a quantifier below it, whose
+body at each point costs at least one sweep either way.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ class FiniteMetricStructure:
     dist: dict        # (p, q) -> Fraction
     preds: dict       # name -> {point tuple -> Fraction}
     funcs: dict = field(default_factory=dict)  # name -> {point tuple -> point}
+
+    # No sweep: eval_formula runs a quantifier's body at each point.
+    sweep = None
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -195,6 +203,15 @@ def _unit(phi, above=1):
     raise TypeError(f"not a formula: {phi!r}")
 
 
+def _quantifier_free(phi):
+    t = type(phi)
+    if t is fm.Half:
+        return _quantifier_free(phi.body)
+    if t is fm.TruncSub:
+        return _quantifier_free(phi.left) and _quantifier_free(phi.right)
+    return t is fm.Atomic or t is fm.Const
+
+
 _UNBOUND = object()
 
 # A Sup or Inf interprets its body at this many points of its domain and
@@ -244,9 +261,11 @@ def eval_formula(phi, M, assignment=None):
             v = value(phi.left) - value(phi.right)
             return v if v > 0 else 0
         # phi is a Sup or an Inf: _unit has rejected every other type.
+        var, body, pick = phi.var, phi.body, max if t is fm.Sup else min
+        if M.sweep is not None and _quantifier_free(body):
+            return pick(M.sweep(body, var, env, unit, scale))
         # The domain is a generator, not a list: a direct integral's can
         # hold up to integral.DEFAULT_CHOICE_LIMIT choice functions.
-        var, body, pick = phi.var, phi.body, max if t is fm.Sup else min
         outer = env.get(var, _UNBOUND)
         points = iter(M.points)
         prefix = []
@@ -308,8 +327,11 @@ def _compile(phi, M, env, unit, scale):
             return v if v > 0 else 0
         return trunc_sub
     # phi is a Sup or an Inf, as in value.
-    var, pick = phi.var, max if t is fm.Sup else min
-    at = _binding(env, var, _compile(phi.body, M, env, unit, scale))
+    var, body, pick = phi.var, phi.body, max if t is fm.Sup else min
+    if M.sweep is not None and _quantifier_free(body):
+        sweep = M.sweep
+        return lambda: pick(sweep(body, var, env, unit, scale))
+    at = _binding(env, var, _compile(body, M, env, unit, scale))
 
     def quantify():
         outer = env.get(var, _UNBOUND)

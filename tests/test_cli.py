@@ -167,6 +167,28 @@ def test_eval_choice_limit_is_a_budget_error(paths, capsys):
     assert json.loads(err)["error"] == "budget"
 
 
+def test_eval_refuses_nested_binders_before_it_starts(tmp_path, capsys):
+    # 4 choice functions: twelve nested binders visit 4 + 4**2 + ... +
+    # 4**12 of them, which took about 11 s when each was run.
+    field_ = di.MeasurableField(uniform_space(("w1", "w2")), {
+        "w1": make_structure(SIG_P, {"P": {"p": F(1), "q": F(0)}}),
+        "w2": make_structure(SIG_P, {"P": {"r": F(1, 4), "s": F(1, 2)}})})
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(jsonio.field_to_doc(field_)), encoding="utf-8")
+    text = " ".join(f"sup z{i} ." for i in range(12)) + " P(z0)"
+    start = time.process_time()
+    code, out, err = run(capsys, ["eval", "--formula", text,
+                                  "--field", str(path)])
+    assert time.process_time() - start < 1
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    count = sum(4 ** j for j in range(1, 13))
+    assert json.loads(err) == {
+        "error": "budget",
+        "message": f"choice-function count {count} exceeds limit "
+                   f"{di.DEFAULT_CHOICE_LIMIT}"}
+
+
 @pytest.mark.parametrize("points, arity", [(["p"], 10**21), (["p", "q"], 20)],
                          ids=["one-point-huge-arity", "two-points-arity-20"])
 def test_eval_table_over_budget_is_a_budget_error(tmp_path, capsys, points,

@@ -411,6 +411,28 @@ def test_quantifier_limit_is_the_choice_function_count():
         di.eval_on_integral(phi, field_, limit=-1)
 
 
+@pytest.mark.parametrize("text, visits", [
+    ("P(x)", lambda n: 0),
+    ("sup y . P(y)", lambda n: n),
+    ("sup x . inf y . R(x, y)", lambda n: n * (1 + n)),
+    ("sub(sup y . P(y), half(inf z . sup y . R(z, y)))",
+     lambda n: n + n * (1 + n)),
+], ids=["quantifier-free", "one", "nested", "summed-over-sub"])
+def test_nested_quantifiers_are_counted_before_any_is_visited(text, visits):
+    field_ = _choice_grid_field()
+    n = field_.element_count()
+    phi = fm.parse_formula(text, field_.signature)
+    count = visits(n)
+    assert di.choice_function_visits(phi, n) == count
+    e = next(field_.elements())
+    if count:
+        with pytest.raises(BudgetError,
+                           match=f"^choice-function count {count} exceeds limit {count - 1}$"):
+            di.eval_on_integral(phi, field_, {"x": e}, limit=count - 1)
+    assert di.eval_on_integral(phi, field_, {"x": e}, limit=count) == \
+        di.eval_on_integral(phi, field_, {"x": e}, limit=None)
+
+
 _EDGE_SIG = fm.Signature(predicates=(("C", 0), ("P", 1)),
                          functions=(("f", 1), ("g", 1)))
 

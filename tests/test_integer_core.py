@@ -90,7 +90,7 @@ def test_oracle_matches_materialize_with_coprime_denominators():
 
 def test_scaled_pred_is_den_times_the_fraction_sum():
     field_ = _coprime_field()
-    integral = di._Integral(field_, None)
+    integral = di._Integral(field_)
     atoms = field_.space.atoms
     weights = field_.space.weights
     rng = random.Random(3)

@@ -6,7 +6,9 @@ checked here against a Fraction reference interpreter on random formulas
 inf, function terms), on structures whose predicate denominators are
 coprime and on direct integrals against materialize, on both sides of the
 boundary where a quantifier stops interpreting its body and compiles it
-(structure.INTERPRETED_POINTS).  The complement
+(structure.INTERPRETED_POINTS).  The direct integral's sweep of a
+quantifier-free body is checked value by value, in the order of the
+choice functions, against eval_formula on materialize.  The complement
 identity, decided per atom, is checked against the explicit loop over its
 l+1 thresholds.  No float appears in this module."""
 
@@ -350,6 +352,177 @@ def test_a_body_is_compiled_once_per_binder_entry(compiles):
     small = _discrete_structure(random.Random(9), _points(N), (3, 5, 7))
     st.eval_formula(fm.Sup("x", inner), small)
     assert compiles == []
+
+
+# ---------------------------------------------------------------------------
+# The sweep of a quantifier-free body over every choice function at once
+
+SWEEP_SIG = fm.Signature(predicates=(("C", 0), ("P", 1), ("Q", 1), ("R", 2)),
+                         functions=(("f", 1), ("g", 2)))
+
+# Fields of 1 to 5 atoms whose fibers have 1 to 4 points.
+SWEEP_FIBER_SIZES = ((1,), (4,), (2, 3), (4, 1, 3), (1, 2, 2, 3),
+                     (2, 1, 1, 3, 2), (1, 1, 1, 1, 1))
+
+
+def _sweep_fiber(rng, points):
+    """Distance 1 between distinct points, so every table is 1-Lipschitz:
+    C, P, Q and R over 3, 5, 7 and 3, f a permutation and g a coordinate
+    projection."""
+    dist = {(p, q): F(int(p != q)) for p in points for q in points}
+    preds = {name: {args: F(rng.randrange(den + 1), den)
+                    for args in itertools.product(points, repeat=arity)}
+             for (name, arity), den in zip(SWEEP_SIG.predicates, (3, 5, 7, 3))}
+    side = rng.randrange(2)
+    funcs = {"f": dict(zip(((p,) for p in points), rng.sample(points, len(points)))),
+             "g": {args: args[side] for args in itertools.product(points, repeat=2)}}
+    return st.ensure_valid(
+        st.FiniteMetricStructure(SWEEP_SIG, tuple(points), dist, preds, funcs))
+
+
+def _sweep_field(rng, sizes):
+    atoms = tuple(f"w{i}" for i in range(len(sizes)))
+    weights = [rng.randrange(1, 6) for _ in atoms]
+    space = di.FiniteProbabilitySpace(
+        atoms, {w: F(n, sum(weights)) for w, n in zip(atoms, weights)})
+    return di.MeasurableField(space, {
+        w: _sweep_fiber(rng, [f"{w}p{i}" for i in range(n)])
+        for w, n in zip(atoms, sizes)})
+
+
+def _sweep_term(rng, depth):
+    roll = rng.randrange(4) if depth > 0 else 0
+    if roll == 0:
+        return fm.Var(rng.choice("xyy"))
+    if roll == 1:
+        return fm.Apply("f", (_sweep_term(rng, depth - 1),))
+    return fm.Apply("g", (_sweep_term(rng, depth - 1), _sweep_term(rng, depth - 1)))
+
+
+def _sweep_body(rng, depth):
+    """A quantifier-free formula over x and y: constants over 3, 5 and 7,
+    the 0-ary C, and terms up to f(f(y)) and g(x, y)."""
+    roll = rng.randrange(6) if depth > 0 else rng.randrange(3)
+    if roll == 0:
+        den = rng.choice((3, 5, 7))
+        return fm.Const(F(rng.randrange(den + 1), den))
+    if roll == 1:
+        pred = rng.choice(("C", "P", "Q", "R", "R"))
+        arity = SWEEP_SIG.pred_arity(pred)
+        return fm.Atomic(pred, tuple(_sweep_term(rng, 2) for _ in range(arity)))
+    if roll == 2:
+        return fm.Atomic(rng.choice("PQ"), (fm.Var("y"),))
+    if roll == 3:
+        return fm.Half(_sweep_body(rng, depth - 1))
+    return fm.TruncSub(_sweep_body(rng, depth - 1), _sweep_body(rng, depth - 1))
+
+
+def _sweep_bodies(seed, count):
+    rng = random.Random(seed)
+    fixed = [  # f(f(y)), g(x, y), the 0-ary C, R(y, y), below zero
+        _atom("P", fm.Apply("f", (fm.Apply("f", (fm.Var("y"),)),))),
+        _atom("R", "x", fm.Apply("g", (fm.Var("x"), fm.Var("y")))),
+        fm.TruncSub(fm.Atomic("C"), _atom("R", "y", "y")),
+        fm.TruncSub(fm.Const(F(1, 7)), fm.Half(_atom("Q", "y"))),
+    ]
+    return fixed + [_sweep_body(rng, rng.randint(1, 4)) for _ in range(count)]
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The body each _Integral.sweep call was given, in call order."""
+    original = di._Integral.sweep
+    bodies = []
+
+    def counting(self, phi, *args):
+        bodies.append(phi)
+        return original(self, phi, *args)
+
+    monkeypatch.setattr(di._Integral, "sweep", counting)
+    return bodies
+
+
+@pytest.fixture
+def built_elements(monkeypatch):
+    """Every IntegralElement built from here on."""
+    built = []
+    init = di.IntegralElement.__post_init__
+
+    def counting(self):
+        built.append(self)
+        init(self)
+
+    monkeypatch.setattr(di.IntegralElement, "__post_init__", counting)
+    return built
+
+
+def test_sweep_gives_the_value_at_every_choice_function_in_points_order():
+    """Against eval_formula on materialize, point by point: y, and the
+    shadowing x, run over the choice functions while the other is
+    assigned."""
+    rng = random.Random(21)
+    bodies = _sweep_bodies(22, 40)
+    checked = 0
+    for sizes in SWEEP_FIBER_SIZES:
+        field_ = _sweep_field(rng, sizes)
+        M, integral = di.materialize(field_), field_.integral
+        assert list(integral.points) == list(M.points)
+        for phi in bodies:
+            unit = st._unit(phi)
+            scale = integral.den * unit
+            for var in ("y", "x"):
+                env = {"x": rng.choice(M.points), "y": rng.choice(M.points)}
+                values = list(integral.sweep(phi, var, env, unit, scale))
+                assert all(type(v) is int for v in values)
+                expected = [st.eval_formula(phi, M, {**env, var: p})
+                            for p in M.points]
+                if len(values) == 1:  # phi does not read var
+                    values *= len(M.points)
+                assert [F(v, scale) for v in values] == expected, fm.to_text(phi)
+                checked += 1
+    assert checked == len(SWEEP_FIBER_SIZES) * 44 * 2
+
+
+def test_binders_over_swept_bodies_match_materialize(sweeps, built_elements):
+    """sup and inf over a body and over a sup, each binder shadowing an
+    assigned variable: the oracle against eval_formula on materialize,
+    building no IntegralElement while it evaluates."""
+    rng = random.Random(23)
+    bodies = _sweep_bodies(24, 12)
+    for sizes in SWEEP_FIBER_SIZES:
+        field_ = _sweep_field(rng, sizes)
+        M = di.materialize(field_)
+        n = len(M.points)
+        elements = list(field_.elements())
+        built_elements.clear()
+        for phi in bodies:
+            assignment = {v: rng.choice(elements) for v in ("x", "y")}
+            names = {v: tuple(e(w) for w in field_.space.atoms)
+                     for v, e in assignment.items()}
+            for outer in (fm.Sup, fm.Inf):
+                swept = len(sweeps)
+                formulas = [outer("y", phi), outer("x", phi),
+                            outer("x", fm.Sup("y", phi))]
+                for psi in formulas:
+                    got = di.eval_on_integral(psi, field_, assignment)
+                    assert got == st.eval_formula(psi, M, names), \
+                        fm.to_text(psi)
+                # One sweep per plain binder, one per point of the outer
+                # binder of a nested one.
+                assert sweeps[swept:] == [phi] * (2 + n)
+        assert built_elements == []
+
+
+@pytest.mark.parametrize("body", [
+    _atom("R", "y", "z"),
+    _atom("P", fm.Apply("f", (fm.Var("z"),))),
+], ids=["variable", "function-term"])
+def test_an_unassigned_variable_under_a_swept_binder_is_an_evaluation_error(
+        body, sweeps):
+    field_ = _sweep_field(random.Random(8), (2, N + 1))
+    with pytest.raises(EvaluationError, match="variable 'z' has no assignment"):
+        di.eval_on_integral(fm.Sup("y", body), field_, {})
+    assert sweeps == [body]
 
 
 # ---------------------------------------------------------------------------
