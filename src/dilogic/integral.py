@@ -36,7 +36,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as fm
@@ -292,12 +292,11 @@ def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
     Sup/Inf range over all choice functions of the field, and Atomic
     integrates the fiberwise table values.  A Sup or Inf whose body is
     quantifier-free takes the body's values at every choice function from
-    one _Integral.sweep; one with a quantifier below runs its body at each
-    choice function, compiled past the first
-    structure.INTERPRETED_POINTS of them.  The choice functions phi visits
-    in all, choice_function_visits, are refused over limit before any is
-    visited.  Each assigned IntegralElement enters as its row of points in
-    atom order.
+    one _Integral.sweep; one with a quantifier below binds each choice
+    function in turn and interprets its body there.  The choice functions
+    phi visits in all, choice_function_visits, are refused over limit
+    before any is visited.  Each assigned IntegralElement enters as its
+    row of points in atom order.
     """
     integral = field_.integral
     _refuse_over_limit(choice_function_visits(phi, integral.count), limit,
@@ -313,10 +312,9 @@ def fiber_values(zeta, field_, assignment=None):
 
     zeta is evaluated fiberwise, one structure.eval_formula call per atom:
     its quantifiers range within each fiber, not over choice functions,
-    so on a fiber of at most structure.INTERPRETED_POINTS points (every
-    fiber of the acceptance suite has at most 3) they are interpreted and
-    nothing is compiled.  Every level set of zeta under this assignment is
-    a threshold of this one table.
+    and a fiber has no sweep, so each binds the fiber's points in turn and
+    interprets its body there.  Every level set of zeta under this
+    assignment is a threshold of this one table.
     """
     assignment = assignment or {}
     return tuple(

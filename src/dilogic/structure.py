@@ -19,28 +19,10 @@ one Fraction over S.
 
 A model's sweep is None, or a function that gives a quantifier-free
 body's values at every point at once (the direct integral's,
-integral._Integral.sweep).  A Sup or Inf whose body is quantifier-free
-takes the max or min of the sweep when the model has one.  Otherwise it
-interprets its body, node by node, at the first INTERPRETED_POINTS points
-of its domain.  At the next point, if there is one, it compiles the body
-once into closures of no arguments (_compile) and runs them there and at
-every later point: a variable argument of an Atomic is one lookup in the
-evaluation's environment, and a nested quantifier is compiled too and
-reads its domain (or sweeps its body) afresh on each entry.  So a
-quantifier-free formula, and a domain of at most INTERPRETED_POINTS
-points, is only interpreted.
-
-INTERPRETED_POINTS is the break-even of a cost model.  Per formula node of
-a body timed alone on a finite structure (CPython 3.11 on an AMD EPYC
-host), compiling costs C of about 0.33 us, and a run costs I of about
-0.20 us interpreted and R of about 0.09 us compiled.  Interpreting the
-first C / (I - R) points (2.9), then compiling, as in rent or buy, costs
-at most about twice the cheaper of interpreting every point and compiling
-at once, whatever the domain size; and since C and I - R both grow with
-the body, the count does not depend on it.  Its ceiling, 3, is the
-constant.  On a direct integral a quantifier-free body is swept, so the
-constant applies there only to a binder with a quantifier below it, whose
-body at each point costs at least one sweep either way.
+integral._Integral.sweep).  So a Sup or Inf is evaluated in one of two
+ways: when the model has a sweep and its body is quantifier-free, it
+takes the max or min of the sweep; otherwise it binds each point of its
+domain in turn and interprets its body there.
 """
 
 from __future__ import annotations
@@ -48,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,7 +46,7 @@ class FiniteMetricStructure:
     preds: dict       # name -> {point tuple -> Fraction}
     funcs: dict = field(default_factory=dict)  # name -> {point tuple -> point}
 
-    # No sweep: eval_formula runs a quantifier's body at each point.
+    # No sweep: eval_formula interprets a quantifier's body at each point.
     sweep = None
 
     def __post_init__(self):
@@ -214,24 +195,20 @@ def _quantifier_free(phi):
 
 _UNBOUND = object()
 
-# A Sup or Inf interprets its body at this many points of its domain and
-# compiles it for the rest (see the module docstring).
-INTERPRETED_POINTS = 3
 
-
-def _restore(env, var, outer):
+def _bodies(env, var, points, body):
+    """Yield body once per point of points, with var bound to that point
+    in env until the next is drawn; after the last, put var's outer
+    binding back.  So map(value, _bodies(...)) evaluates body at each
+    point in turn."""
+    outer = env.get(var, _UNBOUND)
+    for p in points:
+        env[var] = p
+        yield body
     if outer is _UNBOUND:
         del env[var]
     else:
         env[var] = outer
-
-
-def _binding(env, var, run):
-    """The function that binds var to a point in env and runs run."""
-    def at(p):
-        env[var] = p
-        return run()
-    return at
 
 
 def eval_formula(phi, M, assignment=None):
@@ -266,79 +243,9 @@ def eval_formula(phi, M, assignment=None):
             return pick(M.sweep(body, var, env, unit, scale))
         # The domain is a generator, not a list: a direct integral's can
         # hold up to integral.DEFAULT_CHOICE_LIMIT choice functions.
-        outer = env.get(var, _UNBOUND)
-        points = iter(M.points)
-        prefix = []
-        for p in itertools.islice(points, INTERPRETED_POINTS):
-            env[var] = p
-            prefix.append(value(body))
-        rest = next(points, _UNBOUND)
-        if rest is _UNBOUND:
-            v = pick(prefix)
-        else:
-            # A point past the prefix: compile body once for all the rest.
-            at = _binding(env, var, _compile(body, M, env, unit, scale))
-            v = pick(itertools.chain(prefix, (at(rest),), map(at, points)))
-        _restore(env, var, outer)
-        return v
+        return pick(map(value, _bodies(env, var, M.points, body)))
 
     return Fraction(value(phi), scale)
-
-
-def _compile_term(term, M, env):
-    if type(term) is fm.Var:
-        name = term.name
-        return lambda: env[name]
-    func, name = M.func, term.func
-    args = [_compile_term(a, M, env) for a in term.args]
-    return lambda: func(name, tuple([a() for a in args]))
-
-
-def _compile(phi, M, env, unit, scale):
-    """A closure of no arguments that gives phi's value times scale under
-    the current bindings of env, as eval_formula's value does; a Sup or
-    Inf reads M.points on every entry.  Only eval_formula calls it, after
-    interpreting phi once, so every variable phi reads is bound."""
-    t = type(phi)
-    if t is fm.Atomic:
-        scaled_pred, pred, args = M.scaled_pred, phi.pred, phi.args
-        # Variable arguments are read from env directly, without a term
-        # closure each: one name as a 1-tuple, more by one itemgetter.
-        if len(args) == 1 and type(args[0]) is fm.Var:
-            name = args[0].name
-            return lambda: scaled_pred(pred, (env[name],)) * unit
-        if args and all(type(a) is fm.Var for a in args):
-            get = operator.itemgetter(*[a.name for a in args])
-            return lambda: scaled_pred(pred, get(env)) * unit
-        terms = [_compile_term(a, M, env) for a in args]
-        return lambda: scaled_pred(pred, tuple([a() for a in terms])) * unit
-    if t is fm.Const:
-        c = phi.value.numerator * (scale // phi.value.denominator)
-        return lambda: c
-    if t is fm.Half:
-        body = _compile(phi.body, M, env, unit, scale)
-        return lambda: body() // 2
-    if t is fm.TruncSub:
-        left = _compile(phi.left, M, env, unit, scale)
-        right = _compile(phi.right, M, env, unit, scale)
-
-        def trunc_sub():
-            v = left() - right()
-            return v if v > 0 else 0
-        return trunc_sub
-    # phi is a Sup or an Inf, as in value.
-    var, body, pick = phi.var, phi.body, max if t is fm.Sup else min
-    if M.sweep is not None and _quantifier_free(body):
-        sweep = M.sweep
-        return lambda: pick(sweep(body, var, env, unit, scale))
-    at = _binding(env, var, _compile(body, M, env, unit, scale))
-
-    def quantify():
-        outer = env.get(var, _UNBOUND)
-        v = pick(map(at, M.points))
-        _restore(env, var, outer)
-        return v
-    return quantify
 
 
 def theory_norm(phi, M):

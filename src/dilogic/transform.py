@@ -181,10 +181,11 @@ class _Builder:
         self._refuse_count(result.declared_count)
         return result
 
-    def _refuse_count(self, count):
+    def _refuse_count(self, count, bound=""):
+        # bound is "at least " when count is a lower bound of the count.
         if count > self.budget_vars:
             raise BudgetError(
-                f"declared set-variable count {count} exceeds budget "
+                f"declared set-variable count {bound}{count} exceeds budget "
                 f"{self.budget_vars}"
             )
 
@@ -271,6 +272,9 @@ class _Builder:
         items = {}
         xi_levels = {}
         xi_of_alpha = {}
+        # sum(xi_levels.values()), a lower bound of the declared count, so
+        # a sup over budget is refused before the rest of its xi are built.
+        declared = 0
         for combo in itertools.product(*per_tag):
             alpha = tuple(
                 (zeta, c) for zeta, c in zip(tags, combo) if c is not None
@@ -279,7 +283,11 @@ class _Builder:
                 continue
             xi = _xi_direct(phi.var, alpha, free, binders, items)
             lev = max(inner.levels[zeta] for zeta, _c in alpha)
-            xi_levels[xi] = max(lev, xi_levels.get(xi, 1))
+            old = xi_levels.get(xi, 0)
+            if lev > old:
+                xi_levels[xi] = lev
+                declared += lev - old
+                self._refuse_count(declared, "at least ")
             xi_of_alpha[alpha] = xi
 
         def xi_var(alpha):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,18 @@ def test_budget_vars_exceeded():
     phi = fm.canonicalize(fm.Sup("y", p_of("y")))
     with pytest.raises(BudgetError):
         tr.transform(phi, 2, budget_vars=1)
+
+
+def test_a_sup_over_the_variable_budget_is_refused_before_its_xi_are_built():
+    # Its declared count is 47,473,776.  Building every xi of its index
+    # set before counting costs seconds of CPU and hundreds of MB; the
+    # running sum of the xi levels passes the budget after a few.
+    phi = fm.rewrite_inf(fm.Half(fm.Inf("y", fm.TruncSub(p_of("y"), q_of("x")))))
+    start = time.process_time()
+    with pytest.raises(BudgetError, match=r"^declared set-variable count at "
+                                          r"least \d+ exceeds budget 1000000$"):
+        tr.transform(phi, 2, 10**6, 10**6)
+    assert time.process_time() - start < 2
 
 
 def test_a_huge_k_is_refused_before_any_term_is_built(monkeypatch):

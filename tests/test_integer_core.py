@@ -243,3 +243,35 @@ def test_no_float_in_the_program():
                 offences.append(f"{path.name}:{node.lineno} name float")
     assert len(list(SRC.glob("*.py"))) > 10
     assert offences == []
+
+
+def _unused_imports(tree):
+    """(name, line) of each name a module-level import of tree binds and
+    no Name node of tree reads; __future__ imports bind no name."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name.partition(".")[0], node.lineno)
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(a.asname or a.name, node.lineno) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, line) for name, line in bound if name not in read]
+
+
+def test_unused_imports_are_found():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path\nimport json as j\n"
+                     "from dataclasses import dataclass, field\n"
+                     "@dataclass\nclass A:\n    x: int = j.loads('1')\n")
+    assert _unused_imports(tree) == [("os", 2), ("field", 4)]
+
+
+def test_every_module_import_in_the_program_is_used():
+    # __init__.py imports to re-export.
+    offences = [f"{path.name}:{line} {name}"
+                for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"
+                for name, line in _unused_imports(
+                    ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(list(SRC.glob("*.py"))) > 10
+    assert offences == []

@@ -4,11 +4,11 @@ structure.eval_formula computes in integers over one scale per call; it is
 checked here against a Fraction reference interpreter on random formulas
 (nested half, constants over 3, 5 and 7, truncated subtraction below zero,
 inf, function terms), on structures whose predicate denominators are
-coprime and on direct integrals against materialize, on both sides of the
-boundary where a quantifier stops interpreting its body and compiles it
-(structure.INTERPRETED_POINTS).  The direct integral's sweep of a
-quantifier-free body is checked value by value, in the order of the
-choice functions, against eval_formula on materialize.  The complement
+coprime and on direct integrals against materialize, with binders over
+domains of 1 to 6 points.  A quantifier either sweeps a quantifier-free
+body, when the model has a sweep, or interprets its body at each point;
+the direct integral's sweep is checked value by value, in the order of
+the choice functions, against eval_formula on materialize.  The complement
 identity, decided per atom, is checked against the explicit loop over its
 l+1 thresholds.  No float appears in this module."""
 
@@ -216,9 +216,8 @@ def test_eval_on_integral_matches_the_reference_on_materialize():
 
 
 # ---------------------------------------------------------------------------
-# Both sides of the interpret/compile boundary
-
-N = st.INTERPRETED_POINTS
+# Binders over domains of 2 to 6 points.  The "boundary" the sizes
+# straddle is 3 points, the largest fiber of the acceptance suite.
 
 
 def _points(count):
@@ -230,39 +229,16 @@ def _atom(pred, *args):
                                  for a in args))
 
 
-@pytest.fixture
-def compiles(monkeypatch):
-    """The body each call of structure._compile from outside _compile
-    itself was given, in call order."""
-    original = st._compile
-    bodies = []
-    depth = [0]
-
-    def counting(phi, *args):
-        if depth[0] == 0:
-            bodies.append(phi)
-        depth[0] += 1
-        try:
-            return original(phi, *args)
-        finally:
-            depth[0] -= 1
-
-    monkeypatch.setattr(st, "_compile", counting)
-    return bodies
-
-
-@pytest.mark.parametrize("size", [N, N + 1], ids=["N", "N+1"])
-def test_random_formulas_on_n_and_n_plus_one_points(size, compiles):
+@pytest.mark.parametrize("size", [3, 4])
+def test_random_formulas_on_three_and_four_points(size):
     rng = random.Random(11 + size)
     M = _discrete_structure(rng, _points(size), (3, 5, 7))
     seen = _Coverage()
     assert _check(_random_formulas(12, 200), M, seen) == 200 * size
     assert min(seen.negative_sub, seen.nested_half, seen.inf, seen.func) > 0
-    # A domain of at most N points is never compiled.
-    assert (compiles == []) == (size == N)
 
 
-@pytest.mark.parametrize("size", [N - 1, N, N + 1, N + 2])
+@pytest.mark.parametrize("size", [2, 3, 4, 5, 6])
 def test_nested_binders_across_the_boundary(size):
     rng = random.Random(size)
     M = _discrete_structure(rng, _points(size), (5, 7, 3))
@@ -277,22 +253,22 @@ def test_nested_binders_across_the_boundary(size):
     _check(phis, M, seen)
 
 
-def test_a_shadowing_binder_restores_the_outer_value_after_compiling():
-    M = _discrete_structure(random.Random(4), _points(N + 2), (5, 7, 3))
+def test_a_nested_shadowing_binder_restores_the_outer_value():
+    M = _discrete_structure(random.Random(4), _points(5), (5, 7, 3))
     seen = _Coverage()
-    # sup x rebinds the free x; the compiled loop of the outer sup y runs
-    # the inner, compiled sup x, and P(x) after it reads the outer x again.
+    # sup x rebinds the free x; the loop of the outer sup y runs the inner
+    # sup x, and P(x) after it reads the outer x again.
     inner = fm.Sup("x", _atom("R", "x", "y"))
     phis = [
         fm.TruncSub(fm.Sup("x", _atom("P", "x")), _atom("P", "x")),
         fm.Sup("y", fm.TruncSub(inner, _atom("Q", "x"))),
         fm.Sup("y", fm.TruncSub(_atom("P", "x"), fm.Inf("x", _atom("R", "y", "x")))),
     ]
-    assert _check(phis, M, seen) == 3 * (N + 2)
+    assert _check(phis, M, seen) == 3 * 5
 
 
-def test_function_terms_under_a_compiled_binder():
-    M = _discrete_structure(random.Random(6), _points(N + 1), (7, 3, 5))
+def test_function_terms_under_a_binder():
+    M = _discrete_structure(random.Random(6), _points(4), (7, 3, 5))
     seen = _Coverage()
     f_y = fm.Apply("f", (fm.Var("y"),))
     g_xy = fm.Apply("g", (fm.Var("x"), fm.Var("y")))
@@ -311,12 +287,12 @@ def test_function_terms_under_a_compiled_binder():
     fm.Sup("x", fm.TruncSub(_atom("P", "x"), _atom("Q", "z"))),
 ], ids=["variable", "function-term", "nested-binder"])
 def test_an_unassigned_variable_under_a_binder_is_an_evaluation_error(body):
-    M = _discrete_structure(random.Random(8), _points(N + 1), (3, 5, 7))
+    M = _discrete_structure(random.Random(8), _points(4), (3, 5, 7))
     with pytest.raises(EvaluationError, match="variable 'z' has no assignment"):
         st.eval_formula(fm.Sup("y", body), M, {})
 
 
-@pytest.mark.parametrize("sizes", [(N - 1,), (N,), (N + 1,), (2, N)],
+@pytest.mark.parametrize("sizes", [(2,), (3,), (4,), (2, 3)],
                          ids=["below", "at", "above", "two-atoms"])
 def test_eval_on_integral_across_the_boundary(sizes):
     rng = random.Random(sum(sizes))
@@ -334,24 +310,6 @@ def test_eval_on_integral_across_the_boundary(sizes):
             name = tuple(e(w) for w in atoms)
             assert got == _reference(phi, M, {"x": name}, seen), fm.to_text(phi)
     assert seen.inf > 0 and seen.func > 0
-
-
-def test_a_body_is_compiled_once_per_binder_entry(compiles):
-    body = _atom("R", "x", "y")
-    inner = fm.Inf("y", body)
-    M = _discrete_structure(random.Random(9), _points(N + 1), (3, 5, 7))
-    st.eval_formula(fm.Sup("y", _atom("P", "y")), M)
-    assert compiles == [_atom("P", "y")]
-    compiles.clear()
-    # The inner binder is entered at the outer one's N interpreted points
-    # and compiles there; the outer one then compiles its whole body once,
-    # and the inner binder inside it compiles nothing more.
-    st.eval_formula(fm.Sup("x", inner), M)
-    assert compiles == [body] * N + [inner]
-    compiles.clear()
-    small = _discrete_structure(random.Random(9), _points(N), (3, 5, 7))
-    st.eval_formula(fm.Sup("x", inner), small)
-    assert compiles == []
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +477,7 @@ def test_binders_over_swept_bodies_match_materialize(sweeps, built_elements):
 ], ids=["variable", "function-term"])
 def test_an_unassigned_variable_under_a_swept_binder_is_an_evaluation_error(
         body, sweeps):
-    field_ = _sweep_field(random.Random(8), (2, N + 1))
+    field_ = _sweep_field(random.Random(8), (2, 4))
     with pytest.raises(EvaluationError, match="variable 'z' has no assignment"):
         di.eval_on_integral(fm.Sup("y", body), field_, {})
     assert sweeps == [body]
