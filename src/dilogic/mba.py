@@ -92,11 +92,14 @@ class FiniteMeasureAlgebra:
         return (1 << len(self.atoms)) - 1
 
     def mask(self, subset):
-        """The mask of a set of atoms."""
+        """The mask of a set of atoms, each of which must be in the algebra."""
         bit = self.bit
         out = 0
-        for a in subset:
-            out |= bit[a]
+        try:
+            for a in subset:
+                out |= bit[a]
+        except KeyError as missing:
+            raise ValidationError(f"atom {missing.args[0]!r} is not in the algebra") from None
         return out
 
     def unmask(self, mask):
@@ -422,49 +425,24 @@ def refuse_over_budget(count, what):
             f"{what} count {count} exceeds budget {ENUMERATE_TUPLE_BUDGET}")
 
 
-def _maximal_depth_vectors(caps, forbidden):
-    """Maximal vectors v with 0 <= v[i] <= caps[i] avoiding every forbidden
-    pattern: v is infeasible when some pattern ((i, j), ...) has v[i] > j in
-    all its coordinates.  The feasible set is downward closed, so its
-    maximal elements exist and are computed by branching on violations.
-    The branching visits each vector under caps at most once, so it is
-    refused when there are more of those than the budget allows."""
+def _depth_vectors(caps, forbidden, maximal):
+    """The vectors v with 0 <= v[i] <= caps[i] that no forbidden pattern
+    ((i, j), ...) forbids, by v[i] > j in all its pairs, ascending.  A
+    pattern with some caps[i] <= j forbids nothing and is dropped first.
+    With maximal, a feasible v is kept only when raising any one
+    coordinate by one gives no feasible vector: the feasible set is
+    downward closed, so that is maximality.  The budget counts the
+    vectors under caps, exactly the ones visited."""
     refuse_over_budget(math.prod(c + 1 for c in caps), "maximal depth vector search")
-    memo = {}
-
-    def violated(v):
-        for pattern in forbidden:
-            if all(v[i] > j for i, j in pattern):
-                return pattern
-        return None
-
-    def rec(v):
-        if v in memo:
-            return memo[v]
-        pattern = violated(v)
-        if pattern is None:
-            out = {v}
-        else:
-            out = set()
-            for i, j in pattern:
-                if v[i] > j:
-                    reduced = list(v)
-                    reduced[i] = j
-                    out |= rec(tuple(reduced))
-        memo[v] = out
-        return out
-
-    candidates = rec(tuple(caps))
-    return sorted(
-        v for v in candidates
-        if not any(w != v and all(wi >= vi for wi, vi in zip(w, v)) for w in candidates)
-    )
-
-
-def _vectors_under(tops):
-    """Every vector under one of tops, ascending: with tops the maximal
-    feasible depth vectors, the whole downward closed feasible set."""
-    return sorted({v for top in tops for v in itertools.product(*(range(d + 1) for d in top))})
+    patterns = [p for p in forbidden if all(j < caps[i] for i, j in p)]
+    feasible = [v for v in itertools.product(*(range(c + 1) for c in caps))
+                if not any(all(v[i] > j for i, j in p) for p in patterns)]
+    if not maximal:
+        return feasible
+    kept = set(feasible)
+    return [v for v in feasible
+            if not any(v[i] < c and v[:i] + (v[i] + 1,) + v[i + 1:] in kept
+                       for i, c in enumerate(caps))]
 
 
 # ---------------------------------------------------------------------------
@@ -644,14 +622,17 @@ class _Compiler:
         All constraints are pointwise: an atom's membership pattern is a
         per-chain depth, capped by the chain's first bound excluding the
         atom, and a profile forbids the atoms outside its bound set to
-        exceed all its slots at once.  An atom's feasible depth vectors
-        are downward closed, so its maximal ones describe them.  Enumerate
-        mode takes every vector under a maximal one, ascending: the whole
-        feasible region, refused first when the bounds' tuples, counted in
-        closed form, exceed the budget.  Maximal mode takes the maximal
-        vectors only and requires decreasing bounds; for an inner formula
-        increasing in the chain variables the supremum is attained there.
-        Each combination writes the chain slots e[lo:hi] at once."""
+        exceed all its slots at once.  Both modes read an atom's vectors
+        from one enumeration per (caps, forbidden) key, _depth_vectors:
+        patterns the caps cannot violate dropped, every vector under the
+        caps visited and counted against the budget.  Enumerate mode keeps
+        every feasible vector: the whole feasible region, refused first
+        when the bounds' tuples, counted in closed form, exceed the
+        budget.  Maximal mode keeps those no one-coordinate step up keeps
+        feasible, the maximal ones, and requires decreasing bounds; for
+        an inner formula increasing in the chain variables the supremum
+        is attained there.  Each combination writes the chain slots
+        e[lo:hi] at once."""
         alg, e, enumerate_all = self.alg, self.e, self.mode == ENUMERATE
         bits = tuple(alg.bit.values())
         columns = [(i, slot) for i, bs in enumerate(bounds) for slot in range(len(bs))]
@@ -680,10 +661,7 @@ class _Compiler:
                        tuple(pairs for pairs, w in ws if not w & bit))
                 found = vectors.get(key)
                 if found is None:
-                    found = _maximal_depth_vectors(*key)
-                    if enumerate_all:
-                        found = _vectors_under(found)
-                    vectors[key] = found
+                    found = vectors[key] = _depth_vectors(*key, not enumerate_all)
                 # Each vector as this atom's bit in the chain slots it fills.
                 per_atom.append([tuple(bit if v[i] > slot else 0 for i, slot in columns)
                                  for v in found])

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from dilogic import formula as fm
 from dilogic import integral as di
+from dilogic import mba
 from dilogic import structure as st
 
 F = Fraction
@@ -98,3 +99,29 @@ def xi_formula(var, alpha):
 def var_sort_key(index):
     """A set variable's order by tag text, threshold and mode."""
     return (str(index.tag), index.level, index.strict)
+
+
+def set_reference(term, assign, alg, env=None):
+    """The frozenset a set term denotes, by the definitions: assign holds
+    frozensets by SetVarIndex, env by chain-variable key (binder, tag,
+    slot)."""
+    full = frozenset(alg.atoms)
+    rec = lambda t: set_reference(t, assign, alg, env)  # noqa: E731
+    k = type(term)
+    if k is mba.SetVarIndex:
+        return assign[term]
+    if k is mba.ChainVar:
+        return env[(term.binder, term.tag, term.slot)]
+    if k is mba.SetLit:
+        return term.atoms
+    if k is mba.Empty:
+        return frozenset()
+    if k is mba.Full:
+        return full
+    if k is mba.Compl:
+        return full - rec(term.body)
+    if k is mba.Inter:
+        return full.intersection(*map(rec, term.items))
+    left, right = rec(term.left), rec(term.right)
+    return {mba.Union: left | right, mba.Diff: left - right,
+            mba.SymDiff: left ^ right}[k]

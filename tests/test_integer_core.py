@@ -16,6 +16,8 @@ from dilogic import formula as fm
 from dilogic import integral as di
 from dilogic import structure as st
 
+from helpers import set_reference
+
 F = Fraction
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "dilogic"
@@ -148,25 +150,6 @@ def _set_terms():
             + [mba.Inter(()), mba.Inter((x, mba.Compl(y), mba.SetLit(frozenset({"w0"}))))])
 
 
-def _eval_set_reference(term, assign, alg):
-    rec = lambda t: _eval_set_reference(t, assign, alg)  # noqa: E731
-    if type(term) is mba.SetVarIndex:
-        return assign[term]
-    if type(term) is mba.SetLit:
-        return term.atoms
-    if type(term) is mba.Empty:
-        return frozenset()
-    if type(term) is mba.Full:
-        return frozenset(alg.atoms)
-    if type(term) is mba.Compl:
-        return frozenset(alg.atoms) - rec(term.body)
-    if type(term) is mba.Inter:
-        return frozenset(alg.atoms).intersection(*map(rec, term.items))
-    left, right = rec(term.left), rec(term.right)
-    return {mba.Union: left | right, mba.Diff: left - right,
-            mba.SymDiff: left ^ right}[type(term)]
-
-
 def _subsets_reference(alg, within):
     """The subsets of within in bitmask order over its own atoms."""
     base = [a for a in alg.atoms if a in within]
@@ -209,7 +192,7 @@ def test_eval_set_equals_its_definition(alg):
     for sx, sy in itertools.product(subsets, repeat=2):
         assign = {x: sx, y: sy}
         for term in terms:
-            assert mba.eval_set(term, assign, alg) == _eval_set_reference(
+            assert mba.eval_set(term, assign, alg) == set_reference(
                 term, assign, alg)
 
 

@@ -27,7 +27,7 @@ from dilogic import formula as fm
 from dilogic import transform as tr
 from dilogic.errors import BudgetError, ChainError, EvaluationError
 
-from helpers import p_of, sup_example_field, var_sort_key
+from helpers import p_of, set_reference, sup_example_field, var_sort_key
 
 F = Fraction
 
@@ -57,35 +57,12 @@ def _subsets(alg):
             for c in itertools.combinations(alg.atoms, r)]
 
 
-def ref_set(t, assign, env, alg):
-    full = frozenset(alg.atoms)
-    rec = lambda u: ref_set(u, assign, env, alg)  # noqa: E731
-    k = type(t)
-    if k is mba.SetVarIndex:
-        return assign[t]
-    if k is mba.ChainVar:
-        return env[(t.binder, t.tag, t.slot)]
-    if k is mba.SetLit:
-        return t.atoms
-    if k is mba.Empty:
-        return frozenset()
-    if k is mba.Full:
-        return full
-    if k is mba.Compl:
-        return full - rec(t.body)
-    if k is mba.Inter:
-        return full.intersection(*map(rec, t.items))
-    left, right = rec(t.left), rec(t.right)
-    return {mba.Union: left | right, mba.Diff: left - right,
-            mba.SymDiff: left ^ right}[k]
-
-
 def ref_value(g, assign, env, alg, mode, seen):
     """The value of g by the definitions; seen counts what was exercised."""
     rec = lambda h: ref_value(h, assign, env, alg, mode, seen)  # noqa: E731
     k = type(g)
     if k is mba.Measure:
-        return sum((alg.weights[a] for a in ref_set(g.term, assign, env, alg)), F(0))
+        return sum((alg.weights[a] for a in set_reference(g.term, assign, alg, env)), F(0))
     if k is mba.Const:
         return g.value
     if k is mba.Scale:
@@ -109,7 +86,7 @@ def _feasible(g, assign, env, alg):
     within Y_(j-1), and each profile's meet within its bound."""
     per_chain = []
     for spec in g.chains:
-        us = [ref_set(b, assign, env, alg) for b in spec.bounds]
+        us = [set_reference(b, assign, alg, env) for b in spec.bounds]
         per_chain.append([
             ys for ys in itertools.product(_subsets(alg), repeat=len(us))
             if all(y <= u for y, u in zip(ys, us))
@@ -117,7 +94,7 @@ def _feasible(g, assign, env, alg):
     tag_pos = {spec.tag: i for i, spec in enumerate(g.chains)}
     for combo in itertools.product(*per_chain):
         if all(_meet([combo[tag_pos[tag]][slot] for tag, slot in prof.slots], alg)
-               <= ref_set(prof.bound, assign, env, alg) for prof in g.profiles):
+               <= set_reference(prof.bound, assign, alg, env) for prof in g.profiles):
             yield combo
 
 
@@ -137,7 +114,7 @@ def ref_sup(g, assign, env, alg, mode, seen):
     combos = list(_feasible(g, assign, env, alg))
     if mode == mba.MAXIMAL:
         for spec in g.chains:
-            us = [ref_set(b, assign, env, alg) for b in spec.bounds]
+            us = [set_reference(b, assign, alg, env) for b in spec.bounds]
             if not all(us[j] <= us[j - 1] for j in range(1, len(us))):
                 raise ChainError("bounds not decreasing")
         # Keep the tuples whose every atom sits at a maximal feasible
@@ -376,7 +353,7 @@ def _profile_shapes(g, assign, alg):
     for prof in g.profiles:
         tags = [tag for tag, _slot in prof.slots]
         if not tags:
-            full = ref_set(prof.bound, assign, {}, alg) == frozenset(alg.atoms)
+            full = set_reference(prof.bound, assign, alg) == frozenset(alg.atoms)
             shapes.add("slotless, full bound" if full else "slotless, bound not full")
         elif len(set(tags)) == 1:
             shapes.add("single chain")
@@ -659,22 +636,22 @@ def test_chain_var_outside_its_supchain_is_an_evaluation_error():
 
 
 # ---------------------------------------------------------------------------
-# Maximal depth vectors: searched once per key within a call
+# Depth vectors: searched once per key within a call
 
 
-def test_maximal_depth_vectors_are_searched_once_per_key_per_call(monkeypatch):
+def test_depth_vectors_are_searched_once_per_key_per_call(monkeypatch):
     """A compiled maximal-mode search keeps the depth vectors of each
     (caps, forbidden) key it meets, for the evaluations of its own call
     only: check_monotone asks for no key twice, and a second call asks for
     all of them again."""
-    original = mba._maximal_depth_vectors
+    original = mba._depth_vectors
     keys = []
 
-    def recording(caps, forbidden):
+    def recording(caps, forbidden, maximal):
         keys.append((caps, forbidden))
-        return original(caps, forbidden)
+        return original(caps, forbidden, maximal)
 
-    monkeypatch.setattr(mba, "_maximal_depth_vectors", recording)
+    monkeypatch.setattr(mba, "_depth_vectors", recording)
     instances = [inst for inst in family.determination_instances(0, 17)
                  if isinstance(inst.formula, fm.Sup)]
     assert instances

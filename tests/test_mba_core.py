@@ -68,6 +68,24 @@ def test_refusals_of_the_library(call, error, match):
         call()
 
 
+X0 = mba.SetVarIndex("X", 0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: UNIFORM2.measure(s("zz")),
+    lambda: UNIFORM2.d(s("zz"), s("w1")),
+    lambda: UNIFORM2.subsets(s("zz")),
+    lambda: mba.eval_mba(mba.Measure(X0), {X0: s("zz")}, UNIFORM2),
+    lambda: mba.eval_set(X0, {X0: s("zz")}, UNIFORM2),
+    lambda: mba.eval_mba(mba.Measure(mba.SetLit(s("zz"))), {}, UNIFORM2),
+    lambda: mba.dist_to_chain_set([s("zz")], [s("w1")], UNIFORM2),
+], ids=["measure", "d", "subsets", "eval-mba-assign", "eval-set-assign",
+        "eval-mba-setlit", "dist-to-chain-set"])
+def test_an_atom_outside_the_algebra_is_a_validation_error(call):
+    with pytest.raises(ValidationError, match="atom 'zz' is not in the algebra"):
+        call()
+
+
 def test_algebra_accepts_int_and_fraction_weights():
     assert mba.FiniteMeasureAlgebra(("a",), {"a": 1}).weights == {"a": F(1)}
     alg = mba.FiniteMeasureAlgebra(("a", "b"), {"a": F(1, 3), "b": F(2, 3)})
@@ -257,22 +275,34 @@ def test_maximal_refuses_an_oversized_atom_product():
 
 
 def test_maximal_depth_vector_search_refuses_oversized_caps():
-    # Caps (1000, 1000, 1) bound the branching by 1001 * 1001 * 2 vectors,
-    # refused before any is visited.
-    with pytest.raises(BudgetError, match=str(1001 * 1001 * 2)):
-        mba._maximal_depth_vectors([1000, 1000, 1], [((0, 0), (1, 0))])
-    assert mba._maximal_depth_vectors([2, 1], [((0, 0), (1, 0))]) == [(0, 1), (2, 0)]
+    # Caps (1000, 1000, 1) give 1001 * 1001 * 2 vectors to visit, refused
+    # in both modes before any is built.
+    for maximal in (True, False):
+        with pytest.raises(BudgetError, match=str(1001 * 1001 * 2)):
+            mba._depth_vectors([1000, 1000, 1], [((0, 0), (1, 0))], maximal)
+    assert mba._depth_vectors([2, 1], [((0, 0), (1, 0))], True) == [(0, 1), (2, 0)]
 
 
 def test_depth_vectors_of_one_atom_match_their_definition():
-    """Both SupChain modes read an atom's depth vectors from one search:
-    maximal mode its maximal vectors, enumerate mode every vector under
-    them.  Against the definition (v under caps, no pattern with v[i] > j
-    in all its pairs), on seeded random keys: the maximal vectors are the
-    feasible set's maximal elements and the vectors under them are the
-    feasible set itself, ascending."""
+    """Both SupChain modes read an atom's depth vectors from one
+    enumeration: maximal mode keeps the vectors no one-coordinate step up
+    keeps feasible, enumerate mode every feasible vector.  Against the
+    definition (v under caps, no pattern with v[i] > j in all its pairs),
+    on seeded random keys and on literal edge keys: maximal mode gives the
+    feasible set's maximal elements and enumerate mode the feasible set
+    itself, ascending."""
     rng = random.Random(19)
     shapes = Counter()
+
+    def check(caps, forbidden):
+        feasible = [v for v in itertools.product(*(range(c + 1) for c in caps))
+                    if not any(all(v[i] > j for i, j in pattern) for pattern in forbidden)]
+        maximal = [v for v in feasible
+                   if not any(w != v and all(map(int.__ge__, w, v)) for w in feasible)]
+        assert mba._depth_vectors(caps, forbidden, True) == maximal, (caps, forbidden)
+        assert mba._depth_vectors(caps, forbidden, False) == feasible, (caps, forbidden)
+        return feasible, maximal
+
     for _ in range(3000):
         n = rng.randrange(5)
         caps = tuple(rng.randrange(4) for _ in range(n))
@@ -280,16 +310,19 @@ def test_depth_vectors_of_one_atom_match_their_definition():
             tuple((rng.randrange(n), rng.randrange(4))
                   for _ in range(rng.randrange(1, 4) if n else 0))
             for _ in range(rng.randrange(5)))
-        feasible = [v for v in itertools.product(*(range(c + 1) for c in caps))
-                    if not any(all(v[i] > j for i, j in pattern) for pattern in forbidden)]
-        maximal = [v for v in feasible
-                   if not any(w != v and all(map(int.__ge__, w, v)) for w in feasible)]
-        tops = mba._maximal_depth_vectors(caps, forbidden)
-        assert tops == maximal, (caps, forbidden)
-        assert mba._vectors_under(tops) == feasible, (caps, forbidden)
+        feasible, maximal = check(caps, forbidden)
         shapes["empty" if not feasible else "several maximal" if len(maximal) > 1
                else "pruned" if maximal != [caps] else "unpruned"] += 1
     assert min(shapes.values()) >= 50 and len(shapes) == 4, shapes
+    # No coordinates: the one empty vector, forbidden only by an empty pattern.
+    assert check((), ()) == ([()], [()])
+    assert check((), ((),)) == ([], [])
+    # An empty pattern forbids every vector.
+    assert check((2, 1), ((),)) == ([], [])
+    # A pattern naming one coordinate twice needs both pairs exceeded.
+    assert check((3, 2), (((0, 2), (0, 0)),))[1] == [(2, 2)]
+    # A pattern the caps cannot violate (caps[1] <= 2) forbids nothing.
+    assert check((1, 2), (((0, 0), (1, 2)),))[1] == [(1, 2)]
 
 
 def test_supchain_profile_constraint():
