@@ -433,7 +433,8 @@ def _depth_vectors(caps, forbidden, maximal):
     coordinate by one gives no feasible vector: the feasible set is
     downward closed, so that is maximality.  The budget counts the
     vectors under caps, exactly the ones visited."""
-    refuse_over_budget(math.prod(c + 1 for c in caps), "maximal depth vector search")
+    mode = MAXIMAL if maximal else ENUMERATE
+    refuse_over_budget(math.prod(c + 1 for c in caps), f"{mode}-mode depth vector search")
     patterns = [p for p in forbidden if all(j < caps[i] for i, j in p)]
     feasible = [v for v in itertools.product(*(range(c + 1) for c in caps))
                 if not any(all(v[i] > j for i, j in p) for p in patterns)]
@@ -666,7 +667,7 @@ class _Compiler:
                 per_atom.append([tuple(bit if v[i] > slot else 0 for i, slot in columns)
                                  for v in found])
             refuse_over_budget(math.prod(map(len, per_atom)),
-                               "maximal depth vector combination")
+                               f"{self.mode}-mode depth vector combination")
             best = None
             for combo in itertools.product(*per_atom):
                 e[lo:hi] = map(sum, zip(*combo))
@@ -711,6 +712,9 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     Exhaustive over all comparable assignment pairs when their count,
     3^(atoms * variables), is within exhaustive_limit; otherwise samples
     `trials` seeded random pairs.  trials < 1 is refused on both paths.
+    A sampled choice's masks are summed once and reused when the same
+    choice is drawn again; the draws, one randrange(3) per atom per
+    variable, and so every counterexample, do not change.
     """
     if trials < 1:
         raise EvaluationError("trials must be >= 1")
@@ -736,8 +740,16 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
         draws = itertools.product(all_pairs, repeat=len(variables))
     else:
         rng = random.Random(seed)
-        draws = ([comparable([rng.randrange(3) for _bit in bits]) for _v in variables]
-                 for _ in range(trials))
+        drawn = {}  # each drawn choice's masks, by the choice
+
+        def draw():
+            choice = tuple([rng.randrange(3) for _bit in bits])
+            pair = drawn.get(choice)
+            if pair is None:
+                pair = drawn[choice] = comparable(choice)
+            return pair
+
+        draws = ([draw() for _v in variables] for _ in range(trials))
     for pairs in draws:
         low, high = zip(*pairs)
         a[:] = low

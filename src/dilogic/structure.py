@@ -15,7 +15,9 @@ walks phi once for its unit, the lcm over the leaves of 2^(Half nodes
 above the leaf) times the leaf's Const denominator, and computes every
 subformula's value times the scale S = den * unit as an integer: Half is
 the exact // 2, truncated subtraction max(0, a - b), and the result is
-one Fraction over S.
+one Fraction over S.  A min fold a -. (a -. b) whose two a are one
+object, as transform writes min(a, b), is evaluated as min(a, b), so a is
+evaluated once; on integers >= 0 the two are equal.
 
 A model's sweep is None, or a function that gives a quantifier-free
 body's values at every point at once (the direct integral's,
@@ -178,7 +180,10 @@ def _unit(phi, above=1):
     if t is fm.Half:
         return _unit(phi.body, 2 * above)
     if t is fm.TruncSub:
-        return math.lcm(_unit(phi.left, above), _unit(phi.right, above))
+        right = phi.right
+        if type(right) is fm.TruncSub and right.left is phi.left:
+            right = right.right  # the min fold's copy adds no leaf
+        return math.lcm(_unit(phi.left, above), _unit(right, above))
     if t is fm.Sup or t is fm.Inf:
         return _unit(phi.body, above)
     raise TypeError(f"not a formula: {phi!r}")
@@ -235,7 +240,12 @@ def eval_formula(phi, M, assignment=None):
         if t is fm.Half:
             return value(phi.body) // 2
         if t is fm.TruncSub:
-            v = value(phi.left) - value(phi.right)
+            left, right = phi.left, phi.right
+            if type(right) is fm.TruncSub and right.left is left:
+                # a -. (a -. b) is min(a, b) on integers >= 0.
+                a, b = value(left), value(right.right)
+                return a if a < b else b
+            v = value(left) - value(right)
             return v if v > 0 else 0
         # phi is a Sup or an Inf: _unit has rejected every other type.
         var, body, pick = phi.var, phi.body, max if t is fm.Sup else min

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formula as fm
@@ -49,7 +49,8 @@ def _xi_direct(var, alpha, free, binders, items):
     a tag in the expanded fold takes the next binders[zeta] names for its
     own binders, in its pre-order.  The fold repeats its accumulator a, so
     the two copies of an accumulator that binds a variable take different
-    names; a binder-free accumulator is one shared object.  items caches
+    names; a binder-free accumulator is one shared object, evaluated once
+    by structure.eval_formula.  items caches
     each renamed tag by (zeta, Sup name, binder names), paired with the
     whole items zeta -. c over that copy, by c.
     """
@@ -99,6 +100,10 @@ class TransformResult:
     k: int
     levels: dict           # formula -> integer level l >= 1
     g: object              # MbaFormula over SetVarIndex variables
+    # build_level_assignment's last [field, assignment, tables] on this
+    # result; it lives and dies with the result.
+    _level_tables: list = field(default_factory=list, init=False,
+                                repr=False, compare=False)
 
     @functools.cached_property
     def formula_texts(self):
@@ -249,10 +254,10 @@ class _Builder:
         c_size = math.prod(lev + 1 for lev in grid_sizes) - 1
         profile_size = math.prod(len(m) + 1 for m in mentioned_by_tag.values()) - 1
         if max(c_size, profile_size) > self.budget_c:
-            blowup = " * ".join(f"({lev}+1)" for lev in grid_sizes)
             raise BudgetError(
-                f"index-set size {blowup} - 1 = {max(c_size, profile_size)} "
-                f"exceeds budget {self.budget_c}"
+                f"index-set size {max(c_size, profile_size)} exceeds budget "
+                f"{self.budget_c}; tag count {len(tags)}, largest level "
+                f"{max(grid_sizes)}"
             )
 
         def slot_threshold(v):
@@ -368,16 +373,24 @@ def build_level_assignment(result, field_, assignment=None):
     Each distinct tag is evaluated once per atom, and its level sets are
     thresholds of that one value table.  Tags come in result.formulas
     order (F tags every variable of G), each in vars_by_tag order, which
-    result caches: a second call on one result does not walk G.
+    result caches: a second call on one result does not walk G.  The
+    result also keeps the tables of its last call: a call with the same
+    field (the same object) and an equal assignment, as sup_collapse
+    makes after determination_check, reuses them.  Each call returns a
+    dict of its own.
     """
-    by_tag = result.vars_by_tag
-    out = {}
-    for tag in result.formulas:
-        if tag in by_tag:
-            values = di.fiber_values(tag, field_, assignment)
-            for v in by_tag[tag]:
-                out[v] = di.threshold(values, field_, v.level, strict=v.strict)
-    return out
+    assignment = dict(assignment or {})
+    last = result._level_tables
+    if not (last and last[0] is field_ and last[1] == assignment):
+        by_tag = result.vars_by_tag
+        out = {}
+        for tag in result.formulas:
+            if tag in by_tag:
+                values = di.fiber_values(tag, field_, assignment)
+                for v in by_tag[tag]:
+                    out[v] = di.threshold(values, field_, v.level, strict=v.strict)
+        last[:] = field_, assignment, out
+    return dict(last[2])
 
 
 @dataclass(frozen=True)

@@ -286,7 +286,9 @@ def test_transform_budget_error_exit_2(paths, capsys):
     ])
     assert code == cli.EXIT_INPUT
     assert out == ""
-    assert json.loads(err)["error"] == "budget"
+    assert json.loads(err) == {
+        "error": "budget",
+        "message": "index-set size 2 exceeds budget 1; tag count 1, largest level 2"}
 
 
 def test_transform_serializes_supchain_profiles(paths, capsys):

@@ -134,9 +134,12 @@ def test_rejects_small_k_and_inf():
 
 def test_budget_c_exceeded():
     phi = fm.canonicalize(fm.Sup("y", p_of("y")))
+    # P(y0) at k = 2 has a 2-point grid: 3 - 1 partial maps.  The message
+    # states the count, the number of tags and the largest level.
     with pytest.raises(BudgetError) as exc:
         tr.transform(phi, 2, budget_c=1)
-    assert "budget" in str(exc.value)
+    assert str(exc.value) == ("index-set size 2 exceeds budget 1; tag count 1, "
+                              "largest level 2")
 
 
 def test_budget_vars_exceeded():

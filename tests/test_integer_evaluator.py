@@ -8,11 +8,15 @@ coprime and on direct integrals against materialize, with binders over
 domains of 1 to 6 points.  A quantifier either sweeps a quantifier-free
 body, when the model has a sweep, or interprets its body at each point;
 the direct integral's sweep is checked value by value, in the order of
-the choice functions, against eval_formula on materialize.  The complement
-identity, decided per atom, is checked against the explicit loop over its
-l+1 thresholds.  No float appears in this module."""
+the choice functions, against eval_formula on materialize.  A min fold
+a -. (a -. b) is checked with its accumulator shared, which is evaluated
+once, and copied, on structures, fibers and the direct integral.  The
+complement identity, decided per atom, is checked against the explicit
+loop over its l+1 thresholds.  No float appears in this module."""
 
 import ast
+import collections
+import dataclasses
 import itertools
 import pathlib
 import random
@@ -310,6 +314,116 @@ def test_eval_on_integral_across_the_boundary(sizes):
             name = tuple(e(w) for w in atoms)
             assert got == _reference(phi, M, {"x": name}, seen), fm.to_text(phi)
     assert seen.inf > 0 and seen.func > 0
+
+
+# ---------------------------------------------------------------------------
+# The min fold a -. (a' -. b), as transform's xi write min(a, b): when a'
+# is the object a, eval_formula takes min(a, b) and evaluates a once; an
+# equal but distinct a' is subtracted as written.  Either way the value is
+# the reference's, which subtracts twice.
+
+
+def _copy(phi):
+    """An equal formula that shares no node with phi."""
+    t = type(phi)
+    if t is fm.TruncSub:
+        return fm.TruncSub(_copy(phi.left), _copy(phi.right))
+    if t is fm.Half:
+        return fm.Half(_copy(phi.body))
+    if t is fm.Sup or t is fm.Inf:
+        return t(phi.var, _copy(phi.body))
+    return dataclasses.replace(phi)
+
+
+def _min_fold(items, shared):
+    """The items folded left to right by a -. (a' -. b), with a' the
+    accumulator a itself when shared, else an equal copy of it."""
+    acc = items[0]
+    for item in items[1:]:
+        copy = acc if shared else _copy(acc)
+        assert copy == acc and (copy is acc) == shared
+        acc = fm.TruncSub(acc, fm.TruncSub(copy, item))
+    return acc
+
+
+def _random_min_folds(seed, count, shared):
+    """Folds of 2 to 4 random items over x, some of them under a sup or
+    inf binding y, whose items may bind further variables."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        var = rng.choice((None, "y", "y"))
+        scope = ["x"] if var is None else ["x", var]
+        items = [_random_formula(rng, rng.randint(0, 2), scope)
+                 for _ in range(rng.randint(2, 4))]
+        phi = _min_fold(items, shared)
+        out.append(phi if var is None else rng.choice((fm.Sup, fm.Inf))(var, phi))
+    return out
+
+
+@pytest.fixture
+def pred_reads(monkeypatch):
+    """Counts a structure's predicate reads by predicate name."""
+    original = st.FiniteMetricStructure.scaled_pred
+    reads = collections.Counter()
+
+    def counting(self, name, args):
+        reads[name] += 1
+        return original(self, name, args)
+
+    monkeypatch.setattr(st.FiniteMetricStructure, "scaled_pred", counting)
+    return reads
+
+
+def test_a_shared_accumulator_is_evaluated_once(pred_reads):
+    M = _discrete_structure(random.Random(9), _points(4), (3, 5, 7))
+    env = {"x": "p0"}
+    a = fm.Sup("y", _atom("R", "x", "y"))
+    b, c = _atom("Q", "x"), fm.Const(F(2, 5))
+    # a reads R at each of 4 points.  Folded with b, then c, a shared
+    # accumulator is evaluated once; as copies a is evaluated 2, then 4
+    # times.
+    for items, shared, r_reads in (((a, b), True, 4), ((a, b), False, 8),
+                                   ((a, b, c), True, 4), ((a, b, c), False, 16)):
+        pred_reads.clear()
+        got = st.eval_formula(_min_fold(items, shared), M, env)
+        assert pred_reads == {"R": r_reads, "Q": 1 + (not shared) * (len(items) - 2)}
+        assert got == min(st.eval_formula(item, M, env) for item in items)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "copied"])
+def test_min_folds_on_structures_and_fibers(shared):
+    rng = random.Random(21)
+    seen = _Coverage()
+    phis = _random_min_folds(22, 120, shared)
+    for points, denoms in ((["a", "b", "c"], (5, 7, 11)), (["a", "b"], (3, 4, 7))):
+        _check(phis, _discrete_structure(rng, points, denoms), seen)
+    field_ = _sweep_field(rng, (2, 3, 1))
+    for phi in phis:
+        for e in itertools.islice(field_.elements(), 3):
+            values = di.fiber_values(phi, field_, {"x": e})
+            assert values == tuple(
+                _reference(phi, field_.fibers[w], {"x": e(w)}, seen)
+                for w in field_.space.atoms), fm.to_text(phi)
+    assert min(seen.negative_sub, seen.inf, seen.func) > 0
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "copied"])
+def test_min_folds_on_the_direct_integral(shared):
+    """Under a binder over choice functions whose items bind more."""
+    rng = random.Random(23)
+    seen = _Coverage()
+    nested = 0
+    for sizes in ((2, 3), (1, 2, 2)):
+        field_ = _sweep_field(rng, sizes)
+        M = di.materialize(field_)
+        for phi in _random_min_folds(24 + len(sizes), 60, shared):
+            nested += sum(type(n) in (fm.Sup, fm.Inf) for n in fm.nodes(phi)) >= 2
+            for e in field_.elements():
+                got = di.eval_on_integral(phi, field_, {"x": e})
+                name = tuple(e(w) for w in field_.space.atoms)
+                assert got == _reference(phi, M, {"x": name}, seen), fm.to_text(phi)
+    assert nested >= 20 and seen.inf > 0
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,16 @@
 The reference evaluates every variable's tag on every atom with
 structure.eval_formula.  The value tables must give the same level sets in
 the same order, while evaluating each tag only once per atom.  Only the
-variables G reads are assigned.
+variables G reads are assigned.  A result reuses the tables of its last
+assignment for the same field and an equal assignment, and recomputes
+them for any other.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from dilogic import family, mba
+from dilogic import checks, family, mba
 from dilogic import formula as fm
 from dilogic import integral as di
 from dilogic import structure as st
@@ -144,3 +146,89 @@ def test_each_tag_is_evaluated_once_per_atom(inst, top_level_evals):
         assert tr.complement_identity_holds(
             zeta, result.levels[zeta], inst.field, inst.assignment)
         assert top_level_evals[0] == 2 * atoms
+
+
+# ---------------------------------------------------------------------------
+# One result keeps the tables of its last level assignment
+
+# The 51 instances of perfbench's certify panel.
+CERTIFY_PANEL = family.determination_instances(0, 51)
+
+
+@pytest.fixture
+def fiber_value_calls(monkeypatch):
+    """Counts di.fiber_values calls."""
+    original = di.fiber_values
+    count = [0]
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(di, "fiber_values", counting)
+    return count
+
+
+def test_sup_collapse_reuses_the_tables_of_the_determination_check(
+        fiber_value_calls):
+    supchains = 0
+    for inst in CERTIFY_PANEL:
+        result = compile_instance(inst)
+        tags = {v.tag for v in mba.free_set_vars(result.g)}
+        fiber_value_calls[0] = 0
+        report = tr.determination_check(inst.formula, inst.k, inst.field,
+                                        inst.assignment, result=result)
+        assert report.ok
+        assert checks.sup_collapse(inst, result) in (True, None)
+        assert fiber_value_calls[0] == len(tags), inst.name
+        supchains += mba.contains_supchain(result.g)
+    assert supchains >= 10
+
+
+def _other_element(field_, element):
+    """A choice function of field_ other than element, or None."""
+    return next((e for e in field_.elements() if e != element), None)
+
+
+def test_a_changed_field_or_assignment_recomputes_the_tables(fiber_value_calls):
+    fields = assignments = mutations = 0
+    for i, inst in enumerate(CERTIFY_PANEL):
+        result = compile_instance(inst)
+        tags = {v.tag for v in mba.free_set_vars(result.g)}
+
+        def assigned(field_, assignment):
+            """The assignment, checked against the reference, and the
+            fiber_values calls it took."""
+            fiber_value_calls[0] = 0
+            got = tr.build_level_assignment(result, field_, assignment)
+            expected = reference_assignment(mba.free_set_vars(result.g),
+                                            field_, assignment)
+            assert list(got.items()) == list(expected.items()), inst.name
+            return fiber_value_calls[0]
+
+        assignment = dict(inst.assignment)
+        assert assigned(inst.field, assignment) == len(tags)
+        assert assigned(inst.field, dict(assignment)) == 0
+        # A different field: an equal copy, and for a sentence another
+        # instance's field, whose tables differ.
+        copy = di.MeasurableField(inst.field.space, dict(inst.field.fibers))
+        assert assigned(copy, assignment) == len(tags)
+        if not assignment:
+            other = CERTIFY_PANEL[(i + 1) % len(CERTIFY_PANEL)].field
+            assert assigned(other, assignment) == len(tags)
+            fields += 1
+        assert assigned(inst.field, assignment) == len(tags)
+        if not assignment:
+            continue
+        name = sorted(assignment)[0]
+        element = _other_element(inst.field, assignment[name])
+        if element is None:
+            continue
+        # A different assignment, then the same dict mutated in place.
+        assert assigned(inst.field, {**assignment, name: element}) == len(tags)
+        assignments += 1
+        assert assigned(inst.field, assignment) == len(tags)
+        assignment[name] = element
+        assert assigned(inst.field, assignment) == len(tags)
+        mutations += 1
+    assert min(fields, assignments, mutations) >= 5

@@ -595,6 +595,29 @@ def test_monotone_matches_the_reference_search_on_random_formulas():
     assert found["exhaustive"] >= 5 and found["sampled"] >= 5
 
 
+@pytest.mark.parametrize("alg", [
+    ALGEBRAS[2], _algebra((F(1, 10), F(1, 5), F(3, 10), F(2, 5))),
+], ids=["3-atoms", "4-atoms"])
+def test_sampled_monotone_draws_match_the_reference_on_three_and_four_atoms(alg):
+    """check_monotone reuses a drawn choice's masks; the reference sums
+    each draw afresh.  40 trials of 2 variables draw 80 choices of 3^3 or
+    3^4, so many choices are drawn again and many are new."""
+    rng = random.Random(17)
+    found = 0
+    for case in range(30):
+        g = random_formula(rng, LEAVES, 3, sup=case % 3 == 0)
+        kwargs = {"trials": 40, "seed": case, "exhaustive_limit": 0}
+        try:
+            expected = ref_check_monotone(g, alg, **kwargs)
+        except ChainError:
+            with pytest.raises(ChainError):
+                mba.check_monotone(g, alg, **kwargs)
+            continue
+        assert mba.check_monotone(g, alg, **kwargs) == expected, (g, kwargs)
+        found += expected is not None
+    assert found >= 5
+
+
 # ---------------------------------------------------------------------------
 # Errors keep their type
 

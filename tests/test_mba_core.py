@@ -270,15 +270,17 @@ def test_maximal_refuses_an_oversized_atom_product():
         inner=mba.Measure(mba.ChainVar(0, "A", 0)),
         profiles=(mba.ProfileSpec((("A", 0), ("B", 0)), mba.Empty()),),
     )
-    with pytest.raises(BudgetError, match=str(2**21)):
+    with pytest.raises(BudgetError, match=f"^maximal-mode depth vector "
+                                          f"combination count {2**21} exceeds"):
         mba.eval_mba(g, {}, alg, mba.MAXIMAL)
 
 
 def test_maximal_depth_vector_search_refuses_oversized_caps():
     # Caps (1000, 1000, 1) give 1001 * 1001 * 2 vectors to visit, refused
-    # in both modes before any is built.
-    for maximal in (True, False):
-        with pytest.raises(BudgetError, match=str(1001 * 1001 * 2)):
+    # in both modes before any is built, under the name of the mode.
+    for maximal, mode in ((True, mba.MAXIMAL), (False, mba.ENUMERATE)):
+        with pytest.raises(BudgetError, match=f"^{mode}-mode depth vector search "
+                                              f"count {1001 * 1001 * 2} exceeds"):
             mba._depth_vectors([1000, 1000, 1], [((0, 0), (1, 0))], maximal)
     assert mba._depth_vectors([2, 1], [((0, 0), (1, 0))], True) == [(0, 1), (2, 0)]
 
