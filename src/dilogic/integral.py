@@ -310,15 +310,17 @@ def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
 def fiber_values(zeta, field_, assignment=None):
     """The fiberwise value of zeta at each atom, in atom order.
 
-    zeta is evaluated fiberwise, one structure.eval_formula call per atom:
-    its quantifiers range within each fiber, not over choice functions,
-    and a fiber has no sweep, so each binds the fiber's points in turn and
-    interprets its body there.  Every level set of zeta under this
-    assignment is a threshold of this one table.
+    zeta is evaluated fiberwise, as structure.eval_formula in each atom's
+    fiber, with zeta's unit walked once for all the atoms: its quantifiers
+    range within each fiber, not over choice functions, and a fiber has no
+    sweep, so each binds the fiber's points in turn and interprets its body
+    there.  Every level set of zeta under this assignment is a threshold
+    of this one table.
     """
     assignment = assignment or {}
+    unit = st._unit(zeta)
     return tuple(
-        st.eval_formula(zeta, field_.fibers[w], _fiber_assignment(assignment, w))
+        st._eval_at_unit(zeta, field_.fibers[w], _fiber_assignment(assignment, w), unit)
         for w in field_.space.atoms
     )
 

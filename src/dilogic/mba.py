@@ -715,6 +715,11 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     A sampled choice's masks are summed once and reused when the same
     choice is drawn again; the draws, one randrange(3) per atom per
     variable, and so every counterexample, do not change.
+    g is evaluated once per distinct assignment, at most 2^(atoms *
+    variables) times on the exhaustive path, and read back for every later
+    pair that holds it: the pairs, their order, the first counterexample
+    and every error, raised where the assignment is first met, are as if
+    each pair were evaluated afresh.
     """
     if trials < 1:
         raise EvaluationError("trials must be >= 1")
@@ -750,12 +755,19 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
             return pair
 
         draws = ([draw() for _v in variables] for _ in range(trials))
+    seen = {}  # value() by the masks written into a
+
+    def value_at(masks):
+        v = seen.get(masks)
+        if v is None:
+            a[:] = masks
+            v = seen[masks] = value()
+        return v
+
     for pairs in draws:
         low, high = zip(*pairs)
-        a[:] = low
-        lv = value()
-        a[:] = high
-        hv = value()
+        lv = value_at(low)
+        hv = value_at(high)
         if lv > hv:
             return MonotoneCounterexample(
                 {v: alg.unmask(m) for v, m in zip(variables, low)},

@@ -219,7 +219,12 @@ def _bodies(env, var, points, body):
 def eval_formula(phi, M, assignment=None):
     """Exact rational value of phi in M under the assignment: an integer
     over the scale S = M.den * unit (see the module docstring)."""
-    unit = _unit(phi)
+    return _eval_at_unit(phi, M, assignment, _unit(phi))
+
+
+def _eval_at_unit(phi, M, assignment, unit):
+    """eval_formula with phi's _unit given, so a caller that evaluates one
+    phi in many models walks for it once."""
     scale = M.den * unit
     scaled_pred = M.scaled_pred
     env = dict(assignment) if assignment else {}

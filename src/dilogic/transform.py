@@ -16,6 +16,7 @@ alone, never on k (see the formula module docstring for the bound).
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -248,9 +249,15 @@ class _Builder:
         tags = inner.formulas
         grid_sizes = [inner.levels[z] for z in tags]
         # Bound slots: the variables of each tag the inner formula actually
-        # reads, in vars_by_tag order, so intended level sets decrease.
-        # Every tag is in F.
-        mentioned_by_tag = {zeta: by_tag.get(zeta, []) for zeta in tags}
+        # reads, in vars_by_tag order, so intended level sets decrease, each
+        # with the witness coordinate it can certify: its own threshold for
+        # a strict slot, the grid step below for a nonstrict one.  Every
+        # tag is in F.
+        mentioned_by_tag = {
+            zeta: [(v, v.level if v.strict else v.level - Fraction(1, lev))
+                   for v in by_tag.get(zeta, [])]
+            for zeta, lev in zip(tags, grid_sizes)
+        }
         c_size = math.prod(lev + 1 for lev in grid_sizes) - 1
         profile_size = math.prod(len(m) + 1 for m in mentioned_by_tag.values()) - 1
         if max(c_size, profile_size) > self.budget_c:
@@ -259,12 +266,6 @@ class _Builder:
                 f"{self.budget_c}; tag count {len(tags)}, largest level "
                 f"{max(grid_sizes)}"
             )
-
-        def slot_threshold(v):
-            # The witness coordinate a slot can certify: its own threshold
-            # for a strict slot, the grid step below for a nonstrict one.
-            lev = inner.levels[v.tag]
-            return v.level if v.strict else v.level - Fraction(1, lev)
 
         # C: nonempty partial maps from tags to their threshold grids, in a
         # fixed order (per tag: absent, then thresholds ascending).
@@ -276,7 +277,12 @@ class _Builder:
                    for zeta in tags}
         items = {}
         xi_levels = {}
-        xi_of_alpha = {}
+        # One SetVarIndex per distinct xi, shared by every bound and
+        # profile that reads it: equal variables of G are one object, so
+        # free_set_vars, _Compiler.slot and bind find them by identity and
+        # hash and compare no fresh copy field by field.
+        xi_vars = {}
+        var_of_alpha = {}
         # sum(xi_levels.values()), a lower bound of the declared count, so
         # a sup over budget is refused before the rest of its xi are built.
         declared = 0
@@ -293,27 +299,25 @@ class _Builder:
                 xi_levels[xi] = lev
                 declared += lev - old
                 self._refuse_count(declared, "at least ")
-            xi_of_alpha[alpha] = xi
-
-        def xi_var(alpha):
-            return mba.SetVarIndex(xi_of_alpha[alpha], Fraction(0), True)
+            var = xi_vars.get(xi)
+            if var is None:
+                var = xi_vars[xi] = mba.SetVarIndex(xi, Fraction(0), True)
+            var_of_alpha[alpha] = var
 
         binder = self.fresh_binder()
         chains = []
         mapping = {}
-        for zeta in tags:
+        for zeta, grid in zip(tags, per_tag):
             mentioned = mentioned_by_tag[zeta]
             if not mentioned:
                 continue
+            # A slot's bound meets the xi of its tag's thresholds up to its
+            # cap: a prefix of this tag's one-threshold xi variables.
+            thresholds = grid[1:]
+            singles = [var_of_alpha[((zeta, c),)] for c in thresholds]
             bounds = []
-            for slot, v in enumerate(mentioned):
-                cap = slot_threshold(v)
-                lev = inner.levels[zeta]
-                terms = [
-                    xi_var(((zeta, Fraction(i, lev)),))
-                    for i in range(lev)
-                    if Fraction(i, lev) <= cap
-                ]
+            for slot, (v, cap) in enumerate(mentioned):
+                terms = singles[:bisect.bisect_right(thresholds, cap)]
                 bounds.append(mba.inter_all(terms))
                 mapping[v] = mba.ChainVar(binder, zeta, slot)
             chains.append(mba.ChainSpec(zeta, tuple(bounds)))
@@ -327,18 +331,18 @@ class _Builder:
         ]
         for combo in itertools.product(*slot_choices):
             picked = [
-                (zeta, slot, v)
+                (zeta, slot, cap)
                 for zeta, choice in zip(tags, combo)
                 if choice is not None
-                for slot, v in [choice]
+                for slot, (_v, cap) in [choice]
             ]
             if len(picked) < 2:
                 continue
-            alpha = tuple((zeta, slot_threshold(v)) for zeta, _slot, v in picked)
+            alpha = tuple((zeta, cap) for zeta, _slot, cap in picked)
             profiles.append(
                 mba.ProfileSpec(
-                    tuple((zeta, slot) for zeta, slot, _v in picked),
-                    xi_var(alpha),
+                    tuple((zeta, slot) for zeta, slot, _cap in picked),
+                    var_of_alpha[alpha],
                 )
             )
         g = mba.SupChain(

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import sys
 import time
 from fractions import Fraction
 
@@ -26,6 +28,11 @@ from helpers import (
     sup_example_field,
     uniform_space,
 )
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench"))
+
+import workloads  # noqa: E402
 
 F = Fraction
 
@@ -109,6 +116,35 @@ def test_transform_deterministic():
     assert r1.levels == r2.levels
     assert r1.g == r2.g
     assert r1.variables == r2.variables
+
+
+def _an_equal_copy(g):
+    """A SetVarIndex of g equal to an earlier one but another object, or None."""
+    first = {}
+    for n in mba.nodes(g):
+        if type(n) is mba.SetVarIndex and first.setdefault(n, n) is not n:
+            return n
+    return None
+
+
+def test_equal_set_variables_of_g_are_one_object():
+    """A compiled sup builds one SetVarIndex per xi for all the bounds and
+    profiles that read it: on the 204-instance suite and the compile
+    panel, equal set variables of G are one object."""
+    sig = family.default_signature()
+    jobs = [(fm.rewrite_inf(inst.formula), inst.k, tr.DEFAULT_BUDGET_C,
+             family.FAMILY_BUDGET_VARS)
+            for inst in family.determination_instances(0, 204)]
+    jobs += [(fm.rewrite_inf(fm.parse_formula(text, sig)), k,
+              workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)
+             for text, k in (case.args for case in workloads.compile_panel())]
+    assert len(jobs) == 204 + 58
+    sups = 0
+    for job in jobs:
+        g = tr.transform(*job).g
+        sups += mba.contains_supchain(g)
+        assert _an_equal_copy(g) is None, fm.to_text(job[0])
+    assert sups
 
 
 # ---------------------------------------------------------------------------

@@ -114,10 +114,29 @@ def test_nonstrict_variables_at_fiber_values():
     assert list(assign.items()) == list(expected.items())
 
 
+def test_fiber_values_match_per_atom_eval_formula_on_the_suite():
+    """fiber_values walks a tag for its unit once, not once per atom; each
+    entry is still eval_formula's value in that atom's fiber, on every
+    formula of F over the 204-instance suite."""
+    tables = 0
+    for inst in family.determination_instances(0, 204):
+        field_, assignment = inst.field, inst.assignment
+        for zeta in compile_instance(inst).formulas:
+            expected = tuple(
+                st.eval_formula(zeta, field_.fibers[w],
+                                {name: e(w) for name, e in assignment.items()})
+                for w in field_.space.atoms)
+            assert di.fiber_values(zeta, field_, assignment) == expected, inst.name
+            tables += 1
+    assert tables > 204
+
+
 @pytest.fixture
 def top_level_evals(monkeypatch):
-    """Counts eval_formula calls made from outside eval_formula itself."""
-    original = st.eval_formula
+    """Counts the evaluations of a formula in one model, eval_formula's
+    or fiber_values' call of structure._eval_at_unit, made from outside
+    such an evaluation itself."""
+    original = st._eval_at_unit
     count = [0]
     depth = [0]
 
@@ -129,7 +148,7 @@ def top_level_evals(monkeypatch):
         finally:
             depth[0] -= 1
 
-    monkeypatch.setattr(st, "eval_formula", counting)
+    monkeypatch.setattr(st, "_eval_at_unit", counting)
     return count
 
 

@@ -618,6 +618,58 @@ def test_sampled_monotone_draws_match_the_reference_on_three_and_four_atoms(alg)
     assert found >= 5
 
 
+def test_exhaustive_monotone_evaluates_each_assignment_once(monkeypatch):
+    """3 variables on 2 atoms: 3^6 comparable pairs, 2 evaluations each,
+    but only 2^6 distinct assignments, and g is evaluated at each once."""
+    original = mba._Compiler.formula
+    calls = []  # the masks of a at each call of the compiled value
+
+    def formula(self, g):
+        value, scale = original(self, g)
+
+        def counted():
+            calls.append(tuple(self.a))
+            return value()
+        return counted, scale
+
+    monkeypatch.setattr(mba._Compiler, "formula", formula)
+    z = mba.SetVarIndex("Z", 0)
+    g = mba.SupChain(
+        0, (mba.ChainSpec("A", (X,)),),
+        mba.Measure(mba.Inter((mba.ChainVar(0, "A", 0), Y))),
+        (mba.ProfileSpec((("A", 0),), z),))
+    assert mba.check_monotone(g, ALGEBRAS[1]) is None
+    assert len(calls) == len(set(calls)) == 2 ** 6
+    assert ref_check_monotone(g, ALGEBRAS[1]) is None
+
+
+# On one atom, X before Y: the exhaustive pairs 2, 4 and 5 are
+# ({}, {}) <= ({}, {w0}), ({}, {}) <= ({w0}, {}) and ({}, {}) <= ({w0}, {w0})
+# as (X, Y).  A chain bounded by (Y, X) raises ChainError where X is not
+# within Y, first at pair 4, and is 0 elsewhere.
+_ERROR_AT_PAIR_4 = mba.SupChain(0, (mba.ChainSpec("A", (Y, X)),), mba.Const(0))
+
+
+@pytest.mark.parametrize("first", ["counterexample", "error"])
+def test_monotone_meets_points_in_pair_order(first):
+    """The memo of values fills lazily: mu(not Y) is decreasing at pair 2,
+    before the point that raises, and mu(not X) at pair 5, after it."""
+    alg = ALGEBRAS[0]
+    if first == "counterexample":
+        g = mba.Add((mba.Measure(mba.Compl(Y)), _ERROR_AT_PAIR_4))
+        ce = mba.check_monotone(g, alg)
+        assert ce == mba.MonotoneCounterexample(
+            {X: frozenset(), Y: frozenset()}, {X: frozenset(), Y: frozenset({"w0"})},
+            F(1), F(0))
+        assert ce == ref_check_monotone(g, alg)
+    else:
+        g = mba.Add((mba.Measure(mba.Compl(X)), _ERROR_AT_PAIR_4))
+        with pytest.raises(ChainError):
+            mba.check_monotone(g, alg)
+        with pytest.raises(ChainError):
+            ref_check_monotone(g, alg)
+
+
 # ---------------------------------------------------------------------------
 # Errors keep their type
 
