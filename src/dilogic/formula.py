@@ -126,10 +126,13 @@ class Const(_Formula):
     value: Fraction
 
     def __post_init__(self):
-        v = Fraction(self.value)
-        if not 0 <= v <= 1:
+        v = self.value
+        if type(v) is not Fraction:
+            if type(v) is not int:
+                raise SignatureError(f"constant {v!r} is not an int or a Fraction")
+            object.__setattr__(self, "value", v := Fraction(v))
+        if not 0 <= v.numerator <= v.denominator:
             raise SignatureError(f"constant {v} outside [0,1]")
-        object.__setattr__(self, "value", v)
 
 
 @node

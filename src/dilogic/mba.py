@@ -56,6 +56,13 @@ ENUMERATE_TUPLE_BUDGET = 10**6
 EXACT_TYPES = (int, Fraction)
 
 
+def _exact(value, what):
+    """value as a Fraction: an int or a Fraction, else ValidationError."""
+    if type(value) not in EXACT_TYPES:
+        raise ValidationError(f"{what} {value!r} is not an int or a Fraction")
+    return Fraction(value)
+
+
 @dataclass(frozen=True)
 class FiniteMeasureAlgebra:
     atoms: tuple
@@ -178,7 +185,7 @@ class SetVarIndex(Node):
 
     def __post_init__(self):
         if type(self.level) is not Fraction:
-            object.__setattr__(self, "level", Fraction(self.level))
+            object.__setattr__(self, "level", _exact(self.level, "level"))
 
 
 @node
@@ -266,7 +273,8 @@ class Const(Node):
     value: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "value", Fraction(self.value))
+        if type(self.value) is not Fraction:
+            object.__setattr__(self, "value", _exact(self.value, "constant"))
 
 
 @node
@@ -275,10 +283,11 @@ class Scale(Node):
     body: object
 
     def __post_init__(self):
-        f = Fraction(self.factor)
-        if f < 0:
+        f = self.factor
+        if type(f) is not Fraction:
+            object.__setattr__(self, "factor", f := _exact(f, "scale factor"))
+        if f.numerator < 0:
             raise ValidationError("scale factor must be non-negative")
-        object.__setattr__(self, "factor", f)
 
 
 @node

@@ -16,7 +16,6 @@ alone, never on k (see the formula module docstring for the bound).
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -30,10 +29,11 @@ from .errors import BudgetError, InputError
 
 DEFAULT_BUDGET_C = 4096
 DEFAULT_BUDGET_VARS = 4096
+_ONE = fm.Const(1)  # shared by every one_minus
 
 
 def one_minus(zeta):
-    return fm.TruncSub(fm.Const(1), zeta)
+    return fm.TruncSub(_ONE, zeta)
 
 
 def _xi_direct(var, alpha, free, binders, items):
@@ -53,7 +53,8 @@ def _xi_direct(var, alpha, free, binders, items):
     names; a binder-free accumulator is one shared object, evaluated once
     by structure.eval_formula.  items caches
     each renamed tag by (zeta, Sup name, binder names), paired with the
-    whole items zeta -. c over that copy, by c.
+    whole items zeta -. c over that copy, by c's numerator and
+    denominator: the cache hashes ints, never the dearer Fraction.
     """
     taken = set().union(*(free[zeta] for zeta, _c in alpha))
     names = fm.binder_names(taken)
@@ -61,12 +62,13 @@ def _xi_direct(var, alpha, free, binders, items):
 
     def item(zeta, c):
         key = (zeta, name, tuple(itertools.islice(names, binders[zeta])))
-        if key not in items:
-            items[key] = (fm.rename(zeta, {var: name}, iter(key[2])), {})
-        renamed, by_c = items[key]
-        out = by_c.get(c)
+        if (entry := items.get(key)) is None:
+            entry = items[key] = (fm.rename(zeta, {var: name}, iter(key[2])), {})
+        renamed, by_c = entry
+        ratio = c.numerator, c.denominator
+        out = by_c.get(ratio)
         if out is None:
-            out = by_c[c] = fm.TruncSub(renamed, fm.Const(c))
+            out = by_c[ratio] = fm.TruncSub(renamed, fm.Const(c))
         return out
 
     def fold(n):
@@ -92,11 +94,13 @@ class TransformResult:
     0 <= i < l, of each formula zeta of level l.  Only G's variables get
     level sets.
 
-    G is walked once for its variables, by `vars_by_tag`; the budget
-    check, the compiler's rewiring and bound slots, the document's
-    declared set and build_level_assignment all read that one walk.  The
-    document writes the declared set from `levels` and `off_grid_vars`;
-    the `variables` set serves tests and counters only."""
+    `vars_by_tag` is G's variable table.  The builder hands each result
+    it compiles the table of the case that built G, so transform never
+    walks G for it; any other result walks its G once.  The budget check,
+    the compiler's rewiring and bound slots, the document's declared set
+    and build_level_assignment all read that one table.  The document
+    writes the declared set from `levels` and `off_grid_vars`; the
+    `variables` set serves tests and counters only."""
 
     k: int
     levels: dict           # formula -> integer level l >= 1
@@ -118,7 +122,7 @@ class TransformResult:
 
     @functools.cached_property
     def vars_by_tag(self):
-        """mba.vars_by_tag(self.g), computed once."""
+        """mba.vars_by_tag(self.g), computed once unless the builder set it."""
         return mba.vars_by_tag(self.g)
 
     @property
@@ -127,8 +131,9 @@ class TransformResult:
         no grid of their tag holds."""
         levels = self.levels
         return [v for vs in self.vars_by_tag.values() for v in vs
-                if not (v.strict and v.tag in levels and 0 <= v.level < 1
-                        and levels[v.tag] % v.level.denominator == 0)]
+                if not (v.strict and v.tag in levels
+                        and 0 <= (t := v.level).numerator < t.denominator
+                        and levels[v.tag] % t.denominator == 0)]
 
     @property
     def declared_count(self):
@@ -170,7 +175,8 @@ class _Builder:
             return self._atomic(phi, k)
         if isinstance(phi, fm.Half):
             inner = self.build(phi.body, k)
-            return self._finish(k, inner.levels, mba.Scale(Fraction(1, 2), inner.g))
+            return self._finish(k, inner.levels, mba.Scale(Fraction(1, 2), inner.g),
+                                inner.vars_by_tag)
         if isinstance(phi, fm.TruncSub):
             return self._truncsub(phi, k)
         if isinstance(phi, fm.Sup):
@@ -180,10 +186,13 @@ class _Builder:
         raise TypeError(f"not a formula: {phi!r}")
 
     # Each case returns a finished TransformResult, checked against the
-    # variable budget without building its declared set.
+    # variable budget without building its declared set.  by_tag is
+    # mba.vars_by_tag(g), which the case knows without walking g; results
+    # share these tables, and nothing changes one.
 
-    def _finish(self, k, levels, g):
+    def _finish(self, k, levels, g, by_tag):
         result = TransformResult(k, dict(levels), g)
+        result.__dict__["vars_by_tag"] = by_tag  # fills the cached property
         self._refuse_count(result.declared_count)
         return result
 
@@ -201,12 +210,11 @@ class _Builder:
         # The layer cake (1/k) * sum_i mu(X_{i/k}), 0 < i < k, as one Add
         # node; k >= 2, and its one term at k = 2 stands alone, as
         # inter_all leaves a single term.
-        terms = tuple(
-            mba.Measure(mba.SetVarIndex(phi, Fraction(i, k), True))
-            for i in range(1, k)
-        )
+        variables = [mba.SetVarIndex(phi, Fraction(i, k), True) for i in range(1, k)]
+        terms = tuple(map(mba.Measure, variables))
         layers = terms[0] if len(terms) == 1 else mba.Add(terms)
-        return self._finish(k, {phi: k}, mba.Scale(Fraction(1, k), layers))
+        return self._finish(k, {phi: k}, mba.Scale(Fraction(1, k), layers),
+                            {phi: variables})
 
     def _merge_levels(self, *level_maps):
         # Levels are k * 2^i * 3^j for one base k (ratio 6 occurs), so two
@@ -223,19 +231,24 @@ class _Builder:
         right = self.build(phi.right, 3 * k)
         # The right branch is rewired through the complement identity
         #   {zeta > t} = complement of {1 - zeta >= 1 - t},
-        # so G stays coordinatewise increasing in the new variables.
+        # so G stays coordinatewise increasing in the new variables.  The
+        # rewiring reverses each tag's (level, strict) order.
+        neg = {zeta: one_minus(zeta) for zeta in right.levels}
         mapping = {}
-        right_levels = {}
+        by_tag = dict(left.vars_by_tag)
         for tag, variables in right.vars_by_tag.items():
-            neg = one_minus(tag)
-            for v in variables:
-                mapping[v] = mba.Compl(
-                    mba.SetVarIndex(neg, 1 - v.level, not v.strict))
-        for zeta, lev in right.levels.items():
-            right_levels[one_minus(zeta)] = lev
+            rewired = [mba.SetVarIndex(neg[tag], 1 - v.level, not v.strict)
+                       for v in reversed(variables)]
+            mapping.update(zip(reversed(variables), map(mba.Compl, rewired)))
+            if neg[tag] in by_tag:
+                # On both branches: each variable once, as vars_by_tag sorts.
+                rewired = sorted(set(by_tag[neg[tag]]).union(rewired),
+                                 key=lambda v: (v.level, v.strict))
+            by_tag[neg[tag]] = rewired
         g = mba.TruncSub(left.g, mba.substitute_set_vars(right.g, mapping))
-        levels = self._merge_levels(left.levels, right_levels)
-        return self._finish(k, levels, g)
+        levels = self._merge_levels(
+            left.levels, {neg[zeta]: lev for zeta, lev in right.levels.items()})
+        return self._finish(k, levels, g, by_tag)
 
     def _sup(self, phi, k):
         inner = self.build(phi.body, k)
@@ -249,17 +262,23 @@ class _Builder:
         tags = inner.formulas
         grid_sizes = [inner.levels[z] for z in tags]
         # Bound slots: the variables of each tag the inner formula actually
-        # reads, in vars_by_tag order, so intended level sets decrease, each
-        # with the witness coordinate it can certify: its own threshold for
-        # a strict slot, the grid step below for a nonstrict one.  Every
-        # tag is in F.
-        mentioned_by_tag = {
-            zeta: [(v, v.level if v.strict else v.level - Fraction(1, lev))
-                   for v in by_tag.get(zeta, [])]
-            for zeta, lev in zip(tags, grid_sizes)
-        }
+        # reads, in vars_by_tag order, so intended level sets decrease.  A
+        # slot's cap is the witness coordinate it can certify: its own
+        # threshold if strict, the grid step below if not.  C works in grid
+        # positions, 0 for absent and p for the threshold (p - 1)/l on a tag
+        # of level l.  A slot keeps n, the count of thresholds up to its cap,
+        # which is the cap's position on the grid (None off it).  Every tag
+        # is in F.
+        slots_by_tag = []
+        for zeta, lev in zip(tags, grid_sizes):
+            slots = []
+            for v in by_tag.get(zeta, ()):
+                q, r = divmod(v.level.numerator * lev, v.level.denominator)
+                n = q + 1 if v.strict else q
+                slots.append((v, n, n if r == 0 and 0 < n <= lev else None))
+            slots_by_tag.append(slots)
         c_size = math.prod(lev + 1 for lev in grid_sizes) - 1
-        profile_size = math.prod(len(m) + 1 for m in mentioned_by_tag.values()) - 1
+        profile_size = math.prod(len(slots) + 1 for slots in slots_by_tag) - 1
         if max(c_size, profile_size) > self.budget_c:
             raise BudgetError(
                 f"index-set size {max(c_size, profile_size)} exceeds budget "
@@ -267,9 +286,11 @@ class _Builder:
                 f"{max(grid_sizes)}"
             )
 
-        # C: nonempty partial maps from tags to their threshold grids, in a
-        # fixed order (per tag: absent, then thresholds ascending).
-        per_tag = [[None] + [Fraction(i, lev) for i in range(lev)] for lev in grid_sizes]
+        # C: nonempty partial maps from tags to their threshold grids, as
+        # position tuples in product order (per tag: absent, then thresholds
+        # ascending; the all-absent first is skipped).  Each threshold is one
+        # Fraction, built here.
+        grids = [[Fraction(i, lev) for i in range(lev)] for lev in grid_sizes]
         # _xi_direct's tables and item cache live for this call.
         free = {zeta: fm.free_vars(zeta) - {phi.var} for zeta in tags}
         binders = {zeta: sum(type(node) in (fm.Sup, fm.Inf)
@@ -279,79 +300,73 @@ class _Builder:
         xi_levels = {}
         # One SetVarIndex per distinct xi, shared by every bound and
         # profile that reads it: equal variables of G are one object, so
-        # free_set_vars, _Compiler.slot and bind find them by identity and
-        # hash and compare no fresh copy field by field.
+        # _Compiler.slot and bind find them by identity and hash and
+        # compare no fresh copy field by field.  var_of_alpha is keyed by
+        # positions, so C hashes no Fraction.
         xi_vars = {}
         var_of_alpha = {}
         # sum(xi_levels.values()), a lower bound of the declared count, so
         # a sup over budget is refused before the rest of its xi are built.
         declared = 0
-        for combo in itertools.product(*per_tag):
-            alpha = tuple(
-                (zeta, c) for zeta, c in zip(tags, combo) if c is not None
-            )
-            if not alpha:
-                continue
+        positions = itertools.product(*(range(lev + 1) for lev in grid_sizes))
+        for combo in itertools.islice(positions, 1, None):
+            alpha = tuple((zeta, grid[p - 1])
+                          for zeta, grid, p in zip(tags, grids, combo) if p)
             xi = _xi_direct(phi.var, alpha, free, binders, items)
-            lev = max(inner.levels[zeta] for zeta, _c in alpha)
+            level = max(lev for lev, p in zip(grid_sizes, combo) if p)
             old = xi_levels.get(xi, 0)
-            if lev > old:
-                xi_levels[xi] = lev
-                declared += lev - old
+            if level > old:
+                xi_levels[xi] = level
+                declared += level - old
                 self._refuse_count(declared, "at least ")
             var = xi_vars.get(xi)
             if var is None:
                 var = xi_vars[xi] = mba.SetVarIndex(xi, Fraction(0), True)
-            var_of_alpha[alpha] = var
+            var_of_alpha[combo] = var
 
         binder = self.fresh_binder()
         chains = []
         mapping = {}
-        for zeta, grid in zip(tags, per_tag):
-            mentioned = mentioned_by_tag[zeta]
-            if not mentioned:
+        # G's variables: the xi the bounds and the profiles read.
+        read = {}
+        absent = (0,) * len(tags)
+        for t, (zeta, lev, slots) in enumerate(zip(tags, grid_sizes, slots_by_tag)):
+            if not slots:
                 continue
-            # A slot's bound meets the xi of its tag's thresholds up to its
-            # cap: a prefix of this tag's one-threshold xi variables.
-            thresholds = grid[1:]
-            singles = [var_of_alpha[((zeta, c),)] for c in thresholds]
+            # A slot's bound meets the xi of its tag's first n thresholds:
+            # a prefix of this tag's one-threshold xi variables.
+            singles = [var_of_alpha[absent[:t] + (p,) + absent[t + 1:]]
+                       for p in range(1, lev + 1)]
             bounds = []
-            for slot, (v, cap) in enumerate(mentioned):
-                terms = singles[:bisect.bisect_right(thresholds, cap)]
-                bounds.append(mba.inter_all(terms))
+            for slot, (v, n, _pos) in enumerate(slots):
+                bounds.append(mba.inter_all(singles[:n]))
                 mapping[v] = mba.ChainVar(binder, zeta, slot)
             chains.append(mba.ChainSpec(zeta, tuple(bounds)))
+            top = max(n for _v, n, _pos in slots)
+            read.update((var.tag, [var]) for var in singles[:top])
         # Joint constraints: picking one mentioned slot on each of two or
         # more tags, the intersection of those bound sets must admit a
         # common witness point, i.e. lie inside the level set of the joint
-        # supremum formula at the slots' certified coordinates.
+        # supremum formula at the slots' caps, read at their positions.
         profiles = []
-        slot_choices = [
-            [None] + list(enumerate(mentioned_by_tag[zeta])) for zeta in tags
-        ]
+        slot_choices = [[(None, 0)] + [(slot, pos) for slot, (_v, _n, pos)
+                                       in enumerate(slots)]
+                        for slots in slots_by_tag]
         for combo in itertools.product(*slot_choices):
-            picked = [
-                (zeta, slot, cap)
-                for zeta, choice in zip(tags, combo)
-                if choice is not None
-                for slot, (_v, cap) in [choice]
-            ]
+            picked = tuple((zeta, slot) for zeta, (slot, _pos) in zip(tags, combo)
+                           if slot is not None)
             if len(picked) < 2:
                 continue
-            alpha = tuple((zeta, cap) for zeta, _slot, cap in picked)
-            profiles.append(
-                mba.ProfileSpec(
-                    tuple((zeta, slot) for zeta, slot, _cap in picked),
-                    var_of_alpha[alpha],
-                )
-            )
+            var = var_of_alpha[tuple(pos for _slot, pos in combo)]
+            read[var.tag] = [var]
+            profiles.append(mba.ProfileSpec(picked, var))
         g = mba.SupChain(
             binder,
             tuple(chains),
             mba.substitute_set_vars(inner.g, mapping),
             tuple(profiles),
         )
-        return self._finish(k, xi_levels, g)
+        return self._finish(k, xi_levels, g, read)
 
 
 def transform(phi, k, budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS):

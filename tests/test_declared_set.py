@@ -6,9 +6,12 @@ The compile panel of perfbench/workloads.py and its recorded counts in
 perfbench/reference.json pin what transform declares and what G reads.
 """
 
+import contextlib
+import dataclasses
 import hashlib
 import math
 import os
+import random
 import sys
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from dilogic.errors import BudgetError
 from helpers import (joint_witness_field, p_of, q_of, var_sort_key,
                      xi_formula)
 from test_cli import GOLDEN_CORPUS
+from test_integer_evaluator import _random_formula
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -29,19 +33,27 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
 import workloads  # noqa: E402
 
 
-def compile_recording_finish(jobs):
-    """Compile each (phi, k, budget_c, budget_vars) job; returns the top
-    results and every result _Builder._finish returned on the way."""
+@contextlib.contextmanager
+def recording_finish():
+    """Yields the list of every result _Builder._finish returns in the
+    block, a refused compile's included."""
     finished = []
     original = tr._Builder._finish
 
-    def recording(self, k, levels, g):
-        result = original(self, k, levels, g)
+    def recording(self, k, levels, g, by_tag):
+        result = original(self, k, levels, g, by_tag)
         finished.append(result)
         return result
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tr._Builder, "_finish", recording)
+        yield finished
+
+
+def compile_recording_finish(jobs):
+    """Compile each (phi, k, budget_c, budget_vars) job; returns the top
+    results and every result _Builder._finish returned on the way."""
+    with recording_finish() as finished:
         results = [tr.transform(*job) for job in jobs]
     return results, finished
 
@@ -100,15 +112,110 @@ def test_compile_panel_document_bytes(compile_panel):
     assert digest.hexdigest() == COMPILE_PANEL_SHA256
 
 
-def test_closed_form_count_matches_declared_set(compile_panel):
-    _names, _results, finished = compile_panel
+@pytest.fixture(scope="module")
+def suite_finished():
+    """Every result _finish returned compiling the 204-instance suite."""
     suite = [(fm.rewrite_inf(inst.formula), inst.k, tr.DEFAULT_BUDGET_C,
               family.FAMILY_BUDGET_VARS)
              for inst in family.determination_instances(0, 204)]
-    finished = finished + compile_recording_finish(suite)[1]
-    for result in finished:
+    return compile_recording_finish(suite)[1]
+
+
+def test_closed_form_count_matches_declared_set(compile_panel, suite_finished):
+    for result in compile_panel[2] + suite_finished:
         assert result.declared_count == len(result.variables)
         assert_tags_in_table(result)
+
+
+def assert_builder_tables(finished):
+    """The builder hands each result mba.vars_by_tag(result.g): the same
+    tags, each with the same variables in the same order."""
+    assert finished
+    for result in finished:
+        assert "vars_by_tag" in vars(result)
+        walked = mba.vars_by_tag(result.g)
+        assert result.vars_by_tag.keys() == walked.keys()
+        for tag, variables in walked.items():
+            assert result.vars_by_tag[tag] == variables
+
+
+def test_builder_tables_match_the_walk(compile_panel, suite_finished):
+    assert_builder_tables(compile_panel[2] + suite_finished)
+
+
+# Tags that both branches of a sub, or a sub under a sup, put in G.
+TAG_COLLISIONS = ("sub(sub(1, P(x)), P(x))", "sub(P(x), sub(1, P(x)))",
+                  "sub(half(P(x)), half(P(x)))",
+                  "sup y . sub(sub(1, P(y)), P(y))")
+
+
+def test_builder_tables_match_the_walk_on_tag_collisions():
+    sig = family.default_signature()
+    jobs = [(fm.parse_formula(text, sig), k, 10**6, 10**6)
+            for text in TAG_COLLISIONS for k in (2, 3)]
+    results, finished = compile_recording_finish(jobs)
+    assert_builder_tables(finished)
+    # At k = 2, sub(1, P(x)) is the left branch's tag for its P(x) at 18
+    # and the rewired tag of the right branch's P(x) at 6: the right's 5
+    # variables are among the left's 17, and listed once.
+    one_minus_p = tr.one_minus(fm.Atomic("P", (fm.Var("x"),)))
+    both = results[0].vars_by_tag[one_minus_p]
+    assert len(both) == len(set(both)) == 17
+
+
+def test_builder_tables_match_the_walk_on_random_formulas():
+    """200 seeded random formulas of depth at most 3, at k = 2 and 3 under
+    the default budgets; a refused draw still checks the results finished
+    before its refusal."""
+    rng = random.Random(5)
+    compiled = refused = 0
+    with recording_finish() as finished:
+        for _ in range(200):
+            phi = _random_formula(rng, rng.randint(1, 3), ["x"])
+            try:
+                tr.transform(phi, rng.choice((2, 3)))
+                compiled += 1
+            except BudgetError:
+                refused += 1
+    assert_builder_tables(finished)
+    assert (compiled, refused) == (140, 60)
+
+
+def test_replaced_g_gets_its_own_table():
+    sig = family.default_signature()
+    result, other = (tr.transform(fm.parse_formula(text, sig), 2)
+                     for text in ("sub(P(x), Q(x))", "sup y . R(x,y)"))
+    replaced = dataclasses.replace(result, g=other.g)
+    assert "vars_by_tag" not in vars(replaced)
+    assert replaced.vars_by_tag == mba.vars_by_tag(other.g) == other.vars_by_tag
+    assert replaced.vars_by_tag != result.vars_by_tag
+
+
+def test_transform_walks_no_g_for_its_variables(monkeypatch):
+    walks = []
+
+    def counting(g):
+        walks.append(g)
+        return free_set_vars(g)
+
+    free_set_vars = mba.free_set_vars
+    monkeypatch.setattr(mba, "free_set_vars", counting)
+    for job in compile_panel_jobs():
+        tr.transform(*job)
+    assert not walks
+
+
+@pytest.mark.parametrize("text, budget_vars, message", [
+    ("sup y . sub(P(y), Q(y))", 2015,
+     "declared set-variable count at least 2016 exceeds budget 2015"),
+    ("sub(P(x), Q(x))", 16, "declared set-variable count 17 exceeds budget 16"),
+], ids=["running-sum", "final-count"])
+def test_budget_vars_refusals_keep_their_messages(text, budget_vars, message):
+    phi = fm.parse_formula(text, family.default_signature())
+    with pytest.raises(BudgetError) as refused:
+        tr.transform(phi, 2, budget_vars=budget_vars)
+    assert str(refused.value) == message
+    tr.transform(phi, 2, budget_vars=budget_vars + 1)
 
 
 def test_budget_vars_boundary():

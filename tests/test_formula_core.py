@@ -67,6 +67,21 @@ def test_parse_constant_out_of_range():
         fm.parse_formula("3/2", SIG_PQ)
 
 
+@pytest.mark.parametrize("value", [0.1, True, "1/2"], ids=["float", "bool", "str"])
+def test_const_refuses_inexact_types(value):
+    with pytest.raises(SignatureError, match="not an int or a Fraction"):
+        fm.Const(value)
+
+
+def test_const_takes_ints_and_keeps_fractions():
+    assert fm.Const(1).value == F(1) and type(fm.Const(0).value) is Fraction
+    half = F(1, 2)
+    assert fm.Const(half).value is half
+    for value in (2, F(-1, 3)):
+        with pytest.raises(SignatureError, match=f"^constant {value} outside \\[0,1\\]$"):
+            fm.Const(value)
+
+
 def test_parse_rationals():
     assert fm.parse_formula("0", SIG_PQ) == fm.Const(F(0))
     assert fm.parse_formula("1", SIG_PQ) == fm.Const(F(1))

@@ -92,6 +92,30 @@ def test_algebra_accepts_int_and_fraction_weights():
     assert alg.measure({"b"}) == F(2, 3)
 
 
+NODE_MAKERS = {
+    "const": lambda value: mba.Const(value),
+    "scale": lambda value: mba.Scale(value, mba.Const(1)),
+    "set-var": lambda value: mba.SetVarIndex("X", value),
+}
+
+
+@pytest.mark.parametrize("make", NODE_MAKERS.values(), ids=NODE_MAKERS)
+@pytest.mark.parametrize("value", [0.1, True, "1/2"], ids=["float", "bool", "str"])
+def test_node_values_refuse_inexact_types(make, value):
+    with pytest.raises(ValidationError, match="not an int or a Fraction"):
+        make(value)
+
+
+@pytest.mark.parametrize("make, field", zip(NODE_MAKERS.values(),
+                                            ("value", "factor", "level")),
+                         ids=NODE_MAKERS)
+def test_node_values_take_ints_and_keep_fractions(make, field):
+    assert getattr(make(1), field) == F(1)
+    assert type(getattr(make(1), field)) is Fraction
+    half = F(1, 2)
+    assert getattr(make(half), field) is half
+
+
 def test_measure_additivity_exhaustive():
     alg = UNIFORM3
     for a in alg.subsets():
