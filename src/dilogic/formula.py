@@ -106,7 +106,7 @@ class Apply(Node):
 # Formulas
 
 
-class _Formula(Node):
+class Formula(Node):
     """Base of the formula classes: str renders the formula as text."""
 
     __slots__ = ()
@@ -116,13 +116,13 @@ class _Formula(Node):
 
 
 @node
-class Atomic(_Formula):
+class Atomic(Formula):
     pred: str
     args: tuple = ()
 
 
 @node
-class Const(_Formula):
+class Const(Formula):
     value: Fraction
 
     def __post_init__(self):
@@ -136,24 +136,24 @@ class Const(_Formula):
 
 
 @node
-class Half(_Formula):
+class Half(Formula):
     body: object
 
 
 @node
-class TruncSub(_Formula):
+class TruncSub(Formula):
     left: object
     right: object
 
 
 @node
-class Sup(_Formula):
+class Sup(Formula):
     var: str
     body: object
 
 
 @node
-class Inf(_Formula):
+class Inf(Formula):
     var: str
     body: object
 
@@ -188,23 +188,38 @@ def free_vars(phi):
 def to_text(phi):
     """Render a formula or term in the DSL grammar.  A canonical formula
     reads back: parse_formula(to_text(phi)) == phi."""
-    t = type(phi)
-    if t is Atomic or t is Apply:
-        name = phi.pred if t is Atomic else phi.func
-        return f"{name}({','.join(map(to_text, phi.args))})"
-    if t is Var:
-        return phi.name
-    if t is Const:
-        return str(phi.value)
-    if t is Half:
-        return f"half({to_text(phi.body)})"
-    if t is TruncSub:
-        return f"sub({to_text(phi.left)}, {to_text(phi.right)})"
-    if t is Sup:
-        return f"sup {phi.var} . {to_text(phi.body)}"
-    if t is Inf:
-        return f"inf {phi.var} . {to_text(phi.body)}"
-    raise TypeError(f"not a formula or term: {phi!r}")
+    return texts((phi,))[0]
+
+
+def texts(formulas):
+    """[to_text(phi) for phi in formulas], rendering each connective node
+    once by identity: formulas of one F, or tags of one G, share them."""
+    memo = {}
+
+    def text(phi):
+        t = type(phi)
+        if t is Atomic or t is Apply:
+            name = phi.pred if t is Atomic else phi.func
+            return f"{name}({','.join(map(text, phi.args))})"
+        if t is Var:
+            return phi.name
+        if t is Const:
+            return str(phi.value)
+        out = memo.get(id(phi))
+        if out is None:
+            if t is Half:
+                out = f"half({text(phi.body)})"
+            elif t is TruncSub:
+                out = f"sub({text(phi.left)}, {text(phi.right)})"
+            elif t is Sup or t is Inf:
+                out = f"{'sup' if t is Sup else 'inf'} {phi.var} . {text(phi.body)}"
+            else:
+                raise TypeError(f"not a formula or term: {phi!r}")
+            memo[id(phi)] = out
+        return out
+
+    # The list keeps every node alive, so no id is reused meanwhile.
+    return [text(phi) for phi in list(formulas)]
 
 
 # ---------------------------------------------------------------------------

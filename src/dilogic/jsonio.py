@@ -403,9 +403,7 @@ def transform_result_to_doc(result):
     return {
         "k": result.k,
         "formulas": list(result.formula_texts.values()),
-        "auxiliary_formulas": [
-            fm.to_text(z) for z in table[len(result.formulas):]
-        ],
+        "auxiliary_formulas": fm.texts(table[len(result.formulas):]),
         "levels": {str(i): result.levels[z]
                    for i, z in enumerate(result.formulas)},
         "variables": _declared_names(result, index),

@@ -19,10 +19,10 @@ Inside this module a set is an int mask over the atom order (atom i is
 bit i).  eval_mba, check_monotone, eval_set and supchain_search_size
 compile their formula once per call into closures of no arguments over
 masks (_Compiler): each SetVarIndex reads a slot of one list of masks,
-each chain variable a slot of one flat list that the SupChain search
-writes in place, and every value is an integer over one scale S,
-the weight denominator times the lcm of the Const denominators and the
-products of nested Scale denominators, so a result is one Fraction.
+each chain variable or group (see search) a slot of one flat list that
+the SupChain search writes in place, and every value is an integer over
+one scale S, the weight denominator times the lcm of the Const
+denominators and the products of nested Scale denominators (one Fraction).
 Nothing is cached across calls: each call pays for its own O(|G|)
 compile.  The public functions take and return frozensets and convert at
 the boundary.
@@ -37,6 +37,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import formula as fm
 from .errors import BudgetError, ChainError, EvaluationError, ValidationError
 from .tree import Node, Shape, node
 
@@ -440,11 +441,14 @@ def _depth_vectors(caps, forbidden, maximal):
     pattern with some caps[i] <= j forbids nothing and is dropped first.
     With maximal, a feasible v is kept only when raising any one
     coordinate by one gives no feasible vector: the feasible set is
-    downward closed, so that is maximality.  The budget counts the
-    vectors under caps, exactly the ones visited."""
+    downward closed, so that is maximality; with no pattern left, caps
+    is the one maximal vector.  The budget counts the vectors under caps,
+    exactly the ones visited otherwise."""
     mode = MAXIMAL if maximal else ENUMERATE
     refuse_over_budget(math.prod(c + 1 for c in caps), f"{mode}-mode depth vector search")
     patterns = [p for p in forbidden if all(j < caps[i] for i, j in p)]
+    if maximal and not patterns:
+        return [tuple(caps)]
     feasible = [v for v in itertools.product(*(range(c + 1) for c in caps))
                 if not any(all(v[i] > j for i, j in p) for p in patterns)]
     if not maximal:
@@ -483,6 +487,18 @@ def _leaf_denominator(g, above=1):
     return math.lcm(*(_leaf_denominator(c, above) for c in children))
 
 
+def _groups(g, out, first):
+    """The groups of a SupChain's inner formula g, each Measure and each Add
+    of Measures outside nested SupChains: id -> [slot from first, set terms]."""
+    t = type(g)
+    if t is Measure or t is Add and all(type(m) is Measure for m in g.items):
+        out.setdefault(id(g), [first + len(out), None])
+    elif t is not SupChain and t is not Const:
+        for child in (g.body,) if t is Scale else (g.left, g.right) if t is TruncSub else g.items:
+            _groups(child, out, first)
+    return out
+
+
 class _Compiler:
     """Compiles a formula or set term into closures of no arguments, once
     per call of eval_mba, check_monotone, eval_set or supchain_search_size;
@@ -505,6 +521,7 @@ class _Compiler:
         self.slots = {v: i for i, v in enumerate(variables)}
         self.a = []
         self.e = []
+        self.groups = {}  # the groups of the inner formula compiling (_groups)
 
     def formula(self, g):
         """The closure of a formula and the scale S of its values."""
@@ -570,8 +587,13 @@ class _Compiler:
         raise TypeError(f"not a set term: {t!r}")
 
     def value(self, g, scope):
-        """The closure of a formula: its value times S."""
+        """The closure of a formula: its value times S (a group's, from e)."""
         t = type(g)
+        group = self.groups.get(id(g)) if t is Measure or t is Add else None
+        if group is not None:
+            group[1] = [self.set_term(m.term, scope) for m in (g.items if t is Add else (g,))]
+            e, i = self.e, group[0]
+            return lambda: e[i]
         if t is Measure:
             sums, unit, term = self.sums, self.unit, self.set_term(g.term, scope)
             return lambda: sums[term()] * unit
@@ -606,7 +628,8 @@ class _Compiler:
     def supchain(self, g, scope):
         """The bounds and profile bounds read the enclosing scope; the
         chain variables get consecutive slots of e, chain after chain, in
-        the inner formula's scope."""
+        the inner formula's scope, and in enumerate mode its groups
+        (_groups) the next ones."""
         bounds = [[self.set_term(b, scope) for b in spec.bounds] for spec in g.chains]
         tag_pos = {spec.tag: i for i, spec in enumerate(g.chains)}
         profiles = []
@@ -623,8 +646,15 @@ class _Compiler:
             for slot in range(len(bs)):
                 inner_scope[(g.binder, spec.tag, slot)] = len(self.e)
                 self.e.append(0)
+        # Maximal mode takes few vectors per atom: rows would cost more than
+        # the tuples they replace, so its measures stay closures.
+        outer, self.groups = self.groups, (
+            _groups(g.inner, {}, len(self.e)) if self.mode == ENUMERATE else {})
+        self.e += [0] * len(self.groups)
         inner = self.value(g.inner, inner_scope)
-        return self.search([spec.tag for spec in g.chains], bounds, lo, profiles, inner)
+        search = self.search([spec.tag for spec in g.chains], bounds, lo, profiles, inner)
+        self.groups = outer
+        return search
 
     def search(self, tags, bounds, lo, profiles, inner):
         """Supremum of inner over a product over atoms of depth vectors.
@@ -641,15 +671,27 @@ class _Compiler:
         budget.  Maximal mode keeps those no one-coordinate step up keeps
         feasible, the maximal ones, and requires decreasing bounds; for
         an inner formula increasing in the chain variables the supremum
-        is attained there.  Each combination writes the chain slots
-        e[lo:hi] at once."""
+        is attained there.  A vector is a row of its atom: its bit in each
+        chain slot it fills, then in enumerate mode its share of each group
+        (self.groups), weight times S per set term holding it with only its
+        bits in the chain slots, exact as set terms are pointwise.  Each
+        combination writes its rows' column sums into e[lo:hi] at once."""
         alg, e, enumerate_all = self.alg, self.e, self.mode == ENUMERATE
         bits = tuple(alg.bit.values())
         columns = [(i, slot) for i, bs in enumerate(bounds) for slot in range(len(bs))]
-        hi = lo + len(columns)
+        groups = [terms for _slot, terms in self.groups.values()]
+        mid = lo + len(columns)
+        hi = mid + len(groups)
+        sums, unit = self.sums, self.unit
         # (caps, forbidden) -> its depth vectors, for the evaluations of this
         # compiled search only; a new key is still budget-checked.
         vectors = {}
+
+        def shared(bit, row):
+            """row, then the atom's share of each group, with row written."""
+            e[lo:mid] = row
+            return row + tuple([unit * sum([sums[t() & bit] for t in terms])
+                                for terms in groups])
 
         def search():
             us = [[b() for b in bs] for bs in bounds]
@@ -677,6 +719,8 @@ class _Compiler:
                                  for v in found])
             refuse_over_budget(math.prod(map(len, per_atom)),
                                f"{self.mode}-mode depth vector combination")
+            if groups:
+                per_atom = [[shared(bit, row) for row in rows] for bit, rows in zip(bits, per_atom)]
             best = None
             for combo in itertools.product(*per_atom):
                 e[lo:hi] = map(sum, zip(*combo))
@@ -733,8 +777,11 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     if trials < 1:
         raise EvaluationError("trials must be >= 1")
     by_tag = vars_by_tag(g)
-    # Tag by tag in text order, each tag's variables in vars_by_tag order.
-    variables = [v for tag in sorted(by_tag, key=str) for v in by_tag[tag]]
+    # Tag by tag in text order (fm.texts), each in vars_by_tag order.
+    formulas = [tag for tag in by_tag if isinstance(tag, fm.Formula)]
+    text = dict(zip(formulas, fm.texts(formulas)))
+    variables = [v for tag in sorted(by_tag, key=lambda t: text.get(t) or str(t))
+                 for v in by_tag[tag]]
     if not variables:
         return None
     bits = tuple(alg.bit.values())
@@ -753,17 +800,11 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
                      for choice in itertools.product(range(3), repeat=len(bits))]
         draws = itertools.product(all_pairs, repeat=len(variables))
     else:
-        rng = random.Random(seed)
-        drawn = {}  # each drawn choice's masks, by the choice
-
-        def draw():
-            choice = tuple([rng.randrange(3) for _bit in bits])
-            pair = drawn.get(choice)
-            if pair is None:
-                pair = drawn[choice] = comparable(choice)
-            return pair
-
-        draws = ([draw() for _v in variables] for _ in range(trials))
+        rng, n, size = random.Random(seed), len(bits), len(bits) * len(variables)
+        drawn = functools.cache(comparable)  # each drawn choice's masks
+        # A trial's randrange(3) draws in one list, cut into one choice per variable.
+        trial_draws = ([rng.randrange(3) for _ in range(size)] for _ in range(trials))
+        draws = ([drawn(tuple(c[i:i + n])) for i in range(0, size, n)] for c in trial_draws)
     seen = {}  # value() by the masks written into a
 
     def value_at(masks):

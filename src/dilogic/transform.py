@@ -52,16 +52,18 @@ def _xi_direct(var, alpha, free, binders, items):
     the two copies of an accumulator that binds a variable take different
     names; a binder-free accumulator is one shared object, evaluated once
     by structure.eval_formula.  items caches
-    each renamed tag by (zeta, Sup name, binder names), paired with the
-    whole items zeta -. c over that copy, by c's numerator and
-    denominator: the cache hashes ints, never the dearer Fraction.
+    each renamed tag by (id(zeta), Sup name, binder names), paired with the
+    whole items zeta -. c over that copy, by c's numerator and denominator:
+    it hashes ints, never a formula node or a Fraction, and so must not
+    outlive the tags it saw (an id names one object only while it lives).
     """
     taken = set().union(*(free[zeta] for zeta, _c in alpha))
     names = fm.binder_names(taken)
     name = next(names)
+    alpha = [(zeta, c, binders[zeta]) for zeta, c in alpha]
 
-    def item(zeta, c):
-        key = (zeta, name, tuple(itertools.islice(names, binders[zeta])))
+    def item(zeta, c, count):
+        key = (id(zeta), name, tuple(itertools.islice(names, count)))
         if (entry := items.get(key)) is None:
             entry = items[key] = (fm.rename(zeta, {var: name}, iter(key[2])), {})
         renamed, by_c = entry
@@ -75,12 +77,12 @@ def _xi_direct(var, alpha, free, binders, items):
         # The min of alpha's first n items, naming binders in pre-order:
         # the accumulator's, then its copy's, then the next item's.
         acc = item(*alpha[0])
-        bound = binders[alpha[0][0]]
+        bound = alpha[0][2]
         for m in range(1, n):
             copy = fold(m) if bound else acc
-            zeta, c = alpha[m]
-            acc = fm.TruncSub(acc, fm.TruncSub(copy, item(zeta, c)))
-            bound = bound or binders[zeta]
+            zeta, c, count = alpha[m]
+            acc = fm.TruncSub(acc, fm.TruncSub(copy, item(zeta, c, count)))
+            bound = bound or count
         return acc
 
     return fm.Sup(name, fold(len(alpha)))
@@ -113,7 +115,7 @@ class TransformResult:
     @functools.cached_property
     def formula_texts(self):
         """{zeta: fm.to_text(zeta)} over F, in text order (no two share one)."""
-        texts = {zeta: fm.to_text(zeta) for zeta in self.levels}
+        texts = dict(zip(self.levels, fm.texts(self.levels)))
         return dict(sorted(texts.items(), key=lambda item: item[1]))
 
     @functools.cached_property

@@ -290,6 +290,48 @@ def test_monotone_variable_order_matches_reference_sort(monkeypatch):
     assert tags > 1 and nonstrict
 
 
+def test_texts_render_each_formula_as_to_text(compile_panel, suite_finished):
+    """fm.texts renders many formulas through one memo; formula by formula
+    it gives to_text's text, on every F built compiling the 58 panel
+    cases and the 204-instance suite, with its auxiliary formulas; most
+    of them share nodes."""
+    _names, results, finished = compile_panel
+    shared = 0
+    for result in results + finished + suite_finished:
+        formulas = jsonio._formula_table(result)[0]  # F, then the auxiliary
+        assert fm.texts(formulas) == [fm.to_text(z) for z in formulas]
+        shared += len({id(n) for z in formulas for n in fm.nodes(z)}) < sum(
+            1 for z in formulas for _n in fm.nodes(z))
+    assert shared > 100
+
+
+def test_monotone_variable_order_is_the_text_order_on_the_suite(
+        monkeypatch, suite_finished):
+    """check_monotone orders the tags of every G built compiling the
+    suite as sorted(..., key=str) does."""
+    orders = []
+
+    class Recorded(Exception):
+        pass
+
+    def recording(alg, mode=mba.MAXIMAL, variables=()):
+        orders.append(list(variables))
+        raise Recorded
+
+    monkeypatch.setattr(mba, "_Compiler", recording)
+    space = mba.FiniteMeasureAlgebra(("a",), {"a": Fraction(1)})
+    many = 0
+    for result in suite_finished:
+        by_tag = mba.vars_by_tag(result.g)
+        expected = [v for tag in sorted(by_tag, key=str) for v in by_tag[tag]]
+        orders.clear()
+        with contextlib.suppress(Recorded):
+            mba.check_monotone(result.g, space, trials=1, exhaustive_limit=0)
+        assert orders == ([expected] if expected else [])
+        many += len(by_tag) > 2
+    assert many > 50
+
+
 def test_document_writes_declared_set_without_building_it():
     sig = family.default_signature()
     for text in ("sup y . sub(P(y), Q(y))", "sup x . sup y . R(x,y)",

@@ -10,9 +10,13 @@ Enumerate mode builds only feasible tuples, so it is also checked on
 SupChains of up to three chains whose profiles name several slots of one
 chain, slots of one chain only, or no slot, and the tuples its inner
 formula sees are pinned to the feasible ones, in the order of the
-product over atoms of their depth vectors.  check_monotone must return the
-counterexample that the same search, run with the reference evaluator,
-finds first; the compile-time errors keep their EvaluationError type.
+product over atoms of their depth vectors.  Enumerate mode sums a
+SupChain's inner measures atom by atom (its groups), so grouped, lone and
+nested measures are checked on their own generator, and a counting test
+pins each group term to one run per (atom, vector).  check_monotone must
+return the counterexample that the same search, run with the reference
+evaluator, finds first; the compile-time errors keep their
+EvaluationError type.
 """
 
 import itertools
@@ -492,6 +496,134 @@ def test_enumerate_budget_counts_tuples_before_profiles():
     with pytest.raises(BudgetError, match=str(2**20)):
         mba.eval_mba(g, {}, alg, mba.ENUMERATE)
     assert mba.eval_mba(g, {}, alg, mba.MAXIMAL) == 0
+
+
+# ---------------------------------------------------------------------------
+# Groups: a SupChain's inner measures, summed atom by atom
+
+
+def random_grouped_inner(rng, leaves, depth):
+    """An inner formula whose measures are groups: Adds of two to four
+    Measures, lone Measures under Max, Min, Scale and TruncSub, and Adds
+    mixing a Measure with a constant."""
+    if depth == 0 or rng.randrange(4) == 0:
+        kind = rng.randrange(3)
+        if kind == 0:
+            return mba.Add(tuple(mba.Measure(random_set(rng, leaves, 2))
+                                 for _ in range(rng.randrange(2, 5))))
+        if kind == 1:
+            return mba.Measure(random_set(rng, leaves, 2))
+        return mba.Add((mba.Measure(random_set(rng, leaves, 2)),
+                        mba.Const(F(rng.randrange(4), 3))))
+    op = rng.randrange(4)
+    if op == 0:
+        factor = rng.choice((F(1, 2), F(2, 3), F(1, 5)))
+        return mba.Scale(factor, random_grouped_inner(rng, leaves, depth - 1))
+    if op == 1:
+        return mba.TruncSub(random_grouped_inner(rng, leaves, depth - 1),
+                            random_grouped_inner(rng, leaves, depth - 1))
+    cls = mba.Max if op == 2 else mba.Min
+    return cls(tuple(random_grouped_inner(rng, leaves, depth - 1)
+                     for _ in range(rng.randrange(1, 4))))
+
+
+def random_grouped_formula(rng):
+    """A SupChain of chains A (one or two slots) and B over the free
+    variables, perhaps with a profile, whose grouped inner formula holds
+    a nested SupChain of chain C, bounded by an enclosing chain variable;
+    the nested inner formula's groups read C and the enclosing slots.
+    The SupChain sits alone, under a Scale, or beside a measure no
+    SupChain encloses."""
+    slots = [("A", j) for j in range(rng.randrange(1, 3))] + [("B", 0)]
+    outer = tuple(mba.ChainVar(7, tag, j) for tag, j in slots)
+    chains = (mba.ChainSpec("A", tuple(random_set(rng, LEAVES, 1)
+                                       for _tag, j in slots if _tag == "A")),
+              mba.ChainSpec("B", (random_set(rng, LEAVES, 1),)))
+    profiles = ()
+    if rng.randrange(2):
+        named = tuple(rng.sample(slots, rng.randrange(1, 3)))
+        profiles = (mba.ProfileSpec(named, random_set(rng, LEAVES, 1)),)
+    nested = mba.SupChain(
+        8, (mba.ChainSpec("C", (random_set(rng, LEAVES + outer, 1),)),),
+        random_grouped_inner(rng, LEAVES + outer + (mba.ChainVar(8, "C", 0),), 1))
+    inner = random_grouped_inner(rng, LEAVES + outer, 2)
+    inner = rng.choice((mba.Add((inner, mba.Scale(F(1, 2), nested))),
+                        mba.Max((nested, inner)),
+                        mba.TruncSub(inner, nested),
+                        inner))
+    g = mba.SupChain(7, chains, inner, profiles)
+    return rng.choice((g, mba.Scale(F(1, 3), g),
+                       mba.Add((mba.Measure(random_set(rng, LEAVES, 2)), g))))
+
+
+def test_grouped_measures_match_the_definition_in_both_modes():
+    """Each group's value is its atoms' shares summed by the search; the
+    reference evaluator sums each measure over the whole tuple."""
+    rng = random.Random(20230419)
+    seen = Counter()
+    for case in range(160):
+        alg = ALGEBRAS[case % len(ALGEBRAS)]
+        g = random_grouped_formula(rng)
+        groups = {}  # each SupChain's groups, by its binder
+        for sup in mba.nodes(g):
+            if type(sup) is mba.SupChain:
+                ids = mba._groups(sup.inner, {}, 0)
+                groups[sup.binder] = [n for n in mba.nodes(sup.inner) if id(n) in ids]
+        seen["grouped adds"] += sum(type(n) is mba.Add for n in groups[7])
+        seen["lone measures"] += sum(type(n) is mba.Measure for n in groups[7])
+        seen["nested groups reading the enclosing slots"] += sum(
+            any(type(y) is mba.ChainVar and y.binder == 7 for y in mba.nodes(n))
+            for n in groups.get(8, ()))
+        subsets = _subsets(alg)
+        for _ in range(2):
+            assign = {X: rng.choice(subsets), Y: rng.choice(subsets)}
+            for mode in (mba.ENUMERATE, mba.MAXIMAL):
+                expected = _expect(g, assign, alg, mode, seen)
+                assert _actual(g, assign, alg, mode) == expected, (g, assign, mode)
+                seen["chain error"] += expected is ChainError
+    assert seen["supchain enumerate"] > 1000
+    assert seen["supchain maximal"] > 300
+    assert seen["profiles"] > 150
+    assert seen["grouped adds"] > 80
+    assert seen["lone measures"] > 150
+    assert seen["nested groups reading the enclosing slots"] > 60
+    assert seen["chain error"] > 20
+
+
+def test_group_terms_run_once_per_atom_and_vector(monkeypatch):
+    """Two 11-slot chains on 2 atoms give 12 * 12 depth vectors per atom:
+    20,736 tuples, but in enumerate mode the 22 set terms of the two
+    groups run once per (atom, vector), 288 times each.  Maximal mode, one
+    vector per atom without profiles, evaluates the inner formula once."""
+    a = [mba.ChainVar(0, "A", j) for j in range(11)]
+    b = [mba.ChainVar(0, "B", j) for j in range(11)]
+    terms = a + [mba.Compl(y) for y in b]
+    original = mba._Compiler.set_term
+    runs = Counter()
+
+    def counting(self, t, scope):
+        closure = original(self, t, scope)
+        if t not in terms:
+            return closure
+
+        def counted():
+            runs[t] += 1
+            return closure()
+        return counted
+
+    monkeypatch.setattr(mba._Compiler, "set_term", counting)
+    full = (mba.Full(),) * 11
+    g = mba.SupChain(
+        0, (mba.ChainSpec("A", full), mba.ChainSpec("B", full)),
+        mba.TruncSub(mba.Scale(F(1, 11), mba.Add(tuple(mba.Measure(y) for y in a))),
+                     mba.Scale(F(1, 11), mba.Add(tuple(mba.Measure(mba.Compl(y))
+                                                       for y in b)))))
+    alg = ALGEBRAS[1]
+    assert mba.supchain_search_size(g, {}, alg) == 144 ** 2
+    for mode, per_term in ((mba.ENUMERATE, 2 * 144), (mba.MAXIMAL, 1)):
+        runs.clear()
+        assert mba.eval_mba(g, {}, alg, mode) == 1
+        assert runs == dict.fromkeys(terms, per_term), mode
 
 
 # ---------------------------------------------------------------------------
