@@ -143,10 +143,11 @@ def cmd_mba_monotone(args):
 def cmd_mba_dist(args):
     alg = jsonio.algebra_from_doc(_load_json(args.algebra))
     chain, xs = jsonio.dist_input_from_doc(_load_json(args.input), alg)
+    # First, so a tuple of the wrong length is refused before phi reads it.
+    dist, witness = mba.dist_to_chain_set(xs, chain, alg)
     formula = mba.phi_chain(chain)
     assign = {mba.chain_var("X", m, len(chain)): x for m, x in enumerate(xs)}
     bound = mba.eval_mba(formula, assign, alg)
-    dist, witness = mba.dist_to_chain_set(xs, chain, alg)
     witness_doc = [jsonio.subset_to_doc(y, alg) for y in witness]
     phi_text, dist_text = map(jsonio.format_fraction, (bound, dist))
     _emit(args.format, lambda: {

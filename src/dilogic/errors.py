@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one refusal of an
+inexact value."""
+
+from fractions import Fraction
+
+# The exact value types of weights, distances, predicate values, masses
+# and thresholds; bool, float and every other type are rejected.
+EXACT_TYPES = (int, Fraction)
+
+
+def exact(value, what, error):
+    """value as a Fraction: an int or a Fraction, else error."""
+    if type(value) not in EXACT_TYPES:
+        raise error(f"{what} {value!r} is not an int or a Fraction")
+    return Fraction(value)
 
 
 class DilogicError(Exception):

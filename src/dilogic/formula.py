@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, SignatureError
+from .errors import ParseError, SignatureError, exact
 from .tree import Node, Shape, node
 
 RESERVED_WORDS = frozenset({"half", "sub", "sup", "inf"})
@@ -280,8 +280,8 @@ def normalize_range(phi, r, t):
     the affine image of phi's range lies in [0,1], the result's value is
     exactly r*(value - t); otherwise it is that value clamped below at 0.
     """
-    r = Fraction(r)
-    t = Fraction(t)
+    r = exact(r, "scale", SignatureError)
+    t = exact(t, "offset", SignatureError)
     if r <= 0:
         raise SignatureError(f"scale {r} must be positive")
     m = 0

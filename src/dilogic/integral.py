@@ -41,7 +41,7 @@ from fractions import Fraction
 
 from . import formula as fm
 from . import structure as st
-from .errors import BudgetError, EvaluationError, InputError, ValidationError
+from .errors import BudgetError, EvaluationError, InputError, ValidationError, exact
 from .mba import FiniteMeasureAlgebra
 
 # A finite probability space is exactly a finite measure algebra: ordered
@@ -337,14 +337,14 @@ def level_set(zeta, field_, assignment, t, *, strict=True):
     """Atoms where the fiberwise value of zeta exceeds t: the threshold at
     t of zeta's fiber_values table."""
     return threshold(fiber_values(zeta, field_, assignment), field_,
-                     Fraction(t), strict=strict)
+                     exact(t, "threshold", InputError), strict=strict)
 
 
 def theory_distribution(field_, sentences, thresholds):
     """mu of the atoms where every sentence's fiber value exceeds its
     threshold strictly."""
     sentences = list(sentences)
-    thresholds = [Fraction(r) for r in thresholds]
+    thresholds = [exact(r, "threshold", InputError) for r in thresholds]
     if len(sentences) != len(thresholds):
         raise InputError("sentence and threshold tuples differ in length")
     for phi in sentences:

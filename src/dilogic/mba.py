@@ -38,7 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as fm
-from .errors import BudgetError, ChainError, EvaluationError, ValidationError
+from .errors import (EXACT_TYPES, BudgetError, ChainError, EvaluationError,
+                     ValidationError, exact)
 from .tree import Node, Shape, node
 
 ENUMERATE = "enumerate"
@@ -51,18 +52,6 @@ MAXIMAL = "maximal"
 # each atom's depth-vector search, the chain-set walk of
 # dist_to_chain_set, and structure's permutation and assignment searches.
 ENUMERATE_TUPLE_BUDGET = 10**6
-
-# The exact value types of weights, distances and predicate values; bool,
-# float and every other type are rejected.
-EXACT_TYPES = (int, Fraction)
-
-
-def _exact(value, what):
-    """value as a Fraction: an int or a Fraction, else ValidationError."""
-    if type(value) not in EXACT_TYPES:
-        raise ValidationError(f"{what} {value!r} is not an int or a Fraction")
-    return Fraction(value)
-
 
 @dataclass(frozen=True)
 class FiniteMeasureAlgebra:
@@ -186,7 +175,7 @@ class SetVarIndex(Node):
 
     def __post_init__(self):
         if type(self.level) is not Fraction:
-            object.__setattr__(self, "level", _exact(self.level, "level"))
+            object.__setattr__(self, "level", exact(self.level, "level", ValidationError))
 
 
 @node
@@ -275,7 +264,7 @@ class Const(Node):
 
     def __post_init__(self):
         if type(self.value) is not Fraction:
-            object.__setattr__(self, "value", _exact(self.value, "constant"))
+            object.__setattr__(self, "value", exact(self.value, "constant", ValidationError))
 
 
 @node
@@ -286,7 +275,7 @@ class Scale(Node):
     def __post_init__(self):
         f = self.factor
         if type(f) is not Fraction:
-            object.__setattr__(self, "factor", f := _exact(f, "scale factor"))
+            object.__setattr__(self, "factor", f := exact(f, "scale factor", ValidationError))
         if f.numerator < 0:
             raise ValidationError("scale factor must be non-negative")
 

@@ -16,8 +16,9 @@ above the leaf) times the leaf's Const denominator, and computes every
 subformula's value times the scale S = den * unit as an integer: Half is
 the exact // 2, truncated subtraction max(0, a - b), and the result is
 one Fraction over S.  A min fold a -. (a -. b) whose two a are one
-object, as transform writes min(a, b), is evaluated as min(a, b), so a is
-evaluated once; on integers >= 0 the two are equal.
+object, as transform writes min(a, b) for a binder-free item a of an xi
+and its accumulator b, is evaluated as min(a, b), so a is evaluated
+once; on integers >= 0 the two are equal.
 
 A model's sweep is None, or a function that gives a quantifier-free
 body's values at every point at once (the direct integral's,

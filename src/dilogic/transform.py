@@ -43,27 +43,28 @@ def _xi_direct(var, alpha, free, binders, items):
     Truncated subtraction replaces plain subtraction so the range stays in
     [0,1]; the strict-positivity level set at 0 is unchanged.
 
-    The min folds the items left to right by min(a, b) = a -. (a -. b),
-    exact on [0,1].  canonicalize numbers binders y0, y1, ... in pre-order
-    and skips every free variable of alpha's tags (free[zeta]: zeta's own
-    but var).  So the Sup takes the first free name, and each occurrence of
-    a tag in the expanded fold takes the next binders[zeta] names for its
-    own binders, in its pre-order.  The fold repeats its accumulator a, so
-    the two copies of an accumulator that binds a variable take different
-    names; a binder-free accumulator is one shared object, evaluated once
-    by structure.eval_formula.  items caches
-    each renamed tag by (id(zeta), Sup name, binder names), paired with the
-    whole items zeta -. c over that copy, by c's numerator and denominator:
-    it hashes ints, never a formula node or a Fraction, and so must not
-    outlive the tags it saw (an id names one object only while it lives).
+    The min folds the items left to right: the accumulator b and the next
+    item a give min(a, b) = a -. (a -. b), exact on [0,1].  The fold
+    repeats the item, never the accumulator, so each item but the first
+    occurs twice and xi's size is linear in alpha's.  canonicalize numbers
+    binders y0, y1, ... in pre-order and skips every free variable of
+    alpha's tags (free[zeta]: zeta's own but var).  So the Sup takes the
+    first free name, and each occurrence of a tag takes the next
+    binders[zeta] names for its own binders, in the fold's pre-order: the
+    last item, its copy, the item before and its copy, ..., the first
+    item.  A binder-free item and its copy are one shared object,
+    evaluated once by structure.eval_formula.  items caches each renamed
+    tag by (id(zeta), Sup name, binder names), paired with the whole items
+    zeta -. c over that copy, by c's numerator and denominator: it hashes
+    ints, never a formula node or a Fraction, and so must not outlive the
+    tags it saw (an id names one object only while it lives).
     """
     taken = set().union(*(free[zeta] for zeta, _c in alpha))
     names = fm.binder_names(taken)
     name = next(names)
-    alpha = [(zeta, c, binders[zeta]) for zeta, c in alpha]
 
-    def item(zeta, c, count):
-        key = (id(zeta), name, tuple(itertools.islice(names, count)))
+    def item(zeta, c):
+        key = (id(zeta), name, tuple(itertools.islice(names, binders[zeta])))
         if (entry := items.get(key)) is None:
             entry = items[key] = (fm.rename(zeta, {var: name}, iter(key[2])), {})
         renamed, by_c = entry
@@ -73,19 +74,11 @@ def _xi_direct(var, alpha, free, binders, items):
             out = by_c[ratio] = fm.TruncSub(renamed, fm.Const(c))
         return out
 
-    def fold(n):
-        # The min of alpha's first n items, naming binders in pre-order:
-        # the accumulator's, then its copy's, then the next item's.
-        acc = item(*alpha[0])
-        bound = alpha[0][2]
-        for m in range(1, n):
-            copy = fold(m) if bound else acc
-            zeta, c, count = alpha[m]
-            acc = fm.TruncSub(acc, fm.TruncSub(copy, item(zeta, c, count)))
-            bound = bound or count
-        return acc
-
-    return fm.Sup(name, fold(len(alpha)))
+    pairs = [(item(zeta, c), item(zeta, c)) for zeta, c in reversed(alpha[1:])]
+    acc = item(*alpha[0])
+    for a, copy in reversed(pairs):
+        acc = fm.TruncSub(a, fm.TruncSub(copy, acc))
+    return fm.Sup(name, acc)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, ValidationError
+from .errors import InputError, ValidationError, exact
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class TypeIDescription:
                 raise ValidationError(f"matrix size {m!r} is not an integer")
             if m < 1:
                 raise ValidationError(f"matrix size {m} must be >= 1")
-            atoms = tuple(Fraction(a) for a in atoms)
-            diffuse = Fraction(diffuse)
+            atoms = tuple(exact(a, "atom mass", ValidationError) for a in atoms)
+            diffuse = exact(diffuse, "diffuse mass", ValidationError)
             if any(a <= 0 for a in atoms):
                 raise ValidationError(f"atom masses must be positive (size {m})")
             if diffuse < 0:
@@ -42,7 +42,7 @@ class TypeIDescription:
                 continue
             canon.append((m, tuple(sorted(atoms, reverse=True)), diffuse))
         object.__setattr__(self, "components", tuple(canon))
-        rem = Fraction(self.remainder)
+        rem = exact(self.remainder, "remainder mass", ValidationError)
         if rem < 0:
             raise ValidationError("remainder mass negative")
         object.__setattr__(self, "remainder", rem)

@@ -87,12 +87,12 @@ def q_of(v):
 
 def xi_formula(var, alpha):
     """The reference xi_alpha: sup_var min over (zeta, c) in alpha of
-    (zeta -. c), the min folded left to right by min(a, b) = a -. (a -. b),
-    then canonicalized."""
+    (zeta -. c), the min folded left to right by min(out, item) =
+    item -. (item -. out), then canonicalized."""
     items = [fm.TruncSub(zeta, fm.Const(c)) for zeta, c in alpha]
     out = items[0]
     for item in items[1:]:
-        out = fm.TruncSub(out, fm.TruncSub(out, item))
+        out = fm.TruncSub(item, fm.TruncSub(item, out))
     return fm.canonicalize(fm.Sup(var, out))
 
 

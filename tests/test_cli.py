@@ -374,28 +374,28 @@ GOLDEN_SHA256 = {
         "b2fb6873b98582bf6a76bf881a31962710446fae29ec6aa89a91f42c134aec03",
     ),
     "sup-sub": (
-        "7ebd243212ad869f72edca494832373721282268e570317e042885f1b7b55b04",
-        "f626404dcca02d7a7fc689d4bd50994c5ed55f809f893badc715773912906433",
+        "c8fc01d29140d23b31a0d5b29981bc16ccd737c0b9f050a4bcd19ad54f4922e1",
+        "b9aafd0b0c271ba55947d4ff25289418952f405d5ce51b82a8af9b93cf66ecd0",
     ),
     "sup-sub-const": (
-        "32406aa5a2db4b6f9ae35ffed0adc950408a48e394fcbe759cf1f1440fc5e019",
-        "245f0459778a97b68ad664125d235dbea307c36f939b8c4e644d883ce2903e6f",
+        "41dfdbc5fea6a689ca5b62d67cfadfbc12325dcc71bc17507584f57eb8196c20",
+        "0780973eea252d6759eec2df49e0e3607797fc62760f284059d229cb1f3ef0a1",
     ),
     "sub-sup": (
         "521cdf5e712e2f5b17213c74ea9cb23c81c1787cf2f00e44978cce6e893759c6",
         "6475b9a291810eb86bc12f79c4dbd35d36e95c25e4b89871f3e20613feb12f8f",
     ),
     "frontier-sup-sub": (
-        "7ebd243212ad869f72edca494832373721282268e570317e042885f1b7b55b04",
-        "f626404dcca02d7a7fc689d4bd50994c5ed55f809f893badc715773912906433",
+        "c8fc01d29140d23b31a0d5b29981bc16ccd737c0b9f050a4bcd19ad54f4922e1",
+        "b9aafd0b0c271ba55947d4ff25289418952f405d5ce51b82a8af9b93cf66ecd0",
     ),
     "frontier-sup-sup": (
-        "c062f33e1c3a2176dced374de8c5210f506ba82522b172d18e41d535c18b5e5a",
-        "4ecca3cfd8a5aa3d0f74e4510dad0277a58f01ff9592d8491b6a115836415865",
+        "bb9923e81a920db4f49045ab75c3009aa167188d92e1a195e2899db5a2f4d610",
+        "a94586ab322931d8a583ac4827c867cd613ad4380c1caa017626cc1423d7ea9f",
     ),
     "frontier-inf": (
-        "8f6e6b64fcbf9b3fb79b5ac33a5c3ecd34a683f6e65f75c260628a9d7408ca38",
-        "b2f65d3e1fc5444aea18f726eca6bb1c640521feaf9c9f722bc1242a25b7b772",
+        "39689756572bba6392c2d1d1d1fefcf5855fe9bd98a1e96a60766bf219c54a9e",
+        "d1977762bc69b0cace0b774c4207e49bceb9c7144a0d1f798932ef175b8263d4",
     ),
 }
 
@@ -723,6 +723,21 @@ def test_mba_dist_budget_exit_2(tmp_path, capsys):
     assert out == ""
     assert json.loads(err)["error"] == "budget"
     assert str(4**20) in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("xs", [[], [["w1"]], [["w1"], ["w1"], []]],
+                         ids=["empty", "short", "long"])
+def test_mba_dist_tuple_length_exit_2(paths, tmp_path, capsys, xs):
+    input_path = tmp_path / "dist_length.json"
+    input_path.write_text(json.dumps({"chain": [["w1", "w2"], ["w1"]],
+                                      "tuple": xs}), encoding="utf-8")
+    code, out, err = run(capsys, [
+        "mba", "dist", "--algebra", paths["alg.json"], "--input", str(input_path),
+    ])
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    assert json.loads(err) == {
+        "error": "input", "message": "tuple length does not match chain length"}
 
 
 def test_mba_dist(paths, capsys):

@@ -101,7 +101,7 @@ def test_compile_panel_matches_reference_counts(compile_panel):
 # SHA-256 over the `dilogic transform` JSON documents of the whole compile
 # panel, concatenated in workloads.compile_panel() order.
 COMPILE_PANEL_SHA256 = (
-    "af008f4a416dfa2b10239048d0ab7a0820c85f44a6dc2bff014df978fe677023")
+    "ec0b3afea4bf27d115192178777e7dfd6ba8af9ec275538a5eac05b860868b18")
 
 
 def test_compile_panel_document_bytes(compile_panel):
@@ -412,9 +412,11 @@ def test_direct_xi_equals_xi_formula():
         assert fm.to_text(xi) == fm.to_text(expected)
 
 
-def test_xi_accumulator_copies_take_their_own_binder_names():
-    """min(a, b) = a -. (a -. b) repeats its accumulator; each occurrence
-    of a binder tag takes the next names, in pre-order."""
+def test_xi_item_copies_take_their_own_binder_names():
+    """min(b, a) = a -. (a -. b) repeats the item a, never the accumulator
+    b; each occurrence of a binder tag takes the next names, in pre-order:
+    the last item, its copy, then the first item.  A binder-free item and
+    its copy are one object."""
     sig = family.default_signature()
     alpha = ((fm.parse_formula("sup y . R(x,y)", sig), Fraction(1, 4)),
              (fm.parse_formula("sup y . sub(R(x,y), P(x))", sig),
@@ -423,10 +425,39 @@ def test_xi_accumulator_copies_take_their_own_binder_names():
     binders = {zeta: 1 for zeta, _c in alpha}
     xi = tr._xi_direct("x", alpha, free, binders, {})
     assert fm.to_text(xi) == (
-        "sup y0 . sub(sub(sup y1 . R(y0,y1), 1/4), "
-        "sub(sub(sup y2 . R(y0,y2), 1/4), "
-        "sub(sup y3 . sub(R(y0,y3), P(y0)), 1/2)))")
+        "sup y0 . sub(sub(sup y1 . sub(R(y0,y1), P(y0)), 1/2), "
+        "sub(sub(sup y2 . sub(R(y0,y2), P(y0)), 1/2), "
+        "sub(sup y3 . R(y0,y3), 1/4)))")
     assert xi == xi_formula("x", alpha)
+    p = fm.parse_formula("P(x)", sig)
+    alpha += ((p, Fraction(1, 3)),)
+    free[p], binders[p] = set(), 0
+    xi = tr._xi_direct("x", alpha, free, binders, {})
+    assert fm.to_text(xi) == (
+        "sup y0 . sub(sub(P(y0), 1/3), sub(sub(P(y0), 1/3), "
+        "sub(sub(sup y1 . sub(R(y0,y1), P(y0)), 1/2), "
+        "sub(sub(sup y2 . sub(R(y0,y2), P(y0)), 1/2), "
+        "sub(sup y3 . R(y0,y3), 1/4)))))")
+    assert xi.body.left is xi.body.right.left
+    assert xi == xi_formula("x", alpha)
+
+
+def tree_size(phi):
+    """phi's node count, a node shared by two parents counted twice."""
+    return sum(1 for _node in fm.nodes(phi))
+
+
+def test_xi_size_is_linear_in_its_items():
+    """On the compile panel, each xi is at most twice its items zeta -. c
+    plus two nodes per item: the min fold repeats each item once, never
+    the accumulator, whose copies would double with each item."""
+    direct = compile_recording_xi(compile_panel_jobs())
+    nested = 0
+    for _var, alpha, xi in direct:
+        items = sum(tree_size(zeta) + 2 for zeta, _c in alpha)
+        assert tree_size(xi) <= 2 * items + 2 * len(alpha)
+        nested += len(alpha) > 2 and any(binder_names(zeta) for zeta, _c in alpha)
+    assert nested > 100
 
 
 def test_transform_makes_no_canonicalize_call(monkeypatch):

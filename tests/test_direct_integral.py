@@ -256,6 +256,17 @@ def test_theory_distribution_rejects_free_variables():
         di.theory_distribution(field_, [fm.Const(F(1, 2))], [])
 
 
+@pytest.mark.parametrize("t", [0.1, "1/2", True], ids=["float", "string", "bool"])
+def test_thresholds_must_be_exact(t):
+    # 0.1 would be read as 3602879701896397/36028797018963968.
+    field_ = sup_example_field()
+    phi = fm.Sup("y", p_of("y"))
+    with pytest.raises(InputError, match="is not an int or a Fraction"):
+        di.theory_distribution(field_, [phi], [t])
+    with pytest.raises(InputError, match="is not an int or a Fraction"):
+        di.level_set(phi, field_, {}, t)
+
+
 # ---------------------------------------------------------------------------
 # Relabeling
 

@@ -285,3 +285,10 @@ def test_normalize_range_rejections():
         fm.normalize_range(phi, 2, 0)
     with pytest.raises(SignatureError):
         fm.normalize_range(phi, 1, F(3, 2))
+
+
+@pytest.mark.parametrize("r, t", [(0.5, 0), ("1/2", 0), (True, 0),
+                                  (1, 0.25), (1, "1/4"), (1, True)])
+def test_normalize_range_rejects_inexact_values(r, t):
+    with pytest.raises(SignatureError, match="is not an int or a Fraction"):
+        fm.normalize_range(p_of("x"), r, t)

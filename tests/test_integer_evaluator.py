@@ -10,7 +10,8 @@ body, when the model has a sweep, or interprets its body at each point;
 the direct integral's sweep is checked value by value, in the order of
 the choice functions, against eval_formula on materialize.  A min fold
 a -. (a -. b) is checked with its accumulator shared, which is evaluated
-once, and copied, on structures, fibers and the direct integral.  The
+once, and copied, and with the item shared, as transform folds, on
+structures, fibers and the direct integral.  The
 complement identity, decided per atom, is checked against the explicit
 loop over its l+1 thresholds.  No float appears in this module."""
 
@@ -317,10 +318,12 @@ def test_eval_on_integral_across_the_boundary(sizes):
 
 
 # ---------------------------------------------------------------------------
-# The min fold a -. (a' -. b), as transform's xi write min(a, b): when a'
-# is the object a, eval_formula takes min(a, b) and evaluates a once; an
-# equal but distinct a' is subtracted as written.  Either way the value is
-# the reference's, which subtracts twice.
+# The min fold a -. (a' -. b): when a' is the object a, eval_formula takes
+# min(a, b) and evaluates a once; an equal but distinct a' is subtracted as
+# written.  Either way the value is the reference's, which subtracts twice.
+# A fold repeats its accumulator, shared ("shared") or as an equal copy
+# ("copied"), or the next item itself ("item"), as transform's xi do.
+FOLDS = ("shared", "copied", "item")
 
 
 def _copy(phi):
@@ -335,18 +338,22 @@ def _copy(phi):
     return dataclasses.replace(phi)
 
 
-def _min_fold(items, shared):
-    """The items folded left to right by a -. (a' -. b), with a' the
-    accumulator a itself when shared, else an equal copy of it."""
+def _min_fold(items, fold):
+    """The items folded left to right, in the way fold names (FOLDS): by
+    acc -. (acc' -. item), acc' the accumulator itself or an equal copy of
+    it, or by item -. (item -. acc)."""
     acc = items[0]
     for item in items[1:]:
-        copy = acc if shared else _copy(acc)
-        assert copy == acc and (copy is acc) == shared
+        if fold == "item":
+            acc = fm.TruncSub(item, fm.TruncSub(item, acc))
+            continue
+        copy = acc if fold == "shared" else _copy(acc)
+        assert copy == acc and (copy is acc) == (fold == "shared")
         acc = fm.TruncSub(acc, fm.TruncSub(copy, item))
     return acc
 
 
-def _random_min_folds(seed, count, shared):
+def _random_min_folds(seed, count, fold):
     """Folds of 2 to 4 random items over x, some of them under a sup or
     inf binding y, whose items may bind further variables."""
     rng = random.Random(seed)
@@ -356,7 +363,7 @@ def _random_min_folds(seed, count, shared):
         scope = ["x"] if var is None else ["x", var]
         items = [_random_formula(rng, rng.randint(0, 2), scope)
                  for _ in range(rng.randint(2, 4))]
-        phi = _min_fold(items, shared)
+        phi = _min_fold(items, fold)
         out.append(phi if var is None else rng.choice((fm.Sup, fm.Inf))(var, phi))
     return out
 
@@ -382,20 +389,23 @@ def test_a_shared_accumulator_is_evaluated_once(pred_reads):
     b, c = _atom("Q", "x"), fm.Const(F(2, 5))
     # a reads R at each of 4 points.  Folded with b, then c, a shared
     # accumulator is evaluated once; as copies a is evaluated 2, then 4
-    # times.
-    for items, shared, r_reads in (((a, b), True, 4), ((a, b), False, 8),
-                                   ((a, b, c), True, 4), ((a, b, c), False, 16)):
+    # times.  Folded as transform folds, into the item a repeated after b
+    # or after c and b, a is evaluated once.
+    for items, fold, r_reads, q_reads in (
+            ((a, b), "shared", 4, 1), ((a, b), "copied", 8, 1),
+            ((a, b, c), "shared", 4, 1), ((a, b, c), "copied", 16, 2),
+            ((b, a), "item", 4, 1), ((c, b, a), "item", 4, 1)):
         pred_reads.clear()
-        got = st.eval_formula(_min_fold(items, shared), M, env)
-        assert pred_reads == {"R": r_reads, "Q": 1 + (not shared) * (len(items) - 2)}
+        got = st.eval_formula(_min_fold(items, fold), M, env)
+        assert pred_reads == {"R": r_reads, "Q": q_reads}
         assert got == min(st.eval_formula(item, M, env) for item in items)
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["shared", "copied"])
-def test_min_folds_on_structures_and_fibers(shared):
+@pytest.mark.parametrize("fold", FOLDS)
+def test_min_folds_on_structures_and_fibers(fold):
     rng = random.Random(21)
     seen = _Coverage()
-    phis = _random_min_folds(22, 120, shared)
+    phis = _random_min_folds(22, 120, fold)
     for points, denoms in ((["a", "b", "c"], (5, 7, 11)), (["a", "b"], (3, 4, 7))):
         _check(phis, _discrete_structure(rng, points, denoms), seen)
     field_ = _sweep_field(rng, (2, 3, 1))
@@ -408,8 +418,8 @@ def test_min_folds_on_structures_and_fibers(shared):
     assert min(seen.negative_sub, seen.inf, seen.func) > 0
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["shared", "copied"])
-def test_min_folds_on_the_direct_integral(shared):
+@pytest.mark.parametrize("fold", FOLDS)
+def test_min_folds_on_the_direct_integral(fold):
     """Under a binder over choice functions whose items bind more."""
     rng = random.Random(23)
     seen = _Coverage()
@@ -417,7 +427,7 @@ def test_min_folds_on_the_direct_integral(shared):
     for sizes in ((2, 3), (1, 2, 2)):
         field_ = _sweep_field(rng, sizes)
         M = di.materialize(field_)
-        for phi in _random_min_folds(24 + len(sizes), 60, shared):
+        for phi in _random_min_folds(24 + len(sizes), 60, fold):
             nested += sum(type(n) in (fm.Sup, fm.Inf) for n in fm.nodes(phi)) >= 2
             for e in field_.elements():
                 got = di.eval_on_integral(phi, field_, {"x": e})

@@ -52,6 +52,20 @@ def test_constructor_rejects_non_integer_sizes(m):
         typei.TypeIDescription(((m, (1,), 0),))
 
 
+@pytest.mark.parametrize("components, remainder", [
+    (((1, (True,), 0),), 0),
+    (((1, ("1/2",), "1/2"),), 0),
+    (((1, (0.1,), F(9, 10)),), 0),
+    (((1, (F(1, 2),), 0.5),), 0),
+    (((1, (F(1, 2),), 0),), 0.5),
+], ids=["atom-bool", "atom-string", "atom-float", "diffuse-float",
+        "remainder-float"])
+def test_constructor_rejects_inexact_masses(components, remainder):
+    # True would count as mass 1, and 0.1 + 9/10 as a mass over 1.
+    with pytest.raises(ValidationError, match="is not an int or a Fraction"):
+        typei.TypeIDescription(components, remainder)
+
+
 def test_type_dichotomy():
     assert M2.is_type_one()
     mixed = desc([(1, (F(1, 2),), F(0))], remainder=F(1, 2))
