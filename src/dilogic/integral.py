@@ -22,9 +22,11 @@ the integral evaluates that body at every choice function in one pass
 (_Integral.sweep): an Atomic becomes one column per atom, its weighted
 table entries over the atom's fiber, and its values are the column sums
 over itertools.product of the fibers, the order of the choice functions
-themselves.  The body's value at every choice function is still
-computed (one value serves them all when the body does not read the bound
-variable), and it is the integer the point-by-point evaluation gives.
+themselves (read from the model's column index, built once per symbol
+and position, when the bound variable is itself the one argument reading
+it).  The value at every choice function is still computed (one serves
+them all when the body does not read the bound variable): the integer
+the point-by-point evaluation gives.
 Before any choice function is visited, eval_on_integral counts the visits
 of the whole formula in closed form (choice_function_visits) and refuses
 them over its limit.
@@ -138,16 +140,16 @@ class IntegralElement:
         return hash(frozenset(self.choice.items()))
 
 
-def element_of(field_, mapping):
+def element_of(field_, mapping, prefix=""):
     e = IntegralElement(mapping)
     for a in e.choice:
         if a not in field_.space.weights:
-            raise ValidationError(f"element names atom {a!r} outside the space")
+            raise ValidationError(f"{prefix}element names atom {a!r} outside the space")
     for a in field_.space.atoms:
         if a not in e.choice:
-            raise ValidationError(f"element missing a point at atom {a!r}")
+            raise ValidationError(f"{prefix}element missing a point at atom {a!r}")
         if e.choice[a] not in field_.fibers[a].points:
-            raise ValidationError(f"point {e.choice[a]!r} not in the fiber at {a!r}")
+            raise ValidationError(f"{prefix}point {e.choice[a]!r} not in the fiber at {a!r}")
     return e
 
 
@@ -163,6 +165,14 @@ def _fiber_assignment(assignment, atom):
     return {name: e(atom) for name, e in assignment.items()}
 
 
+def _refuse_foreign(field_, assignment, failure):
+    """Raise, for failure (a KeyError), the ValidationError of the first
+    assigned element foreign to field_, or failure itself if none is."""
+    for var, e in assignment.items():
+        element_of(field_, e.choice, f"variable {var!r}: ")
+    raise failure
+
+
 class _Integral:
     """The direct integral of a field as a model for
     structure.eval_formula: its points are the choice functions as tuples
@@ -171,13 +181,15 @@ class _Integral:
     fiber values against the atom weights, as integers over den, and
     functions act fiberwise.  It also gives eval_formula the sweep of a
     quantifier-free body over every point at once.  Each field builds its
-    one model on first use (MeasurableField.integral)."""
+    one model on first use (MeasurableField.integral), and the model
+    builds each column index it reads (`columns`) on first use."""
 
     def __init__(self, field_):
         self.fiber_points = tuple(field_.fibers[w].points for w in field_.space.atoms)
         self.count = math.prod(map(len, self.fiber_points))
         self.den, self.tables = field_.weighted_preds
         self.funcs = field_.fiber_funcs
+        self.columns = {}  # (name, position) -> its column index
 
     @property
     def points(self):
@@ -214,7 +226,7 @@ class _Integral:
     def _sweep(self, phi, var, env, unit, scale):
         t = type(phi)
         if t is fm.Atomic:
-            reads, entries = self._lookup(self.tables[phi.pred], phi.args, var, env)
+            reads, entries = self._lookup(self.tables, phi.pred, phi.args, var, env)
             if not reads:
                 return sum(entries) * unit
             sums = map(sum, itertools.product(*entries))
@@ -247,22 +259,41 @@ class _Integral:
             except KeyError:
                 raise EvaluationError(
                     f"variable {term.name!r} has no assignment") from None
-        return self._lookup(self.funcs[term.func], term.args, var, env)
+        return self._lookup(self.funcs, term.func, term.args, var, env)
 
-    def _lookup(self, tables, args, var, env):
-        """The per-atom tables read at the terms args, in atom order: (False,
-        the entry at each atom) when no argument reads var, else (True, at
-        each atom the list of entries as var runs over the atom's fiber)."""
+    def _lookup(self, kind, name, args, var, env):
+        """The per-atom tables kind[name] read at the terms args, in atom
+        order: (False, the entry at each atom) when no argument reads var,
+        else (True, at each atom the entries as var runs over its fiber,
+        from columns when var is itself the one argument that reads it)."""
         terms = [self._term(a, var, env) for a in args]
-        if not any(reads for reads, _ in terms):
+        reading = [i for i, (reads, _) in enumerate(terms) if reads]
+        if len(reading) == 1 and type(args[reading[0]]) is fm.Var:
+            pos = reading[0]
+            index = (self.columns.get((name, pos)) or self.columns.setdefault(
+                (name, pos), self._index(kind[name], pos, len(args))))
+            rows = [v for i, (_, v) in enumerate(terms) if i != pos]
+            keys = rows[0] if len(rows) == 1 else zip(*rows)
+            return True, tuple(map(dict.__getitem__, index, keys)) if rows else index
+        if not reading:
             # A 0-ary predicate reads () at every atom.
             keys = zip(*[v for _, v in terms]) if terms else itertools.repeat(())
-            return False, tuple(map(dict.__getitem__, tables, keys))
+            return False, tuple(map(dict.__getitem__, kind[name], keys))
         return True, [
             list(map(table.__getitem__,
                      zip(*[v[i] if reads else itertools.repeat(v[i])
                            for reads, v in terms])))
-            for i, table in enumerate(tables)]
+            for i, table in enumerate(kind[name])]
+
+    def _index(self, tables, pos, arity):
+        """At each atom, the column of tables as position pos runs over the
+        fiber; for arity > 1 a dict of them by the other point or points."""
+        def column(table, fiber, others):
+            return tuple(table[others[:pos] + (p,) + others[pos:]] for p in fiber)
+        return tuple(column(table, fiber, ()) if arity == 1 else
+                     {others[0] if arity == 2 else others: column(table, fiber, others)
+                      for others in itertools.product(fiber, repeat=arity - 1)}
+                     for table, fiber in zip(tables, self.fiber_points))
 
 
 # The exact half of an int, as a function of it: (2).__rfloordiv__(v) is v // 2.
@@ -296,15 +327,19 @@ def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
     function in turn and interprets its body there.  The choice functions
     phi visits in all, choice_function_visits, are refused over limit
     before any is visited.  Each assigned IntegralElement enters as its
-    row of points in atom order.
+    row of points in atom order; one whose point or atom a lookup misses
+    is a ValidationError.
     """
     integral = field_.integral
     _refuse_over_limit(choice_function_visits(phi, integral.count), limit,
                        "choice-function")
     atoms = field_.space.atoms
-    rows = {var: tuple(map(e.choice.__getitem__, atoms))
-            for var, e in assignment.items()} if assignment else {}
-    return st.eval_formula(phi, integral, rows)
+    try:
+        rows = {var: tuple(map(e.choice.__getitem__, atoms))
+                for var, e in assignment.items()} if assignment else {}
+        return st.eval_formula(phi, integral, rows)
+    except KeyError as err:
+        _refuse_foreign(field_, assignment or {}, err)
 
 
 def fiber_values(zeta, field_, assignment=None):
@@ -315,14 +350,17 @@ def fiber_values(zeta, field_, assignment=None):
     range within each fiber, not over choice functions, and a fiber has no
     sweep, so each binds the fiber's points in turn and interprets its body
     there.  Every level set of zeta under this assignment is a threshold
-    of this one table.
+    of this one table.  A lookup that misses an assigned element's point
+    or atom is a ValidationError.
     """
     assignment = assignment or {}
     unit = st._unit(zeta)
-    return tuple(
-        st._eval_at_unit(zeta, field_.fibers[w], _fiber_assignment(assignment, w), unit)
-        for w in field_.space.atoms
-    )
+    try:
+        return tuple(
+            st._eval_at_unit(zeta, field_.fibers[w], _fiber_assignment(assignment, w), unit)
+            for w in field_.space.atoms)
+    except KeyError as err:
+        _refuse_foreign(field_, assignment, err)
 
 
 def threshold(values, field_, t, *, strict=True):

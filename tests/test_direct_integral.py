@@ -3,6 +3,7 @@ relabeling, and materialization."""
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from dilogic import family
 from dilogic import formula as fm
 from dilogic import integral as di
 from dilogic import structure as st
+from dilogic import transform as tr
 from dilogic.errors import BudgetError, InputError, SignatureError, ValidationError
 
 from helpers import (
@@ -53,6 +55,38 @@ def test_element_of_validation():
         di.element_of(field_, {"w1": "p", "w2": "nope"})
     with pytest.raises(ValidationError):
         di.element_of(field_, {"zz": "p", "w1": "p", "w2": "r"})
+
+
+def _foreign_instance():
+    field_ = family.random_field(family.default_signature(), random.Random(37), 3, 3)
+    e = family.random_element(field_, random.Random(1))
+    return field_, e, fm.parse_formula("R(x, y)", field_.signature)
+
+
+FOREIGN = {  # the bad element's choice, from a good one's, and its message
+    "point-outside-its-fiber": (lambda c: {**c, "w2": "nope"},
+                                "variable 'y': point 'nope' not in the fiber at 'w2'"),
+    "missing-atom": (lambda c: {w: p for w, p in c.items() if w != "w3"},
+                     "variable 'y': element missing a point at atom 'w3'"),
+}
+ORACLE_CALLS = {
+    "eval_on_integral": di.eval_on_integral,
+    "fiber_values": di.fiber_values,
+    "level_set": lambda phi, f, a: di.level_set(phi, f, a, F(1, 2)),
+    "determination_check": lambda phi, f, a: tr.determination_check(phi, 2, f, a),
+}
+
+
+@pytest.mark.parametrize("call", ORACLE_CALLS)
+@pytest.mark.parametrize("case", FOREIGN)
+def test_a_foreign_element_is_a_validation_error(case, call):
+    """Not a KeyError: the message names the variable and the atom."""
+    field_, e, phi = _foreign_instance()
+    bad, message = FOREIGN[case]
+    assignment = {"x": e, "y": di.IntegralElement(bad(e.choice))}
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        ORACLE_CALLS[call](phi, field_, assignment)
+    ORACLE_CALLS[call](phi, field_, {"x": e, "y": e})
 
 
 def test_elements_from_reordered_dicts_are_one_element():

@@ -11,8 +11,9 @@ the direct integral's sweep is checked value by value, in the order of
 the choice functions, against eval_formula on materialize.  A min fold
 a -. (a -. b) is checked with its accumulator shared, which is evaluated
 once, and copied, and with the item shared, as transform folds, on
-structures, fibers and the direct integral.  The
-complement identity, decided per atom, is checked against the explicit
+structures, fibers and the direct integral.  The column index the
+integral's sweep reads is checked at every argument shape and pinned to
+one build per symbol and position.  The complement identity, decided per atom, is checked against the explicit
 loop over its l+1 thresholds.  No float appears in this module."""
 
 import ast
@@ -605,6 +606,104 @@ def test_an_unassigned_variable_under_a_swept_binder_is_an_evaluation_error(
     with pytest.raises(EvaluationError, match="variable 'z' has no assignment"):
         di.eval_on_integral(fm.Sup("y", body), field_, {})
     assert sweeps == [body]
+
+
+# ---------------------------------------------------------------------------
+# The column index: built once per field, read by every inner sweep
+
+
+def test_the_oracle_at_every_argument_shape_matches_materialize():
+    """The swept y at position 0 and 1 of R, R(y, y), function terms over
+    y and the 0-ary C, each under sup and inf at one and two binder
+    levels, interleaved on one field in a shuffled order and its reverse:
+    a column index holds nothing that depends on a formula."""
+    rng = random.Random(31)
+    field_ = _sweep_field(rng, (2, 3, 1, 2))
+    M = di.materialize(field_)
+    x, y = fm.Var("x"), fm.Var("y")
+    bodies = [_atom("R", "y", "x"), _atom("R", "x", "y"), _atom("R", "y", "y"),
+              _atom("R", fm.Apply("f", (y,)), "x"),
+              _atom("R", fm.Apply("g", (x, y)), "y"), fm.Atomic("C")]
+    binders = (fm.Sup, fm.Inf)
+    formulas = [q("y", body) for body in bodies for q in binders]
+    formulas += [q("x", r("y", body)) for body in bodies
+                 for q in binders for r in binders]
+    rng.shuffle(formulas)
+    elements = dict(zip(M.points, field_.elements()))
+    checked = 0
+    for order in (formulas, formulas[::-1]):
+        for phi in order:
+            name = rng.choice(M.points)
+            got = di.eval_on_integral(phi, field_, {"x": elements[name]})
+            assert got == st.eval_formula(phi, M, {"x": name}), fm.to_text(phi)
+            checked += 1
+    assert checked == 2 * 6 * (2 + 4)
+    # R at either position, f under R, g at y's position; R(y, y) and a
+    # function term over y read no index of R.
+    assert set(field_.integral.columns) == {("R", 0), ("R", 1), ("f", 0), ("g", 1)}
+
+
+def test_a_ternary_predicate_reads_its_index_at_every_position():
+    """Keyed by the tuple of the two other points: y at each position of
+    T, beside x twice or x and f(x), under one binder and two."""
+    sig = fm.Signature(predicates=(("T", 3),), functions=(("f", 1),))
+    rng = random.Random(33)
+    space = di.FiniteProbabilitySpace(("w0", "w1"), {"w0": F(2, 5), "w1": F(3, 5)})
+    fibers = {}
+    for w, n in (("w0", 2), ("w1", 3)):
+        points = tuple(f"{w}p{i}" for i in range(n))
+        fibers[w] = st.ensure_valid(st.FiniteMetricStructure(
+            sig, points, {(p, q): F(int(p != q)) for p in points for q in points},
+            {"T": {args: F(rng.randrange(8), 7)
+                   for args in itertools.product(points, repeat=3)}},
+            {"f": dict(zip(((p,) for p in points), points[1:] + points[:1]))}))
+    field_ = di.MeasurableField(space, fibers)
+    M = di.materialize(field_)
+    elements = dict(zip(M.points, field_.elements()))
+    fx = fm.Apply("f", (fm.Var("x"),))
+    bodies = [_atom("T", "y", "x", "x"), _atom("T", "x", "y", fx),
+              _atom("T", fx, "x", "y")]
+    for body in bodies:
+        for phi in (fm.Sup("y", body), fm.Inf("y", body),
+                    fm.Sup("x", fm.Inf("y", body))):
+            for name in M.points:
+                got = di.eval_on_integral(phi, field_, {"x": elements[name]})
+                assert got == st.eval_formula(phi, M, {"x": name}), fm.to_text(phi)
+    assert set(field_.integral.columns) == {("T", 0), ("T", 1), ("T", 2)}
+
+
+def test_nested_binders_read_every_column_from_one_index(monkeypatch):
+    """sup and inf over sup on five 3-point fibers (243 choice functions),
+    each twice: one index build per (symbol, position) and field, and the
+    inner sweeps build no column of their own."""
+    field_ = family.random_field(family.default_signature(), random.Random(37), 5, 3)
+    assert field_.element_count() == 243
+    index, lookup = di._Integral._index, di._Integral._lookup
+    builds, swept = [], []
+
+    def counting_index(self, tables, pos, arity):
+        builds.append((tables, pos))
+        return index(self, tables, pos, arity)
+
+    def recording_lookup(self, *args):
+        reads, entries = lookup(self, *args)
+        if reads:
+            swept.append(entries)
+        return reads, entries
+
+    monkeypatch.setattr(di._Integral, "_index", counting_index)
+    monkeypatch.setattr(di._Integral, "_lookup", recording_lookup)
+    for text, value in [("sup x . sup y . R(x,y)", F(9, 16)),
+                        ("inf x . sup y . R(y,x)", F(9, 32))] * 2:
+        phi = fm.parse_formula(text, field_.signature)
+        assert di.eval_on_integral(phi, field_) == value
+    r_tables = field_.weighted_preds[1]["R"]
+    assert [pos for _, pos in builds] == [1, 0]
+    assert all(tables is r_tables for tables, _ in builds)
+    assert len(swept) == 4 * 243
+    stored = {id(column) for atoms in field_.integral.columns.values()
+              for by_others in atoms for column in by_others.values()}
+    assert all(id(column) in stored for entries in swept for column in entries)
 
 
 # ---------------------------------------------------------------------------
