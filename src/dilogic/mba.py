@@ -30,6 +30,7 @@ the boundary.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as fm
-from .errors import (EXACT_TYPES, BudgetError, ChainError, EvaluationError,
+from .errors import (EXACT_TYPES, BudgetError, ChainError, DilogicError, EvaluationError,
                      ValidationError, exact)
 from .tree import Node, Shape, node
 
@@ -748,20 +749,17 @@ class MonotoneCounterexample:
 
 def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     """Verify g is coordinatewise increasing on alg, evaluating in
-    MAXIMAL mode.
-
-    Returns None on pass, or the first MonotoneCounterexample found.
-    Exhaustive over all comparable assignment pairs when their count,
-    3^(atoms * variables), is within exhaustive_limit; otherwise samples
-    `trials` seeded random pairs.  trials < 1 is refused on both paths.
-    A sampled choice's masks are summed once and reused when the same
-    choice is drawn again; the draws, one randrange(3) per atom per
-    variable, and so every counterexample, do not change.
-    g is evaluated once per distinct assignment, at most 2^(atoms *
-    variables) times on the exhaustive path, and read back for every later
-    pair that holds it: the pairs, their order, the first counterexample
-    and every error, raised where the assignment is first met, are as if
-    each pair were evaluated afresh.
+    MAXIMAL mode.  Returns None on pass, or the first MonotoneCounterexample
+    of a scan of comparable assignment pairs: all of them when their count,
+    3^(atoms * variables), is within exhaustive_limit, else `trials` seeded
+    random pairs, one randrange(3) per atom per variable (a drawn choice's
+    masks are summed once).  trials < 1 is refused on both paths.  The
+    exhaustive path first evaluates g at all 2^(atoms * variables)
+    assignments, and passes, scanning no pair, if every cover (one atom
+    added to one variable) rises.  g is evaluated once per distinct
+    assignment that does not raise: the pairs, their order, the first
+    counterexample and every error, raised where its assignment is first
+    met, are as if each pair were evaluated afresh.
     """
     if trials < 1:
         raise EvaluationError("trials must be >= 1")
@@ -777,6 +775,8 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     compiler = _Compiler(alg, variables=variables)
     value, scale = compiler.formula(g)
     a = compiler.a
+    n, size = len(bits), len(bits) * len(variables)
+    seen = {}  # value() by the masks written into a
 
     def comparable(choice):
         """Masks A <= B: each atom is in neither (0), B only (1) or both (2)."""
@@ -784,17 +784,28 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
         high = sum(bit for bit, c in zip(bits, choice) if c >= 1)
         return low, high
 
-    if 3 ** (len(bits) * len(variables)) <= exhaustive_limit:
+    if 3 ** size <= exhaustive_limit:
+        # An assignment's place in product order holds, in binary, each atom
+        # of each variable as one bit: a cover sets one clear bit.
+        with contextlib.suppress(DilogicError):  # raised again by the pair scan
+            for masks in itertools.product(range(1 << n), repeat=len(variables)):
+                a[:] = masks
+                seen[masks] = value()
+            values = list(seen.values())
+            if all(values[i] <= values[i | 1 << j]
+                   for j in range(size) for i in range(1 << size) if not i >> j & 1):
+                return None
         all_pairs = [comparable(choice)
-                     for choice in itertools.product(range(3), repeat=len(bits))]
+                     for choice in itertools.product(range(3), repeat=n)]
         draws = itertools.product(all_pairs, repeat=len(variables))
     else:
-        rng, n, size = random.Random(seed), len(bits), len(bits) * len(variables)
         drawn = functools.cache(comparable)  # each drawn choice's masks
-        # A trial's randrange(3) draws in one list, cut into one choice per variable.
-        trial_draws = ([rng.randrange(3) for _ in range(size)] for _ in range(trials))
+        # randrange(3) as random draws it: two bits, drawn again on 3.  A
+        # trial's draws in one list, cut into one choice per variable.
+        two_bits = functools.partial(random.Random(seed).getrandbits, 2)
+        stream = (r for r in iter(two_bits, None) if r != 3)
+        trial_draws = (list(itertools.islice(stream, size)) for _ in range(trials))
         draws = ([drawn(tuple(c[i:i + n])) for i in range(0, size, n)] for c in trial_draws)
-    seen = {}  # value() by the masks written into a
 
     def value_at(masks):
         v = seen.get(masks)

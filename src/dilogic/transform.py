@@ -30,55 +30,67 @@ from .errors import BudgetError, InputError
 DEFAULT_BUDGET_C = 4096
 DEFAULT_BUDGET_VARS = 4096
 _ONE = fm.Const(1)  # shared by every one_minus
+_ZERO = Fraction(0)  # the threshold of every xi variable
 
 
 def one_minus(zeta):
     return fm.TruncSub(_ONE, zeta)
 
 
-def _xi_direct(var, alpha, free, binders, items):
-    """xi_alpha = sup_y min over (zeta, c) in alpha of (zeta -. c), built
-    in the canonical form fm.canonicalize would give it, without its walk.
-
-    Truncated subtraction replaces plain subtraction so the range stays in
-    [0,1]; the strict-positivity level set at 0 is unchanged.
-
-    The min folds the items left to right: the accumulator b and the next
-    item a give min(a, b) = a -. (a -. b), exact on [0,1].  The fold
-    repeats the item, never the accumulator, so each item but the first
-    occurs twice and xi's size is linear in alpha's.  canonicalize numbers
-    binders y0, y1, ... in pre-order and skips every free variable of
-    alpha's tags (free[zeta]: zeta's own but var).  So the Sup takes the
-    first free name, and each occurrence of a tag takes the next
-    binders[zeta] names for its own binders, in the fold's pre-order: the
-    last item, its copy, the item before and its copy, ..., the first
-    item.  A binder-free item and its copy are one shared object,
-    evaluated once by structure.eval_formula.  items caches each renamed
-    tag by (id(zeta), Sup name, binder names), paired with the whole items
-    zeta -. c over that copy, by c's numerator and denominator: it hashes
-    ints, never a formula node or a Fraction, and so must not outlive the
-    tags it saw (an id names one object only while it lives).
+class _XiPlans:
+    """xi_alpha = sup_y min over (zeta, c) in alpha of (zeta -. c), for the
+    alpha of one supremum's index set as grid positions, in the canonical
+    form fm.canonicalize gives it, without its walk (-. keeps the range in
+    [0,1]; the level set at 0 is unchanged).  The min folds the items left
+    to right as min(a, b) = a -. (a -. b), repeating the item a, never the
+    accumulator b, so xi's size is linear in alpha's.  The Sup binds the
+    first y<i> free in none of alpha's tags but var, and each occurrence of
+    a tag takes the next names for its binders, in the fold's pre-order:
+    the last item, its copy, ..., the first item.  So the names depend only
+    on which tags alpha reads: they are planned once per set of tag
+    positions, and a tag is renamed once per (position, Sup name, binder
+    names), with its items zeta -. c by grid position.  A binder-free item
+    and its copy are one object, evaluated once by structure.eval_formula.
     """
-    taken = set().union(*(free[zeta] for zeta, _c in alpha))
-    names = fm.binder_names(taken)
-    name = next(names)
 
-    def item(zeta, c):
-        key = (id(zeta), name, tuple(itertools.islice(names, binders[zeta])))
-        if (entry := items.get(key)) is None:
-            entry = items[key] = (fm.rename(zeta, {var: name}, iter(key[2])), {})
-        renamed, by_c = entry
-        ratio = c.numerator, c.denominator
-        out = by_c.get(ratio)
-        if out is None:
-            out = by_c[ratio] = fm.TruncSub(renamed, fm.Const(c))
-        return out
+    def __init__(self, var, tags, levels):
+        self.var, self.tags, self.all_tags = var, tags, range(len(tags))
+        self.free = [fm.free_vars(zeta) - {var} for zeta in tags]
+        self.binders = [sum(type(node) in (fm.Sup, fm.Inf) for node in fm.nodes(zeta))
+                        for zeta in tags]
+        # Position p of a tag of level l holds the threshold (p - 1)/l.
+        self.consts = [[None] + [fm.Const(Fraction(i, lev)) for i in range(lev)]
+                       for lev in levels]
+        self.renamed, self.plans = {}, {}
 
-    pairs = [(item(zeta, c), item(zeta, c)) for zeta, c in reversed(alpha[1:])]
-    acc = item(*alpha[0])
-    for a, copy in reversed(pairs):
-        acc = fm.TruncSub(a, fm.TruncSub(copy, acc))
-    return fm.Sup(name, acc)
+    def plan(self, positions):
+        """(Sup name, level, (position, items) of the first item, and
+        (position, items, copy's items) of the others, innermost first)."""
+        names = fm.binder_names(set().union(*(self.free[t] for t in positions)))
+        name = next(names)
+
+        def items(t):  # the renamed tag's items by grid position
+            key = (t, name, tuple(itertools.islice(names, self.binders[t])))
+            if key not in self.renamed:
+                renamed = fm.rename(self.tags[t], {self.var: name}, iter(key[2]))
+                self.renamed[key] = [None] + [fm.TruncSub(renamed, c)
+                                              for c in self.consts[t][1:]]
+            return self.renamed[key]
+
+        pairs = [(t, items(t), items(t)) for t in reversed(positions[1:])]
+        return (name, max(len(self.consts[t]) - 1 for t in positions),
+                (positions[0], items(positions[0])), pairs[::-1])
+
+    def xi(self, combo):
+        """(xi_alpha, its level) for the alpha at grid positions combo."""
+        positions = tuple(itertools.compress(self.all_tags, combo))
+        if (plan := self.plans.get(positions)) is None:
+            plan = self.plans[positions] = self.plan(positions)
+        name, level, (t, items), pairs = plan
+        acc = items[combo[t]]
+        for t, items, copies in pairs:
+            acc = fm.TruncSub(items[combo[t]], fm.TruncSub(copies[combo[t]], acc))
+        return fm.Sup(name, acc), level
 
 
 @dataclass(frozen=True)
@@ -152,12 +164,7 @@ class _Builder:
         self.budget_c = budget_c
         self.budget_vars = budget_vars
         self.memo = {}
-        self.next_binder = 0
-
-    def fresh_binder(self):
-        b = self.next_binder
-        self.next_binder += 1
-        return b
+        self.binder_ids = itertools.count()  # one per compiled SupChain
 
     def build(self, phi, k):
         key = (phi, k)
@@ -283,43 +290,26 @@ class _Builder:
 
         # C: nonempty partial maps from tags to their threshold grids, as
         # position tuples in product order (per tag: absent, then thresholds
-        # ascending; the all-absent first is skipped).  Each threshold is one
-        # Fraction, built here.
-        grids = [[Fraction(i, lev) for i in range(lev)] for lev in grid_sizes]
-        # _xi_direct's tables and item cache live for this call.
-        free = {zeta: fm.free_vars(zeta) - {phi.var} for zeta in tags}
-        binders = {zeta: sum(type(node) in (fm.Sup, fm.Inf)
-                             for node in fm.nodes(zeta))
-                   for zeta in tags}
-        items = {}
-        xi_levels = {}
-        # One SetVarIndex per distinct xi, shared by every bound and
-        # profile that reads it: equal variables of G are one object, so
-        # _Compiler.slot and bind find them by identity and hash and
-        # compare no fresh copy field by field.  var_of_alpha is keyed by
-        # positions, so C hashes no Fraction.
-        xi_vars = {}
-        var_of_alpha = {}
-        # sum(xi_levels.values()), a lower bound of the declared count, so
-        # a sup over budget is refused before the rest of its xi are built.
-        declared = 0
+        # ascending; the all-absent first is skipped).
+        xis = _XiPlans(phi.var, tags, grid_sizes)
+        # found: xi -> [level, its one SetVarIndex, which every bound and
+        # profile reading xi shares, so _Compiler.slot and bind find equal
+        # variables of G by identity].  declared, the levels' sum, bounds the
+        # declared count below: a sup over budget stops building its xi.
+        found, var_of_alpha, declared = {}, {}, 0
         positions = itertools.product(*(range(lev + 1) for lev in grid_sizes))
         for combo in itertools.islice(positions, 1, None):
-            alpha = tuple((zeta, grid[p - 1])
-                          for zeta, grid, p in zip(tags, grids, combo) if p)
-            xi = _xi_direct(phi.var, alpha, free, binders, items)
-            level = max(lev for lev, p in zip(grid_sizes, combo) if p)
-            old = xi_levels.get(xi, 0)
-            if level > old:
-                xi_levels[xi] = level
-                declared += level - old
+            xi, level = xis.xi(combo)
+            entry = found.get(xi)
+            if entry is None:
+                entry = found[xi] = [0, mba.SetVarIndex(xi, _ZERO, True)]
+            if level > entry[0]:
+                declared += level - entry[0]
+                entry[0] = level
                 self._refuse_count(declared, "at least ")
-            var = xi_vars.get(xi)
-            if var is None:
-                var = xi_vars[xi] = mba.SetVarIndex(xi, Fraction(0), True)
-            var_of_alpha[combo] = var
+            var_of_alpha[combo] = entry[1]
 
-        binder = self.fresh_binder()
+        binder = next(self.binder_ids)
         chains = []
         mapping = {}
         # G's variables: the xi the bounds and the profiles read.
@@ -361,7 +351,7 @@ class _Builder:
             mba.substitute_set_vars(inner.g, mapping),
             tuple(profiles),
         )
-        return self._finish(k, xi_levels, g, read)
+        return self._finish(k, {xi: lev for xi, (lev, _var) in found.items()}, g, read)
 
 
 def transform(phi, k, budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS):

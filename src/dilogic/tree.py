@@ -25,12 +25,11 @@ def node(cls):
     field_hash = cls.__hash__
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
+        h = getattr(self, "_hash", None)
+        if h is None:
             h = field_hash(self)
             object.__setattr__(self, "_hash", h)
-            return h
+        return h
 
     cls.__hash__ = __hash__
     return cls

@@ -1,6 +1,8 @@
 """Shared builders for the test suite: tiny structures, fields, and the
 frozen example instances used across modules."""
 
+import itertools
+import random
 from fractions import Fraction
 
 from dilogic import formula as fm
@@ -99,6 +101,50 @@ def xi_formula(var, alpha):
 def var_sort_key(index):
     """A set variable's order by tag text, threshold and mode."""
     return (str(index.tag), index.level, index.strict)
+
+
+def monotone_pair_scan(g, alg, trials=200, seed=0, exhaustive_limit=100_000,
+                       evaluate=None):
+    """check_monotone's search as a scan of comparable assignment pairs:
+    per atom (neither, high only, both), exhaustive in product order when
+    3^(atoms * variables) is within the limit, else drawn with
+    random.Random(seed), one randrange(3) per atom per variable.
+    evaluate(g, assign) is g's value, eval_mba in maximal mode unless
+    given; it is called once per distinct assignment, so an error is
+    raised where its assignment is first met."""
+    if evaluate is None:
+        def evaluate(g, assign):
+            return mba.eval_mba(g, assign, alg, mba.MAXIMAL)
+    variables = sorted(mba.free_set_vars(g), key=var_sort_key)
+    if not variables:
+        return None
+
+    def comparable(choice):
+        return (frozenset(a for a, c in zip(alg.atoms, choice) if c == 2),
+                frozenset(a for a, c in zip(alg.atoms, choice) if c >= 1))
+
+    if 3 ** (len(alg.atoms) * len(variables)) <= exhaustive_limit:
+        all_pairs = [comparable(c)
+                     for c in itertools.product(range(3), repeat=len(alg.atoms))]
+        draws = itertools.product(all_pairs, repeat=len(variables))
+    else:
+        rng = random.Random(seed)
+        draws = ([comparable([rng.randrange(3) for _a in alg.atoms])
+                  for _v in variables] for _ in range(trials))
+    values = {}
+
+    def value(sets):
+        if sets not in values:
+            values[sets] = evaluate(g, dict(zip(variables, sets)))
+        return values[sets]
+
+    for pairs in draws:
+        low, high = zip(*pairs)
+        lv, hv = value(low), value(high)
+        if lv > hv:
+            return mba.MonotoneCounterexample(dict(zip(variables, low)),
+                                              dict(zip(variables, high)), lv, hv)
+    return None
 
 
 def set_reference(term, assign, alg, env=None):

@@ -346,17 +346,20 @@ def test_document_writes_declared_set_without_building_it():
 
 def compile_recording_xi(jobs):
     """Compile each (phi, k, budget_c, budget_vars) job; returns every
-    (var, alpha, xi) _xi_direct built."""
+    (var, alpha, xi) transform built, alpha read back from its grid
+    positions."""
     direct = []
-    build = tr._xi_direct
+    build = tr._XiPlans.xi
 
-    def recording(var, alpha, *tables):
-        xi = build(var, alpha, *tables)
-        direct.append((var, alpha, xi))
-        return xi
+    def recording(plans, combo):
+        xi, level = build(plans, combo)
+        alpha = tuple((plans.tags[t], plans.consts[t][p].value)
+                      for t, p in enumerate(combo) if p)
+        direct.append((plans.var, alpha, xi))
+        return xi, level
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tr, "_xi_direct", recording)
+        mp.setattr(tr._XiPlans, "xi", recording)
         for job in jobs:
             tr.transform(*job)
     return direct
@@ -418,28 +421,77 @@ def test_xi_item_copies_take_their_own_binder_names():
     the last item, its copy, then the first item.  A binder-free item and
     its copy are one object."""
     sig = family.default_signature()
-    alpha = ((fm.parse_formula("sup y . R(x,y)", sig), Fraction(1, 4)),
-             (fm.parse_formula("sup y . sub(R(x,y), P(x))", sig),
-              Fraction(1, 2)))
-    free = {zeta: fm.free_vars(zeta) - {"x"} for zeta, _c in alpha}
-    binders = {zeta: 1 for zeta, _c in alpha}
-    xi = tr._xi_direct("x", alpha, free, binders, {})
+    tags = (fm.parse_formula("sup y . R(x,y)", sig),
+            fm.parse_formula("sup y . sub(R(x,y), P(x))", sig))
+    # Levels 4 and 4; a threshold's grid position is one past its index:
+    # 1/4 is at 2, 1/2 at 3.
+    xi, level = tr._XiPlans("x", tags, [4, 4]).xi((2, 3))
     assert fm.to_text(xi) == (
         "sup y0 . sub(sub(sup y1 . sub(R(y0,y1), P(y0)), 1/2), "
         "sub(sub(sup y2 . sub(R(y0,y2), P(y0)), 1/2), "
         "sub(sup y3 . R(y0,y3), 1/4)))")
-    assert xi == xi_formula("x", alpha)
-    p = fm.parse_formula("P(x)", sig)
-    alpha += ((p, Fraction(1, 3)),)
-    free[p], binders[p] = set(), 0
-    xi = tr._xi_direct("x", alpha, free, binders, {})
+    alpha = ((tags[0], Fraction(1, 4)), (tags[1], Fraction(1, 2)))
+    assert (xi, level) == (xi_formula("x", alpha), 4)
+    tags += (fm.parse_formula("P(x)", sig),)
+    xi, level = tr._XiPlans("x", tags, [4, 4, 3]).xi((2, 3, 2))
     assert fm.to_text(xi) == (
         "sup y0 . sub(sub(P(y0), 1/3), sub(sub(P(y0), 1/3), "
         "sub(sub(sup y1 . sub(R(y0,y1), P(y0)), 1/2), "
         "sub(sub(sup y2 . sub(R(y0,y2), P(y0)), 1/2), "
         "sub(sup y3 . R(y0,y3), 1/4)))))")
     assert xi.body.left is xi.body.right.left
-    assert xi == xi_formula("x", alpha)
+    alpha += ((tags[2], Fraction(1, 3)),)
+    assert (xi, level) == (xi_formula("x", alpha), 4)
+
+
+def test_xi_names_are_planned_once_per_set_of_tags(monkeypatch):
+    """Within one _sup call, fm.binder_names runs at most once per set of
+    tags some alpha reads, at most 2^T - 1 times for T tags, and fm.rename
+    at most once per (tag, Sup name, binder names), however many
+    thresholds alpha gives them."""
+    sig = family.default_signature()
+    jobs = [(fm.parse_formula("sup x . sup y . R(x,y)", sig), 4),
+            (fm.rewrite_inf(fm.parse_formula("inf y . P(y)", sig)), 2)]
+    calls = []  # [binder_names calls, top-level rename calls] by _sup call
+    stack = []
+    sup, names_of, rename = tr._Builder._sup, fm.binder_names, fm.rename
+
+    def counting_sup(builder, phi, k):
+        stack.append([0, []])
+        try:
+            return sup(builder, phi, k)
+        finally:
+            calls.append(stack.pop())
+
+    def counting_names(taken):
+        stack[-1][0] += 1
+        return names_of(taken)
+
+    def counting_rename(phi, env, names):
+        if stack and stack[-1] is not None:  # the top call of a rename
+            frame = stack[-1]
+            names = tuple(names)
+            frame[1].append((phi, tuple(env.items()), names))
+            stack.append(None)  # its recursive calls are not counted
+            try:
+                return rename(phi, env, iter(names))
+            finally:
+                stack.pop()
+        return rename(phi, env, names)
+
+    monkeypatch.setattr(tr._Builder, "_sup", counting_sup)
+    monkeypatch.setattr(fm, "binder_names", counting_names)
+    monkeypatch.setattr(fm, "rename", counting_rename)
+    for phi, k in jobs:
+        tr.transform(phi, k, workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)
+    assert len(calls) == 3
+    for names, renames in calls:
+        tags = {phi for phi, _env, _names in renames}  # every tag is read
+        assert 0 < names <= 2 ** len(tags) - 1
+        assert len(renames) == len(set(renames))
+    # Nested sup at k = 4: the outer supremum's 4 tags, each a Sup, take
+    # 15 plans for its 624 alpha.
+    assert max(names for names, _renames in calls) == 15
 
 
 def tree_size(phi):

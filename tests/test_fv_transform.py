@@ -1,8 +1,10 @@
 """Formula compilation and the determination certificates."""
 
 import dataclasses
+import hashlib
 import json
 import os
+import random
 import sys
 import time
 from fractions import Fraction
@@ -297,6 +299,73 @@ def test_determination_family_sample():
         report = tr.determination_check(
             phi, inst.k, inst.field, inst.assignment, result=result)
         assert report.ok, (inst.name, report.failures)
+
+
+# Literal formulas beyond the 17 templates, each with the SHA-256 of its
+# `dilogic transform` document (less the closing newline) at k = 2 and 3
+# under lifted budgets.  They take in nested sup, R under two binders, a
+# sup on either side of a sub, inf, two sups over one free variable, and
+# free variables named like binders (y1), which the xi binders skip.
+BEYOND_TEMPLATES = [
+    ("sup x . sup y . R(x,y)",
+     "6540cd269381c4da7b0fa66e6190263a760a4f6136a6b7cd9c77023495868610",
+     "e560fa1432ccb37271eab74399f2fb731c526824bbb1e7c571e3c376391c75f8"),
+    ("sup x . half(sup y . R(y,x))",
+     "413d1e669c1d9bd8463345f5a6f9340076a5060431dedfa6675128a306d61add",
+     "54a7bdc1963811603ec652aac47a4506e4aeff4bb65ebd7537004cde8ef105c3"),
+    ("sup x . sup y . half(R(x,y))",
+     "305c87faa9f8bde26c6b4a8bf282936761b76327d294c2f020cf7cffd2a6d839",
+     "1d65b5109f9cf85385651176ef9df5022cd180a4b6e10538ec3609ba258db04a"),
+    ("sup x . sup w . R(x,y1)",
+     "6612974be9c9c7f1a74d23b6d4edc4cf55ca800afb2a2f4a0edde921cddd826d",
+     "b5d3ffa73b0c7e024ecadddf9c0900c057fc3d5b5007e54bbab40f9f33fed416"),
+    ("inf y . P(y)",
+     "1b0af70393a701625a3c46d5ab31b40a5546f90e4a9b77a6173313b6ebb5ea9c",
+     "bd33b3df86f69584187ed47dcbd3bfb762fc70f1b5511af575e63eb2eba0470b"),
+    ("inf x . R(x,y1)",
+     "e5b20ea641bca00c3c3ecb4b5eda473609786430b20cdfd7054c0a3a031a0848",
+     "20aeea84e965ee245ce0a7d354e12aef92728c13e3e564216d450c857d4d6a66"),
+    ("sub(sup y . P(y), Q(x))",
+     "bf84dbc0f133da4cb9a22d027c095e9b4626b07f752463d0bb170ee21430dbb3",
+     "4f81e4fea7e44f1045cf12b0bbecbc53799b21c0c5edfbfe3979f0a5c7b10c53"),
+    ("sub(sup y . P(y), half(sup z . Q(z)))",
+     "c20e12a85a737b3d0464315590c3751db662f711a69ae6ae33fff7c9768ed260",
+     "00f423dfaecb90b12273ed0de91ab8a43cb41c794e511febb0490a2857caaa8a"),
+    ("sub(sup y . R(x,y), P(x))",
+     "72e7edb8c9888504b8ebac000e65e99defad576ba3981031bb96f9ba29b0f90e",
+     "d1f5533e8afca37eaf6055e2f856ff372e9d6463059098b2fa11a6061738fac0"),
+    ("sub(sup z . R(x,z), sup w . R(x,w))",
+     "6ab8d66147752f3e159b5ca785f9c77741d360d85ec28d6612a3c82a9ae539e0",
+     "eb6ea5b2ad2b13853c964ff2a2c4ac430ef87cde261d6ef028988c327f9b52fa"),
+    ("sub(sup y . Q(y), sup z . R(x,z))",
+     "bce8376d07795d7133473864a11f8e30459d7d8b4df6ba0660146f001ee63c52",
+     "98f07ae9c68b5118632f2726534b3b7e26d0da62d8321569c9c8350e1c0e48a7"),
+    ("half(sup y . sub(P(y), Q(x)))",
+     "7843e80c12b21ec3211400089fe19e8d3a79c0035df2eb7f92733a0d30a6f1a5",
+     "cf54f0a534eb397227473db5e63ee0a347426183b09e3a0b052d957302283c8c"),
+    ("sup y . half(sub(R(y,y), P(y)))",
+     "c5e7b9dcf0f3496b8be3ebb3bac4d7a0ee3c2cb0075073c4be8b141a3b1feb32",
+     "41b03f6ec5211541e9e301018cb9b9fa31ac9a067f661a2c2e10b8ca657d00bc"),
+]
+
+
+@pytest.mark.parametrize("text, at_k2, at_k3", BEYOND_TEMPLATES,
+                         ids=[text for text, *_ in BEYOND_TEMPLATES])
+def test_determination_beyond_the_templates(text, at_k2, at_k3):
+    phi = fm.parse_formula(text, family.default_signature())
+    for k, digest in ((2, at_k2), (3, at_k3)):
+        result = tr.transform(fm.rewrite_inf(phi), k, 1 << 20, 1 << 20)
+        doc = json.dumps(jsonio.transform_result_to_doc(result),
+                         sort_keys=True, indent=2)
+        assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
+        for seed in (1, 2):
+            rng = random.Random(seed)
+            field_ = family.random_field(family.default_signature(), rng, 2, 2)
+            assignment = {v: family.random_element(field_, rng)
+                          for v in sorted(fm.free_vars(phi))}
+            report = tr.determination_check(phi, k, field_, assignment,
+                                            result=result)
+            assert report.ok, (k, seed, report.failures)
 
 
 # ---------------------------------------------------------------------------

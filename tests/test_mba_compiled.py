@@ -31,7 +31,8 @@ from dilogic import formula as fm
 from dilogic import transform as tr
 from dilogic.errors import BudgetError, ChainError, EvaluationError
 
-from helpers import p_of, set_reference, sup_example_field, var_sort_key
+from helpers import (monotone_pair_scan, p_of, set_reference, sup_example_field,
+                     var_sort_key)
 
 F = Fraction
 
@@ -631,38 +632,10 @@ def test_group_terms_run_once_per_atom_and_vector(monkeypatch):
 
 
 def ref_check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
-    """check_monotone's search, with the reference evaluator: comparable
-    pairs per atom are (neither, high only, both), exhaustive in product
-    order when 3^(atoms * variables) is within the limit, else drawn with
-    random.Random(seed), one randrange(3) per atom per variable."""
-    variables = sorted(mba.free_set_vars(g), key=var_sort_key)
-    if not variables:
-        return None
-
-    def comparable(choice):
-        return (frozenset(a for a, c in zip(alg.atoms, choice) if c == 2),
-                frozenset(a for a, c in zip(alg.atoms, choice) if c >= 1))
-
-    def test(pairs):
-        low = {v: p[0] for v, p in zip(variables, pairs)}
-        high = {v: p[1] for v, p in zip(variables, pairs)}
-        lv = ref_value(g, low, {}, alg, mba.MAXIMAL, Counter())
-        hv = ref_value(g, high, {}, alg, mba.MAXIMAL, Counter())
-        return mba.MonotoneCounterexample(low, high, lv, hv) if lv > hv else None
-
-    if 3 ** (len(alg.atoms) * len(variables)) <= exhaustive_limit:
-        all_pairs = [comparable(c)
-                     for c in itertools.product(range(3), repeat=len(alg.atoms))]
-        draws = itertools.product(all_pairs, repeat=len(variables))
-    else:
-        rng = random.Random(seed)
-        draws = ([comparable([rng.randrange(3) for _a in alg.atoms])
-                  for _v in variables] for _ in range(trials))
-    for pairs in draws:
-        ce = test(pairs)
-        if ce is not None:
-            return ce
-    return None
+    """check_monotone's search, with the reference evaluator."""
+    return monotone_pair_scan(
+        g, alg, trials, seed, exhaustive_limit,
+        lambda g, assign: ref_value(g, assign, {}, alg, mba.MAXIMAL, Counter()))
 
 
 UNIFORM3 = mba.FiniteMeasureAlgebra(("w1", "w2", "w3"), {a: F(1, 3) for a in ("w1", "w2", "w3")})
@@ -775,6 +748,36 @@ def test_exhaustive_monotone_evaluates_each_assignment_once(monkeypatch):
     assert ref_check_monotone(g, ALGEBRAS[1]) is None
 
 
+
+@pytest.fixture(scope="module")
+def suite_gs():
+    """G and 1 -. G of 72 certify-suite instances, with their spaces."""
+    out = []
+    for seed in (0, 1):
+        for inst in family.determination_instances(seed, 36):
+            g = checks.certify(inst, tr.DEFAULT_BUDGET_C,
+                               family.FAMILY_BUDGET_VARS)[0].g
+            out += [(g, inst.field.space),
+                    (mba.TruncSub(mba.Const(1), g), inst.field.space)]
+    return out
+
+
+def test_monotone_matches_the_pair_scan_on_the_suite(suite_gs):
+    """The exhaustive path passes on its covers alone; where a cover falls
+    it scans the pairs, and the sampled path draws randrange(3) by two
+    random bits: verdicts and counterexamples match the scan's, at
+    certify's limit and, where it changes the path, at the default."""
+    found = Counter()
+    for g, alg in suite_gs:
+        pairs = 3 ** (len(alg.atoms) * len(mba.free_set_vars(g)))
+        for limit in (2000, 100_000) if 2000 < pairs <= 100_000 else (2000,):
+            kwargs = {"trials": checks.MONOTONE_TRIALS, "exhaustive_limit": limit}
+            expected = monotone_pair_scan(g, alg, **kwargs)
+            assert mba.check_monotone(g, alg, **kwargs) == expected
+            found[pairs <= limit, expected is None] += 1
+    assert min(found.values()) >= 5 and len(found) == 4
+
+
 # On one atom, X before Y: the exhaustive pairs 2, 4 and 5 are
 # ({}, {}) <= ({}, {w0}), ({}, {}) <= ({w0}, {}) and ({}, {}) <= ({w0}, {w0})
 # as (X, Y).  A chain bounded by (Y, X) raises ChainError where X is not
@@ -800,6 +803,17 @@ def test_monotone_meets_points_in_pair_order(first):
             mba.check_monotone(g, alg)
         with pytest.raises(ChainError):
             ref_check_monotone(g, alg)
+
+
+def test_monotone_error_matches_the_pair_scan():
+    """An evaluation that raises on the covers' pass is raised by the
+    pair scan where it first meets it, with the scan's message."""
+    g = mba.Add((mba.Measure(X), _ERROR_AT_PAIR_4))
+    with pytest.raises(ChainError) as scan:
+        monotone_pair_scan(g, ALGEBRAS[0])
+    with pytest.raises(ChainError) as check:
+        mba.check_monotone(g, ALGEBRAS[0])
+    assert str(check.value) == str(scan.value)
 
 
 # ---------------------------------------------------------------------------
