@@ -17,7 +17,7 @@ from . import checks, family, integral as di, jsonio, mba
 from . import formula as fm
 from . import transform as tr
 from . import typei
-from .errors import BudgetError, DilogicError, InputError
+from .errors import BudgetError, DilogicError, InputError, refuse_over
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -105,7 +105,7 @@ def cmd_mba_defin(args):
     alg = jsonio.algebra_from_doc(_load_json(args.algebra))
     # Each of the 4^n subset pairs is compared with each of the 3^n
     # inclusion pairs.
-    mba.refuse_over_budget(12 ** len(alg.atoms), "definability pair comparison")
+    refuse_over(12 ** len(alg.atoms), "definability pair comparison count")
     phi, psi = mba.simple_definables()
     x1, x2, x3 = (mba.SetVarIndex(n, 0) for n in ("X1", "X2", "X3"))
     bad = []

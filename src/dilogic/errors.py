@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one refusal of an
-inexact value."""
+"""Exception types shared across the package, the one refusal of an
+inexact value, and the one refusal of a count over its budget."""
 
+import sys
 from fractions import Fraction
 
 # The exact value types of weights, distances, predicate values, masses
@@ -13,6 +14,28 @@ def exact(value, what, error):
     if type(value) not in EXACT_TYPES:
         raise error(f"{what} {value!r} is not an int or a Fraction")
     return Fraction(value)
+
+
+# Enumerate mode refuses a SupChain whose chain tuples, counted in closed
+# form before profile constraints, exceed this; the 204-instance suite
+# needs at most 13,068.
+# The same budget caps the product of the atoms' depth-vector counts and
+# each atom's depth-vector search, the chain-set walk of
+# dist_to_chain_set, structure's permutation and assignment searches, the
+# definability pair comparison and the entries of a structure's table.
+ENUMERATE_TUPLE_BUDGET = 10**6
+
+
+def refuse_over(count, what, bound=ENUMERATE_TUPLE_BUDGET, kind="budget", detail=""):
+    """A BudgetError "{what} {count} exceeds {kind} {bound}{detail}" when
+    count > bound.  A count past the interpreter's integer-to-text limit
+    is written by that limit's digit count instead."""
+    if count > bound:
+        try:
+            count = str(count)
+        except ValueError:  # caught, not read first: CPython before 3.10.7 has no limit
+            count = f"of more than {sys.get_int_max_str_digits()} digits"
+        raise BudgetError(f"{what} {count} exceeds {kind} {bound}{detail}")
 
 
 class DilogicError(Exception):

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from . import formula as fm
 from . import structure as st
-from .errors import BudgetError, EvaluationError, InputError, ValidationError, exact
+from .errors import EvaluationError, InputError, ValidationError, exact, refuse_over
 from .mba import FiniteMeasureAlgebra
 
 # A finite probability space is exactly a finite measure algebra: ordered
@@ -57,8 +57,8 @@ def _refuse_over_limit(count, limit, what):
     """None is no limit; a negative limit is an InputError."""
     if limit is not None and limit < 0:
         raise InputError(f"limit must be >= 0, got {limit}")
-    if limit is not None and count > limit:
-        raise BudgetError(f"{what} count {count} exceeds limit {limit}")
+    if limit is not None and count > limit:  # so a count in limit costs no call
+        refuse_over(count, what, limit, "limit")
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class MeasurableField:
     def elements(self, limit=DEFAULT_CHOICE_LIMIT):
         """All choice functions, in fiber point order; guarded by limit
         when called, before the first is built."""
-        _refuse_over_limit(self.element_count(), limit, "choice-function")
+        _refuse_over_limit(self.element_count(), limit, "choice-function count")
         atoms = self.space.atoms
         return (IntegralElement(dict(zip(atoms, combo))) for combo in
                 itertools.product(*[self.fibers[a].points for a in atoms]))
@@ -332,7 +332,7 @@ def eval_on_integral(phi, field_, assignment=None, limit=DEFAULT_CHOICE_LIMIT):
     """
     integral = field_.integral
     _refuse_over_limit(choice_function_visits(phi, integral.count), limit,
-                       "choice-function")
+                       "choice-function count")
     atoms = field_.space.atoms
     try:
         rows = {var: tuple(map(e.choice.__getitem__, atoms))
@@ -443,7 +443,7 @@ def materialize(field_, limit=DEFAULT_CHOICE_LIMIT):
     sig = field_.signature
     entries = sum(n ** arity for arity in
                   (2, *(arity for _name, arity in sig.predicates + sig.functions)))
-    _refuse_over_limit(entries, limit, "materialized table entry")
+    _refuse_over_limit(entries, limit, "materialized table entry count")
     atoms = field_.space.atoms
     elements = list(field_.elements(limit))
     names = [tuple(e(a) for a in atoms) for e in elements]

@@ -20,7 +20,7 @@ from . import integral as di
 from . import mba
 from . import structure as st
 from . import typei
-from .errors import BudgetError, InputError
+from .errors import ENUMERATE_TUPLE_BUDGET, BudgetError, InputError
 
 # Atoms and rationals are strings or integers.
 _SCALAR = (str, int)
@@ -154,7 +154,7 @@ def _table_from_doc(points, arity, doc, leaf, what):
     # The table has len(points) ** arity entries of arity points each.  For
     # b the budget's bit length, the power exceeds the budget exactly when
     # len(points) ** min(arity, b) does, so the huge power is never built.
-    budget = mba.ENUMERATE_TUPLE_BUDGET
+    budget = ENUMERATE_TUPLE_BUDGET
     if arity > budget or len(points) ** min(arity, budget.bit_length()) > budget:
         raise BudgetError(
             f"{what} table of {len(points)}^{arity} entries exceeds budget "

@@ -39,20 +39,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as fm
-from .errors import (EXACT_TYPES, BudgetError, ChainError, DilogicError, EvaluationError,
-                     ValidationError, exact)
+from .errors import (EXACT_TYPES, ChainError, DilogicError, EvaluationError, ValidationError,
+                     exact, refuse_over)
 from .tree import Node, Shape, node
 
 ENUMERATE = "enumerate"
 MAXIMAL = "maximal"
 
-# Enumerate mode refuses a SupChain whose chain tuples, counted in closed
-# form before profile constraints, exceed this; the 204-instance suite
-# needs at most 13,068.
-# The same budget caps the product of the atoms' depth-vector counts and
-# each atom's depth-vector search, the chain-set walk of
-# dist_to_chain_set, and structure's permutation and assignment searches.
-ENUMERATE_TUPLE_BUDGET = 10**6
 
 @dataclass(frozen=True)
 class FiniteMeasureAlgebra:
@@ -419,12 +412,6 @@ def eval_mba(g, assign, alg, mode=MAXIMAL):
     return Fraction(value(), scale)
 
 
-def refuse_over_budget(count, what):
-    if count > ENUMERATE_TUPLE_BUDGET:
-        raise BudgetError(
-            f"{what} count {count} exceeds budget {ENUMERATE_TUPLE_BUDGET}")
-
-
 def _depth_vectors(caps, forbidden, maximal):
     """The vectors v with 0 <= v[i] <= caps[i] that no forbidden pattern
     ((i, j), ...) forbids, by v[i] > j in all its pairs, ascending.  A
@@ -435,7 +422,7 @@ def _depth_vectors(caps, forbidden, maximal):
     is the one maximal vector.  The budget counts the vectors under caps,
     exactly the ones visited otherwise."""
     mode = MAXIMAL if maximal else ENUMERATE
-    refuse_over_budget(math.prod(c + 1 for c in caps), f"{mode}-mode depth vector search")
+    refuse_over(math.prod(c + 1 for c in caps), f"{mode}-mode depth vector search count")
     patterns = [p for p in forbidden if all(j < caps[i] for i, j in p)]
     if maximal and not patterns:
         return [tuple(caps)]
@@ -686,8 +673,8 @@ class _Compiler:
         def search():
             us = [[b() for b in bs] for bs in bounds]
             if enumerate_all:
-                refuse_over_budget(math.prod(chain_enumeration_count(u, alg) for u in us),
-                                   "SupChain feasible tuple")
+                refuse_over(math.prod(chain_enumeration_count(u, alg) for u in us),
+                            "SupChain feasible tuple count")
             else:
                 for tag, u in zip(tags, us):
                     prev = alg.full_mask
@@ -707,8 +694,8 @@ class _Compiler:
                 # Each vector as this atom's bit in the chain slots it fills.
                 per_atom.append([tuple(bit if v[i] > slot else 0 for i, slot in columns)
                                  for v in found])
-            refuse_over_budget(math.prod(map(len, per_atom)),
-                               f"{self.mode}-mode depth vector combination")
+            refuse_over(math.prod(map(len, per_atom)),
+                        f"{self.mode}-mode depth vector combination count")
             if groups:
                 per_atom = [[shared(bit, row) for row in rows] for bit, rows in zip(bits, per_atom)]
             best = None
@@ -876,8 +863,7 @@ def dist_to_chain_set(xs, bounds, alg):
     if len(xs) != len(bounds):
         raise ChainError("tuple length does not match chain length")
     bounds = [alg.mask(u) for u in bounds]
-    refuse_over_budget(chain_enumeration_count(bounds, alg),
-                       "chain set tuple")
+    refuse_over(chain_enumeration_count(bounds, alg), "chain set tuple count")
     sums, den = alg._mask_sums
     # Each depth of an atom as its bit in the masks Y_0, ..., Y_{l-1}.
     per_atom = [[tuple(bit if depth > m else 0 for m in range(len(bounds)))

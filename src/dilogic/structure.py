@@ -37,8 +37,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formula as fm
-from .errors import EvaluationError, ValidationError
-from .mba import EXACT_TYPES, refuse_over_budget
+from .errors import EXACT_TYPES, EvaluationError, ValidationError, refuse_over
 
 
 @dataclass(frozen=True)
@@ -267,7 +266,7 @@ def _eval_at_unit(phi, M, assignment, unit):
 def theory_norm(phi, M):
     """Max of eval_formula over all assignments of phi's free variables."""
     names = sorted(fm.free_vars(phi))
-    refuse_over_budget(len(M.points) ** len(names), "theory_norm assignment")
+    refuse_over(len(M.points) ** len(names), "theory_norm assignment count")
     best = Fraction(0)
     for combo in itertools.product(M.points, repeat=len(names)):
         v = eval_formula(phi, M, dict(zip(names, combo)))
@@ -287,7 +286,7 @@ def is_isomorphic(M, N):
         return None
     if len(M.points) != len(N.points):
         return None
-    refuse_over_budget(math.factorial(len(M.points)), "point permutation")
+    refuse_over(math.factorial(len(M.points)), "point permutation count")
     for perm in itertools.permutations(N.points):
         b = dict(zip(M.points, perm))
         if _is_iso(M, N, b):

@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import formula as fm
 from . import integral as di
 from . import mba
-from .errors import BudgetError, InputError
+from .errors import InputError, refuse_over
 
 DEFAULT_BUDGET_C = 4096
 DEFAULT_BUDGET_VARS = 4096
@@ -195,20 +195,12 @@ class _Builder:
     def _finish(self, k, levels, g, by_tag):
         result = TransformResult(k, dict(levels), g)
         result.__dict__["vars_by_tag"] = by_tag  # fills the cached property
-        self._refuse_count(result.declared_count)
+        refuse_over(result.declared_count, "declared set-variable count", self.budget_vars)
         return result
-
-    def _refuse_count(self, count, bound=""):
-        # bound is "at least " when count is a lower bound of the count.
-        if count > self.budget_vars:
-            raise BudgetError(
-                f"declared set-variable count {bound}{count} exceeds budget "
-                f"{self.budget_vars}"
-            )
 
     def _atomic(self, phi, k):
         # A leaf declares exactly k variables: refused before building them.
-        self._refuse_count(k)
+        refuse_over(k, "declared set-variable count", self.budget_vars)
         # The layer cake (1/k) * sum_i mu(X_{i/k}), 0 < i < k, as one Add
         # node; k >= 2, and its one term at k = 2 stands alone, as
         # inter_all leaves a single term.
@@ -281,12 +273,10 @@ class _Builder:
             slots_by_tag.append(slots)
         c_size = math.prod(lev + 1 for lev in grid_sizes) - 1
         profile_size = math.prod(len(slots) + 1 for slots in slots_by_tag) - 1
-        if max(c_size, profile_size) > self.budget_c:
-            raise BudgetError(
-                f"index-set size {max(c_size, profile_size)} exceeds budget "
-                f"{self.budget_c}; tag count {len(tags)}, largest level "
-                f"{max(grid_sizes)}"
-            )
+        size = max(c_size, profile_size)
+        if size > self.budget_c:  # compared here too: a sup in budget builds no detail
+            refuse_over(size, "index-set size", self.budget_c,
+                        detail=f"; tag count {len(tags)}, largest level {max(grid_sizes)}")
 
         # C: nonempty partial maps from tags to their threshold grids, as
         # position tuples in product order (per tag: absent, then thresholds
@@ -306,7 +296,8 @@ class _Builder:
             if level > entry[0]:
                 declared += level - entry[0]
                 entry[0] = level
-                self._refuse_count(declared, "at least ")
+                refuse_over(declared, "declared set-variable count at least",
+                            self.budget_vars)
             var_of_alpha[combo] = entry[1]
 
         binder = next(self.binder_ids)

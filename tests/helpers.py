@@ -1,14 +1,19 @@
-"""Shared builders for the test suite: tiny structures, fields, and the
-frozen example instances used across modules."""
+"""Shared builders for the test suite: tiny structures, fields, the
+frozen example instances and random formulas used across modules, and
+compiles that record every result the builder finishes."""
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
+from dilogic import family, mba
 from dilogic import formula as fm
 from dilogic import integral as di
-from dilogic import mba
 from dilogic import structure as st
+from dilogic import transform as tr
 
 F = Fraction
 
@@ -171,3 +176,69 @@ def set_reference(term, assign, alg, env=None):
     left, right = rec(term.left), rec(term.right)
     return {mba.Union: left | right, mba.Diff: left - right,
             mba.SymDiff: left ^ right}[k]
+
+
+def random_term(rng, scope):
+    var = fm.Var(rng.choice(scope))
+    roll = rng.randrange(4)
+    if roll == 0:
+        return fm.Apply("f", (var,))
+    if roll == 1:
+        return fm.Apply("g", (var, fm.Var(rng.choice(scope))))
+    return var
+
+
+def random_formula(rng, depth, scope):
+    """A formula of depth at most depth whose free variables lie in scope;
+    a quantifier may rebind a variable already in scope."""
+    roll = rng.randrange(7) if depth > 0 else rng.randrange(2)
+    if roll == 0:
+        return fm.Const(F(rng.randrange(8), 7) if rng.randrange(2)
+                        else F(rng.randrange(4), rng.choice((3, 5))))
+    if roll == 1:
+        pred = rng.choice(("P", "Q", "R"))
+        arity = 2 if pred == "R" else 1
+        return fm.Atomic(pred, tuple(random_term(rng, scope)
+                                     for _ in range(arity)))
+    if roll == 2:
+        return fm.Half(random_formula(rng, depth - 1, scope))
+    if roll in (3, 4):
+        return fm.TruncSub(random_formula(rng, depth - 1, scope),
+                           random_formula(rng, depth - 1, scope))
+    var = rng.choice(("x", "y", "z"))
+    body = random_formula(rng, depth - 1, scope + [var])
+    return (fm.Sup if roll == 5 else fm.Inf)(var, body)
+
+
+# The 17 templates and the three compile-frontier formulas at k = 2.
+GOLDEN_CORPUS = [(name, fm.to_text(phi))
+                 for name, phi, _small in family.formula_templates()] + [
+    ("frontier-sup-sub", "sup y . sub(P(y), Q(y))"),
+    ("frontier-sup-sup", "sup x . sup y . R(x,y)"),
+    ("frontier-inf", "inf y . P(y)"),
+]
+
+
+@contextlib.contextmanager
+def recording_finish():
+    """Yields the list of every result _Builder._finish returns in the
+    block, a refused compile's included."""
+    finished = []
+    original = tr._Builder._finish
+
+    def recording(self, k, levels, g, by_tag):
+        result = original(self, k, levels, g, by_tag)
+        finished.append(result)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr._Builder, "_finish", recording)
+        yield finished
+
+
+def compile_recording_finish(jobs):
+    """Compile each (phi, k, budget_c, budget_vars) job; returns the top
+    results and every result _Builder._finish returned on the way."""
+    with recording_finish() as finished:
+        results = [tr.transform(*job) for job in jobs]
+    return results, finished

@@ -13,12 +13,12 @@ from fractions import Fraction
 
 import pytest
 
-from dilogic import cli, family, jsonio, mba
-from dilogic import formula as fm
+from dilogic import cli, errors, family, jsonio, mba
 from dilogic import integral as di
 from dilogic import transform as tr
 
 from helpers import (
+    GOLDEN_CORPUS,
     SIG_P,
     atomic_example_field,
     joint_witness_field,
@@ -306,14 +306,6 @@ def test_transform_serializes_supchain_profiles(paths, capsys):
         for tag, slot in prof["slots"]:
             assert 0 <= slot < slots_per_tag[tag]
 
-
-# The 17 templates and the three compile-frontier formulas at k = 2.
-GOLDEN_CORPUS = [(name, fm.to_text(phi))
-                 for name, phi, _small in family.formula_templates()] + [
-    ("frontier-sup-sub", "sup y . sub(P(y), Q(y))"),
-    ("frontier-sup-sup", "sup x . sup y . R(x,y)"),
-    ("frontier-inf", "inf y . P(y)"),
-]
 
 # SHA-256 of the JSON and of the pretty stdout of `dilogic transform`.
 GOLDEN_SHA256 = {
@@ -841,6 +833,66 @@ def test_a_rational_past_the_digit_limit_is_refused_without_output(
     assert code == cli.EXIT_INPUT
     assert out == ""
     assert json.loads(err)["error"] == error
+
+
+# A uniform 4,000-atom algebra, and a uniform 200-atom field whose fibers
+# each hold three points.
+WIDE_ATOMS = [f"w{i}" for i in range(4000)]
+WIDE_ALGEBRA = {"atoms": WIDE_ATOMS, "weights": ["1/4000"] * 4000}
+
+
+def _wide_field_doc():
+    fiber = make_structure(SIG_P, {"P": {"p": F(0), "q": F(1, 2), "r": F(1)}})
+    atoms = WIDE_ATOMS[:200]
+    return jsonio.field_to_doc(di.MeasurableField(uniform_space(atoms),
+                                                  {a: fiber for a in atoms}))
+
+
+SIG_R = {"predicates": [{"name": "R", "arity": 2}]}
+LIFTED = ["--k", "2", "--budget-c", "1048576", "--budget-vars", "1048576"]
+SUP_TAGS = "exceeds budget 1048576; tag count 5329, largest level 72"
+HUGE = r"(of more than \d+ digits|\d+)"  # the whole count where no limit applies
+
+
+@pytest.mark.parametrize("argv, docs, message", [
+    (["transform", "--formula", "sup y . inf z . R(y,z)", "--signature", "SIG", *LIFTED],
+     {"SIG": SIG_R}, rf"index-set size {HUGE} {SUP_TAGS}"),
+    (["transform", "--formula", "half(sup y . inf z . R(z,y))", "--signature", "SIG",
+      *LIFTED], {"SIG": SIG_R}, rf"index-set size {HUGE} {SUP_TAGS}"),
+    (["mba", "defin", "--algebra", "ALG"], {"ALG": WIDE_ALGEBRA},
+     rf"definability pair comparison count {HUGE} exceeds budget 1000000"),
+    (["eval", "--formula", " ".join(f"sup v{i} ." for i in range(48)) + " P(v0)",
+      "--field", "FIELD"], {"FIELD": _wide_field_doc()},
+     rf"choice-function count {HUGE} exceeds limit 1000000"),
+], ids=["transform-sup-inf", "transform-half-sup-inf", "mba-defin", "eval-48-sups"])
+def test_a_count_past_the_digit_limit_is_a_budget_error(tmp_path, capsys, argv, docs,
+                                                        message):
+    # Each count (an index set over 5,329 tags, 12**4000 pair comparisons,
+    # 3**200 choice functions visited 48 levels deep) has more digits than
+    # an integer may have as text: refused by that limit, and quickly (the
+    # transforms take about 0.2 s, most of it compiling the inner sup).
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [str(path) if a == name else a for a in argv]
+    start = time.process_time()
+    code, out, err = run(capsys, argv)
+    assert time.process_time() - start < 1
+    assert code == cli.EXIT_INPUT
+    assert out == ""
+    body = json.loads(err)
+    assert body["error"] == "budget"
+    assert re.fullmatch(message, body["message"])
+
+
+def test_refuse_over_writes_a_count_past_the_digit_limit():
+    errors.refuse_over(10**6, "tuple count")
+    with pytest.raises(errors.BudgetError) as refused:
+        errors.refuse_over(10**6 + 1, "tuple count")
+    assert str(refused.value) == "tuple count 1000001 exceeds budget 1000000"
+    with pytest.raises(errors.BudgetError) as refused:
+        errors.refuse_over(10**5000, "tuple count", 7, "limit", "; detail")
+    assert re.fullmatch(rf"tuple count {HUGE} exceeds limit 7; detail", str(refused.value))
 
 
 # ---------------------------------------------------------------------------

@@ -22,40 +22,13 @@ from dilogic import formula as fm
 from dilogic import transform as tr
 from dilogic.errors import BudgetError
 
-from helpers import (joint_witness_field, p_of, q_of, var_sort_key,
-                     xi_formula)
-from test_cli import GOLDEN_CORPUS
-from test_integer_evaluator import _random_formula
+from helpers import (GOLDEN_CORPUS, compile_recording_finish, joint_witness_field, p_of,
+                     q_of, random_formula, recording_finish, var_sort_key, xi_formula)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
 
 import workloads  # noqa: E402
-
-
-@contextlib.contextmanager
-def recording_finish():
-    """Yields the list of every result _Builder._finish returns in the
-    block, a refused compile's included."""
-    finished = []
-    original = tr._Builder._finish
-
-    def recording(self, k, levels, g, by_tag):
-        result = original(self, k, levels, g, by_tag)
-        finished.append(result)
-        return result
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tr._Builder, "_finish", recording)
-        yield finished
-
-
-def compile_recording_finish(jobs):
-    """Compile each (phi, k, budget_c, budget_vars) job; returns the top
-    results and every result _Builder._finish returned on the way."""
-    with recording_finish() as finished:
-        results = [tr.transform(*job) for job in jobs]
-    return results, finished
 
 
 def assert_tags_in_table(result):
@@ -72,17 +45,6 @@ def assert_tags_in_table(result):
             covered |= {n for n in mba.nodes(sup) if type(n) is mba.ChainVar
                         and n.binder == sup.binder and n.tag in tags}
     assert chain_vars == covered
-
-
-@pytest.fixture(scope="module")
-def compile_panel():
-    sig = family.default_signature()
-    cases = workloads.compile_panel()
-    jobs = [(fm.rewrite_inf(fm.parse_formula(text, sig)), k,
-             workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)
-            for text, k in (case.args for case in cases)]
-    results, finished = compile_recording_finish(jobs)
-    return [case.name for case in cases], results, finished
 
 
 def test_compile_panel_matches_reference_counts(compile_panel):
@@ -171,7 +133,7 @@ def test_builder_tables_match_the_walk_on_random_formulas():
     compiled = refused = 0
     with recording_finish() as finished:
         for _ in range(200):
-            phi = _random_formula(rng, rng.randint(1, 3), ["x"])
+            phi = random_formula(rng, rng.randint(1, 3), ["x"])
             try:
                 tr.transform(phi, rng.choice((2, 3)))
                 compiled += 1

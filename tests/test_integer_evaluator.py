@@ -33,7 +33,7 @@ from dilogic import structure as st
 from dilogic import transform as tr
 from dilogic.errors import EvaluationError
 
-from helpers import SIG_P, make_structure
+from helpers import SIG_P, make_structure, random_formula
 
 F = Fraction
 
@@ -89,41 +89,9 @@ def _reference(phi, M, env, seen, halves=0):
 # Random formulas and models
 
 
-def _random_term(rng, scope):
-    var = fm.Var(rng.choice(scope))
-    roll = rng.randrange(4)
-    if roll == 0:
-        return fm.Apply("f", (var,))
-    if roll == 1:
-        return fm.Apply("g", (var, fm.Var(rng.choice(scope))))
-    return var
-
-
-def _random_formula(rng, depth, scope):
-    """A formula of depth at most depth whose free variables lie in scope;
-    a quantifier may rebind a variable already in scope."""
-    roll = rng.randrange(7) if depth > 0 else rng.randrange(2)
-    if roll == 0:
-        return fm.Const(F(rng.randrange(8), 7) if rng.randrange(2)
-                        else F(rng.randrange(4), rng.choice((3, 5))))
-    if roll == 1:
-        pred = rng.choice(("P", "Q", "R"))
-        arity = 2 if pred == "R" else 1
-        return fm.Atomic(pred, tuple(_random_term(rng, scope)
-                                     for _ in range(arity)))
-    if roll == 2:
-        return fm.Half(_random_formula(rng, depth - 1, scope))
-    if roll in (3, 4):
-        return fm.TruncSub(_random_formula(rng, depth - 1, scope),
-                           _random_formula(rng, depth - 1, scope))
-    var = rng.choice(("x", "y", "z"))
-    body = _random_formula(rng, depth - 1, scope + [var])
-    return (fm.Sup if roll == 5 else fm.Inf)(var, body)
-
-
 def _random_formulas(seed, count):
     rng = random.Random(seed)
-    return [_random_formula(rng, rng.randint(1, 4), ["x"]) for _ in range(count)]
+    return [random_formula(rng, rng.randint(1, 4), ["x"]) for _ in range(count)]
 
 
 def _discrete_structure(rng, points, denoms):
@@ -362,7 +330,7 @@ def _random_min_folds(seed, count, fold):
     for _ in range(count):
         var = rng.choice((None, "y", "y"))
         scope = ["x"] if var is None else ["x", var]
-        items = [_random_formula(rng, rng.randint(0, 2), scope)
+        items = [random_formula(rng, rng.randint(0, 2), scope)
                  for _ in range(rng.randint(2, 4))]
         phi = _min_fold(items, fold)
         out.append(phi if var is None else rng.choice((fm.Sup, fm.Inf))(var, phi))

@@ -16,8 +16,6 @@ from dilogic import family, mba, tree
 from dilogic import formula as fm
 from dilogic import transform as tr
 
-from test_declared_set import compile_panel  # noqa: F401 (a fixture)
-
 F = Fraction
 
 SIG = family.default_signature()
