@@ -128,9 +128,7 @@ class Const(Formula):
     def __post_init__(self):
         v = self.value
         if type(v) is not Fraction:
-            if type(v) is not int:
-                raise SignatureError(f"constant {v!r} is not an int or a Fraction")
-            object.__setattr__(self, "value", v := Fraction(v))
+            object.__setattr__(self, "value", v := exact(v, "constant", SignatureError))
         if not 0 <= v.numerator <= v.denominator:
             raise SignatureError(f"constant {v} outside [0,1]")
 

@@ -211,9 +211,10 @@ class _Builder:
                             {phi: variables})
 
     def _merge_levels(self, *level_maps):
-        # Levels are k * 2^i * 3^j for one base k (ratio 6 occurs), so two
-        # need not divide each other.  A collision merges to the larger;
-        # none occurs on the compile panel or the acceptance suite.
+        # A tag on both branches of a sub takes the larger level, on whose
+        # grid every variable of both stays: a leaf compiled at K has levels
+        # K * 3^j (outside a sup only sub multiplies a level; a sup's tags
+        # are its own xi), and xi variables sit at 0, or 1 once rewired.
         out = {}
         for m in level_maps:
             for zeta, lev in m.items():
@@ -261,16 +262,12 @@ class _Builder:
         # threshold if strict, the grid step below if not.  C works in grid
         # positions, 0 for absent and p for the threshold (p - 1)/l on a tag
         # of level l.  A slot keeps n, the count of thresholds up to its cap,
-        # which is the cap's position on the grid (None off it).  Every tag
-        # is in F.
-        slots_by_tag = []
-        for zeta, lev in zip(tags, grid_sizes):
-            slots = []
-            for v in by_tag.get(zeta, ()):
-                q, r = divmod(v.level.numerator * lev, v.level.denominator)
-                n = q + 1 if v.strict else q
-                slots.append((v, n, n if r == 0 and 0 < n <= lev else None))
-            slots_by_tag.append(slots)
+        # which is the cap's position: l * v.level, plus 1 if strict, is in
+        # 1..l, since every variable lies on its tag's grid (_merge_levels),
+        # strict ones below 1 and nonstrict ones above 0.  Every tag is in F.
+        slots_by_tag = [[(v, v.level.numerator * lev // v.level.denominator + v.strict)
+                         for v in by_tag.get(zeta, ())]
+                        for zeta, lev in zip(tags, grid_sizes)]
         c_size = math.prod(lev + 1 for lev in grid_sizes) - 1
         profile_size = math.prod(len(slots) + 1 for slots in slots_by_tag) - 1
         size = max(c_size, profile_size)
@@ -280,25 +277,21 @@ class _Builder:
 
         # C: nonempty partial maps from tags to their threshold grids, as
         # position tuples in product order (per tag: absent, then thresholds
-        # ascending; the all-absent first is skipped).
-        xis = _XiPlans(phi.var, tags, grid_sizes)
-        # found: xi -> [level, its one SetVarIndex, which every bound and
-        # profile reading xi shares, so _Compiler.slot and bind find equal
-        # variables of G by identity].  declared, the levels' sum, bounds the
+        # ascending; the all-absent first is skipped).  Each alpha adds its
+        # own xi to F, as the formulas of F are canonical and distinct alphas
+        # give distinct xi, with one SetVarIndex that every bound and profile
+        # reading it shares, so _Compiler.slot and bind find equal variables
+        # of G by identity.  declared, the levels' running sum, bounds the
         # declared count below: a sup over budget stops building its xi.
-        found, var_of_alpha, declared = {}, {}, 0
+        xis = _XiPlans(phi.var, tags, grid_sizes)
+        levels, var_of_alpha, declared = {}, {}, 0
         positions = itertools.product(*(range(lev + 1) for lev in grid_sizes))
         for combo in itertools.islice(positions, 1, None):
             xi, level = xis.xi(combo)
-            entry = found.get(xi)
-            if entry is None:
-                entry = found[xi] = [0, mba.SetVarIndex(xi, _ZERO, True)]
-            if level > entry[0]:
-                declared += level - entry[0]
-                entry[0] = level
-                refuse_over(declared, "declared set-variable count at least",
-                            self.budget_vars)
-            var_of_alpha[combo] = entry[1]
+            declared += level
+            refuse_over(declared, "declared set-variable count at least", self.budget_vars)
+            levels[xi] = level
+            var_of_alpha[combo] = mba.SetVarIndex(xi, _ZERO, True)
 
         binder = next(self.binder_ids)
         chains = []
@@ -314,19 +307,18 @@ class _Builder:
             singles = [var_of_alpha[absent[:t] + (p,) + absent[t + 1:]]
                        for p in range(1, lev + 1)]
             bounds = []
-            for slot, (v, n, _pos) in enumerate(slots):
+            for slot, (v, n) in enumerate(slots):
                 bounds.append(mba.inter_all(singles[:n]))
                 mapping[v] = mba.ChainVar(binder, zeta, slot)
             chains.append(mba.ChainSpec(zeta, tuple(bounds)))
-            top = max(n for _v, n, _pos in slots)
+            top = max(n for _v, n in slots)
             read.update((var.tag, [var]) for var in singles[:top])
         # Joint constraints: picking one mentioned slot on each of two or
         # more tags, the intersection of those bound sets must admit a
         # common witness point, i.e. lie inside the level set of the joint
         # supremum formula at the slots' caps, read at their positions.
         profiles = []
-        slot_choices = [[(None, 0)] + [(slot, pos) for slot, (_v, _n, pos)
-                                       in enumerate(slots)]
+        slot_choices = [[(None, 0)] + [(slot, n) for slot, (_v, n) in enumerate(slots)]
                         for slots in slots_by_tag]
         for combo in itertools.product(*slot_choices):
             picked = tuple((zeta, slot) for zeta, (slot, _pos) in zip(tags, combo)
@@ -342,7 +334,7 @@ class _Builder:
             mba.substitute_set_vars(inner.g, mapping),
             tuple(profiles),
         )
-        return self._finish(k, {xi: lev for xi, (lev, _var) in found.items()}, g, read)
+        return self._finish(k, levels, g, read)
 
 
 def transform(phi, k, budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS):

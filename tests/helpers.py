@@ -236,6 +236,55 @@ def recording_finish():
         yield finished
 
 
+@contextlib.contextmanager
+def recording_xi():
+    """Yields the list of every (plans, alpha, xi) _XiPlans.xi builds in
+    the block: plans is one supremum's _XiPlans, and alpha is read back
+    from the grid positions."""
+    built = []
+    build = tr._XiPlans.xi
+
+    def recording(plans, combo):
+        xi, level = build(plans, combo)
+        alpha = tuple((plans.tags[t], plans.consts[t][p].value)
+                      for t, p in enumerate(combo) if p)
+        built.append((plans, alpha, xi))
+        return xi, level
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tr._XiPlans, "xi", recording)
+        yield built
+
+
+def assert_distinct_xi(built):
+    """Invariant (i) of README's design notes: within one supremum, no two
+    alphas give one xi."""
+    by_sup = {}
+    for plans, _alpha, xi in built:
+        by_sup.setdefault(id(plans), []).append(xi)  # built keeps plans alive
+    assert by_sup
+    for xis in by_sup.values():
+        assert len(set(xis)) == len(xis)
+
+
+def assert_builder_tables(finished):
+    """The builder hands each result mba.vars_by_tag(result.g): the same
+    tags, each with the same variables in the same order.  Each variable
+    lies on its tag's grid in [0,1], invariant (ii) of README's design
+    notes."""
+    assert finished
+    for result in finished:
+        assert "vars_by_tag" in vars(result)
+        walked = mba.vars_by_tag(result.g)
+        assert result.vars_by_tag.keys() == walked.keys()
+        for tag, variables in walked.items():
+            assert result.vars_by_tag[tag] == variables
+            level = result.levels[tag]
+            assert all(level % (t := v.level).denominator == 0
+                       and 0 <= t.numerator <= t.denominator
+                       for v in variables), (fm.to_text(tag), level)
+
+
 def compile_recording_finish(jobs):
     """Compile each (phi, k, budget_c, budget_vars) job; returns the top
     results and every result _Builder._finish returned on the way."""

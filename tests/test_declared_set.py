@@ -22,8 +22,10 @@ from dilogic import formula as fm
 from dilogic import transform as tr
 from dilogic.errors import BudgetError
 
-from helpers import (GOLDEN_CORPUS, compile_recording_finish, joint_witness_field, p_of,
-                     q_of, random_formula, recording_finish, var_sort_key, xi_formula)
+from helpers import (GOLDEN_CORPUS, assert_builder_tables, assert_distinct_xi,
+                     compile_recording_finish, joint_witness_field, p_of, q_of,
+                     random_formula, recording_finish, recording_xi, var_sort_key,
+                     xi_formula)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench"))
@@ -74,13 +76,16 @@ def test_compile_panel_document_bytes(compile_panel):
     assert digest.hexdigest() == COMPILE_PANEL_SHA256
 
 
+def suite_jobs():
+    return [(fm.rewrite_inf(inst.formula), inst.k, tr.DEFAULT_BUDGET_C,
+             family.FAMILY_BUDGET_VARS)
+            for inst in family.determination_instances(0, 204)]
+
+
 @pytest.fixture(scope="module")
 def suite_finished():
     """Every result _finish returned compiling the 204-instance suite."""
-    suite = [(fm.rewrite_inf(inst.formula), inst.k, tr.DEFAULT_BUDGET_C,
-              family.FAMILY_BUDGET_VARS)
-             for inst in family.determination_instances(0, 204)]
-    return compile_recording_finish(suite)[1]
+    return compile_recording_finish(suite_jobs())[1]
 
 
 def test_closed_form_count_matches_declared_set(compile_panel, suite_finished):
@@ -89,20 +94,15 @@ def test_closed_form_count_matches_declared_set(compile_panel, suite_finished):
         assert_tags_in_table(result)
 
 
-def assert_builder_tables(finished):
-    """The builder hands each result mba.vars_by_tag(result.g): the same
-    tags, each with the same variables in the same order."""
-    assert finished
-    for result in finished:
-        assert "vars_by_tag" in vars(result)
-        walked = mba.vars_by_tag(result.g)
-        assert result.vars_by_tag.keys() == walked.keys()
-        for tag, variables in walked.items():
-            assert result.vars_by_tag[tag] == variables
-
-
 def test_builder_tables_match_the_walk(compile_panel, suite_finished):
     assert_builder_tables(compile_panel[2] + suite_finished)
+
+
+def test_each_supremum_of_the_suite_builds_distinct_xi():
+    with recording_xi() as built:
+        for job in suite_jobs():
+            tr.transform(*job)
+    assert_distinct_xi(built)
 
 
 # Tags that both branches of a sub, or a sub under a sup, put in G.
@@ -115,8 +115,10 @@ def test_builder_tables_match_the_walk_on_tag_collisions():
     sig = family.default_signature()
     jobs = [(fm.parse_formula(text, sig), k, 10**6, 10**6)
             for text in TAG_COLLISIONS for k in (2, 3)]
-    results, finished = compile_recording_finish(jobs)
+    with recording_xi() as built:
+        results, finished = compile_recording_finish(jobs)
     assert_builder_tables(finished)
+    assert_distinct_xi(built)
     # At k = 2, sub(1, P(x)) is the left branch's tag for its P(x) at 18
     # and the rewired tag of the right branch's P(x) at 6: the right's 5
     # variables are among the left's 17, and listed once.
@@ -131,7 +133,7 @@ def test_builder_tables_match_the_walk_on_random_formulas():
     before its refusal."""
     rng = random.Random(5)
     compiled = refused = 0
-    with recording_finish() as finished:
+    with recording_finish() as finished, recording_xi() as built:
         for _ in range(200):
             phi = random_formula(rng, rng.randint(1, 3), ["x"])
             try:
@@ -140,6 +142,7 @@ def test_builder_tables_match_the_walk_on_random_formulas():
             except BudgetError:
                 refused += 1
     assert_builder_tables(finished)
+    assert_distinct_xi(built)
     assert (compiled, refused) == (140, 60)
 
 
@@ -308,23 +311,11 @@ def test_document_writes_declared_set_without_building_it():
 
 def compile_recording_xi(jobs):
     """Compile each (phi, k, budget_c, budget_vars) job; returns every
-    (var, alpha, xi) transform built, alpha read back from its grid
-    positions."""
-    direct = []
-    build = tr._XiPlans.xi
-
-    def recording(plans, combo):
-        xi, level = build(plans, combo)
-        alpha = tuple((plans.tags[t], plans.consts[t][p].value)
-                      for t, p in enumerate(combo) if p)
-        direct.append((plans.var, alpha, xi))
-        return xi, level
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tr._XiPlans, "xi", recording)
+    (plans, alpha, xi) transform built, as recording_xi records them."""
+    with recording_xi() as built:
         for job in jobs:
             tr.transform(*job)
-    return direct
+    return built
 
 
 def binder_names(phi):
@@ -342,7 +333,7 @@ def compile_panel_jobs():
 def test_direct_xi_equals_xi_formula():
     """On the compile panel (nested sup at k = 2 to 4), the certify panel
     and two hand-built cases, every xi transform builds is the reference
-    xi_formula's, binder tags included."""
+    xi_formula's, binder tags included, and no supremum builds one twice."""
     sig = family.default_signature()
     jobs = compile_panel_jobs()
     jobs += [(fm.rewrite_inf(inst.formula), inst.k, tr.DEFAULT_BUDGET_C,
@@ -360,7 +351,9 @@ def test_direct_xi_equals_xi_formula():
     # variable and read y1, so their binders skip it.
     skip = fm.parse_formula("sup x . sup w . R(x,y1)", sig)
     jobs += [(skip, 2, workloads.COMPILE_BUDGET, workloads.COMPILE_BUDGET)]
-    direct = compile_recording_xi(jobs)
+    built = compile_recording_xi(jobs)
+    assert_distinct_xi(built)
+    direct = [(plans.var, alpha, xi) for plans, alpha, xi in built]
     assert len(direct) > 1000
     assert {xi.var for var, _alpha, xi in direct if var == "z"} == {"y0", "y1"}
     over_binders = [(var, alpha, xi) for var, alpha, xi in direct
@@ -465,9 +458,8 @@ def test_xi_size_is_linear_in_its_items():
     """On the compile panel, each xi is at most twice its items zeta -. c
     plus two nodes per item: the min fold repeats each item once, never
     the accumulator, whose copies would double with each item."""
-    direct = compile_recording_xi(compile_panel_jobs())
     nested = 0
-    for _var, alpha, xi in direct:
+    for _plans, alpha, xi in compile_recording_xi(compile_panel_jobs()):
         items = sum(tree_size(zeta) + 2 for zeta, _c in alpha)
         assert tree_size(xi) <= 2 * items + 2 * len(alpha)
         nested += len(alpha) > 2 and any(binder_names(zeta) for zeta, _c in alpha)

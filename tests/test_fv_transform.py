@@ -21,14 +21,19 @@ from dilogic.errors import BudgetError, InputError
 from helpers import (
     SIG_P,
     SIG_PQ,
+    assert_builder_tables,
+    assert_distinct_xi,
     atomic_example_assignment,
     atomic_example_field,
     joint_witness_field,
     make_structure,
     p_of,
     q_of,
+    recording_finish,
+    recording_xi,
     sup_example_field,
     uniform_space,
+    xi_formula,
 )
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
@@ -147,6 +152,28 @@ def test_equal_set_variables_of_g_are_one_object():
         sups += mba.contains_supchain(g)
         assert _an_equal_copy(g) is None, fm.to_text(job[0])
     assert sups
+
+
+def test_sup_passes_over_a_tag_its_body_does_not_read(monkeypatch):
+    """A tag of the body's F that its G does not read gets no chain, yet
+    its alphas still give xi.  No formula reaches this under a budget
+    (sup x . sup y . sub(P(y), Q(y)) has over 10^60 alphas at k = 2), so
+    the body's result is planted: F holds P(y) and Q(y), G reads P(y)."""
+    p, q = p_of("y"), q_of("y")
+    body = fm.TruncSub(p, q)
+    inner = tr.TransformResult(
+        2, {p: 2, q: 2}, mba.Scale(F(1, 2), mba.Measure(mba.SetVarIndex(p, F(1, 2)))))
+    build = tr._Builder.build
+    monkeypatch.setattr(tr._Builder, "build", lambda self, phi, k: (
+        inner if phi is body else build(self, phi, k)))
+    result = tr.transform(fm.Sup("y", body), 2)
+    assert [chain.tag for chain in result.g.chains] == [p]
+    assert not result.g.profiles
+    grid = (None, F(0), F(1, 2))  # a threshold by grid position
+    assert set(result.levels) == {
+        xi_formula("y", tuple((tag, grid[n]) for tag, n in zip((p, q), combo) if n))
+        for combo in ((0, 1), (0, 2), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2))}
+    assert len(result.levels) == 8
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +331,10 @@ def test_determination_family_sample():
 # Literal formulas beyond the 17 templates, each with the SHA-256 of its
 # `dilogic transform` document (less the closing newline) at k = 2 and 3
 # under lifted budgets.  They take in nested sup, R under two binders, a
-# sup on either side of a sub, inf, two sups over one free variable, and
-# free variables named like binders (y1), which the xi binders skip.
+# sup on either side of a sub, inf, two sups over one free variable,
+# free variables named like binders (y1), which the xi binders skip, and
+# tags that both branches of a sub put in G: 1 -. P(x) at levels 18 and 6
+# at k = 2, and the one xi tag of sup y . P(y) on both branches.
 BEYOND_TEMPLATES = [
     ("sup x . sup y . R(x,y)",
      "6540cd269381c4da7b0fa66e6190263a760a4f6136a6b7cd9c77023495868610",
@@ -346,15 +375,41 @@ BEYOND_TEMPLATES = [
     ("sup y . half(sub(R(y,y), P(y)))",
      "c5e7b9dcf0f3496b8be3ebb3bac4d7a0ee3c2cb0075073c4be8b141a3b1feb32",
      "41b03f6ec5211541e9e301018cb9b9fa31ac9a067f661a2c2e10b8ca657d00bc"),
+    ("sub(sub(1, P(x)), P(x))",
+     "81128fdf9988c1f423d0a849823ecd22d87bba5b547ff91261c7dd3a9ab64140",
+     "5b271dd1940521265fb17a30d4d28b7947ee18030161bd36e08172ed2ac7bdd8"),
+    ("sup y . sub(sub(1, P(y)), P(y))",
+     "8b24d574103386eec9e50d4eb58cb0d75a5df24c422dda548b035abbab4d4cf4",
+     "357dbaa9ecd75110b07ff85ed92f57a48b04cfe5bbf09b7e979756f5a32704c9"),
+    ("sub(sub(1, sup y . P(y)), sup y . P(y))",
+     "557d2900fc4fc27d4a0b0ab6936bf74f95e4f17c085b3dc46ec7733e29ba13cc",
+     "9db7add4865bc6deb91301cfa095bb0ee02bb2c3edab8ccbd11f3091fa8e6ec1"),
+    ("sup y . sub(P(y), P(y))",
+     "9df5d9430513b5837413825b5881b141a0e992870e19b90066c775308d0caac7",
+     "f7c55a2fab8b16caf5384c865605934c2fa50f2078de9762d1075bc5cb60be92"),
+    ("sup y . sub(1/2, P(y))",
+     "c9366ea58fb314b9d2b7856dcebb13dae79c93be0c321d4018b913c67e75e234",
+     "3f3504045c5971f93cceeb674638b4743c1432b28eb23754aa3295667d1adb5a"),
+    ("inf y . half(P(y))",
+     "6dd0dfe6a81f4bd1c592bcd74f0c61521802e330131695bef248bc9a77dd4fac",
+     "ba19ab3438b3c48d74fa0fcc29afabd485fdabe908022f251ac0a49e61467739"),
+    ("sub(1, sup y . sub(P(y), Q(y)))",
+     "5422a35238b6de4c92ee7e3c2ff25da6f1b77774b94056a562f7ce3a1651e409",
+     "6215524bbe31337e89fe028cfa3aa9fbf3c0efaaab1365b2bf5d3ef95818a1c8"),
 ]
 
 
 @pytest.mark.parametrize("text, at_k2, at_k3", BEYOND_TEMPLATES,
                          ids=[text for text, *_ in BEYOND_TEMPLATES])
 def test_determination_beyond_the_templates(text, at_k2, at_k3):
+    """Each compile also keeps both invariants of README's design notes."""
     phi = fm.parse_formula(text, family.default_signature())
     for k, digest in ((2, at_k2), (3, at_k3)):
-        result = tr.transform(fm.rewrite_inf(phi), k, 1 << 20, 1 << 20)
+        with recording_finish() as finished, recording_xi() as built:
+            result = tr.transform(fm.rewrite_inf(phi), k, 1 << 20, 1 << 20)
+        assert_builder_tables(finished)
+        if built:
+            assert_distinct_xi(built)
         doc = json.dumps(jsonio.transform_result_to_doc(result),
                          sort_keys=True, indent=2)
         assert hashlib.sha256(doc.encode("utf-8")).hexdigest() == digest
