@@ -363,6 +363,17 @@ def fiber_values(zeta, field_, assignment=None):
         _refuse_foreign(field_, assignment, err)
 
 
+def point_values(zeta, var, field_, assignment=None):
+    """fiber_values of zeta with var bound to each point of each fiber, per atom."""
+    unit, assignment = st._unit(zeta), assignment or {}
+    try:
+        return [[st._eval_at_unit(zeta, M, {**local, var: p}, unit) for p in M.points]
+                for M, local in ((field_.fibers[w], _fiber_assignment(assignment, w))
+                                 for w in field_.space.atoms)]
+    except KeyError as err:
+        _refuse_foreign(field_, assignment, err)
+
+
 def threshold(values, field_, t, *, strict=True):
     """Atoms whose entry of a fiber_values table exceeds the rational t:
     compared with > when strict, else with >=."""

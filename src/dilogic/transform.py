@@ -51,6 +51,8 @@ class _XiPlans:
     positions, and a tag is renamed once per (position, Sup name, binder
     names), with its items zeta -. c by grid position.  A binder-free item
     and its copy are one object, evaluated once by structure.eval_formula.
+    `positions` maps each xi to alpha's grid positions: xi_alpha > 0
+    where some fiber point puts every tag of alpha above its threshold.
     """
 
     def __init__(self, var, tags, levels):
@@ -61,7 +63,7 @@ class _XiPlans:
         # Position p of a tag of level l holds the threshold (p - 1)/l.
         self.consts = [[None] + [fm.Const(Fraction(i, lev)) for i in range(lev)]
                        for lev in levels]
-        self.renamed, self.plans = {}, {}
+        self.renamed, self.plans, self.positions = {}, {}, {}
 
     def plan(self, positions):
         """(Sup name, level, (position, items) of the first item, and
@@ -92,6 +94,15 @@ class _XiPlans:
             acc = fm.TruncSub(items[combo[t]], fm.TruncSub(copies[combo[t]], acc))
         return fm.Sup(name, acc), level
 
+    def reached(self, field_, assignment):
+        """Per atom, the grid positions some fiber point reaches: each tag's
+        position at most the count of its thresholds below its value there."""
+        tables = [di.point_values(zeta, self.var, field_, assignment) for zeta in self.tags]
+        return [{combo for point in zip(*atom) for combo in itertools.product(*(
+                    range(_threshold_count(v.numerator, v.denominator, len(c) - 1) + 1)
+                    for v, c in zip(point, self.consts)))}
+                for atom in zip(*tables)]
+
 
 @dataclass(frozen=True)
 class TransformResult:
@@ -116,6 +127,8 @@ class TransformResult:
     # result; it lives and dies with the result.
     _level_tables: list = field(default_factory=list, init=False,
                                 repr=False, compare=False)
+    # The _XiPlans of the sup whose xi G reads, through Half and sub's left.
+    _xis: object = field(default=None, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def formula_texts(self):
@@ -178,7 +191,7 @@ class _Builder:
         if isinstance(phi, fm.Half):
             inner = self.build(phi.body, k)
             return self._finish(k, inner.levels, mba.Scale(Fraction(1, 2), inner.g),
-                                inner.vars_by_tag)
+                                inner.vars_by_tag, inner._xis)
         if isinstance(phi, fm.TruncSub):
             return self._truncsub(phi, k)
         if isinstance(phi, fm.Sup):
@@ -192,9 +205,9 @@ class _Builder:
     # mba.vars_by_tag(g), which the case knows without walking g; results
     # share these tables, and nothing changes one.
 
-    def _finish(self, k, levels, g, by_tag):
+    def _finish(self, k, levels, g, by_tag, xis=None):
         result = TransformResult(k, dict(levels), g)
-        result.__dict__["vars_by_tag"] = by_tag  # fills the cached property
+        result.__dict__.update(vars_by_tag=by_tag, _xis=xis)  # by_tag fills the cached property
         refuse_over(result.declared_count, "declared set-variable count", self.budget_vars)
         return result
 
@@ -243,7 +256,7 @@ class _Builder:
         g = mba.TruncSub(left.g, mba.substitute_set_vars(right.g, mapping))
         levels = self._merge_levels(
             left.levels, {neg[zeta]: lev for zeta, lev in right.levels.items()})
-        return self._finish(k, levels, g, by_tag)
+        return self._finish(k, levels, g, by_tag, left._xis)
 
     def _sup(self, phi, k):
         inner = self.build(phi.body, k)
@@ -290,7 +303,7 @@ class _Builder:
             xi, level = xis.xi(combo)
             declared += level
             refuse_over(declared, "declared set-variable count at least", self.budget_vars)
-            levels[xi] = level
+            levels[xi], xis.positions[xi] = level, combo
             var_of_alpha[combo] = mba.SetVarIndex(xi, _ZERO, True)
 
         binder = next(self.binder_ids)
@@ -334,7 +347,7 @@ class _Builder:
             mba.substitute_set_vars(inner.g, mapping),
             tuple(profiles),
         )
-        return self._finish(k, levels, g, read)
+        return self._finish(k, levels, g, read, xis)
 
 
 def transform(phi, k, budget_c=DEFAULT_BUDGET_C, budget_vars=DEFAULT_BUDGET_VARS):
@@ -357,25 +370,30 @@ def build_level_assignment(result, field_, assignment=None):
     formula at its threshold, in its comparison mode.  Declared variables
     G does not read are not assigned.
 
-    Each distinct tag is evaluated once per atom, and its level sets are
-    thresholds of that one value table.  Tags come in result.formulas
-    order (F tags every variable of G), each in vars_by_tag order, which
-    result caches: a second call on one result does not walk G.  The
-    result also keeps the tables of its last call: a call with the same
-    field (the same object) and an equal assignment, as sup_collapse
-    makes after determination_check, reuses them.  Each call returns a
-    dict of its own.
+    An xi of the result's supremum (_xis) is read at (xi, 0, >) only; its
+    table is whether each atom's fiber reaches alpha's positions, from the
+    sup's tags evaluated once per fiber point for all its xi.  Any other
+    tag is evaluated once per atom into one value table, the reference for
+    both, whose thresholds are its level sets.  Tags come in
+    result.formulas order (F tags every variable of G), each in
+    vars_by_tag order, which result caches.  The result keeps the tables
+    of its last call: a call with the same field (the same object) and an
+    equal assignment, as sup_collapse makes after determination_check,
+    reuses them.  Each call returns a dict of its own.
     """
     assignment = dict(assignment or {})
     last = result._level_tables
     if not (last and last[0] is field_ and last[1] == assignment):
-        by_tag = result.vars_by_tag
+        by_tag, xis, reached = result.vars_by_tag, result._xis, None
         out = {}
-        for tag in result.formulas:
-            if tag in by_tag:
+        for tag in filter(by_tag.__contains__, result.formulas):
+            if xis and (combo := xis.positions.get(tag)):
+                reached = reached or xis.reached(field_, assignment)
+                values = [combo in atom for atom in reached]  # > 0 where reached
+            else:
                 values = di.fiber_values(tag, field_, assignment)
-                for v in by_tag[tag]:
-                    out[v] = di.threshold(values, field_, v.level, strict=v.strict)
+            for v in by_tag[tag]:
+                out[v] = di.threshold(values, field_, v.level, strict=v.strict)
         last[:] = field_, assignment, out
     return dict(last[2])
 
@@ -400,7 +418,8 @@ def determination_check(phi, k, field_, assignment=None, mode=mba.MAXIMAL,
     implies value > (l-1)/k; together these force |value - G| <= 2/k,
     which is asserted as well.  result, when given, is the transform of
     phi, else phi is compiled under the default budgets; G is evaluated
-    on the level sets of the variables it reads.
+    on the level sets of the variables it reads (build_level_assignment:
+    a recorded xi's from its supremum's tags at each fiber point).
     """
     if result is None:
         result = transform(phi, k)

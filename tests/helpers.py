@@ -226,8 +226,8 @@ def recording_finish():
     finished = []
     original = tr._Builder._finish
 
-    def recording(self, k, levels, g, by_tag):
-        result = original(self, k, levels, g, by_tag)
+    def recording(self, *args):
+        result = original(self, *args)
         finished.append(result)
         return result
 
