@@ -734,8 +734,7 @@ class MonotoneCounterexample:
     high_value: Fraction
 
 
-def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000,
-                   variables=None):
+def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000):
     """Verify g is coordinatewise increasing on alg, evaluating in
     MAXIMAL mode.  Returns None on pass, or the first MonotoneCounterexample
     of a scan of comparable assignment pairs: all of them when their count,
@@ -748,20 +747,15 @@ def check_monotone(g, alg, trials=200, seed=0, exhaustive_limit=100_000,
     assignment that does not raise: the pairs, their order, the first
     counterexample and every error, raised where its assignment is first
     met, are as if each pair were evaluated afresh.
-
-    The scan numbers g's free variables tag by tag in text order
-    (fm.texts), each tag's in vars_by_tag order.  A caller that holds
-    that order, as a TransformResult does in its formulas and
-    vars_by_tag, passes it as `variables`; when None, it is walked from g.
     """
     if trials < 1:
         raise EvaluationError("trials must be >= 1")
-    if variables is None:
-        by_tag = vars_by_tag(g)
-        formulas = [tag for tag in by_tag if isinstance(tag, fm.Formula)]
-        text = dict(zip(formulas, fm.texts(formulas)))
-        variables = [v for tag in sorted(by_tag, key=lambda t: text.get(t) or str(t))
-                     for v in by_tag[tag]]
+    by_tag = vars_by_tag(g)
+    # Tag by tag in text order (fm.texts), each in vars_by_tag order.
+    formulas = [tag for tag in by_tag if isinstance(tag, fm.Formula)]
+    text = dict(zip(formulas, fm.texts(formulas)))
+    variables = [v for tag in sorted(by_tag, key=lambda t: text.get(t) or str(t))
+                 for v in by_tag[tag]]
     if not variables:
         return None
     bits = tuple(alg.bit.values())

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -51,8 +52,7 @@ class _XiPlans:
     positions, and a tag is renamed once per (position, Sup name, binder
     names), with its items zeta -. c by grid position.  A binder-free item
     and its copy are one object, evaluated once by structure.eval_formula.
-    `positions` maps each xi to alpha's grid positions: xi_alpha > 0
-    where some fiber point puts every tag of alpha above its threshold.
+    `positions` maps each xi to alpha's grid positions.
     """
 
     def __init__(self, var, tags, levels):
@@ -94,13 +94,12 @@ class _XiPlans:
             acc = fm.TruncSub(items[combo[t]], fm.TruncSub(copies[combo[t]], acc))
         return fm.Sup(name, acc), level
 
-    def reached(self, field_, assignment):
-        """Per atom, the grid positions some fiber point reaches: each tag's
-        position at most the count of its thresholds below its value there."""
+    def counts(self, field_, assignment):
+        """Per atom, per fiber point, how many of each tag's thresholds lie
+        below its value there: xi_alpha > 0 where some point's are >= alpha's."""
         tables = [di.point_values(zeta, self.var, field_, assignment) for zeta in self.tags]
-        return [{combo for point in zip(*atom) for combo in itertools.product(*(
-                    range(_threshold_count(v.numerator, v.denominator, len(c) - 1) + 1)
-                    for v, c in zip(point, self.consts)))}
+        return [[tuple(_threshold_count(v.numerator, v.denominator, len(c) - 1)
+                       for v, c in zip(point, self.consts)) for point in zip(*atom)]
                 for atom in zip(*tables)]
 
 
@@ -370,30 +369,31 @@ def build_level_assignment(result, field_, assignment=None):
     formula at its threshold, in its comparison mode.  Declared variables
     G does not read are not assigned.
 
-    An xi of the result's supremum (_xis) is read at (xi, 0, >) only; its
-    table is whether each atom's fiber reaches alpha's positions, from the
-    sup's tags evaluated once per fiber point for all its xi.  Any other
-    tag is evaluated once per atom into one value table, the reference for
-    both, whose thresholds are its level sets.  Tags come in
-    result.formulas order (F tags every variable of G), each in
-    vars_by_tag order, which result caches.  The result keeps the tables
-    of its last call: a call with the same field (the same object) and an
-    equal assignment, as sup_collapse makes after determination_check,
-    reuses them.  Each call returns a dict of its own.
+    A recorded xi of the result's supremum (_xis) read at (xi, 0, >) alone
+    is above 0 where some fiber point's counts reach alpha's positions
+    (the sup's tags evaluated once per point).  Any other tag is evaluated
+    once per atom into one value table, the reference for both, whose
+    thresholds are its level sets.  Tags come in result.formulas order,
+    each in vars_by_tag order, which result caches.  The result keeps the
+    tables of its last call: a call with the same field (the same object)
+    and an equal assignment, as sup_collapse makes after
+    determination_check, reuses them.  Each call returns a dict of its own.
     """
     assignment = dict(assignment or {})
     last = result._level_tables
     if not (last and last[0] is field_ and last[1] == assignment):
-        by_tag, xis, reached = result.vars_by_tag, result._xis, None
-        out = {}
+        by_tag, xis, counts, out = result.vars_by_tag, result._xis, None, {}
         for tag in filter(by_tag.__contains__, result.formulas):
-            if xis and (combo := xis.positions.get(tag)):
-                reached = reached or xis.reached(field_, assignment)
-                values = [combo in atom for atom in reached]  # > 0 where reached
+            reads, combo = by_tag[tag], xis and xis.positions.get(tag)
+            if combo and all(v.level == 0 and v.strict for v in reads):
+                counts = counts or xis.counts(field_, assignment)
+                above = frozenset(w for w, atom in zip(field_.space.atoms, counts)
+                                  if any(all(map(operator.le, combo, c)) for c in atom))
+                out.update(dict.fromkeys(reads, above))
             else:
                 values = di.fiber_values(tag, field_, assignment)
-            for v in by_tag[tag]:
-                out[v] = di.threshold(values, field_, v.level, strict=v.strict)
+                for v in reads:
+                    out[v] = di.threshold(values, field_, v.level, strict=v.strict)
         last[:] = field_, assignment, out
     return dict(last[2])
 

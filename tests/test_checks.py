@@ -60,37 +60,6 @@ def test_monotone_fails_on_a_decreasing_g():
     assert checks.monotone(inst, bad, 0) is False
 
 
-def test_monotone_scans_the_walked_order_with_the_same_verdicts(monkeypatch):
-    """checks.monotone hands check_monotone the result's own variable
-    order: result.formulas, each tag's vars_by_tag list.  On the
-    204-instance suite, for G and a decreasing G, it is the order
-    check_monotone walks from G, with the same verdict and counterexample."""
-    orders = []
-    compiler = mba._Compiler
-
-    def recording(alg, mode=mba.MAXIMAL, variables=()):
-        orders.append(list(variables))
-        return compiler(alg, mode, variables)
-
-    monkeypatch.setattr(mba, "_Compiler", recording)
-    kwargs = {"trials": checks.MONOTONE_TRIALS, "seed": 0,
-              "exhaustive_limit": checks.MONOTONE_EXHAUSTIVE_LIMIT}
-    counterexamples = 0
-    for inst in family.determination_instances(0, 204):
-        result = tr.transform(inst.formula, inst.k, tr.DEFAULT_BUDGET_C,
-                              family.FAMILY_BUDGET_VARS)
-        for r in (result, dataclasses.replace(result, g=decreasing(result.g))):
-            orders.clear()
-            given = checks.monotone(inst, r, 0)
-            walked = mba.check_monotone(r.g, inst.field.space, **kwargs)
-            assert orders[0] == orders[1], inst.name
-            assert given == (walked is None)
-            assert mba.check_monotone(r.g, inst.field.space, **kwargs,
-                                      variables=orders[0]) == walked
-            counterexamples += walked is not None
-    assert counterexamples > 150
-
-
 def test_sup_collapse_fails_on_a_decreasing_inner_formula():
     inst, (result, _report) = certify(
         fm.Sup("y", p_of("y")), sup_example_field())

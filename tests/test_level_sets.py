@@ -449,6 +449,29 @@ def test_a_replaced_result_takes_the_per_tag_path(table_calls):
     assert replaced >= 10
 
 
+def test_an_xi_read_at_another_threshold_takes_its_table(table_calls):
+    """The position path decides xi > 0 alone: an xi that is also read
+    at >= 0 or at > 1/2 gets its fiber_values table, and every level set
+    still equals the per-tag path; the other xi keep the position path."""
+    phi = fm.parse_formula("sup y . sub(P(y), Q(x))", family.default_signature())
+    result = tr.transform(phi, 2)
+    by_tag = result.vars_by_tag
+    xi = next(tag for tag in result.formulas if tag in result._xis.positions)
+    assert by_tag[xi] == [mba.SetVarIndex(xi, F(0), True)]
+    result.__dict__["vars_by_tag"] = {**by_tag, xi: [
+        mba.SetVarIndex(xi, F(0), False), *by_tag[xi], mba.SetVarIndex(xi, F(1, 2), True)]}
+    for seed in range(4):
+        rng = random.Random(seed)
+        field_ = family.random_field(family.default_signature(), rng, 3, 3)
+        assignment = {"x": family.random_element(field_, rng)}
+        table_calls.fiber_tags.clear()
+        got = tr.build_level_assignment(result, field_, assignment)
+        tabled = set(table_calls.fiber_tags) & set(result._xis.positions)
+        assert tabled == {xi} and table_calls.fiber_tags.count(xi) == 1
+        assert list(got.items()) == list(
+            per_tag_assignment(result, field_, assignment).items())
+
+
 # The foreign elements of test_direct_integral, on the assigned x of a
 # supremum over R(x, y): its one tag reads x at every fiber point.
 FOREIGN = {
